@@ -18,6 +18,9 @@ import numpy as np
 
 #: Validation tolerance for the pseudometric axioms (user-supplied matrices).
 TRIANGLE_TOL = 1e-12
+#: Rows per block of the triangle-inequality check (a block holds rows * n^2
+#: temporaries).
+TRIANGLE_BLOCK_ROWS = 8
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -37,8 +40,11 @@ def _validate_pseudometric(name: str, p: np.ndarray, n: int) -> None:
         raise ValueError(f"metric {name!r}: not symmetric")
     if np.any(p < -TRIANGLE_TOL):
         raise ValueError(f"metric {name!r}: negative entries")
-    # p(i,k) <= min_j p(i,j) + p(j,k), checked over all triples at once
-    relay = (p[:, :, None] + p[None, :, :]).min(axis=1)
+    # p(i,k) <= min_j p(i,j) + p(j,k); rows i in blocks keep memory O(n^2)
+    relay = np.empty_like(p)
+    for lo in range(0, n, TRIANGLE_BLOCK_ROWS):
+        rows = p[lo : lo + TRIANGLE_BLOCK_ROWS]
+        relay[lo : lo + TRIANGLE_BLOCK_ROWS] = (rows[:, :, None] + p[None, :, :]).min(axis=1)
     if np.any(p > relay + TRIANGLE_TOL):
         i, k = np.unravel_index(int(np.argmax(p - relay)), p.shape)
         raise ValueError(f"metric {name!r}: triangle inequality fails at pair ({i}, {k})")

@@ -354,19 +354,15 @@ def _quantile_binned(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndar
     """
     qs = np.quantile(values, np.linspace(0.0, 1.0, bins + 1))
     idx = np.clip(np.searchsorted(qs, values, side="right") - 1, 0, bins - 1)
-    atoms = np.empty(bins)
-    weights = np.empty(bins)
-    err = 0.0
     n = len(values)
-    for b in range(bins):
-        sel = values[idx == b]
-        if len(sel) == 0:
-            atoms[b] = qs[b]
-            weights[b] = 0.0
-            continue
-        atoms[b] = float(sel.mean())
-        weights[b] = len(sel) / n
-        err += float(np.abs(sel - atoms[b]).sum()) / n
+    counts = np.bincount(idx, minlength=bins)
+    sums = np.bincount(idx, weights=values, minlength=bins)
+    # an empty bin keeps its left quantile as atom, with weight 0
+    atoms = np.where(counts > 0, sums / np.maximum(counts, 1), qs[:bins])
+    weights = counts / n
+    spread = values - atoms[idx]
+    deviation = np.bincount(idx, weights=np.abs(spread, out=spread), minlength=bins)
+    err = sum((deviation / n).tolist())
     return atoms, weights, err
 
 

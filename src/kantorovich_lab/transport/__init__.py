@@ -1,9 +1,11 @@
 """Exact Kantorovich-type seminorms and coupling metrics for signed measures.
 
-All values are linear-programming optima computed by self-contained solvers:
-a dense Bland-rule simplex over Lipschitz potentials for the seminorms (with
-dual certificates), a transportation simplex for couplings, and an exhaustive
-vertex-enumeration oracle for cross-checking both on small supports.
+Every value is the optimum of a balanced transportation problem solved by one
+network simplex (``_transportation``): the coupling metric directly, the
+bounded and anchored seminorms on a node set augmented by a slack location or
+the anchor.  Seminorm witnesses are built from the optimal duals by one
+c-transform over the whole space.  An exhaustive vertex-enumeration oracle
+cross-checks the seminorms on small supports.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..measures import SignedMeasure
-from ._simplex import HAVE_COMPILED_KERNEL, kernel_backend, simplex_max
-from ._transportation import flow_seminorm_value, solve_transportation
+from ._simplex import kernel_backend
+from ._transportation import flow_seminorm_value, seminorm_problem, solve_transportation
 from ._trees import min_cost_vertex
 
 __all__ = [
@@ -27,19 +29,12 @@ __all__ = [
     "kq_norm",
     "brute_force_dual",
     "kernel_backend",
-    "HAVE_COMPILED_KERNEL",
 ]
 
-#: Feasibility tolerance for returned certificates.
+#: Feasibility tolerance for returned certificates.  Checks of masses and
+#: integrals compare against ``WITNESS_TOL * min(1, scale)`` for the scale of
+#: the data, so that a wrong answer cannot pass for being small.
 WITNESS_TOL = 1e-9
-
-#: Above this support size the witness-free value routines switch from the
-#: dense potential LP (O(n^2) constraints) to the transportation formulation.
-DENSE_SUPPORT_CUTOFF = 32
-
-#: Hard cap for the witness-bearing dense LP; beyond this the tableau would
-#: not be desk-scale any more.
-DENSE_SUPPORT_MAX = 64
 
 ORACLE_SUPPORT_MAX = 8
 
@@ -71,8 +66,10 @@ class LipschitzWitness:
                 raise ValueError("potential does not vanish at the anchor")
         else:
             raise ValueError(f"unknown witness mode {self.mode!r}")
-        integral = math.fsum((f * mu.weights).tolist())
-        if abs(integral - self.achieved) > tol:
+        terms = f * mu.weights
+        integral = math.fsum(terms.tolist())
+        scale = math.fsum(np.abs(terms).tolist())
+        if abs(integral - self.achieved) > tol * min(1.0, scale):
             raise ValueError("potential does not attain the reported value")
 
 
@@ -89,9 +86,11 @@ class Coupling:
         sig = self.matrix
         if sig.min(initial=0.0) < -1e-12:
             raise ValueError("coupling has a negative entry")
-        if np.abs(sig.sum(axis=1) - mu.weights).max() > tol:
+        scale = max(float(np.abs(mu.weights).max()), float(np.abs(nu.weights).max()))
+        mass_tol = tol * min(1.0, scale)
+        if np.abs(sig.sum(axis=1) - mu.weights).max() > mass_tol:
             raise ValueError("row marginals do not match")
-        if np.abs(sig.sum(axis=0) - nu.weights).max() > tol:
+        if np.abs(sig.sum(axis=0) - nu.weights).max() > mass_tol:
             raise ValueError("column marginals do not match")
         d = mu.space.metric(self.metric_name)
         cost = float((sig * d**self.q).sum()) if self.q != 1 else float((sig * d).sum())
@@ -99,99 +98,44 @@ class Coupling:
             raise ValueError("coupling cost mismatch")
 
 
-def _mcshane(d: np.ndarray, idx: np.ndarray, f_idx: np.ndarray, clamp: bool) -> np.ndarray:
-    """Extend a potential from ``idx`` to all points, preserving Lipschitz-ness."""
-    f = np.min(f_idx[None, :] + d[:, idx], axis=1)
-    if clamp:
-        f = np.clip(f, -1.0, 1.0)
-    f[idx] = f_idx
-    return f
+def _seminorm_potential(d: np.ndarray, w: np.ndarray, mode: str, anchor: int) -> np.ndarray:
+    """An optimal potential of the bounded or anchored Lipschitz LP on the
+    whole space: one c-transform of the optimal transportation duals.
 
-
-def _solve_bounded_potential(d: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """max sum w_i f_i over |f_i - f_j| <= d_ij, |f_i| <= 1 (shift g = f + 1)."""
-    ns = len(w)
-    scale = float(np.abs(w).max())
-    if scale == 0.0:
-        return 0.0, np.zeros(ns)
-    pairs = [(i, j) for i in range(ns) for j in range(ns) if i != j]
-    m = len(pairs) + ns
-    A = np.zeros((m, ns))
-    b = np.empty(m)
-    for row, (i, j) in enumerate(pairs):
-        A[row, i] = 1.0
-        A[row, j] = -1.0
-        b[row] = d[i, j]
-    for i in range(ns):
-        A[len(pairs) + i, i] = 1.0
-        b[len(pairs) + i] = 2.0
-    # unit-scale objective keeps the pivot tolerance meaningful for any mass scale
-    res = simplex_max(A, b, w / scale)
-    f = res.x - 1.0
-    return scale * res.value - math.fsum(w.tolist()), f
-
-
-def _solve_anchored_potential(d: np.ndarray, w: np.ndarray, a: int) -> tuple[float, np.ndarray]:
-    """max sum w_i f_i over |f_i - f_j| <= d_ij, f_a = 0 (shift g_i = f_i + d_ia)."""
-    ns = len(w)
-    free = [i for i in range(ns) if i != a]
-    c = w[np.asarray(free, dtype=int)] if free else np.zeros(0)
-    scale = float(np.abs(c).max()) if len(c) else 0.0
-    if not free or scale == 0.0:
-        return 0.0, np.zeros(ns)
-    radius = d[free, a]
-    pairs = [(i, j) for i in range(len(free)) for j in range(len(free)) if i != j]
-    m = len(pairs) + len(free)
-    A = np.zeros((m, len(free)))
-    b = np.empty(m)
-    for row, (i, j) in enumerate(pairs):
-        A[row, i] = 1.0
-        A[row, j] = -1.0
-        b[row] = d[free[i], free[j]] + radius[i] - radius[j]
-    for i in range(len(free)):
-        A[len(pairs) + i, i] = 1.0
-        b[len(pairs) + i] = 2.0 * radius[i]
-    res = simplex_max(A, b, c / scale)
-    f = np.zeros(ns)
-    f[free] = res.x - radius
-    value = scale * res.value - math.fsum((c * radius).tolist())
-    return value, f
-
-
-def _check_dense_support(ns: int) -> None:
-    if ns > DENSE_SUPPORT_MAX:
-        raise ValueError(
-            f"support size {ns} exceeds the dense potential LP cap {DENSE_SUPPORT_MAX}"
-        )
+    Row duals minus the absorbing row's dual bound the potential on the
+    positive atoms; the largest 1-Lipschitz function below those bounds there
+    is no larger than the dual bound on any negative atom, so it attains the
+    transportation optimum.
+    """
+    prob = seminorm_problem(d, w, mode, anchor)
+    if prob is None:
+        return np.zeros(len(w))
+    u = solve_transportation(prob.a, prob.b, prob.C).u
+    if mode == "bounded":
+        if len(prob.pos) == 0:
+            return np.full(len(w), -1.0)
+        g = np.minimum(u[:-1] - u[-1], 1.0)
+        return np.clip((g[None, :] - d[:, prob.pos]).max(axis=1), -1.0, 1.0)
+    rows = np.append(prob.pos, anchor)
+    # capping by the row of d read below keeps f(anchor) <= 0 exactly
+    g = np.minimum(u - u[-1], d[anchor, rows])
+    g[-1] = 0.0
+    return np.maximum((g[None, :] - d[:, rows]).max(axis=1), -d[:, anchor])
 
 
 def kr_norm(mu: SignedMeasure, metric_name: str) -> tuple[float, LipschitzWitness]:
     """Bounded-Lipschitz seminorm: sup of the integral over 1-Lipschitz |f| <= 1."""
-    d = mu.space.metric(metric_name)
+    f = _seminorm_potential(mu.space.metric(metric_name), mu.weights, "bounded", mu.space.anchor)
     supp = mu.support
-    n = mu.space.n_points
-    if len(supp) == 0:
-        witness = LipschitzWitness(metric_name, np.zeros(n), 0.0, "bounded")
-        return 0.0, witness
-    _check_dense_support(len(supp))
-    _, f_s = _solve_bounded_potential(d[np.ix_(supp, supp)], mu.weights[supp])
-    f = _mcshane(d, supp, f_s, clamp=True)
     achieved = math.fsum((f[supp] * mu.weights[supp]).tolist())
-    witness = LipschitzWitness(metric_name, f, achieved, "bounded")
-    return achieved, witness
+    return achieved, LipschitzWitness(metric_name, f, achieved, "bounded")
 
 
 def k_norm(mu: SignedMeasure, metric_name: str) -> tuple[float, LipschitzWitness]:
     """Anchored seminorm: sup over 1-Lipschitz f with f(x0) = 0, plus |mu(X)|."""
-    d = mu.space.metric(metric_name)
-    anchor = mu.space.anchor
-    n = mu.space.n_points
-    idx = np.unique(np.concatenate([mu.support, [anchor]]))
-    _check_dense_support(len(idx))
-    local_anchor = int(np.searchsorted(idx, anchor))
-    _, f_s = _solve_anchored_potential(d[np.ix_(idx, idx)], mu.weights[idx], local_anchor)
-    f = _mcshane(d, idx, f_s, clamp=False)
-    achieved = math.fsum((f[idx] * mu.weights[idx]).tolist())
+    f = _seminorm_potential(mu.space.metric(metric_name), mu.weights, "anchored", mu.space.anchor)
+    supp = mu.support
+    achieved = math.fsum((f[supp] * mu.weights[supp]).tolist())
     witness = LipschitzWitness(metric_name, f, achieved, "anchored")
     return achieved + abs(mu.total_mass), witness
 
@@ -207,7 +151,8 @@ def wasserstein_q(
         raise ValueError("coupling metrics are defined for nonnegative measures")
     mass_mu = mu.total_mass
     mass_nu = nu.total_mass
-    if abs(mass_mu - mass_nu) > 1e-9:
+    scale = max(float(mu.weights.max()), float(nu.weights.max()))
+    if abs(mass_mu - mass_nu) > WITNESS_TOL * min(1.0, scale):
         raise ValueError(f"total masses differ by {abs(mass_mu - mass_nu):.3g}")
     if mass_mu <= 0:
         raise ValueError("total mass must be positive")
@@ -232,16 +177,8 @@ def kq_norm(mu: SignedMeasure, metric_name: str, q: float) -> float:
     """Moment-weighted seminorm: bounded seminorm of (1 + d(., x0)^q) . mu."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    d = mu.space.metric(metric_name)
     density = 1.0 + mu.space.anchor_distances(metric_name) ** q
-    w = mu.weights * density
-    supp = np.flatnonzero(w)
-    if len(supp) == 0:
-        return 0.0
-    if len(supp) <= DENSE_SUPPORT_CUTOFF:
-        value, _ = _solve_bounded_potential(d[np.ix_(supp, supp)], w[supp])
-        return value
-    return flow_seminorm_value(d, w, mode="bounded")
+    return flow_seminorm_value(mu.space.metric(metric_name), mu.weights * density, "bounded")
 
 
 def brute_force_dual(mu: SignedMeasure, metric_name: str, mode: str) -> float:
@@ -255,31 +192,8 @@ def brute_force_dual(mu: SignedMeasure, metric_name: str, mode: str) -> float:
     supp = mu.support
     if len(supp) > ORACLE_SUPPORT_MAX:
         raise ValueError(f"oracle supports at most {ORACLE_SUPPORT_MAX} atoms, got {len(supp)}")
-    d = mu.space.metric(metric_name)
-    w = mu.weights
-    pos = np.flatnonzero(w > 0)
-    neg = np.flatnonzero(w < 0)
-    a_mass = math.fsum(w[pos].tolist())
-    b_mass = math.fsum((-w[neg]).tolist())
-
-    if mode == "bounded":
-        if len(pos) + len(neg) == 0:
-            return 0.0
-        C = np.ones((len(pos) + 1, len(neg) + 1))
-        C[: len(pos), : len(neg)] = d[np.ix_(pos, neg)]
-        C[-1, -1] = 0.0
-        a = np.concatenate([w[pos], [b_mass]])
-        b = np.concatenate([-w[neg], [a_mass]])
-        return min_cost_vertex(a, b, C)
-    if mode == "anchored":
-        mass = mu.total_mass
-        if len(pos) + len(neg) == 0:
-            return 0.0
-        anchor = mu.space.anchor
-        rows = np.concatenate([pos, [anchor]]).astype(int)
-        cols = np.concatenate([neg, [anchor]]).astype(int)
-        C = d[np.ix_(rows, cols)].astype(float)
-        a = np.concatenate([w[pos], [b_mass]])
-        b = np.concatenate([-w[neg], [a_mass]])
-        return min_cost_vertex(a, b, C) + abs(mass)
-    raise ValueError(f"unknown mode {mode!r}; expected 'bounded' or 'anchored'")
+    prob = seminorm_problem(mu.space.metric(metric_name), mu.weights, mode, mu.space.anchor)
+    if prob is None:
+        return 0.0
+    value = min_cost_vertex(prob.a, prob.b, prob.C)
+    return value + abs(mu.total_mass) if mode == "anchored" else value

@@ -1,9 +1,10 @@
 """Dense-tableau primal simplex for small maximization LPs.
 
 Solves ``max c.x  s.t.  A x <= b, x >= 0`` with ``b >= 0`` (slack basis is
-feasible, so no phase 1).  Bland's rule guarantees finite termination on the
-degenerate instances produced by pseudometrics.  The pivot loop lives in a
-compiled kernel when available, with a numpy fallback selected at import.
+feasible, so no phase 1).  Bland's rule guarantees finite termination on
+degenerate instances.  No route of the package solves through it any more:
+every optimum comes from the transportation simplex.  It stays only while the
+benchmark's tracer (``perfbench/tracer.py``) still binds ``simplex_max``.
 """
 
 from __future__ import annotations
@@ -12,22 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _lpcore_py
-
-try:  # pragma: no cover - exercised only when the extension is built
-    from . import _lpcore as _compiled
-    HAVE_COMPILED_KERNEL = True
-except ImportError:  # pragma: no cover
-    _compiled = None
-    HAVE_COMPILED_KERNEL = False
-
-_default_kernel = _compiled.pivot_loop if HAVE_COMPILED_KERNEL else _lpcore_py.pivot_loop
-
 PIVOT_TOL = 1e-9
 
 
 def kernel_backend() -> str:
-    return "compiled" if HAVE_COMPILED_KERNEL else "python"
+    """Name of the pivot kernel in use; the numpy loop is the only one."""
+    return "python"
 
 
 @dataclass(frozen=True)
@@ -37,7 +28,54 @@ class SimplexResult:
     iterations: int
 
 
-def simplex_max(A, b, c, tol: float = PIVOT_TOL, max_iter: int = 200_000, kernel=None) -> SimplexResult:
+def _pivot_loop(T: np.ndarray, basis: np.ndarray, n_total: int, tol: float, max_iter: int):
+    """Run Bland-rule pivots in place on a dense tableau.
+
+    ``T`` has one row per constraint plus a final reduced-cost row and one
+    trailing RHS column; ``basis[i]`` is the variable occupying row ``i``.
+    Returns the iteration count; raises if the LP is unbounded or the limit
+    is reached.
+    """
+    m = T.shape[0] - 1
+    rhs = n_total
+    obj = T[m]
+    for it in range(max_iter):
+        # Bland: entering variable = smallest index with positive reduced cost
+        enter = -1
+        for j in range(n_total):
+            if obj[j] > tol:
+                enter = j
+                break
+        if enter < 0:
+            return it
+
+        col = T[:m, enter]
+        leave = -1
+        best_ratio = np.inf
+        best_var = n_total + 1
+        for i in range(m):
+            a = col[i]
+            if a > tol:
+                ratio = T[i, rhs] / a
+                if ratio < best_ratio or (ratio == best_ratio and basis[i] < best_var):
+                    best_ratio = ratio
+                    best_var = basis[i]
+                    leave = i
+        if leave < 0:
+            raise RuntimeError("internal error: LP unbounded")
+
+        piv = T[leave, enter]
+        T[leave, :] /= piv
+        factors = T[:, enter].copy()
+        factors[leave] = 0.0
+        T -= factors[:, None] * T[leave, :][None, :]
+        T[:, enter] = 0.0
+        T[leave, enter] = 1.0
+        basis[leave] = enter
+    raise RuntimeError(f"internal error: simplex did not terminate in {max_iter} pivots")
+
+
+def simplex_max(A, b, c, tol: float = PIVOT_TOL, max_iter: int = 200_000) -> SimplexResult:
     A = np.ascontiguousarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -57,13 +95,7 @@ def simplex_max(A, b, c, tol: float = PIVOT_TOL, max_iter: int = 200_000, kernel
     T[m, :n] = c
     basis = np.arange(n, n_total, dtype=np.int64)
 
-    run = kernel if kernel is not None else _default_kernel
-    status, iters = run(T, basis, n_total, tol, max_iter)
-    if status == _lpcore_py.STATUS_UNBOUNDED:
-        raise RuntimeError("internal error: LP unbounded")
-    if status == _lpcore_py.STATUS_ITERATION_LIMIT:
-        raise RuntimeError(f"internal error: simplex did not terminate in {max_iter} pivots")
-
+    iters = _pivot_loop(T, basis, n_total, tol, max_iter)
     x = np.zeros(n_total)
     x[basis] = T[:m, n_total]
     return SimplexResult(x=x[:n], value=-T[m, n_total], iterations=iters)

@@ -1,22 +1,45 @@
-"""Transportation simplex for balanced minimum-cost coupling problems.
+"""Network simplex for balanced transportation problems.
 
-Classic u/v (MODI) method on the basis tree.  Degeneracy is resolved by an
-index-scaled perturbation of the source marginals (compensated on the last
-sink), which makes every northwest-corner partial sum strict; the final basis
-is then re-flowed against the unperturbed marginals, so reported flows and
-costs are exact for the original data.
+One engine computes every optimum of the package: the coupling metric
+directly, and the bounded and anchored Lipschitz seminorms through the
+augmented problem of ``seminorm_problem``.  It is the primal network simplex
+of Ahuja, Magnanti & Orlin, *Network Flows* (1993), ch. 11, on the bipartite
+graph of sources (rows) and sinks (columns), as in the EMD solver of Bonneel
+et al., "Displacement Interpolation Using Lagrangian Mass Transport"
+(SIGGRAPH Asia 2011).
+
+- The marginals are divided by their largest entry before solving and the
+  flows and cost multiplied back afterwards, so every tolerance below acts at
+  unit scale whatever the mass scale of the data.
+- The basis is kept as a spanning tree rooted at row 0 with parent, depth and
+  child links.  The cycle of an entering cell is found by walking both of its
+  endpoints up to their common ancestor; after a pivot only the subtree cut
+  off by the leaving cell is re-hung and has its depths and duals updated.
+  A node's dual is fixed by its path to the root, so it equals what a fresh
+  traversal of the basis would give.
+- The entering cell is the one of most negative reduced cost (Dantzig's
+  rule, first in row-major order).  Degeneracy is resolved by an
+  index-scaled perturbation of the source marginals (compensated on the last
+  sink), which makes every northwest-corner partial sum strict; the final
+  basis is then re-flowed against the unperturbed marginals, so reported
+  flows and costs are exact for the original data.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+#: Perturbation of the unit-scale source marginals, times the row index + 1.
 PERTURBATION = 1e-12
+#: Optimality tolerance on reduced costs (times the largest cost), and the
+#: most negative unit-scale basic flow that is clipped to zero.
 FLOW_TOL = 1e-9
+#: Largest relative imbalance of the total masses that is accepted.
+BALANCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,103 +74,40 @@ def _northwest_basis(a: np.ndarray, b: np.ndarray):
     return basis, flows
 
 
-def _duals_from_basis(C: np.ndarray, basis, r: int, s: int):
-    u = np.full(r, np.nan)
-    v = np.full(s, np.nan)
-    by_row = defaultdict(list)
-    by_col = defaultdict(list)
-    for (i, j) in basis:
-        by_row[i].append(j)
-        by_col[j].append(i)
-    u[0] = 0.0
-    todo = deque([("r", 0)])
-    while todo:
-        kind, k = todo.popleft()
-        if kind == "r":
-            for j in by_row[k]:
-                if math.isnan(v[j]):
-                    v[j] = C[k, j] - u[k]
-                    todo.append(("c", j))
-        else:
-            for i in by_col[k]:
-                if math.isnan(u[i]):
-                    u[i] = C[i, k] - v[k]
-                    todo.append(("r", i))
-    if np.any(np.isnan(u)) or np.any(np.isnan(v)):
-        raise RuntimeError("internal error: transportation basis is not a spanning tree")
-    return u, v
-
-
-def _cycle(basis, enter, r: int):
-    """Alternating cycle created by the entering cell, as a signed cell list.
-
-    Nodes are rows 0..r-1 and columns r..r+s-1; the basis is a spanning tree,
-    so the entering cell closes exactly one cycle.
-    """
-    adj = defaultdict(list)
-    for (i, j) in basis:
-        adj[i].append((r + j, (i, j)))
-        adj[r + j].append((i, (i, j)))
-    start, goal = enter[0], r + enter[1]
-    parents = {start: (None, None)}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == goal:
-            break
-        for nxt, cell in adj[node]:
-            if nxt not in parents:
-                parents[nxt] = (node, cell)
-                queue.append(nxt)
-    path_cells = []
-    node = goal
-    while node != start:
-        node, cell = parents[node]
-        path_cells.append(cell)
-    path_cells.reverse()
-    # entering cell is +; signs alternate along the path back to the start row
-    signed = [(enter, +1)]
-    sign = -1
-    for cell in reversed(path_cells):
-        signed.append((cell, sign))
-        sign = -sign
-    return signed
+def _cell(node: int, other: int, r: int) -> tuple[int, int]:
+    """Basis cell of the tree edge between ``node`` and ``other``."""
+    return (node, other - r) if node < r else (other, node - r)
 
 
 def _reflow(basis, a: np.ndarray, b: np.ndarray):
-    """Exact tree flows for the original marginals via leaf elimination."""
+    """Exact tree flows for the original marginals.
+
+    The flow on a tree edge is the net supply of the subtree it cuts off.  It
+    is summed exactly, in integers over a common power-of-two denominator, and
+    rounded once, so no rounding error accumulates along the tree.
+    """
     r, s = len(a), len(b)
-    need = np.concatenate([a, -b])  # node balance: + supply, - demand
-    degree = np.zeros(r + s, dtype=int)
-    adj = defaultdict(list)
+    ratios = [x.as_integer_ratio() for x in a.tolist()]
+    ratios += [(-x).as_integer_ratio() for x in b.tolist()]
+    den = max(q for _, q in ratios)
+    net = [p * (den // q) for p, q in ratios]  # node balance: + supply, - demand
+    adj = [[] for _ in range(r + s)]
     for (i, j) in basis:
-        adj[i].append((r + j, (i, j)))
-        adj[r + j].append((i, (i, j)))
-        degree[i] += 1
-        degree[r + j] += 1
+        adj[i].append(r + j)
+        adj[r + j].append(i)
+    parent = [-1] * (r + s)
+    order = [0]
+    for x in order:
+        for y in adj[x]:
+            if y != parent[x]:
+                parent[y] = x
+                order.append(y)
     flows = {}
-    leaves = deque(k for k in range(r + s) if degree[k] == 1)
-    while leaves:
-        node = leaves.popleft()
-        nxt = None
-        for other, cell in adj[node]:
-            if cell not in flows:
-                nxt = (other, cell)
-                break
-        if nxt is None:
-            continue
-        other, cell = nxt
-        # flow orientation: rows ship to columns
-        amount = need[node] if node < r else -need[node]
-        flows[cell] = amount
-        need[node] = 0.0
-        need[other] += amount if other >= r else -amount
-        # sign bookkeeping: a row leaf pushes its surplus out; a column leaf
-        # pulls its deficit in.  Either way the neighbour absorbs it.
-        degree[node] -= 1
-        degree[other] -= 1
-        if degree[other] == 1:
-            leaves.append(other)
+    for x in reversed(order[1:]):
+        up = parent[x]
+        net[up] += net[x]
+        # rows ship to columns
+        flows[_cell(x, up, r)] = (net[x] if x < r else -net[x]) / den
     return flows
 
 
@@ -161,42 +121,121 @@ def solve_transportation(a, b, C, max_iter: int | None = None) -> TransportSolut
         raise ValueError("cost matrix shape mismatch")
     if np.any(a < 0) or np.any(b < 0):
         raise ValueError("marginals must be nonnegative")
-    if abs(math.fsum(a.tolist()) - math.fsum(b.tolist())) > 1e-9 * max(1.0, float(a.sum())):
+    total = math.fsum(a.tolist())
+    if abs(total - math.fsum(b.tolist())) > BALANCE_TOL * total:
         raise ValueError("marginals are not balanced")
     if max_iter is None:
         max_iter = 50 * r * s + 1000
 
-    pert = PERTURBATION * (np.arange(r) + 1.0)
-    a2 = a + pert
-    b2 = b.copy()
+    scale = max(float(a.max()), float(b.max())) or 1.0
+    a2 = a / scale + PERTURBATION * (np.arange(r) + 1.0)
+    b2 = b / scale
     b2[-1] += math.fsum(a2.tolist()) - math.fsum(b2.tolist())
 
-    basis, flows = _northwest_basis(a2, b2)
+    # spanning tree of the northwest basis, rooted at row 0; nodes are rows
+    # 0..r-1 and columns r..r+s-1, and eflow[x] is the flow on the edge from
+    # x to its parent
+    basis, start_flows = _northwest_basis(a2, b2)
+    n_nodes = r + s
+    adj = [[] for _ in range(n_nodes)]
+    for (i, j) in basis:
+        adj[i].append(r + j)
+        adj[r + j].append(i)
+    Cl = C.tolist()
+    parent = [-1] * n_nodes
+    depth = [0] * n_nodes
+    eflow = [0.0] * n_nodes
+    pot = [0.0] * n_nodes  # duals: u for rows, v for columns
+    children = [set() for _ in range(n_nodes)]
+    order = [0]
+    for x in order:
+        for y in adj[x]:
+            if y != parent[x]:
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                children[x].add(y)
+                i, j = _cell(y, x, r)
+                eflow[y] = float(start_flows[(i, j)])
+                pot[y] = Cl[i][j] - pot[x]
+                order.append(y)
+    if len(order) != n_nodes:
+        raise RuntimeError("internal error: transportation basis is not a spanning tree")
+    duals = np.array(pot)
+    brow = np.empty(n_nodes - 1, dtype=np.intp)  # basic cells, by non-root node
+    bcol = np.empty(n_nodes - 1, dtype=np.intp)
+    for x in range(1, n_nodes):
+        brow[x - 1], bcol[x - 1] = _cell(x, parent[x], r)
+
+    stop = -FLOW_TOL * max(1.0, float(np.abs(C).max()))
+    rc = np.empty((r, s))
     it = 0
     for it in range(1, max_iter + 1):
-        u, v = _duals_from_basis(C, basis, r, s)
-        rc = C - u[:, None] - v[None, :]
-        for (i, j) in basis:
-            rc[i, j] = 0.0
-        enter_flat = int(np.argmin(rc))
-        ei, ej = divmod(enter_flat, s)
-        if rc[ei, ej] >= -FLOW_TOL * max(1.0, float(np.abs(C).max())):
+        np.subtract(C, duals[:r, None], out=rc)
+        rc -= duals[None, r:]
+        rc[brow, bcol] = 0.0
+        ei, ej = divmod(int(np.argmin(rc)), s)
+        if rc[ei, ej] >= stop:
             break
-        signed = _cycle(basis, (ei, ej), r)
-        minus_cells = [cell for cell, sg in signed if sg < 0]
-        theta = min(flows[cell] for cell in minus_cells)
-        leave = next(cell for cell in minus_cells if flows[cell] == theta)
-        for cell, sg in signed:
-            if cell == (ei, ej):
-                flows[cell] = theta
-            else:
-                flows[cell] += sg * theta
-        basis.remove(leave)
-        del flows[leave]
-        basis.append((ei, ej))
+        # The cycle is the entering cell plus the tree path from column ej
+        # up to the common ancestor and down to row ei.  Each side lists the
+        # child ends of its edges from the endpoint upwards; even positions
+        # lose flow, odd positions gain it.
+        p, q = ei, r + ej
+        side_q, side_p = [], []
+        x, y = q, p
+        while depth[x] > depth[y]:
+            side_q.append(x)
+            x = parent[x]
+        while depth[y] > depth[x]:
+            side_p.append(y)
+            y = parent[y]
+        while x != y:
+            side_q.append(x)
+            x = parent[x]
+            side_p.append(y)
+            y = parent[y]
+        theta = min(eflow[z] for z in side_q[0::2] + side_p[0::2])
+        # leaving edge: first minus cell in path order from column ej to row ei
+        leave = next((t for t in range(0, len(side_q), 2) if eflow[side_q[t]] == theta), None)
+        if leave is not None:
+            path, inner, outer = side_q[: leave + 1], q, p
+        else:
+            leave = max(t for t in range(0, len(side_p), 2) if eflow[side_p[t]] == theta)
+            path, inner, outer = side_p[: leave + 1], p, q
+        for side in (side_q, side_p):
+            for t, z in enumerate(side):
+                if t % 2:
+                    eflow[z] += theta
+                else:
+                    eflow[z] -= theta
+
+        # re-hang the subtree cut off by the leaving edge below the entering
+        # one: the path from inner up to the leaving edge reverses direction
+        children[parent[path[-1]]].discard(path[-1])
+        for t in range(len(path) - 1, 0, -1):
+            eflow[path[t]] = eflow[path[t - 1]]
+        eflow[inner] = theta
+        prev = outer
+        for z in path:
+            parent[z] = prev
+            children[prev].add(z)
+            children[z].discard(prev)
+            prev = z
+        nodes = [inner]
+        for z in nodes:
+            up = parent[z]
+            depth[z] = depth[up] + 1
+            pot[z] = (Cl[z][up - r] if z < r else Cl[up][z - r]) - pot[up]
+            nodes.extend(children[z])
+        duals[nodes] = [pot[z] for z in nodes]
+        for z in path:
+            brow[z - 1], bcol[z - 1] = _cell(z, parent[z], r)
     else:
         raise RuntimeError("internal error: transportation simplex iteration limit")
 
+    # tree flows are linear in the marginals: re-flowing against the original
+    # data gives the unit-scale flows times the scale, without rounding twice
+    basis = [(int(i), int(j)) for i, j in zip(brow, bcol)]
     exact = _reflow(basis, a, b)
     out = np.zeros((r, s))
     neg = 0.0
@@ -205,43 +244,56 @@ def solve_transportation(a, b, C, max_iter: int | None = None) -> TransportSolut
             neg = min(neg, f)
             f = 0.0
         out[i, j] = f
-    if neg < -FLOW_TOL:
+    if neg < -FLOW_TOL * scale:
         raise RuntimeError(f"internal error: negative basic flow {neg}")
     cost = math.fsum(out[i, j] * C[i, j] for (i, j) in exact)
-    u, v = _duals_from_basis(C, basis, r, s)
-    return TransportSolution(out, cost, tuple(sorted(basis)), u, v, it)
+    return TransportSolution(out, cost, tuple(sorted(basis)), duals[:r].copy(), duals[r:].copy(), it)
 
 
 # ---------------------------------------------------------------------------
-# Flow-route seminorm values.  The bounded-Lipschitz and anchored-Lipschitz
-# suprema equal balanced transportation optima on an augmented node set: a
-# slack location at unit distance from everything (bounded mode) or the
-# anchor itself (anchored mode) absorbs the surplus of either sign.
+# Seminorms as transportation problems.  The bounded-Lipschitz and
+# anchored-Lipschitz suprema equal balanced transportation optima on an
+# augmented node set: a slack location at unit distance from everything
+# (bounded mode) or the anchor itself (anchored mode) absorbs the surplus of
+# either sign.
 # ---------------------------------------------------------------------------
 
 
-def flow_seminorm_value(d: np.ndarray, weights: np.ndarray, mode: str, anchor: int = 0) -> float:
+class SeminormProblem(NamedTuple):
+    """Rows: positive atoms, then the absorbing node; columns: negative atoms,
+    then the absorbing node."""
+
+    pos: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    C: np.ndarray
+
+
+def seminorm_problem(d: np.ndarray, weights: np.ndarray, mode: str, anchor: int = 0):
+    """The transportation problem whose optimum is the sup of the weights'
+    integral over 1-Lipschitz potentials bounded by 1 (``"bounded"``) or
+    vanishing at ``anchor`` (``"anchored"``); None for the zero measure."""
+    if mode not in ("bounded", "anchored"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'bounded' or 'anchored'")
     w = np.asarray(weights, dtype=float)
     pos = np.flatnonzero(w > 0)
     neg = np.flatnonzero(w < 0)
-    a_mass = math.fsum(w[pos].tolist())
-    b_mass = math.fsum((-w[neg]).tolist())
+    if len(pos) + len(neg) == 0:
+        return None
     if mode == "bounded":
-        if len(pos) + len(neg) == 0:
-            return 0.0
         C = np.ones((len(pos) + 1, len(neg) + 1))
-        C[:len(pos), :len(neg)] = d[np.ix_(pos, neg)]
+        C[:-1, :-1] = d[np.ix_(pos, neg)]
         C[-1, -1] = 0.0
-        a = np.concatenate([w[pos], [b_mass]])
-        b = np.concatenate([-w[neg], [a_mass]])
-        return solve_transportation(a, b, C).cost
-    if mode == "anchored":
-        if len(pos) + len(neg) == 0:
-            return 0.0
-        rows = np.concatenate([pos, [anchor]]).astype(int)
-        cols = np.concatenate([neg, [anchor]]).astype(int)
-        C = d[np.ix_(rows, cols)]
-        a = np.concatenate([w[pos], [b_mass]])
-        b = np.concatenate([-w[neg], [a_mass]])
-        return solve_transportation(a, b, C).cost
-    raise ValueError(f"unknown mode {mode!r}")
+    else:
+        C = d[np.ix_(np.append(pos, anchor), np.append(neg, anchor))]
+    a = np.append(w[pos], math.fsum((-w[neg]).tolist()))
+    b = np.append(-w[neg], math.fsum(w[pos].tolist()))
+    return SeminormProblem(pos, a, b, C)
+
+
+def flow_seminorm_value(d: np.ndarray, weights: np.ndarray, mode: str, anchor: int = 0) -> float:
+    """Optimum of ``seminorm_problem`` (0 for the zero measure)."""
+    prob = seminorm_problem(d, weights, mode, anchor)
+    if prob is None:
+        return 0.0
+    return solve_transportation(prob.a, prob.b, prob.C).cost

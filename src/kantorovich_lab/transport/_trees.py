@@ -99,16 +99,21 @@ def bipartite_tree_tensors(r: int, s: int):
 
 
 def min_cost_vertex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> float:
-    """Exact optimum of the balanced transportation LP by scanning all vertices."""
+    """Exact optimum of the balanced transportation LP by scanning all vertices.
+
+    Flows are computed on marginals divided by their largest entry, so the
+    feasibility tolerance acts at unit scale; the optimum is multiplied back.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     r, s = len(a), len(b)
     eu, ev, cuts = bipartite_tree_tensors(r, s)
-    supply = np.concatenate([a, -b])
+    scale = max(float(a.max()), float(b.max())) or 1.0
+    supply = np.concatenate([a, -b]) / scale
     flows = np.einsum("ten,n->te", cuts, supply)
     feasible = (flows >= -FLOW_FEAS_TOL).all(axis=1)
     if not np.any(feasible):
         raise RuntimeError("internal error: no feasible basic flow found")
     edge_costs = C[eu, ev]
     totals = (flows * edge_costs).sum(axis=1)
-    return float(totals[feasible].min())
+    return scale * float(totals[feasible].min())

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
 from kantorovich_lab.measures import PseudometricSpace
 
@@ -47,6 +49,59 @@ def two_point_space(dist, anchor=0):
         metrics={"d": np.array([[0.0, dist], [dist, 0.0]])},
         anchor=anchor,
     )
+
+
+# Independent references from scipy's HiGHS LP solver.  HiGHS works with
+# absolute tolerances, so each problem is solved on data divided by its
+# largest weight and the optimum is multiplied back.
+
+_HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+def _highs(c, **kw) -> float:
+    res = linprog(c, method="highs", options=_HIGHS, **kw)
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def _lipschitz_rows(d):
+    n = len(d)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    m = len(i)
+    A = coo_matrix(
+        (np.tile([1.0, -1.0], m), (np.repeat(np.arange(m), 2), np.stack([i, j], 1).reshape(-1))),
+        shape=(m, n),
+    )
+    return A.tocsr(), d[i, j]
+
+
+def highs_seminorm(d, w, mode, anchor=0) -> float:
+    """sup of sum w f over 1-Lipschitz f, |f| <= 1 or f(anchor) = 0 (no |mass| term)."""
+    idx = np.flatnonzero(w) if mode == "bounded" else np.union1d(np.flatnonzero(w), [anchor])
+    scale = float(np.abs(w).max())
+    if scale == 0.0:
+        return 0.0
+    bounds = (-1.0, 1.0)
+    if mode == "anchored":
+        bounds = [(None, None)] * len(idx)
+        bounds[int(np.searchsorted(idx, anchor))] = (0.0, 0.0)
+    A, b = _lipschitz_rows(d[np.ix_(idx, idx)])
+    return -scale * _highs(-w[idx] / scale, A_ub=A, b_ub=b, bounds=bounds)
+
+
+def highs_coupling_cost(C, a, b) -> float:
+    """min sum s_ij C_ij over couplings of a and b."""
+    r, s = C.shape
+    scale = float(max(a.max(), b.max()))
+    ii, jj = np.meshgrid(np.arange(r), np.arange(s), indexing="ij")
+    var = (ii * s + jj).reshape(-1)
+    A = coo_matrix(
+        (np.ones(2 * r * s), (np.concatenate([ii.reshape(-1), r + jj.reshape(-1)]), np.tile(var, 2))),
+        shape=(r + s, r * s),
+    ).tocsr()
+    rhs = np.concatenate([a, b]) / scale
+    return scale * _highs(C.reshape(-1), A_eq=A, b_eq=rhs, bounds=(0.0, None))
+
 
 
 @pytest.fixture

@@ -23,6 +23,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="triangle"):
             PseudometricSpace(points=("a", "b", "c"), metrics={"d": bad})
 
+    def test_triangle_check_reports_first_worst_pair(self, rng):
+        # all-triples reference: the global argmax of p - relay, row-major
+        for n in (3, 9, 20, 33):
+            raw = rng.uniform(0.5, 1.0, size=(n, n))
+            bad = (raw + raw.T) / 2.0
+            np.fill_diagonal(bad, 0.0)
+            i, k = rng.choice(n, size=2, replace=False)
+            bad[i, k] = bad[k, i] = 3.0
+            relay = (bad[:, :, None] + bad[None, :, :]).min(axis=1)
+            pair = np.unravel_index(int(np.argmax(bad - relay)), bad.shape)
+            points = tuple(f"p{j}" for j in range(n))
+            with pytest.raises(ValueError, match=rf"fails at pair \({pair[0]}, {pair[1]}\)"):
+                PseudometricSpace(points=points, metrics={"d": bad})
+
     def test_asymmetry_rejected(self):
         bad = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):

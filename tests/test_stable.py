@@ -6,6 +6,7 @@ import pytest
 
 from kantorovich_lab.stable import (
     StableSpec,
+    _quantile_binned,
     empirical_cf_gap,
     sample_stable,
     stability_identity_check,
@@ -170,6 +171,34 @@ class TestStabilityIdentity:
     def test_requires_strict_stability(self):
         with pytest.raises(ValueError, match="a = 0 and b = 0"):
             stability_identity_check(StableSpec(p=1.5, a=1.0), n=100, seed=1)
+
+
+def _quantile_binned_loop(values, bins):
+    """Reference: one masked scan per bin."""
+    qs = np.quantile(values, np.linspace(0.0, 1.0, bins + 1))
+    idx = np.clip(np.searchsorted(qs, values, side="right") - 1, 0, bins - 1)
+    atoms, weights, err = np.empty(bins), np.empty(bins), 0.0
+    for b in range(bins):
+        sel = values[idx == b]
+        if len(sel) == 0:
+            atoms[b], weights[b] = qs[b], 0.0
+            continue
+        atoms[b] = float(sel.mean())
+        weights[b] = len(sel) / len(values)
+        err += float(np.abs(sel - atoms[b]).sum()) / len(values)
+    return atoms, weights, err
+
+
+class TestQuantileBinning:
+    def test_matches_masked_scans(self):
+        rng = np.random.default_rng(3)
+        # continuous draws, and ties that leave some bins empty
+        for values in (rng.standard_cauchy(10**5), rng.integers(0, 5, size=1000).astype(float)):
+            atoms, weights, err = _quantile_binned(values, 64)
+            ref_atoms, ref_weights, ref_err = _quantile_binned_loop(values, 64)
+            np.testing.assert_allclose(atoms, ref_atoms, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(weights, ref_weights)
+            assert err == pytest.approx(ref_err, rel=1e-12)
 
 
 class TestMeanConvergence:
