@@ -581,12 +581,17 @@ def config_hash(config) -> str:
 
 
 def _fresh_path(directory: Path, stem: str, suffix: str) -> Path:
-    path = directory / f"{stem}{suffix}"
+    """First free name of ``stem``, ``stem-2``, ... reserved by creating it
+    exclusively, so concurrent runs never write to the same file."""
     k = 1
-    while path.exists():
-        k += 1
-        path = directory / f"{stem}-{k}{suffix}"
-    return path
+    path = directory / f"{stem}{suffix}"
+    while True:
+        try:
+            open(path, "x").close()
+            return path
+        except FileExistsError:
+            k += 1
+            path = directory / f"{stem}-{k}{suffix}"
 
 
 def run(config, base: Path | None = None) -> tuple[int, dict, Path | None]:

@@ -94,7 +94,9 @@ class Coupling:
             raise ValueError("column marginals do not match")
         d = mu.space.metric(self.metric_name)
         cost = float((sig * d**self.q).sum()) if self.q != 1 else float((sig * d).sum())
-        if abs(cost - self.cost) > max(tol, 1e-12 * max(1.0, abs(self.cost))):
+        # relative to the recomputed cost below 1, so a small wrong cost fails
+        size = abs(cost)
+        if abs(cost - self.cost) > max(tol * min(1.0, size), 1e-12 * size):
             raise ValueError("coupling cost mismatch")
 
 

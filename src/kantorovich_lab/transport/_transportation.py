@@ -17,12 +17,23 @@ et al., "Displacement Interpolation Using Lagrangian Mass Transport"
   off by the leaving cell is re-hung and has its depths and duals updated.
   A node's dual is fixed by its path to the root, so it equals what a fresh
   traversal of the basis would give.
+- The starting basis is the least-cost ("matrix minimum") one: cells are
+  taken in increasing cost and each closes its row or its column, so the
+  start already ships most mass along cheap cells and the simplex needs far
+  fewer pivots than from the northwest corner, which ignores the costs.
 - The entering cell is the one of most negative reduced cost (Dantzig's
   rule, first in row-major order).  Degeneracy is resolved by an
-  index-scaled perturbation of the source marginals (compensated on the last
-  sink), which makes every northwest-corner partial sum strict; the final
-  basis is then re-flowed against the unperturbed marginals, so reported
-  flows and costs are exact for the original data.
+  index-scaled perturbation of the source marginals: row i gets
+  ``PERTURBATION * (i + 1)`` more, compensated on the last sink.  The flow on
+  a tree edge is the net supply of the side of the tree that does not hold
+  the last sink, and the perturbation adds ``PERTURBATION`` times the sum of
+  ``i + 1`` over that side's rows.  That sum vanishes only when the side is a
+  single leaf column, whose flow is its own demand (positive in every
+  problem the package builds, as zero-mass atoms are dropped), so every
+  basis the simplex visits, the starting one included, is nondegenerate
+  whatever order it was built in.  The final basis is re-flowed against the
+  unperturbed marginals, so reported flows and costs are exact for the
+  original data.
 """
 
 from __future__ import annotations
@@ -52,25 +63,42 @@ class TransportSolution:
     iterations: int
 
 
-def _northwest_basis(a: np.ndarray, b: np.ndarray):
+def _least_cost_basis(a: np.ndarray, b: np.ndarray, C: np.ndarray):
+    """Starting basis by the matrix-minimum rule.
+
+    Cells are visited in increasing cost (ties in row-major order); a cell
+    whose row or column is closed is skipped, otherwise it ships what its row
+    and column can still take and closes exactly one of them: the exhausted
+    one, except that the last open column or row stays open until the last
+    cell, which closes both (round-off could leave it short of the mass still
+    owed to it).  A closed line appears in no later cell, so the r + s - 1
+    cells form a spanning tree.
+    """
     r, s = len(a), len(b)
-    rem_a = a.copy()
-    rem_b = b.copy()
+    rem_a = a.tolist()
+    rem_b = b.tolist()
+    row_open = [True] * r
+    col_open = [True] * s
+    open_rows, open_cols = r, s
     basis = []
     flows = {}
-    i = j = 0
-    while True:
+    for k in np.argsort(C, axis=None, kind="stable").tolist():
+        i, j = divmod(k, s)
+        if not (row_open[i] and col_open[j]):
+            continue
         f = min(rem_a[i], rem_b[j])
         basis.append((i, j))
         flows[(i, j)] = f
         rem_a[i] -= f
         rem_b[j] -= f
-        if i == r - 1 and j == s - 1:
-            break
-        if rem_a[i] <= rem_b[j] and i < r - 1:
-            i += 1
+        if open_cols == 1 or (open_rows > 1 and rem_a[i] <= rem_b[j]):
+            row_open[i] = False
+            open_rows -= 1
+            if open_rows == 0:
+                break
         else:
-            j += 1
+            col_open[j] = False
+            open_cols -= 1
     return basis, flows
 
 
@@ -132,10 +160,10 @@ def solve_transportation(a, b, C, max_iter: int | None = None) -> TransportSolut
     b2 = b / scale
     b2[-1] += math.fsum(a2.tolist()) - math.fsum(b2.tolist())
 
-    # spanning tree of the northwest basis, rooted at row 0; nodes are rows
+    # spanning tree of the starting basis, rooted at row 0; nodes are rows
     # 0..r-1 and columns r..r+s-1, and eflow[x] is the flow on the edge from
     # x to its parent
-    basis, start_flows = _northwest_basis(a2, b2)
+    basis, start_flows = _least_cost_basis(a2, b2, C)
     n_nodes = r + s
     adj = [[] for _ in range(n_nodes)]
     for (i, j) in basis:

@@ -173,6 +173,12 @@ class TestRun:
         reports = sorted((tmp_path / "out").glob("norms-*.json"))
         assert len(reports) == 2
 
+    def test_fresh_path_reserves_distinct_names(self, tmp_path):
+        first = cli._fresh_path(tmp_path, "norms-x", ".json")
+        second = cli._fresh_path(tmp_path, "norms-x", ".json")
+        assert first != second
+        assert first.exists() and second.exists()
+
 
 class TestDeterminism:
     def test_identical_reports_modulo_wall_clock(self, tmp_path):

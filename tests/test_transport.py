@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -266,6 +267,15 @@ class TestWitnesses:
             mu, nu = space.measure(a), space.measure(b)
             _, coupling = wasserstein_q(mu, nu, "d", float(rng.uniform(1, 3)))
             coupling.validate(mu, nu)
+
+    def test_coupling_cost_checked_at_small_scale(self):
+        space = random_space(np.random.default_rng(3), 4)
+        mu = space.measure([4e-13, 3e-13, 2e-13, 1e-13])
+        nu = space.measure([1e-13, 2e-13, 3e-13, 4e-13])
+        _, coupling = wasserstein_q(mu, nu, "d", 1.0)
+        coupling.validate(mu, nu)
+        with pytest.raises(ValueError, match="cost"):
+            dataclasses.replace(coupling, cost=2.0 * coupling.cost).validate(mu, nu)
 
 
 class TestSolvers:
