@@ -181,9 +181,9 @@ def _load_json(path_or_doc, base: Path):
         raise InputDataError(f"input file is not valid JSON: {p}: {exc}") from exc
 
 
-def _load_measure(path_or_doc, base: Path):
+def _load_measure(path_or_doc, base: Path, reuse=None):
     try:
-        return measure_from_dict(_load_json(path_or_doc, base))
+        return measure_from_dict(_load_json(path_or_doc, base), reuse)
     except ValueError as exc:
         raise InputDataError(str(exc)) from exc
 
@@ -218,7 +218,8 @@ def _run_norms(params, seed, base):
                 {"name": "oracle_bounded", "value": brute_force_dual(mu, metric, "bounded"), "verdict": "PASS"}
             )
         elif op == "wq":
-            nu = _load_measure(params["other_measure"], base)
+            # the other file usually carries mu's space: reuse it, validated once
+            nu = _load_measure(params["other_measure"], base, mu.space)
             value, coupling = wasserstein_q(mu, nu, metric, q)
             coupling.validate(mu, nu)
             records.append({"name": f"wq[q={q:g}]", "value": value, "verdict": "PASS"})

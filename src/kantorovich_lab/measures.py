@@ -16,6 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .reports import dump_json
+
 #: Validation tolerance for the pseudometric axioms (user-supplied matrices).
 TRIANGLE_TOL = 1e-12
 #: Rows per block of the triangle-inequality check (a block holds rows * n^2
@@ -272,26 +274,57 @@ def _num(x) -> float:
     return v
 
 
-def space_from_dict(doc: Mapping) -> PseudometricSpace:
+def _matrix(rows) -> np.ndarray:
+    """Rows of decimal strings as a float array; a non-finite entry is an error.
+
+    Parses row by row; on any failure the entries are parsed again one by one,
+    so the error is the one the first bad entry in row order raises.
+    """
     try:
-        points = [str(p) for p in doc["points"]]
-        metrics = {
-            str(name): np.array([[_num(x) for x in row] for row in matrix])
-            for name, matrix in doc["metrics"].items()
-        }
+        out = np.array([list(map(float, row)) for row in rows])
+        if np.isfinite(out).all():
+            return out
+    except (TypeError, ValueError):
+        pass
+    return np.array([[_num(x) for x in row] for row in rows])
+
+
+def _bitwise_equal(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def space_from_dict(doc: Mapping, reuse: PseudometricSpace | None = None) -> PseudometricSpace:
+    """Space of a measure file.  ``reuse`` is returned in place of a new space
+    when the file holds exactly its points, anchor, metrics and coords, which
+    skips validating them again."""
+    try:
+        points = tuple(str(p) for p in doc["points"])
+        metrics = {str(name): _matrix(matrix) for name, matrix in doc["metrics"].items()}
         anchor = int(doc.get("anchor", 0))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed measure file: {exc}") from exc
     coords = None
     if doc.get("coords") is not None:
-        coords = np.array([[_num(x) for x in row] for row in doc["coords"]])
-    return PseudometricSpace(points=tuple(points), metrics=metrics, anchor=anchor, coords=coords)
+        coords = _matrix(doc["coords"])
+    if (
+        reuse is not None
+        and points == reuse.points
+        and anchor == reuse.anchor
+        and list(metrics) == list(reuse.metrics)
+        and all(_bitwise_equal(metrics[k], reuse.metrics[k]) for k in metrics)
+        and _bitwise_equal(None if coords is None else np.atleast_2d(coords), reuse.coords)
+    ):
+        return reuse
+    return PseudometricSpace(points=points, metrics=metrics, anchor=anchor, coords=coords)
 
 
-def measure_from_dict(doc: Mapping) -> SignedMeasure:
-    space = space_from_dict(doc)
+def measure_from_dict(doc: Mapping, reuse: PseudometricSpace | None = None) -> SignedMeasure:
+    """Measure of a measure file; ``reuse`` as in ``space_from_dict``."""
+    space = space_from_dict(doc, reuse)
     try:
-        weights = [_num(x) for x in doc["weights"]]
+        weights = _matrix([doc["weights"]])[0]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed measure file: {exc}") from exc
     return space.measure(weights)
@@ -319,6 +352,4 @@ def load_measure(path) -> SignedMeasure:
 
 
 def save_measure(mu: SignedMeasure, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(measure_to_dict(mu), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json(measure_to_dict(mu), path)

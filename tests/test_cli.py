@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -178,6 +179,70 @@ class TestRun:
         second = cli._fresh_path(tmp_path, "norms-x", ".json")
         assert first != second
         assert first.exists() and second.exists()
+
+
+def wq_run(tmp_path, change=None):
+    """Run ``[kq, wq]`` on two files that carry the same 3-point space, but
+    for ``change`` applied to the second."""
+    def doc(weights):
+        return {
+            "points": ["a", "b", "c"],
+            "metrics": {"d": [["0", "1.5", "2"], ["1.5", "0", "1"], ["2", "1", "0"]]},
+            "anchor": 1,
+            "coords": [["0", "0"], ["1.5", "0"], ["2", "1"]],
+            "weights": weights,
+        }
+
+    nu = doc(["0.25", "0.25", "0.5"])
+    if change == "ulp":
+        nu["metrics"]["d"][0][1] = repr(math.nextafter(1.5, 2.0))
+    elif change == "coords":
+        nu["coords"][2][1] = "1.25"
+    elif change == "anchor":
+        nu["anchor"] = 0
+    elif change == "triangle":
+        nu["metrics"]["d"][0][2] = nu["metrics"]["d"][2][0] = "3"
+    tmp_path.mkdir(exist_ok=True)
+    write(tmp_path / "mu.json", doc(["0.5", "0.25", "0.25"]))
+    write(tmp_path / "nu.json", nu)
+    config = {
+        "kind": "norms",
+        "seed": 3,
+        "out": str(tmp_path / "out"),
+        "params": {"measure": "mu.json", "other_measure": "nu.json", "metric": "d",
+                   "ops": ["kq", "wq"], "q": 2},
+    }
+    return cli.run(config, base=tmp_path)
+
+
+class TestOtherMeasure:
+    def test_same_space_validated_once(self, tmp_path, monkeypatch):
+        shared = []
+        solve = cli.wasserstein_q
+
+        def spy(mu, nu, *args):
+            shared.append(nu.space is mu.space)
+            return solve(mu, nu, *args)
+
+        monkeypatch.setattr(cli, "wasserstein_q", spy)
+        code, report, _ = wq_run(tmp_path)
+        assert code == cli.EXIT_OK and shared == [True]
+        assert report["checks"][1]["value"] == pytest.approx(math.sqrt(0.25 * 1.5**2 + 0.25 * 1.0**2))
+
+    def test_coords_are_not_compared_by_wq(self, tmp_path):
+        _, same, _ = wq_run(tmp_path / "same")
+        code, moved, _ = wq_run(tmp_path / "moved", "coords")
+        assert code == cli.EXIT_OK
+        assert moved["checks"] == same["checks"] and moved["payload"] == same["payload"]
+
+    @pytest.mark.parametrize("change", ["ulp", "anchor"])
+    def test_other_space_rejected(self, tmp_path, change):
+        with pytest.raises(ValueError, match="^measures live on different spaces$"):
+            wq_run(tmp_path, change)
+
+    def test_other_space_validated(self, tmp_path):
+        with pytest.raises(cli.InputDataError, match=r"^metric 'd': triangle inequality fails at pair \(0, 2\)$"):
+            wq_run(tmp_path, "triangle")
 
 
 class TestDeterminism:

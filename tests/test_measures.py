@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -256,6 +259,139 @@ class TestFileFormat:
     def test_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
             measure_from_dict({"points": ["a"]})
+
+    def test_save_writes_stdlib_bytes(self, tmp_path, rng):
+        mu = random_space(rng, 4, with_coords=True).measure(rng.uniform(-1, 1, size=4))
+        path = tmp_path / "measure.json"
+        save_measure(mu, path)
+        expected = json.dumps(measure_to_dict(mu), indent=2, sort_keys=True) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+
+
+def _file_doc():
+    return {
+        "points": ["a", "b", "c"],
+        "metrics": {"d": [["0", "1.5", "2"], ["1.5", "0", "1"], ["2", "1", "0"]]},
+        "anchor": 1,
+        "coords": [["0", "0"], ["1.5", "0"], ["2", "1"]],
+        "weights": ["0.5", "-0.25", "0.125"],
+    }
+
+
+def _message(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+class TestParsing:
+    @pytest.mark.parametrize("token", ["inf", "nan", "1e400", "-inf"])
+    @pytest.mark.parametrize("field", ["metrics", "coords", "weights"])
+    def test_non_finite_rejected(self, field, token):
+        doc = _file_doc()
+        if field == "metrics":
+            doc["metrics"]["d"][2][0] = token
+        elif field == "coords":
+            doc["coords"][1][1] = token
+        else:
+            doc["weights"][2] = token
+        with pytest.raises(ValueError) as info:
+            measure_from_dict(doc)
+        assert str(info.value) == f"non-finite number in measure file: {token!r}"
+
+    def test_first_bad_entry_names_the_error(self):
+        doc = _file_doc()
+        doc["metrics"]["d"][0][2] = "inf"
+        doc["metrics"]["d"][1][0] = "abc"
+        assert _message(lambda: measure_from_dict(doc)) == (
+            ValueError, "non-finite number in measure file: 'inf'"
+        )
+        doc["metrics"]["d"][0][2] = "abc"
+        doc["metrics"]["d"][1][0] = "inf"
+        assert _message(lambda: measure_from_dict(doc)) == (
+            ValueError, "could not convert string to float: 'abc'"
+        )
+
+    def test_ragged_rows_rejected(self):
+        doc = _file_doc()
+        doc["metrics"]["d"][1] = ["1.5", "0"]
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            measure_from_dict(doc)
+        doc["coords"][2] = ["2"]
+        doc["metrics"]["d"][1] = ["1.5", "0", "1"]
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            measure_from_dict(doc)
+        # a non-finite entry in a ragged matrix is named first, as entry by entry
+        doc["coords"][0][0] = "nan"
+        with pytest.raises(ValueError, match="non-finite number in measure file: 'nan'"):
+            measure_from_dict(doc)
+
+    def test_malformed_entries(self):
+        doc = _file_doc()
+        doc["metrics"]["d"][0][1] = None
+        assert _message(lambda: measure_from_dict(doc))[1].startswith("malformed measure file: float()")
+        doc = _file_doc()
+        doc["weights"] = 5
+        assert _message(lambda: measure_from_dict(doc)) == (
+            ValueError, "malformed measure file: 'int' object is not iterable"
+        )
+
+    def test_doubles_equal_float_parse(self):
+        reprs = [
+            "5e-324", "4.9406564584124654e-324", "1e-320", "2.2250738585072009e-308",
+            "2.2250738585072014e-308", "1.7976931348623157e308", "-0.0", "0.1",
+            "123456789012345678901234567890", "1e22", "9007199254740993",
+        ]
+        n = len(reprs)
+        doc = {
+            "points": [f"p{i}" for i in range(n)],
+            "metrics": {"d": [["0"] * n for _ in range(n)]},
+            "coords": [[r, "0"] for r in reprs],
+            "weights": reprs,
+        }
+        doc["metrics"]["d"][0][1] = doc["metrics"]["d"][1][0] = "5e-324"
+        mu = measure_from_dict(doc)
+        expected = np.array([float(r) for r in reprs])
+        assert mu.weights.tobytes() == expected.tobytes()
+        assert mu.space.coords[:, 0].tobytes() == expected.tobytes()
+        assert mu.space.metric("d")[0, 1] == 5e-324
+
+
+class TestSpaceReuse:
+    def test_same_space_reused(self):
+        mu = measure_from_dict(_file_doc())
+        doc = _file_doc()
+        doc["weights"] = ["1", "2", "3"]
+        nu = measure_from_dict(doc, mu.space)
+        assert nu.space is mu.space
+        assert nu.weights.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("change", ["ulp", "coords", "anchor", "triangle", "points", "metric_name"])
+    def test_different_space_built_in_full(self, change):
+        mu = measure_from_dict(_file_doc())
+        doc = _file_doc()
+        if change == "ulp":
+            doc["metrics"]["d"][0][1] = repr(math.nextafter(1.5, 2.0))
+        elif change == "coords":
+            doc["coords"][2][1] = "1.25"
+        elif change == "anchor":
+            doc["anchor"] = 0
+        elif change == "triangle":
+            doc["metrics"]["d"][0][2] = doc["metrics"]["d"][2][0] = "3"
+        elif change == "points":
+            doc["points"][2] = "z"
+        else:
+            doc["metrics"] = {"e": doc["metrics"]["d"]}
+        if change == "triangle":
+            expected = _message(lambda: measure_from_dict(doc))
+            assert "triangle inequality fails" in expected[1]
+            assert _message(lambda: measure_from_dict(doc, mu.space)) == expected
+            return
+        nu = measure_from_dict(doc, mu.space)
+        fresh = measure_from_dict(doc)
+        assert nu.space is not mu.space
+        assert nu.space.same_as(fresh.space) and nu.space.points == fresh.space.points
+        assert np.array_equal(nu.space.coords, fresh.space.coords)
 
 
 class TestArithmetic:
