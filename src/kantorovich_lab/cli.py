@@ -4,9 +4,7 @@ One subcommand per experiment kind plus ``validate``; every run echoes its
 config, dispatches to the owning module, writes a JSON report (and CSV curves
 when present) named by the config hash, and exits 0/1/2/3 for success, check
 failure, config parse error, input error.  Reports are append-only: an
-existing file is never overwritten.  KANTOROVICH_LAB_THREADS caps worker
-threads for per-index parallel sections (default 1; results are assembled in
-index order either way, so reports do not depend on the thread count).
+existing file is never overwritten.
 """
 
 from __future__ import annotations
@@ -15,10 +13,8 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -77,20 +73,10 @@ class InputDataError(Exception):
 
 
 def thread_limit() -> int:
-    raw = os.environ.get("KANTOROVICH_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, threaded when the env cap allows it."""
-    workers = thread_limit()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Always 1: every run is serial.  Kept only because the benchmark's
+    metadata records it; it goes with ``kernel_backend()`` and
+    ``transport/_simplex.py`` in the next change to the benchmark."""
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +232,7 @@ def _run_convergence(params, seed, base):
     q = float(params.get("q", 1.0))
     metrics = params.get("metrics")
     names = tuple(metrics) if metrics else seq.space.metric_names()
-    # independent per-metric checks; assembled in metric order regardless of
-    # the thread cap, so reports are identical across KANTOROVICH_LAB_THREADS
-    partials = parallel_map(
-        lambda name: check_tau_k_convergence(seq, metric_names=[name], q=q), list(names)
-    )
-    first = partials[0]
-    records = tuple(rec for part in partials for rec in part.per_metric)
-    overall = "PASS"
-    if any(r.verdict == "VIOLATION" for r in records):
-        overall = "VIOLATION"
-    elif any(r.verdict == "UI_FAIL" for r in records):
-        overall = "UI_FAIL"
-    report = type(first)(q=first.q, tol=first.tol, per_metric=records, verdict=overall)
+    report = check_tau_k_convergence(seq, metric_names=names, q=q)
     per_index = []
     for i in range(len(seq)):
         row = {"index": i}
@@ -364,34 +338,14 @@ def _sampled_tails(tail_docs):
 
 
 def _run_schedule(params, seed, base):
-    if "tails" in params and "family" not in params:
-        # sampled tail functions: construct the schedule only, no certificates
+    # sampled tail functions: construct the schedule only, no certificates
+    sampled = "tails" in params and "family" not in params
+    if sampled:
         tails = _sampled_tails(params["tails"])
-        horizon = int(params.get("horizon", 10**5))
-        try:
-            sched = rescaling_schedule(tails, horizon=horizon)
-        except ScheduleInfeasibleError as exc:
-            return (
-                {
-                    "checks": [{"name": "schedule construction", "verdict": "FAIL"}],
-                    "payload": {"error": str(exc), "infeasible_at": exc.n},
-                    "passed": False,
-                },
-                {},
-            )
-        return (
-            {
-                "checks": [{"name": "schedule construction", "verdict": "PASS"}],
-                "payload": {"boundaries": list(sched.boundaries), "certificates": "skipped (no family evaluators)"},
-                "passed": True,
-            },
-            {},
-        )
-    family = _schedule_family(params)
-    depth = int(params.get("depth", 8))
+    else:
+        family = _schedule_family(params)
+        tails = family_tail_functions(family, int(params.get("depth", 8)))
     horizon = int(params.get("horizon", 10**5))
-    n_max = params.get("n_max")
-    tails = family_tail_functions(family, depth)
     try:
         sched = rescaling_schedule(tails, horizon=horizon)
     except ScheduleInfeasibleError as exc:
@@ -403,8 +357,17 @@ def _run_schedule(params, seed, base):
             },
             {},
         )
+    if sampled:
+        return (
+            {
+                "checks": [{"name": "schedule construction", "verdict": "PASS"}],
+                "payload": {"boundaries": list(sched.boundaries), "certificates": "skipped (no family evaluators)"},
+                "passed": True,
+            },
+            {},
+        )
     verify_h = int(params.get("verify_horizon", min(horizon, sched.max_index)))
-    report = verify_schedule(sched, family, horizon=verify_h, n_max=n_max)
+    report = verify_schedule(sched, family, horizon=verify_h, n_max=params.get("n_max"))
     checks = [
         {
             "name": f"block {c.n}",

@@ -171,12 +171,6 @@ class TauKReport:
     per_metric: tuple[MetricConvergenceRecord, ...]
     verdict: str
 
-    def record(self, metric_name: str) -> MetricConvergenceRecord:
-        for rec in self.per_metric:
-            if rec.metric_name == metric_name:
-                return rec
-        raise KeyError(metric_name)
-
 
 def _settled_index(gaps: Sequence[float], tol: float) -> int | None:
     """First index from which all later gaps stay below tolerance."""

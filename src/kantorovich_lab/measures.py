@@ -303,11 +303,9 @@ def space_from_dict(doc: Mapping, reuse: PseudometricSpace | None = None) -> Pse
         points = tuple(str(p) for p in doc["points"])
         metrics = {str(name): _matrix(matrix) for name, matrix in doc["metrics"].items()}
         anchor = int(doc.get("anchor", 0))
+        coords = None if doc.get("coords") is None else _matrix(doc["coords"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed measure file: {exc}") from exc
-    coords = None
-    if doc.get("coords") is not None:
-        coords = _matrix(doc["coords"])
     if (
         reuse is not None
         and points == reuse.points

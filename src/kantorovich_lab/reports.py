@@ -61,21 +61,6 @@ class CheckRecord:
     expected_failure: bool = False
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "estimate": self.estimate,
-            "half_width": self.half_width,
-            "passed": self.passed,
-        }
-        if self.bound is not None:
-            out["bound"] = self.bound
-        if self.expected_failure:
-            out["expected_failure"] = True
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
 
 def one_sided(name: str, estimate: float, hw: float, bound: float, **kw) -> CheckRecord:
     return CheckRecord(
@@ -117,16 +102,6 @@ class ConcentrationReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-            "extras": _plain(self.extras),
-        }
 
 
 def _plain(obj):

@@ -35,8 +35,16 @@ __all__ = [
 #: integrals compare against ``WITNESS_TOL * min(1, scale)`` for the scale of
 #: the data, so that a wrong answer cannot pass for being small.
 WITNESS_TOL = 1e-9
+#: Mass checks never ask for less than this many units in the last place of
+#: the total mass: the inputs' own rounding reaches about one.
+MASS_ULPS = 4
 
 ORACLE_SUPPORT_MAX = 8
+
+
+def _mass_tol(tol: float, scale: float, total: float) -> float:
+    """``tol * min(1, scale)``, floored at ``MASS_ULPS`` ulps of ``total``."""
+    return max(tol * min(1.0, scale), MASS_ULPS * math.ulp(total))
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,7 @@ class Coupling:
         if sig.min(initial=0.0) < -1e-12:
             raise ValueError("coupling has a negative entry")
         scale = max(float(np.abs(mu.weights).max()), float(np.abs(nu.weights).max()))
-        mass_tol = tol * min(1.0, scale)
+        mass_tol = _mass_tol(tol, scale, max(abs(mu.total_mass), abs(nu.total_mass)))
         if np.abs(sig.sum(axis=1) - mu.weights).max() > mass_tol:
             raise ValueError("row marginals do not match")
         if np.abs(sig.sum(axis=0) - nu.weights).max() > mass_tol:
@@ -154,7 +162,7 @@ def wasserstein_q(
     mass_mu = mu.total_mass
     mass_nu = nu.total_mass
     scale = max(float(mu.weights.max()), float(nu.weights.max()))
-    if abs(mass_mu - mass_nu) > WITNESS_TOL * min(1.0, scale):
+    if abs(mass_mu - mass_nu) > _mass_tol(WITNESS_TOL, scale, max(mass_mu, mass_nu)):
         raise ValueError(f"total masses differ by {abs(mass_mu - mass_nu):.3g}")
     if mass_mu <= 0:
         raise ValueError("total mass must be positive")

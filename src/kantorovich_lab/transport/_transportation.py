@@ -139,7 +139,7 @@ def _reflow(basis, a: np.ndarray, b: np.ndarray):
     return flows
 
 
-def solve_transportation(a, b, C, max_iter: int | None = None) -> TransportSolution:
+def solve_transportation(a, b, C) -> TransportSolution:
     """Balanced problem: min sum f_ij C_ij, row sums = a, column sums = b."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -152,8 +152,7 @@ def solve_transportation(a, b, C, max_iter: int | None = None) -> TransportSolut
     total = math.fsum(a.tolist())
     if abs(total - math.fsum(b.tolist())) > BALANCE_TOL * total:
         raise ValueError("marginals are not balanced")
-    if max_iter is None:
-        max_iter = 50 * r * s + 1000
+    max_iter = 50 * r * s + 1000
 
     scale = max(float(a.max()), float(b.max())) or 1.0
     a2 = a / scale + PERTURBATION * (np.arange(r) + 1.0)

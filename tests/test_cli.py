@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from kantorovich_lab import cli
+from kantorovich_lab.convergence import MeasureSequence, check_tau_k_convergence
+from kantorovich_lab.measures import space_from_dict
 
 
 def write(path: Path, doc) -> Path:
@@ -132,6 +134,22 @@ class TestRun:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert cli.main(["norms", "--config", str(bad)]) == cli.EXIT_CONFIG_ERROR
+        assert not list(tmp_path.glob("out/*"))
+
+    def test_malformed_coords_exits_3(self, tmp_path, capsys):
+        doc = {"points": ["a"], "metrics": {"d": [["0"]]}, "coords": 5, "weights": ["1"]}
+        measure_path = write(tmp_path / "measure.json", doc)
+        config = write(
+            tmp_path / "c.json",
+            {
+                "kind": "norms",
+                "seed": 1,
+                "out": str(tmp_path / "out"),
+                "params": {"measure": measure_path.name, "metric": "d"},
+            },
+        )
+        assert cli.main(["norms", "--config", str(config)]) == cli.EXIT_INPUT_ERROR
+        assert "malformed measure file" in capsys.readouterr().err
         assert not list(tmp_path.glob("out/*"))
 
     def test_invalid_schema_exits_2(self, tmp_path):
@@ -261,8 +279,8 @@ class TestDeterminism:
         a, b = sorted((tmp_path / "out").glob("stable-*.json"))
         assert strip_wall_clock(a.read_text()) == strip_wall_clock(b.read_text())
 
-    def test_thread_cap_does_not_change_bytes(self, tmp_path, monkeypatch):
-        space_doc = {
+    def test_convergence_report_is_one_tau_k_check(self, tmp_path):
+        seq_doc = {
             "points": ["x0", "x1", "x2"],
             "metrics": {
                 "d": [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]],
@@ -272,7 +290,7 @@ class TestDeterminism:
             "weights_sequence": [["0.5", "0.5", "0"], ["0.9", "0.1", "0"], ["1", "0", "0"]],
             "limit_weights": ["1", "0", "0"],
         }
-        seq_path = write(tmp_path / "seq.json", space_doc)
+        seq_path = write(tmp_path / "seq.json", seq_doc)
         config = write(
             tmp_path / "c.json",
             {
@@ -282,12 +300,23 @@ class TestDeterminism:
                 "params": {"sequence": seq_path.name, "q": 1.0},
             },
         )
-        monkeypatch.setenv("KANTOROVICH_LAB_THREADS", "1")
         assert cli.main(["convergence", "--config", str(config)]) == 0
-        monkeypatch.setenv("KANTOROVICH_LAB_THREADS", "4")
-        assert cli.main(["convergence", "--config", str(config)]) == 0
-        a, b = sorted((tmp_path / "out").glob("convergence-*.json"))
-        assert strip_wall_clock(a.read_text()) == strip_wall_clock(b.read_text())
+        payload = json.loads(next((tmp_path / "out").glob("convergence-*.json")).read_text())["payload"]
+
+        space = space_from_dict(seq_doc)
+        seq = MeasureSequence(
+            space,
+            tuple(space.measure([float(x) for x in row]) for row in seq_doc["weights_sequence"]),
+            limit=space.measure([float(x) for x in seq_doc["limit_weights"]]),
+        )
+        expected = check_tau_k_convergence(seq, ["d", "e"], q=1.0)
+        assert [m["metric"] for m in payload["per_metric"]] == ["d", "e"]
+        for got, rec in zip(payload["per_metric"], expected.per_metric):
+            assert got["metric"] == rec.metric_name
+            assert got["kr_gaps"] == list(rec.kr_gaps)
+            assert got["k_gaps"] == list(rec.k_gaps)
+            assert got["verdict"] == rec.verdict
+        assert payload["verdict"] == expected.verdict
 
     def test_seed_override_changes_hash(self, tmp_path):
         path = norms_config(tmp_path)

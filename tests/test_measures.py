@@ -336,6 +336,12 @@ class TestParsing:
             ValueError, "malformed measure file: 'int' object is not iterable"
         )
 
+    def test_coords_not_rows_is_malformed(self):
+        doc = {"points": ["a"], "metrics": {"d": [["0"]]}, "coords": 5, "weights": ["1"]}
+        assert _message(lambda: measure_from_dict(doc)) == (
+            ValueError, "malformed measure file: 'int' object is not iterable"
+        )
+
     def test_doubles_equal_float_parse(self):
         reprs = [
             "5e-324", "4.9406564584124654e-324", "1e-320", "2.2250738585072009e-308",

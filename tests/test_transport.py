@@ -7,6 +7,7 @@ import pytest
 from kantorovich_lab.measures import PseudometricSpace, total_variation
 from kantorovich_lab.measures import pushforward, quotient
 from kantorovich_lab.transport import (
+    WITNESS_TOL,
     brute_force_dual,
     k_norm,
     kq_norm,
@@ -18,6 +19,7 @@ from kantorovich_lab.transport._transportation import flow_seminorm_value, solve
 from kantorovich_lab.transport._trees import bipartite_tree_tensors
 
 from conftest import (
+    highs_coupling_cost,
     highs_seminorm,
     metric_closure,
     random_degenerate_space,
@@ -327,3 +329,73 @@ class TestScaleRobustness:
             mu = space.measure([0.0, mass])
             assert k_norm(mu, "d")[0] == pytest.approx(mass * 2.0**40 + mass, rel=1e-12)
             assert kr_norm(mu, "d")[0] == pytest.approx(mass, rel=1e-12)
+
+
+def _euclidean_pair(seed, n=128, scale=1e6):
+    """mu and nu with weights uniform in [0, scale) on n random planar points,
+    nu rescaled to mu's mass: the totals agree only to about one ulp."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-3, 3, size=(n, 2))
+    d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+    space = PseudometricSpace(
+        points=tuple(f"p{i}" for i in range(n)), metrics={"d": d}, anchor=0, coords=x
+    )
+    a = rng.uniform(0, scale, n)
+    b = rng.uniform(0, scale, n)
+    b = b * (math.fsum(a.tolist()) / math.fsum(b.tolist()))
+    return space.measure(a), space.measure(b)
+
+
+class TestLargeTotalMass:
+    # near 6.4e7 total mass one ulp is 7.45e-9, above an absolute 1e-9
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_wq_validates_and_matches_highs(self, seed):
+        mu, nu = _euclidean_pair(seed)
+        d = mu.space.metric("d")
+        for q in (1.0, 2.0):
+            value, coupling = wasserstein_q(mu, nu, "d", q)
+            coupling.validate(mu, nu)
+            ref = highs_coupling_cost(d**q, mu.weights, nu.weights * (mu.total_mass / nu.total_mass))
+            assert abs(value**q - ref) <= 1e-9 * ref
+
+    @pytest.mark.parametrize("rel", [1e-6, 1e-12])
+    def test_moved_entry_rejected(self, rel):
+        mu, nu = _euclidean_pair(0)
+        _, coupling = wasserstein_q(mu, nu, "d", 1.0)
+        shift = rel * mu.total_mass
+        grown = coupling.matrix.copy()
+        grown[3, 5] += shift
+        with pytest.raises(ValueError, match="row marginals"):
+            dataclasses.replace(coupling, matrix=grown).validate(mu, nu)
+        i, j = np.unravel_index(np.argmax(coupling.matrix), coupling.matrix.shape)
+        moved = coupling.matrix.copy()
+        moved[i, j] -= shift
+        moved[i, (j + 1) % mu.space.n_points] += shift
+        with pytest.raises(ValueError, match="column marginals"):
+            dataclasses.replace(coupling, matrix=moved).validate(mu, nu)
+
+    def test_doubled_measure_rejected(self):
+        mu, nu = _euclidean_pair(0)
+        _, coupling = wasserstein_q(mu, nu, "d", 2.0)
+        with pytest.raises(ValueError, match="marginals"):
+            coupling.validate(mu * 2.0, nu * 2.0)
+        with pytest.raises(ValueError, match="total masses differ"):
+            wasserstein_q(mu, nu * 2.0, "d", 1.0)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6])
+    def test_smaller_totals_keep_their_tolerance(self, scale):
+        # up to a total of about 2e6 the marginals are held to tol * min(1, scale)
+        space = two_point_space(1.0)
+        mu, nu = space.measure([scale, scale]), space.measure([0.5 * scale, 1.5 * scale])
+        _, coupling = wasserstein_q(mu, nu, "d", 1.0)
+        tol = WITNESS_TOL * min(1.0, scale)
+        for factor, ok in ((0.5, True), (1.5, False)):
+            off = coupling.matrix.copy()
+            off[0, 0] += factor * tol
+            check = dataclasses.replace(coupling, matrix=off)
+            if ok:
+                check.validate(mu, nu)
+            else:
+                with pytest.raises(ValueError, match="row marginals"):
+                    check.validate(mu, nu)
