@@ -145,11 +145,19 @@ def validate_config(config) -> list[str]:
         check = params.get("check")
         if check not in ("cf", "tail", "constants", "identity", "mean_convergence"):
             diags.append(f"stable: unknown or missing check {check!r}")
-        spec = params.get("spec")
-        if check != "constants":
-            if not isinstance(spec, dict) or "p" not in spec:
-                diags.append("stable: missing params.spec.p")
+        if check in ("cf", "tail", "identity") and not _has_p(params.get("spec")):
+            diags.append("stable: missing params.spec.p")
+        elif check == "mean_convergence":
+            specs = params.get("specs")
+            if not isinstance(specs, list) or not specs or not all(map(_has_p, specs)):
+                diags.append("stable: missing params.specs (a non-empty list of specs with p)")
+            if not _has_p(params.get("limit")):
+                diags.append("stable: missing params.limit.p")
     return diags
+
+
+def _has_p(spec) -> bool:
+    return isinstance(spec, dict) and "p" in spec
 
 
 def _load_json(path_or_doc, base: Path):

@@ -196,8 +196,9 @@ def brute_force_dual(mu: SignedMeasure, metric_name: str, mode: str) -> float:
 
     The bounded/anchored potential LP is re-expressed as a balanced
     transportation problem (surplus absorbed at unit cost by a slack location,
-    or at true distance by the anchor) and all spanning-tree vertices are
-    scanned.  Supports are capped at 8 atoms.
+    or at true distance by the anchor), and the flows of every spanning tree
+    of K_{p+1,m+1} (p positive, m negative atoms) are scanned without the
+    simplex.  Supports are capped at 8 atoms: 4 + 4 give 390,625 trees.
     """
     supp = mu.support
     if len(supp) > ORACLE_SUPPORT_MAX:

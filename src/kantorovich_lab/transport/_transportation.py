@@ -57,7 +57,6 @@ BALANCE_TOL = 1e-9
 class TransportSolution:
     flows: np.ndarray  # (r, s), basic cells only are nonzero
     cost: float
-    basis: tuple[tuple[int, int], ...]
     u: np.ndarray
     v: np.ndarray
     iterations: int
@@ -274,7 +273,7 @@ def solve_transportation(a, b, C) -> TransportSolution:
     if neg < -FLOW_TOL * scale:
         raise RuntimeError(f"internal error: negative basic flow {neg}")
     cost = math.fsum(out[i, j] * C[i, j] for (i, j) in exact)
-    return TransportSolution(out, cost, tuple(sorted(basis)), duals[:r].copy(), duals[r:].copy(), it)
+    return TransportSolution(out, cost, duals[:r].copy(), duals[r:].copy(), it)
 
 
 # ---------------------------------------------------------------------------

@@ -1,101 +1,72 @@
 """Exhaustive vertex enumeration for small balanced transportation polytopes.
 
 Every vertex of the transportation polytope is the flow vector of a spanning
-tree of the complete bipartite graph on the sources and sinks; enumerating
-all trees and keeping the feasible flows therefore scans every basic feasible
-solution.  Tree sets are cached per shape: 4096 trees for K_{4,4} (6-atom
-instances), ~3.9e5 for K_{5,5} (the 8-atom oracle cap, a few seconds once).
+tree of K_{r,s} (sources ``0..r-1``, then sinks ``r..r+s-1``).  Its
+r^(s-1) * s^(r-1) trees (Scoins 1962) are decoded from bipartite Prüfer codes
+of s - 1 source and r - 1 sink labels: degrees are one plus the count in the
+code, the smallest-numbered leaf is joined to the next unused label of the
+other side r + s - 2 times, then the last two nodes are joined.  The scan
+peels each tree in the same order: a leaf's remaining net supply is its
+edge's flow and passes on to its neighbour.  Both work in chunks of ``CHUNK``
+trees, so memory beyond the cached table (three bytes per edge, 10.5 MB for
+K_{5,5}) is bounded whatever the shape.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
 FLOW_FEAS_TOL = 1e-11
+#: Trees decoded or scanned at a time: a step's 64 KB arrays stay in cache and
+#: below the size for which malloc maps fresh pages (2**15 ran slower).
+CHUNK = 1 << 13
 
 
 @lru_cache(maxsize=None)
 def bipartite_tree_tensors(r: int, s: int):
-    """All spanning trees of K_{r,s} with per-edge cut memberships.
+    """All spanning trees of K_{r,s}, edges in elimination order.
 
-    Returns ``(eu, ev, cuts)`` where ``eu[t, e]``/``ev[t, e]`` are the source
-    and sink endpoints of edge ``e`` of tree ``t`` and ``cuts[t, e, k]`` marks
-    the nodes (sources then sinks) on the source-endpoint side once the edge
-    is removed.
+    Returns ``(eu, ev, leaf_row)``: edge ``e`` of tree ``t`` joins source
+    ``eu[t, e]`` to sink ``ev[t, e]``, and ``leaf_row[t, e]`` is true when the
+    source was the removed leaf.  The last edge joins the final two nodes and
+    counts the source as its leaf.
     """
     n = r + s
-    edges_all = [(i, r + j) for i in range(r) for j in range(s)]
-    n_edges = n - 1
-
-    trees = []
-    for combo in combinations(range(len(edges_all)), n_edges):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ok = True
-        for e in combo:
-            u, v = edges_all[e]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                ok = False
-                break
-            parent[ru] = rv
-        if ok:
-            trees.append(combo)
-
-    T = len(trees)
-    eu = np.empty((T, n_edges), dtype=np.int32)
-    ev = np.empty((T, n_edges), dtype=np.int32)
-    cut_bits = np.empty((T, n_edges), dtype=np.int64)
-    full_mask = (1 << n) - 1
-
-    for t, combo in enumerate(trees):
-        edges = [edges_all[e] for e in combo]
-        adj = [[] for _ in range(n)]
-        for idx, (u, v) in enumerate(edges):
-            adj[u].append((v, idx))
-            adj[v].append((u, idx))
-        parent_node = [-1] * n
-        parent_edge = [-1] * n
-        order = []
-        stack = [0]
-        seen = [False] * n
-        seen[0] = True
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            for nxt, idx in adj[node]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    parent_node[nxt] = node
-                    parent_edge[nxt] = idx
-                    stack.append(nxt)
-        subtree = [1 << k for k in range(n)]
-        for node in reversed(order):
-            p = parent_node[node]
-            if p >= 0:
-                subtree[p] |= subtree[node]
-        for idx, (u, v) in enumerate(edges):
-            eu[t, idx] = u
-            ev[t, idx] = v - r
-            # child side of the edge, oriented so the mask holds u's side
-            child = v if parent_node[v] == u else u
-            mask = subtree[child]
-            if not (mask >> u) & 1:
-                mask = full_mask ^ mask
-            cut_bits[t, idx] = mask
-
-    shifts = np.arange(n, dtype=np.int64)
-    cuts = ((cut_bits[:, :, None] >> shifts[None, None, :]) & 1).astype(np.uint8)
-    return eu, ev, cuts
+    # mixed-radix code: s - 1 source labels, then r - 1 sink labels
+    radix = np.array([r] * (s - 1) + [s] * (r - 1), dtype=np.intp)
+    place = np.cumprod(radix) // radix
+    T = int(np.prod(radix))
+    # column-major, so that each step's column is contiguous
+    eu = np.empty((n - 1, T), dtype=np.uint8).T
+    ev = np.empty((n - 1, T), dtype=np.uint8).T
+    leaf_row = np.empty((n - 1, T), dtype=bool).T
+    for lo in range(0, T, CHUNK):
+        codes = np.arange(lo, min(lo + CHUNK, T))
+        m = len(codes)
+        ar = np.arange(m)
+        labels = codes[:, None] // place % radix + (np.arange(n - 2) >= s - 1) * r  # as nodes
+        deg = np.ones((m, n), dtype=np.int8)
+        for k in range(n - 2):
+            deg[ar, labels[:, k]] += 1
+        nxt_src = np.zeros(m, dtype=np.intp)  # next unused source label
+        nxt_snk = np.full(m, s - 1, dtype=np.intp)  # next unused sink label
+        for k in range(n - 2):
+            leaf = (deg == 1).argmax(axis=1)
+            is_row = leaf < r
+            nbr = labels[ar, np.where(is_row, nxt_snk, nxt_src)]
+            nxt_snk += is_row
+            nxt_src += ~is_row
+            deg[ar, leaf] = 0
+            deg[ar, nbr] -= 1
+            eu[lo:lo + m, k] = np.where(is_row, leaf, nbr)
+            ev[lo:lo + m, k] = np.where(is_row, nbr, leaf) - r
+            leaf_row[lo:lo + m, k] = is_row
+        eu[lo:lo + m, -1] = (deg[:, :r] == 1).argmax(axis=1)
+        ev[lo:lo + m, -1] = (deg[:, r:] == 1).argmax(axis=1)
+        leaf_row[lo:lo + m, -1] = True
+    return eu, ev, leaf_row
 
 
 def min_cost_vertex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> float:
@@ -107,13 +78,31 @@ def min_cost_vertex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     r, s = len(a), len(b)
-    eu, ev, cuts = bipartite_tree_tensors(r, s)
+    n = r + s
+    eu, ev, leaf_row = bipartite_tree_tensors(r, s)
     scale = max(float(a.max()), float(b.max())) or 1.0
     supply = np.concatenate([a, -b]) / scale
-    flows = np.einsum("ten,n->te", cuts, supply)
-    feasible = (flows >= -FLOW_FEAS_TOL).all(axis=1)
-    if not np.any(feasible):
+    costs = np.asarray(C, dtype=float).ravel()
+    best = np.inf
+    for lo in range(0, len(eu), CHUNK):
+        u, v, row = eu[lo:lo + CHUNK], ev[lo:lo + CHUNK], leaf_row[lo:lo + CHUNK]
+        m = len(u)
+        rem = np.tile(supply, m)  # remaining net supply of node j of tree t at t * n + j
+        at_u = np.arange(0, m * n, n)
+        at_v = at_u + r
+        feasible = np.ones(m, dtype=bool)
+        total = np.zeros(m)
+        for k in range(n - 1):
+            uk, vk, rk = u[:, k].astype(np.intp), v[:, k], row[:, k]
+            iu, iv = at_u + uk, at_v + vk
+            xu, xv = rem.take(iu), rem.take(iv)
+            # the neighbour takes the leaf's supply; the leaf is never read again
+            rem[iu] = rem[iv] = xu + xv
+            flow = xu * rk - xv * ~rk  # xu from a source leaf, -xv from a sink leaf
+            feasible &= flow >= -FLOW_FEAS_TOL
+            total += flow * costs.take(uk * s + vk)
+        if feasible.any():
+            best = min(best, float(total[feasible].min()))
+    if best == np.inf:
         raise RuntimeError("internal error: no feasible basic flow found")
-    edge_costs = C[eu, ev]
-    totals = (flows * edge_costs).sum(axis=1)
-    return scale * float(totals[feasible].min())
+    return scale * best

@@ -62,6 +62,45 @@ class TestValidate:
     def test_unknown_kind(self):
         assert any("unknown kind" in d for d in cli.validate_config({"kind": "nope", "seed": 1}))
 
+    def test_stable_mean_convergence_needs_no_spec(self):
+        params = {"check": "mean_convergence", "specs": [{"p": 1.5}, {"p": 1.8}], "limit": {"p": 2.0}}
+        assert cli.validate_config({"kind": "stable", "seed": 1, "params": params}) == []
+
+    @pytest.mark.parametrize(
+        "params,diag",
+        [
+            ({"limit": {"p": 2.0}}, "stable: missing params.specs (a non-empty list of specs with p)"),
+            ({"specs": {"p": 1.5}, "limit": {"p": 2.0}}, "stable: missing params.specs (a non-empty list of specs with p)"),
+            ({"specs": [], "limit": {"p": 2.0}}, "stable: missing params.specs (a non-empty list of specs with p)"),
+            ({"specs": [{"p": 1.5}, {"b": 0.0}], "limit": {"p": 2.0}},
+             "stable: missing params.specs (a non-empty list of specs with p)"),
+            ({"specs": [{"p": 1.5}]}, "stable: missing params.limit.p"),
+            ({"specs": [{"p": 1.5}], "limit": {"c": 1.0}}, "stable: missing params.limit.p"),
+        ],
+    )
+    def test_stable_mean_convergence_diagnoses_specs_and_limit(self, params, diag):
+        params = {"check": "mean_convergence", "spec": {"p": 2.0}, **params}
+        assert cli.validate_config({"kind": "stable", "seed": 1, "params": params}) == [diag]
+
+    @pytest.mark.parametrize("check", ["cf", "tail", "identity"])
+    def test_stable_single_law_checks_need_spec(self, check):
+        diags = cli.validate_config({"kind": "stable", "seed": 1, "params": {"check": check}})
+        assert diags == ["stable: missing params.spec.p"]
+
+    def test_stable_mean_convergence_without_spec_runs(self, tmp_path):
+        config = write(
+            tmp_path / "c.json",
+            {
+                "kind": "stable",
+                "seed": 3,
+                "out": str(tmp_path / "out"),
+                "params": {"check": "mean_convergence", "specs": [{"p": 1.6}, {"p": 1.8}],
+                           "limit": {"p": 2.0}, "n": 2000},
+            },
+        )
+        assert cli.main(["stable", "--config", str(config)]) == cli.EXIT_OK
+        assert len(list((tmp_path / "out").glob("stable-*.json"))) == 1
+
     def test_validate_subcommand_prints_diagnostics(self, tmp_path, capsys):
         path = write(tmp_path / "c.json", {"kind": "norms", "seed": 1, "params": {}})
         code = cli.main(["validate", "--config", str(path)])

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -399,3 +400,53 @@ class TestLargeTotalMass:
             else:
                 with pytest.raises(ValueError, match="row marginals"):
                     check.validate(mu, nu)
+
+
+def _spanning_cell_sets(r, s):
+    """Every set of r + s - 1 cells of the r x s grid that joins all rows and
+    columns into one component, found by a small union-find."""
+    out = set()
+    cells = [(i, j) for i in range(r) for j in range(s)]
+    for combo in itertools.combinations(cells, r + s - 1):
+        parent = list(range(r + s))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for i, j in combo:
+            ri, rj = find(i), find(r + j)
+            if ri == rj:
+                break
+            parent[ri] = rj
+        else:
+            out.add(frozenset(combo))
+    return out
+
+
+class TestTreeTable:
+    @pytest.mark.parametrize("r,s", list(itertools.product(range(1, 5), repeat=2)))
+    def test_tree_sets_match_union_find(self, r, s):
+        eu, ev, _ = bipartite_tree_tensors(r, s)
+        trees = [frozenset(zip(u, v)) for u, v in zip(eu.tolist(), ev.tolist())]
+        assert len(trees) == len(set(trees)) == r ** (s - 1) * s ** (r - 1)
+        assert set(trees) == _spanning_cell_sets(r, s)
+
+    @pytest.mark.parametrize("r,s", [(5, 5), (6, 4), (7, 3), (8, 2), (9, 1), (4, 6), (1, 9)])
+    def test_large_tables_are_distinct_spanning_trees(self, r, s):
+        eu, ev, leaf_row = bipartite_tree_tensors(r, s)
+        T = r ** (s - 1) * s ** (r - 1)
+        assert eu.shape == ev.shape == leaf_row.shape == (T, r + s - 1)
+        u = eu.astype(np.int64)
+        v = ev.astype(np.int64)
+        masks = np.bitwise_or.reduce(np.int64(1) << (u * s + v), axis=1)
+        assert len(np.unique(masks)) == T
+        # a leaf elimination: each removed leaf is new to the later edges and
+        # its neighbour is among them, so the edges grow one tree backwards
+        leaf = np.where(leaf_row, u, r + v)
+        nbr = np.where(leaf_row, r + v, u)
+        for k in range(r + s - 2):
+            later = np.concatenate([u[:, k + 1:], r + v[:, k + 1:]], axis=1)
+            assert not (later == leaf[:, k:k + 1]).any()
+            assert (later == nbr[:, k:k + 1]).any(axis=1).all()

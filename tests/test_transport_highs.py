@@ -128,3 +128,27 @@ def test_validate_rejects_wrong_marginals_at_small_scale():
     witness.validate(mu - nu)
     with pytest.raises(ValueError, match="attain"):
         witness.validate((mu - nu) * 2.0)
+
+
+@pytest.mark.parametrize("n_pos", range(9))
+def test_oracle_at_its_cap(n_pos):
+    # 8 atoms, n_pos of them positive: tree tables K_{n_pos+1, 9-n_pos}, up to
+    # K_{5,5}; the anchor is an atom of the support or the ninth, empty point
+    rng = np.random.default_rng(40 + n_pos)
+    for anchor in (0, 8):
+        space = random_space(rng, 9, anchor=anchor)
+        d = space.metric("d")
+        sign = np.where(np.arange(8) < n_pos, 1.0, -1.0)
+        base = np.append(sign * rng.uniform(0.1, 1.0, size=8), 0.0)
+        for scale in (1e-12, 1e6):
+            w = base * scale
+            mu = space.measure(w)
+            assert len(mu.support) == 8
+            problem_scale = float(np.abs(w).max()) * max(1.0, float(d.max()))
+            bounded = brute_force_dual(mu, "d", "bounded")
+            anchored = brute_force_dual(mu, "d", "anchored")
+            for oracle, value in ((bounded, kr_norm(mu, "d")[0]), (anchored, k_norm(mu, "d")[0])):
+                assert abs(oracle - value) <= 1e-12 * abs(value), (oracle, value)
+            assert_agrees(bounded, highs_seminorm(d, w, "bounded"), problem_scale)
+            ref = highs_seminorm(d, w, "anchored", anchor) + abs(mu.total_mass)
+            assert_agrees(anchored, ref, problem_scale)
