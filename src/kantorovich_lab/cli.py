@@ -147,6 +147,10 @@ def validate_config(config) -> list[str]:
             diags.append(f"stable: unknown or missing check {check!r}")
         if check in ("cf", "tail", "identity") and not _has_p(params.get("spec")):
             diags.append("stable: missing params.spec.p")
+        elif check == "tail" and "p1" not in params:
+            diags.append("stable: missing params.p1")
+        elif check == "constants":
+            diags.extend(f"stable: missing params.{key}" for key in ("delta", "p") if key not in params)
         elif check == "mean_convergence":
             specs = params.get("specs")
             if not isinstance(specs, list) or not specs or not all(map(_has_p, specs)):

@@ -313,21 +313,24 @@ def verify_schedule(
     qidx = np.maximum(blocks, 1)
     thresholds = ks * alphas
 
+    # each member's tail mass at every k, once; block n sums the suffix
+    # k > N_{n+1}, which is the slice [N_{n+1}:] since ks starts at 1
+    tail_masses = []
+    if n_max >= 1 and len(N) > 1:
+        for member in family:
+            per_k = np.zeros(len(ks))
+            for s in np.unique(qidx):
+                smask = qidx == s
+                per_k[smask] = member.tail_mass(int(s), thresholds[smask])
+            tail_masses.append(per_k)
+
     certificates = []
     for n in range(1, n_max + 1):
         if n >= len(N):
             break
-        start = N[n]  # sum over k > N_{n+1}
-        mask = ks > start
         mass_sum = 0.0
-        for member in family:
-            per_k = np.zeros(mask.sum())
-            sel_q = qidx[mask]
-            sel_t = thresholds[mask]
-            for s in np.unique(sel_q):
-                smask = sel_q == s
-                per_k[smask] = member.tail_mass(int(s), sel_t[smask])
-            mass_sum = max(mass_sum, float(per_k.sum()))
+        for per_k in tail_masses:
+            mass_sum = max(mass_sum, float(per_k[N[n] :].sum()))
 
         sup_scaled = 0.0
         block_lo = N[n]

@@ -20,6 +20,7 @@ from .reports import (
     ConcentrationReport,
     content_seed,
     half_width,
+    mean_std,
     one_sided,
     two_sided,
 )
@@ -106,9 +107,55 @@ def sample(spec: LogConcaveSpec, n: int, seed) -> np.ndarray:
 # Seminorm evaluators
 # ---------------------------------------------------------------------------
 
+def _l2(x: np.ndarray) -> np.ndarray:
+    """Row norms with the bits of ``np.sqrt((x * x).sum(axis=1))``.
+
+    Below 8 terms numpy's row sum adds the squares left to right, so one
+    accumulator over the columns gives the same bits without the (n, dim)
+    temporary; from 8 terms on its pairwise sum unrolls 8 ways and adds in
+    another order, so the row sum itself is kept there.
+    """
+    dim = x.shape[1]
+    if dim >= 8:
+        return np.sqrt((x * x).sum(axis=1))
+    acc = x[:, 0] * x[:, 0]
+    for j in range(1, dim):
+        acc += x[:, j] * x[:, j]
+    return np.sqrt(acc, out=acc)
+
+
+def _column_mean_std(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and std with the bits of ``xs.mean(axis=0)`` and
+    ``xs.std(axis=0)``.
+
+    On a C-contiguous array with two or more columns numpy reduces axis 0
+    row by row, so each column is summed strictly left to right: that is the
+    last entry of ``np.cumsum`` of the column, which streams one column at a
+    time instead of running an inner loop of length dim per row.  A single
+    column is one contiguous vector, which numpy sums pairwise, as
+    ``mean_std`` does.  Other layouts can reduce in another order and keep
+    numpy's own reductions.
+    """
+    n, dim = xs.shape
+    if dim == 1:
+        m, s = mean_std(xs[:, 0])
+        return np.array([m]), np.array([s])
+    if not xs.flags.c_contiguous:
+        return xs.mean(axis=0), xs.std(axis=0)
+    means = np.empty(dim)
+    stds = np.empty(dim)
+    for j in range(dim):
+        col = xs[:, j]
+        means[j] = np.cumsum(col)[-1] / n
+        d = col - means[j]
+        d *= d
+        stds[j] = np.sqrt(np.cumsum(d, out=d)[-1] / n)
+    return means, stds
+
+
 SEMINORMS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "abs": lambda x: np.abs(x[:, 0]),
-    "l2": lambda x: np.sqrt((x * x).sum(axis=1)),
+    "l2": _l2,
     "sup": lambda x: np.abs(x).max(axis=1),
     "abs_sum": lambda x: np.abs(x.sum(axis=1)),
 }
@@ -182,17 +229,27 @@ def check_borell(
 
 def exp_moment(samples: np.ndarray, q, kappa: float) -> tuple[float, float]:
     """Empirical mean of exp(kappa * q) with its half-width."""
+    return _exp_moment(seminorm(q)(np.atleast_2d(samples)), kappa)
+
+
+def _exp_moment(values: np.ndarray, kappa: float) -> tuple[float, float]:
+    """``exp_moment`` from the seminorm values themselves."""
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    values = seminorm(q)(np.atleast_2d(samples))
     exponents = kappa * values
     top = float(exponents.max(initial=0.0))
     if top > 700.0:
         raise ValueError(
             f"kappa {kappa:g} overflows exp at observed seminorm scale {top / max(kappa, 1e-300):.3g}"
         )
-    vals = np.exp(exponents)
-    return float(vals.mean()), half_width(float(vals.std()), len(vals))
+    est, std = mean_std(np.exp(exponents, out=exponents))
+    return est, half_width(std, len(values))
+
+
+def _power_moment(values: np.ndarray, r: float) -> tuple[float, float]:
+    """Mean of values**r with its half-width."""
+    est, std = mean_std(values if r == 1 else values**r)
+    return est, half_width(std, len(values))
 
 
 @dataclass(frozen=True)
@@ -250,15 +307,11 @@ def mean_convergence_experiment(
         values = fn(limit_samples)
         kappa, c, theta = kappa_policy.choose(values)
         kappas[name] = {"kappa": kappa, "c": c, "theta": theta}
-        limit_stats[f"exp[{name}]"] = exp_moment(limit_samples, fn, kappa)
+        limit_stats[f"exp[{name}]"] = _exp_moment(values, kappa)
         for r in rs:
-            vr = values**r
-            limit_stats[f"moment[{name},r={r:g}]"] = (
-                float(vr.mean()),
-                half_width(float(vr.std()), n),
-            )
-    limit_bary = limit_samples.mean(axis=0)
-    limit_bary_hw = half_width(float(limit_samples.std(axis=0).max()), n)
+            limit_stats[f"moment[{name},r={r:g}]"] = _power_moment(values, r)
+    limit_bary, limit_std = _column_mean_std(limit_samples)
+    limit_bary_hw = half_width(float(limit_std.max()), n)
 
     per_index = []
     final: dict[str, tuple[float, float]] = {}
@@ -270,16 +323,12 @@ def mean_convergence_experiment(
         for name, fn in q_fns:
             values = fn(xs)
             kappa = kappas[name]["kappa"]
-            est, hw = exp_moment(xs, fn, kappa)
-            row[f"exp[{name}]"] = (est, hw)
-            final[f"exp[{name}]"] = (est, hw)
+            row[f"exp[{name}]"] = final[f"exp[{name}]"] = _exp_moment(values, kappa)
             for r in rs:
-                vr = values**r
-                est_r, hw_r = float(vr.mean()), half_width(float(vr.std()), n)
-                row[f"moment[{name},r={r:g}]"] = (est_r, hw_r)
-                final[f"moment[{name},r={r:g}]"] = (est_r, hw_r)
-        bary = xs.mean(axis=0)
-        bary_hw = half_width(float(xs.std(axis=0).max()), n)
+                key = f"moment[{name},r={r:g}]"
+                row[key] = final[key] = _power_moment(values, r)
+        bary, std = _column_mean_std(xs)
+        bary_hw = half_width(float(std.max()), n)
         row["barycenter"] = bary.tolist()
         row["barycenter_half_width"] = bary_hw
         per_index.append(row)
@@ -372,7 +421,8 @@ def small_value_check(
     l1 = float(np.abs(values).mean())
     if not l1 > 0:
         raise ValueError("polynomial has vanishing first absolute moment")
-    if float(values.std()) < 1e-12 * max(1.0, abs(float(values.mean()))):
+    mean, std = mean_std(values)
+    if std < 1e-12 * max(1.0, abs(mean)):
         raise ValueError("polynomial is almost surely constant under this law")
     if rs is None:
         scale = float(np.quantile(np.abs(values), 0.5))
@@ -484,8 +534,8 @@ def polynomial_density_experiment(
         if fmin < -1e-9 * max(1.0, float(np.abs(f).max())):
             raise ValueError(f"density {i} is negative on samples ({fmin:.3g})")
         f = np.maximum(f, 0.0)
-        mean_f = float(f.mean())
-        hw_f = half_width(float(f.std()), n)
+        mean_f, std_f = mean_std(f)
+        hw_f = half_width(std_f, n)
         if abs(mean_f - 1.0) > hw_f + 1e-6:
             raise ValueError(f"density {i} is not normalized: mean {mean_f:.6f}")
         bary = (f[:, None] * xs).mean(axis=0) / mean_f

@@ -17,7 +17,14 @@ from typing import Sequence
 import numpy as np
 
 from .measures import PseudometricSpace, SignedMeasure
-from .reports import CheckRecord, ConcentrationReport, content_seed, half_width, one_sided
+from .reports import (
+    CheckRecord,
+    ConcentrationReport,
+    content_seed,
+    half_width,
+    mean_std,
+    one_sided,
+)
 from .transport import kq_norm
 
 DEFAULT_SAMPLES = 10**5
@@ -85,11 +92,13 @@ def empirical_cf_gap(samples: np.ndarray, spec: StableSpec, ts: Sequence[float] 
         re = np.cos(tx)
         im = np.sin(tx)
         cf = stable_cf(t, spec)
-        hw_re = half_width(float(re.std()), n)
-        hw_im = half_width(float(im.std()), n)
-        z_re = abs(float(re.mean()) - cf.real) / max(hw_re / 3.0, 1e-300)
-        z_im = abs(float(im.mean()) - cf.imag) / max(hw_im / 3.0, 1e-300)
-        rows.append((float(t), float(re.mean()), float(im.mean()), cf.real, cf.imag, z_re, z_im))
+        mean_re, std_re = mean_std(re)
+        mean_im, std_im = mean_std(im)
+        hw_re = half_width(std_re, n)
+        hw_im = half_width(std_im, n)
+        z_re = abs(mean_re - cf.real) / max(hw_re / 3.0, 1e-300)
+        z_im = abs(mean_im - cf.imag) / max(hw_im / 3.0, 1e-300)
+        rows.append((float(t), mean_re, mean_im, cf.real, cf.imag, z_re, z_im))
     zmax = max(max(r[5], r[6]) for r in rows)
     return rows, zmax
 
@@ -219,7 +228,7 @@ def stable_tail_check(
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError("cannot rescale: the seminorm has no positive 80% quantile")
     u = values / scale
-    frac_below, frac_hw = (float(np.mean(u < 1.0)), half_width(float(np.std(u < 1.0)), n))
+    frac_below = float(np.mean(u < 1.0))
     if not frac_below > 0.75:
         raise ValueError("rescaling failed to put 3/4 of the mass below 1")
 
@@ -344,16 +353,34 @@ def stability_identity_check(
 # ---------------------------------------------------------------------------
 
 
+def _quantile_bins(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quantile edges of a 1-D sample and each value's bin, from one sort.
+
+    The edges are taken from the sorted sample, whose order statistics are
+    the sample's own, so they are the sample's quantiles (a zero edge may
+    carry the other sign, which compares equal).  Each sorted value then
+    finds its bin in a search that walks the edges in order, and the bins are
+    scattered back to the sample's order.  Any sort will do, ties in any
+    order, because a value's bin depends only on the value.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    qs = np.quantile(ordered, np.linspace(0.0, 1.0, bins + 1))
+    idx = np.empty(len(values), dtype=np.intp)
+    idx[order] = np.clip(np.searchsorted(qs, ordered, side="right") - 1, 0, bins - 1)
+    return qs, idx
 
 
 def _quantile_binned(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Quantile-bin a 1-D sample: (atom positions, probability weights, error).
 
     The error is the mean absolute within-bin deviation, the transport cost of
-    snapping samples to their bin means; it shrinks as bins grow.
+    snapping samples to their bin means; it shrinks as bins grow.  The bins
+    come from one sort (``_quantile_bins``); counts, sums and deviations are
+    accumulated over the sample in its own order, so every in-bin sum adds
+    its terms in the order they were drawn.
     """
-    qs = np.quantile(values, np.linspace(0.0, 1.0, bins + 1))
-    idx = np.clip(np.searchsorted(qs, values, side="right") - 1, 0, bins - 1)
+    qs, idx = _quantile_bins(values, bins)
     n = len(values)
     counts = np.bincount(idx, minlength=bins)
     sums = np.bincount(idx, weights=values, minlength=bins)
@@ -366,10 +393,13 @@ def _quantile_binned(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndar
     return atoms, weights, err
 
 
-def _binned_gap(x: np.ndarray, y: np.ndarray, q: float, bins: int) -> tuple[float, float]:
-    """Moment-weighted seminorm gap between two quantile-binned 1-D samples."""
+def _binned_gap(
+    x: np.ndarray, limit: tuple[np.ndarray, np.ndarray, float], q: float, bins: int
+) -> tuple[float, float]:
+    """Moment-weighted seminorm gap between a 1-D sample, quantile-binned
+    here, and a limit sample binned once by ``_quantile_binned``."""
     ax, wx, ex = _quantile_binned(x, bins)
-    ay, wy, ey = _quantile_binned(y, bins)
+    ay, wy, ey = limit
     pts = np.concatenate([[0.0], ax, ay])
     metric = np.abs(pts[:, None] - pts[None, :])
     space = PseudometricSpace(
@@ -425,6 +455,7 @@ def stable_mean_convergence_experiment(
         return 3.0 * float(means.std(axis=0).max()) / math.sqrt(k)
 
     limit_hw = block_hw(limit_samples)
+    limit_binned = _quantile_binned(limit_samples[:, 0], bins) if limit.dim == 1 else None
 
     per_index = []
     moment_sup = 0.0
@@ -445,7 +476,7 @@ def stable_mean_convergence_experiment(
             f"moment[r={r:g}]": m_r,
         }
         if spec.dim == 1 and limit.dim == 1:
-            gap, bin_err = _binned_gap(xs[:, 0], limit_samples[:, 0], q, bins)
+            gap, bin_err = _binned_gap(xs[:, 0], limit_binned, q, bins)
             row[f"k_gap[q={q:g}]"] = gap
             row["binning_error"] = bin_err
             kgaps.append(gap)

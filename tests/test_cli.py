@@ -87,6 +87,24 @@ class TestValidate:
         diags = cli.validate_config({"kind": "stable", "seed": 1, "params": {"check": check}})
         assert diags == ["stable: missing params.spec.p"]
 
+    @pytest.mark.parametrize(
+        "params, diags",
+        [
+            ({"check": "tail", "spec": {"p": 1.8}}, ["stable: missing params.p1"]),
+            ({"check": "constants", "p": 1.8}, ["stable: missing params.delta"]),
+            ({"check": "constants", "delta": 0.8}, ["stable: missing params.p"]),
+            ({"check": "constants"}, ["stable: missing params.delta", "stable: missing params.p"]),
+        ],
+    )
+    def test_stable_missing_scalar_params_exit_2(self, tmp_path, capsys, params, diags):
+        config = {"kind": "stable", "seed": 1, "out": str(tmp_path / "out"), "params": params}
+        assert cli.validate_config(config) == diags
+        path = write(tmp_path / "c.json", config)
+        assert cli.main(["stable", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert all(d in err for d in diags)
+        assert not (tmp_path / "out").exists()
+
     def test_stable_mean_convergence_without_spec_runs(self, tmp_path):
         config = write(
             tmp_path / "c.json",

@@ -135,6 +135,35 @@ class TestRescalingSchedule:
                 exact.tail_integral(1, [t])[0], abs=1e-12
             )
 
+    def test_tail_mass_sums_match_per_block_scan(self):
+        # reference: each block re-evaluates the tail masses of its own suffix
+        sched = rescaling_schedule(family_tail_functions([GeometricTailMember()], 8), 10**5)
+        rng = np.random.default_rng(4)
+        family = [
+            GeometricTailMember(),
+            DiscreteTailMember(rng.uniform(0, 1, 40), rng.exponential(50.0, (8, 40))),
+        ]
+        horizon, n_max = 10**4, 6
+        N = sched.boundaries
+        ks = np.arange(1, horizon + 1)
+        blocks = sched.blocks(ks)
+        qidx = np.maximum(blocks, 1)
+        thresholds = ks * 2.0 ** (-blocks.astype(float))
+        expected = []
+        for n in range(1, n_max + 1):
+            mask = ks > N[n]
+            mass_sum = 0.0
+            for member in family:
+                per_k = np.zeros(mask.sum())
+                sel_q, sel_t = qidx[mask], thresholds[mask]
+                for s in np.unique(sel_q):
+                    per_k[sel_q == s] = member.tail_mass(int(s), sel_t[sel_q == s])
+                mass_sum = max(mass_sum, float(per_k.sum()))
+            expected.append(mass_sum)
+        report = verify_schedule(sched, family, horizon=horizon, n_max=n_max)
+        assert [c.tail_mass_sum for c in report.certificates] == expected
+        assert expected[-1] == 0.0  # N_7 lies beyond the horizon: an empty suffix
+
     def test_empty_family_sums_are_zero(self):
         sched = rescaling_schedule(family_tail_functions([GeometricTailMember()], 6), 10**5)
         report = verify_schedule(sched, [], horizon=10**4, n_max=3)

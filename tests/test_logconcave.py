@@ -5,9 +5,11 @@ import pytest
 from scipy import integrate, stats
 
 from kantorovich_lab.logconcave import (
+    SEMINORMS,
     KappaPolicy,
     LogConcaveSpec,
     PolynomialSpec,
+    _column_mean_std,
     borell_bound,
     check_borell,
     exp_moment,
@@ -19,6 +21,27 @@ from kantorovich_lab.logconcave import (
 )
 
 N = 10**5
+
+
+class TestReductions:
+    """The fast reductions against the numpy expressions they replace, bitwise."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    def test_column_mean_std(self, dim):
+        rng = np.random.default_rng(dim)
+        xs = rng.standard_normal((10**5 + 1, dim)) * [3.0**j for j in range(dim)] + 1e3
+        wide = rng.exponential(2.0, (50_001, dim + 2))
+        layouts = (xs, xs[::2], wide[:, 1 : dim + 1], np.asfortranarray(xs), xs[:7])
+        for x in layouts:
+            means, stds = _column_mean_std(x)
+            assert np.array_equal(means, x.mean(axis=0))
+            assert np.array_equal(stds, x.std(axis=0))
+
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_l2(self, dim):
+        x = np.random.default_rng(dim).standard_normal((10**4, dim)) * 10.0**dim
+        for layout in (x, x[::3], np.asfortranarray(x)):
+            assert np.array_equal(SEMINORMS["l2"](layout), np.sqrt((layout * layout).sum(axis=1)))
 
 
 class TestSamplers:

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from kantorovich_lab import cli
 from kantorovich_lab.measures import PseudometricSpace, SignedMeasure, measure_to_dict
-from kantorovich_lab.reports import _plain, dump_json
+from kantorovich_lab.reports import _plain, dump_json, mean_std
 
 
 def reference(doc) -> bytes:
@@ -139,3 +139,17 @@ def test_norms_report_at_256_points(tmp_path):
     assert code == cli.EXIT_OK
     assert len(report["payload"]["coupling"]) == 256
     assert path.read_bytes() == reference(report)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 1000, 10**5 + 3])
+def test_mean_std_has_numpy_bits(n):
+    rng = np.random.default_rng(n)
+    wide = rng.standard_cauchy((n, 3)) * 1e3 + 7.0
+    for v in (
+        rng.standard_normal(n) + 1e6,
+        np.exp(rng.standard_normal(n) * 5.0),
+        wide[:, 1],  # a strided view
+        rng.standard_normal(n) < 0.3,  # a mask
+    ):
+        m, s = mean_std(v)
+        assert np.array_equal([m, s], [float(v.mean()), float(v.std())])

@@ -7,6 +7,7 @@ import pytest
 from kantorovich_lab.stable import (
     StableSpec,
     _quantile_binned,
+    _quantile_bins,
     empirical_cf_gap,
     sample_stable,
     stability_identity_check,
@@ -199,6 +200,50 @@ class TestQuantileBinning:
             np.testing.assert_allclose(atoms, ref_atoms, rtol=1e-12, atol=1e-12)
             np.testing.assert_array_equal(weights, ref_weights)
             assert err == pytest.approx(ref_err, rel=1e-12)
+
+
+def _quantile_binned_unsorted(values, bins):
+    """Reference: quantiles and bin search over the sample in its own order."""
+    qs = np.quantile(values, np.linspace(0.0, 1.0, bins + 1))
+    idx = np.clip(np.searchsorted(qs, values, side="right") - 1, 0, bins - 1)
+    n = len(values)
+    counts = np.bincount(idx, minlength=bins)
+    sums = np.bincount(idx, weights=values, minlength=bins)
+    atoms = np.where(counts > 0, sums / np.maximum(counts, 1), qs[:bins])
+    spread = values - atoms[idx]
+    deviation = np.bincount(idx, weights=np.abs(spread, out=spread), minlength=bins)
+    return qs, idx, atoms, counts / n, sum((deviation / n).tolist())
+
+
+def _tie_heavy_samples():
+    rng = np.random.default_rng(8)
+    continuous = rng.standard_cauchy(64 * 100 + 1)  # every edge is a sample value
+    return {
+        "integers": rng.integers(-3, 4, size=5000).astype(float),
+        "edges": continuous,
+        "edge copies": rng.permutation(
+            np.concatenate([continuous, np.quantile(continuous, np.linspace(0, 1, 65))])
+        ),
+        "constant": np.full(1000, 2.5),
+        # a zero edge may take the other sign; array_equal counts -0.0 == 0.0
+        "signed zeros": rng.choice([-0.0, 0.0, 1.0], size=3001),
+        "fewer than bins": rng.standard_normal(10),
+        "one value": np.array([4.0]),
+    }
+
+
+class TestOneSortBinning:
+    @pytest.mark.parametrize("name", list(_tie_heavy_samples()))
+    def test_matches_unsorted_search(self, name):
+        values = _tie_heavy_samples()[name]
+        ref_qs, ref_idx, ref_atoms, ref_weights, ref_err = _quantile_binned_unsorted(values, 64)
+        qs, idx = _quantile_bins(values, 64)
+        assert np.array_equal(qs, ref_qs)
+        assert np.array_equal(idx, ref_idx)
+        atoms, weights, err = _quantile_binned(values, 64)
+        assert np.array_equal(atoms, ref_atoms)
+        assert np.array_equal(weights, ref_weights)
+        assert err == ref_err
 
 
 class TestMeanConvergence:
