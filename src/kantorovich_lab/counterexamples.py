@@ -39,9 +39,13 @@ def _jacobi_smallest_direction(G: np.ndarray, sweeps: int = 60) -> np.ndarray:
     convention), which pins down a canonical null vector even when the null
     space has dimension > 1.
     """
-    A = np.array(G, dtype=float)
-    m = A.shape[1]
-    V = np.eye(m)
+    G = np.asarray(G, dtype=float)
+    n, m = G.shape
+    # A and V stacked, so each rotation updates both in two column operations
+    W = np.empty((n + m, m))
+    W[:n] = G
+    W[n:] = np.eye(m)
+    A = W[:n]
     scale = max(1.0, float(np.abs(A).max()))
     tol = 1e-15 * scale * scale
     for _ in range(sweeps):
@@ -58,18 +62,18 @@ def _jacobi_smallest_direction(G: np.ndarray, sweeps: int = 60) -> np.ndarray:
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.hypot(1.0, t)
                 s = t * c
-                Ap = A[:, p].copy()
-                Aq = A[:, q].copy()
-                A[:, p] = c * Ap - s * Aq
-                A[:, q] = s * Ap + c * Aq
-                Vp = V[:, p].copy()
-                Vq = V[:, q].copy()
-                V[:, p] = c * Vp - s * Vq
-                V[:, q] = s * Vp + c * Vq
+                Wp = W[:, p]
+                Wq = W[:, q]
+                P = Wp.copy()
+                Q = Wq.copy()
+                Wp *= c
+                Wp -= s * Q
+                Wq *= c
+                Wq += s * P
         if not rotated:
             break
     norms = np.sqrt((A * A).sum(axis=0))
-    return V[:, int(np.argmin(norms))]
+    return W[n:, int(np.argmin(norms))]
 
 
 @dataclass(frozen=True)

@@ -21,19 +21,37 @@ et al., "Displacement Interpolation Using Lagrangian Mass Transport"
   taken in increasing cost and each closes its row or its column, so the
   start already ships most mass along cheap cells and the simplex needs far
   fewer pivots than from the northwest corner, which ignores the costs.
-- The entering cell is the one of most negative reduced cost (Dantzig's
-  rule, first in row-major order).  Degeneracy is resolved by an
-  index-scaled perturbation of the source marginals: row i gets
-  ``PERTURBATION * (i + 1)`` more, compensated on the last sink.  The flow on
-  a tree edge is the net supply of the side of the tree that does not hold
-  the last sink, and the perturbation adds ``PERTURBATION`` times the sum of
-  ``i + 1`` over that side's rows.  That sum vanishes only when the side is a
-  single leaf column, whose flow is its own demand (positive in every
-  problem the package builds, as zero-mass atoms are dropped), so every
-  basis the simplex visits, the starting one included, is nondegenerate
-  whatever order it was built in.  The final basis is re-flowed against the
-  unperturbed marginals, so reported flows and costs are exact for the
-  original data.
+- The entering cell comes from block-search pricing, the default rule of
+  LEMON (Kovács, "Minimum-cost flow algorithms: an experimental
+  evaluation", 2015).  The cost matrix is priced in blocks of whole rows,
+  ``PRICING_BLOCK_CELLS`` cells each, cyclically from the block after the
+  one that gave the last entering cell.  Within a block the reduced costs
+  ``(C - u) - v`` are computed and the block's most negative cell (first in
+  row-major order) enters if it is below the stop tolerance.  The solve is
+  optimal once a full cycle of blocks finds none, the same certificate as
+  pricing the whole matrix.  A problem of at most ``PRICING_BLOCK_CELLS``
+  cells is one block, which is Dantzig's rule.  Blocks of 1024 to 8192
+  cells solve 256 x 256 and 512 x 512 problems within about 10% of each
+  other's time; the largest keeps the most problems (every one up to
+  90 x 90) on Dantzig's rule.  Basic cells are not masked: their reduced
+  cost is round-off of the duals, about 1e-13 times the largest cost, far
+  above the stop tolerance of ``-FLOW_TOL`` times it, so they never enter.
+  Up to ``PRICING_BLOCK_CELLS`` cells the pivots, and so the flows, duals
+  and cost, are those of Dantzig's rule bit for bit.  Above it the pivots
+  differ, and where the optimum is tied the solve may return another
+  optimal coupling or potential; it is still an optimum, and the
+  certificate checks validate it as such.
+- Degeneracy is resolved by an index-scaled perturbation of the source
+  marginals: row i gets ``PERTURBATION * (i + 1)`` more, compensated on the
+  last sink.  The flow on a tree edge is the net supply of the side of the
+  tree that does not hold the last sink, and the perturbation adds
+  ``PERTURBATION`` times the sum of ``i + 1`` over that side's rows.  That
+  sum vanishes only when the side is a single leaf column, whose flow is its
+  own demand (positive in every problem the package builds, as zero-mass
+  atoms are dropped), so every basis the simplex visits, the starting one
+  included, is nondegenerate whatever order it was built in.  The final basis
+  is re-flowed against the unperturbed marginals, so reported flows and costs
+  are exact for the original data.
 """
 
 from __future__ import annotations
@@ -51,6 +69,10 @@ PERTURBATION = 1e-12
 FLOW_TOL = 1e-9
 #: Largest relative imbalance of the total masses that is accepted.
 BALANCE_TOL = 1e-9
+#: Cells priced per block of whole rows (at least one row per block).
+PRICING_BLOCK_CELLS = 8192
+#: Sorted cells filtered at a time while building the starting basis.
+START_CHUNK_CELLS = 1024
 
 
 @dataclass(frozen=True)
@@ -71,33 +93,38 @@ def _least_cost_basis(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     one, except that the last open column or row stays open until the last
     cell, which closes both (round-off could leave it short of the mass still
     owed to it).  A closed line appears in no later cell, so the r + s - 1
-    cells form a spanning tree.
+    cells form a spanning tree.  The sorted cells are taken in chunks of
+    ``START_CHUNK_CELLS``, and numpy drops those of a chunk whose line closed
+    before it, which the rule would skip anyway.
     """
     r, s = len(a), len(b)
     rem_a = a.tolist()
     rem_b = b.tolist()
-    row_open = [True] * r
-    col_open = [True] * s
+    row_open = np.ones(r, dtype=bool)
+    col_open = np.ones(s, dtype=bool)
     open_rows, open_cols = r, s
     basis = []
     flows = {}
-    for k in np.argsort(C, axis=None, kind="stable").tolist():
-        i, j = divmod(k, s)
-        if not (row_open[i] and col_open[j]):
-            continue
-        f = min(rem_a[i], rem_b[j])
-        basis.append((i, j))
-        flows[(i, j)] = f
-        rem_a[i] -= f
-        rem_b[j] -= f
-        if open_cols == 1 or (open_rows > 1 and rem_a[i] <= rem_b[j]):
-            row_open[i] = False
-            open_rows -= 1
-            if open_rows == 0:
-                break
-        else:
-            col_open[j] = False
-            open_cols -= 1
+    order = np.argsort(C, axis=None, kind="stable")
+    for lo in range(0, order.size, START_CHUNK_CELLS):
+        rows, cols = np.divmod(order[lo : lo + START_CHUNK_CELLS], s)
+        keep = row_open[rows] & col_open[cols]
+        for i, j in zip(rows[keep].tolist(), cols[keep].tolist()):
+            if not (row_open[i] and col_open[j]):
+                continue
+            f = min(rem_a[i], rem_b[j])
+            basis.append((i, j))
+            flows[(i, j)] = f
+            rem_a[i] -= f
+            rem_b[j] -= f
+            if open_cols == 1 or (open_rows > 1 and rem_a[i] <= rem_b[j]):
+                row_open[i] = False
+                open_rows -= 1
+                if open_rows == 0:
+                    return basis, flows
+            else:
+                col_open[j] = False
+                open_cols -= 1
     return basis, flows
 
 
@@ -187,21 +214,31 @@ def solve_transportation(a, b, C) -> TransportSolution:
     if len(order) != n_nodes:
         raise RuntimeError("internal error: transportation basis is not a spanning tree")
     duals = np.array(pot)
-    brow = np.empty(n_nodes - 1, dtype=np.intp)  # basic cells, by non-root node
-    bcol = np.empty(n_nodes - 1, dtype=np.intp)
-    for x in range(1, n_nodes):
-        brow[x - 1], bcol[x - 1] = _cell(x, parent[x], r)
+    u, v = duals[:r, None], duals[None, r:]
 
     stop = -FLOW_TOL * max(1.0, float(np.abs(C).max()))
-    rc = np.empty((r, s))
+    block_rows = max(1, PRICING_BLOCK_CELLS // s)
+    n_blocks = -(-r // block_rows)
+    rc_block = np.empty((min(block_rows, r), s))
+    blk = 0
     it = 0
     for it in range(1, max_iter + 1):
-        np.subtract(C, duals[:r, None], out=rc)
-        rc -= duals[None, r:]
-        rc[brow, bcol] = 0.0
-        ei, ej = divmod(int(np.argmin(rc)), s)
-        if rc[ei, ej] >= stop:
+        # block search: price blocks of rows cyclically from the one after
+        # the last hit; a full cycle with no cell below stop is optimal
+        for _ in range(n_blocks):
+            lo = blk * block_rows
+            hi = min(lo + block_rows, r)
+            blk = (blk + 1) % n_blocks
+            rc = rc_block[: hi - lo]
+            np.subtract(C[lo:hi], u[lo:hi], out=rc)
+            rc -= v
+            k = rc.argmin()
+            if rc.item(k) < stop:
+                break
+        else:
             break
+        ei, ej = divmod(int(k), s)
+        ei += lo
         # The cycle is the entering cell plus the tree path from column ej
         # up to the common ancestor and down to row ei.  Each side lists the
         # child ends of its edges from the endpoint upwards; even positions
@@ -229,11 +266,10 @@ def solve_transportation(a, b, C) -> TransportSolution:
             leave = max(t for t in range(0, len(side_p), 2) if eflow[side_p[t]] == theta)
             path, inner, outer = side_p[: leave + 1], p, q
         for side in (side_q, side_p):
-            for t, z in enumerate(side):
-                if t % 2:
-                    eflow[z] += theta
-                else:
-                    eflow[z] -= theta
+            for z in side[0::2]:
+                eflow[z] -= theta
+            for z in side[1::2]:
+                eflow[z] += theta
 
         # re-hang the subtree cut off by the leaving edge below the entering
         # one: the path from inner up to the leaving edge reverses direction
@@ -254,14 +290,12 @@ def solve_transportation(a, b, C) -> TransportSolution:
             pot[z] = (Cl[z][up - r] if z < r else Cl[up][z - r]) - pot[up]
             nodes.extend(children[z])
         duals[nodes] = [pot[z] for z in nodes]
-        for z in path:
-            brow[z - 1], bcol[z - 1] = _cell(z, parent[z], r)
     else:
         raise RuntimeError("internal error: transportation simplex iteration limit")
 
     # tree flows are linear in the marginals: re-flowing against the original
     # data gives the unit-scale flows times the scale, without rounding twice
-    basis = [(int(i), int(j)) for i, j in zip(brow, bcol)]
+    basis = [_cell(x, parent[x], r) for x in range(1, n_nodes)]
     exact = _reflow(basis, a, b)
     out = np.zeros((r, s))
     neg = 0.0

@@ -9,6 +9,7 @@ from kantorovich_lab.counterexamples import (
     L1CounterexampleInstance,
     RescalingSchedule,
     ScheduleInfeasibleError,
+    _jacobi_smallest_direction,
     family_tail_functions,
     l1_counterexample,
     rescaling_schedule,
@@ -71,6 +72,56 @@ class TestL1Counterexample:
         a = l1_counterexample(F)
         b = l1_counterexample(F.copy())
         assert np.array_equal(a.c, b.c)
+
+
+def _jacobi_two_arrays(G, sweeps=60):
+    """Reference: the one-sided Jacobi sweep with A and V as separate arrays."""
+    A = np.array(G, dtype=float)
+    m = A.shape[1]
+    V = np.eye(m)
+    scale = max(1.0, float(np.abs(A).max()))
+    tol = 1e-15 * scale * scale
+    for _ in range(sweeps):
+        rotated = False
+        for p in range(m - 1):
+            for q in range(p + 1, m):
+                app = float(A[:, p] @ A[:, p])
+                aqq = float(A[:, q] @ A[:, q])
+                apq = float(A[:, p] @ A[:, q])
+                if abs(apq) <= tol + 1e-300:
+                    continue
+                rotated = True
+                tau = (aqq - app) / (2.0 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                Ap = A[:, p].copy()
+                Aq = A[:, q].copy()
+                A[:, p] = c * Ap - s * Aq
+                A[:, q] = s * Ap + c * Aq
+                Vp = V[:, p].copy()
+                Vq = V[:, q].copy()
+                V[:, p] = c * Vp - s * Vq
+                V[:, q] = s * Vp + c * Vq
+        if not rotated:
+            break
+    norms = np.sqrt((A * A).sum(axis=0))
+    return V[:, int(np.argmin(norms))]
+
+
+class TestJacobiDirection:
+    @pytest.mark.parametrize("kind", ["full rank", "rank deficient", "integer"])
+    def test_matches_two_array_sweep_byte_for_byte(self, kind):
+        rng = np.random.default_rng(["full rank", "rank deficient", "integer"].index(kind))
+        for n in (1, 3, 40):
+            F = rng.standard_normal((n, n + 1))
+            if kind == "rank deficient" and n > 2:
+                F[-1] = F[0] - 2.0 * F[1]  # null space of dimension 2
+            elif kind == "integer":
+                F = np.round(3 * F)
+            Fs = F / max(1.0, float(np.abs(F).max()))
+            G = Fs.T @ Fs
+            assert _jacobi_smallest_direction(G).tobytes() == _jacobi_two_arrays(G).tobytes()
 
 
 class TestRescalingSchedule:

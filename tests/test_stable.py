@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from kantorovich_lab.measures import PseudometricSpace, SignedMeasure
 from kantorovich_lab.stable import (
     StableSpec,
+    _binned_gap,
     _quantile_binned,
     _quantile_bins,
     empirical_cf_gap,
@@ -17,6 +19,7 @@ from kantorovich_lab.stable import (
     tail_constants,
     validate_sampler,
 )
+from kantorovich_lab.transport import kq_norm
 
 N = 10**5
 
@@ -244,6 +247,27 @@ class TestOneSortBinning:
         assert np.array_equal(atoms, ref_atoms)
         assert np.array_equal(weights, ref_weights)
         assert err == ref_err
+
+
+class TestBinnedGap:
+    def test_equals_kq_norm_on_the_validated_space(self):
+        # the binned stable samples of the experiment, at several shifts
+        for draw in range(20):
+            q = (1.0, 1.5, 2.0, 3.0)[draw % 4]
+            x = sample_stable(StableSpec(p=1.8, a=1.0 / (draw + 1)), 2000, seed=draw)[:, 0]
+            y = sample_stable(StableSpec(p=1.8), 3000, seed=100 + draw)[:, 0]
+            limit = _quantile_binned(y, 64)
+            gap, err = _binned_gap(x, limit, q, 64)
+            ax, wx, ex = _quantile_binned(x, 64)
+            pts = np.concatenate([[0.0], ax, limit[0]])
+            space = PseudometricSpace(
+                points=tuple(f"b{i}" for i in range(len(pts))),
+                metrics={"line": np.abs(pts[:, None] - pts[None, :])},
+                anchor=0,
+            )
+            mu = SignedMeasure(space, np.concatenate([[0.0], wx, -limit[1]]))
+            assert gap == kq_norm(mu, "line", q)
+            assert err == ex + limit[2]
 
 
 class TestMeanConvergence:
