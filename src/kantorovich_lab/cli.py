@@ -179,9 +179,9 @@ def _load_json(path_or_doc, base: Path):
         raise InputDataError(f"input file is not valid JSON: {p}: {exc}") from exc
 
 
-def _load_measure(path_or_doc, base: Path, reuse=None):
+def _load_measure(doc, reuse=None, reuse_doc=None):
     try:
-        return measure_from_dict(_load_json(path_or_doc, base), reuse)
+        return measure_from_dict(doc, reuse, reuse_doc)
     except ValueError as exc:
         raise InputDataError(str(exc)) from exc
 
@@ -192,7 +192,8 @@ def _load_measure(path_or_doc, base: Path, reuse=None):
 
 
 def _run_norms(params, seed, base):
-    mu = _load_measure(params["measure"], base)
+    mu_doc = _load_json(params["measure"], base)
+    mu = _load_measure(mu_doc)
     metric = params["metric"]
     ops = params.get("ops", ["kr", "k"])
     q = float(params.get("q", 1.0))
@@ -216,8 +217,8 @@ def _run_norms(params, seed, base):
                 {"name": "oracle_bounded", "value": brute_force_dual(mu, metric, "bounded"), "verdict": "PASS"}
             )
         elif op == "wq":
-            # the other file usually carries mu's space: reuse it, validated once
-            nu = _load_measure(params["other_measure"], base, mu.space)
+            # the other file usually repeats mu's space: parse and validate it once
+            nu = _load_measure(_load_json(params["other_measure"], base), mu.space, mu_doc)
             value, coupling = wasserstein_q(mu, nu, metric, q)
             coupling.validate(mu, nu)
             records.append({"name": f"wq[q={q:g}]", "value": value, "verdict": "PASS"})

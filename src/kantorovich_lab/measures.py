@@ -18,7 +18,8 @@ import numpy as np
 
 from .reports import dump_json
 
-#: Validation tolerance for the pseudometric axioms (user-supplied matrices).
+#: Validation tolerance for the pseudometric axioms (user-supplied matrices),
+#: relative to the matrix's scale ``max(1, max |p|)``.
 TRIANGLE_TOL = 1e-12
 #: Rows per block of the triangle-inequality check (a block holds rows * n^2
 #: temporaries).
@@ -36,18 +37,20 @@ def _validate_pseudometric(name: str, p: np.ndarray, n: int) -> None:
         raise ValueError(f"metric {name!r}: expected shape {(n, n)}, got {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError(f"metric {name!r}: non-finite entries")
-    if np.any(np.abs(np.diagonal(p)) > TRIANGLE_TOL):
+    # a distance of size s carries round-off of size s * eps
+    tol = TRIANGLE_TOL * max(1.0, float(np.abs(p).max(initial=0.0)))
+    if np.any(np.abs(np.diagonal(p)) > tol):
         raise ValueError(f"metric {name!r}: nonzero diagonal")
-    if np.any(np.abs(p - p.T) > TRIANGLE_TOL):
+    if np.any(np.abs(p - p.T) > tol):
         raise ValueError(f"metric {name!r}: not symmetric")
-    if np.any(p < -TRIANGLE_TOL):
+    if np.any(p < -tol):
         raise ValueError(f"metric {name!r}: negative entries")
     # p(i,k) <= min_j p(i,j) + p(j,k); rows i in blocks keep memory O(n^2)
     relay = np.empty_like(p)
     for lo in range(0, n, TRIANGLE_BLOCK_ROWS):
         rows = p[lo : lo + TRIANGLE_BLOCK_ROWS]
         relay[lo : lo + TRIANGLE_BLOCK_ROWS] = (rows[:, :, None] + p[None, :, :]).min(axis=1)
-    if np.any(p > relay + TRIANGLE_TOL):
+    if np.any(p > relay + tol):
         i, k = np.unravel_index(int(np.argmax(p - relay)), p.shape)
         raise ValueError(f"metric {name!r}: triangle inequality fails at pair ({i}, {k})")
 
@@ -295,12 +298,33 @@ def _bitwise_equal(a: np.ndarray | None, b: np.ndarray | None) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def space_from_dict(doc: Mapping, reuse: PseudometricSpace | None = None) -> PseudometricSpace:
+_MISSING = object()
+
+
+def space_from_dict(
+    doc: Mapping, reuse: PseudometricSpace | None = None, reuse_doc: Mapping | None = None
+) -> PseudometricSpace:
     """Space of a measure file.  ``reuse`` is returned in place of a new space
     when the file holds exactly its points, anchor, metrics and coords, which
-    skips validating them again."""
+    skips validating them again.
+
+    ``reuse_doc``, the file ``reuse`` was parsed from, lets a file that
+    repeats its metrics, anchor and coords (plain equality of the parsed
+    JSON, a key left out differing from a null one) and its point names skip
+    parsing them too.  A number equal to one of another type parses to the
+    same double, or to a zero of the other sign, which the space's checks and
+    solvers treat alike.  Any other file is parsed in full, so its errors are
+    those of a file read alone.
+    """
     try:
         points = tuple(str(p) for p in doc["points"])
+        if (
+            reuse_doc is not None
+            and points == reuse.points
+            and all(doc.get(k, _MISSING) == reuse_doc.get(k, _MISSING) for k in ("metrics", "anchor", "coords"))
+            and list(doc["metrics"]) == list(reuse.metrics)
+        ):
+            return reuse
         metrics = {str(name): _matrix(matrix) for name, matrix in doc["metrics"].items()}
         anchor = int(doc.get("anchor", 0))
         coords = None if doc.get("coords") is None else _matrix(doc["coords"])
@@ -318,9 +342,15 @@ def space_from_dict(doc: Mapping, reuse: PseudometricSpace | None = None) -> Pse
     return PseudometricSpace(points=points, metrics=metrics, anchor=anchor, coords=coords)
 
 
-def measure_from_dict(doc: Mapping, reuse: PseudometricSpace | None = None) -> SignedMeasure:
-    """Measure of a measure file; ``reuse`` as in ``space_from_dict``."""
-    space = space_from_dict(doc, reuse)
+def measure_from_dict(
+    doc: Mapping, reuse: PseudometricSpace | None = None, reuse_doc: Mapping | None = None
+) -> SignedMeasure:
+    """Measure of a measure file; ``reuse`` and ``reuse_doc`` as in
+    ``space_from_dict``."""
+    return _weights_on(space_from_dict(doc, reuse, reuse_doc), doc)
+
+
+def _weights_on(space: PseudometricSpace, doc: Mapping) -> SignedMeasure:
     try:
         weights = _matrix([doc["weights"]])[0]
     except (KeyError, TypeError) as exc:

@@ -65,7 +65,17 @@ def stable_cf(t, spec: StableSpec):
 
 
 def sample_stable(spec: StableSpec, n: int, seed) -> np.ndarray:
-    """n i.i.d. draws, shape (n, dim), via the trigonometric transform."""
+    """n i.i.d. draws, shape (n, dim), via the trigonometric transform.
+
+    The transform is
+
+        a + c^(1/p) S sin(p (U + B)) / cos(U)^(1/p)
+            * (cos(U - p (U + B)) / W)^((1 - p) / p),
+
+    evaluated in place on two work arrays, in the order of the operations
+    of that expression, so every draw has the bits of the expression
+    evaluated with a fresh array per step.
+    """
     if n < 1:
         raise ValueError("sample count must be positive")
     rng = np.random.default_rng(seed)
@@ -74,11 +84,23 @@ def sample_stable(spec: StableSpec, n: int, seed) -> np.ndarray:
     B = math.atan(zeta) / p
     S = (1.0 + zeta * zeta) ** (1.0 / (2.0 * p))
     U = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=(n, spec.dim))
-    W = np.maximum(rng.standard_exponential((n, spec.dim)), 1e-300)
-    core = np.sin(p * (U + B)) / np.cos(U) ** (1.0 / p)
-    tail = (np.cos(U - p * (U + B)) / W) ** ((1.0 - p) / p)
-    x = S * core * tail
-    return spec.a + spec.c ** (1.0 / p) * x
+    W = rng.standard_exponential((n, spec.dim))
+    np.maximum(W, 1e-300, out=W)
+    V = U + B
+    V *= p
+    x = np.sin(V)
+    t = np.cos(U)
+    t **= 1.0 / p
+    x /= t
+    np.subtract(U, V, out=t)
+    np.cos(t, out=t)
+    t /= W
+    t **= (1.0 - p) / p
+    x *= S
+    x *= t
+    x *= spec.c ** (1.0 / p)
+    x += spec.a
+    return x
 
 
 def empirical_cf_gap(samples: np.ndarray, spec: StableSpec, ts: Sequence[float] = CF_GRID):
@@ -393,12 +415,12 @@ def _quantile_binned(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndar
 
 
 def _binned_gap(
-    x: np.ndarray, limit: tuple[np.ndarray, np.ndarray, float], q: float, bins: int
+    x: tuple[np.ndarray, np.ndarray, float], y: tuple[np.ndarray, np.ndarray, float], q: float
 ) -> tuple[float, float]:
-    """Moment-weighted seminorm gap between a 1-D sample, quantile-binned
-    here, and a limit sample binned once by ``_quantile_binned``."""
-    ax, wx, ex = _quantile_binned(x, bins)
-    ay, wy, ey = limit
+    """Moment-weighted seminorm gap between two 1-D samples, each binned by
+    ``_quantile_binned``, and the sum of their binning errors."""
+    ax, wx, ex = x
+    ay, wy, ey = y
     pts = np.concatenate([[0.0], ax, ay])
     # |x_i - x_j| is a metric by construction, so the space is not validated;
     # this is the arithmetic of kq_norm with the anchor at the origin
@@ -425,6 +447,10 @@ def stable_mean_convergence_experiment(
     noise scales are estimated from block means because the variance is
     infinite below order 2.  Moment-weighted gaps with exponent q < p1 are
     reported on 64-atom quantile discretizations for dim-1 specs.
+
+    Each distinct law is drawn and reduced once per call, the limit first:
+    a spec equal to the limit, or to an earlier spec, has the same seed and
+    so the same draws, and reuses their moment, barycenter and binning.
     """
     orders = [s.p for s in specs] + [limit.p]
     if p1 is None:
@@ -439,19 +465,31 @@ def stable_mean_convergence_experiment(
     if not 1.0 <= q < p1:
         raise ValueError("q must satisfy 1 <= q < p1")
 
-    def spec_seed(s: StableSpec) -> np.random.SeedSequence:
-        return content_seed(seed, s.p, s.b, s.c, s.a, s.dim)
-
-    limit_samples = sample_stable(limit, n, spec_seed(limit))
-    limit_bary = limit_samples.mean(axis=0)
-
     def block_hw(xs: np.ndarray) -> float:
         k = blocks
         means = xs[: (len(xs) // k) * k].reshape(k, -1, xs.shape[1]).mean(axis=1)
         return 3.0 * float(means.std(axis=0).max()) / math.sqrt(k)
 
-    limit_hw = block_hw(limit_samples)
-    limit_binned = _quantile_binned(limit_samples[:, 0], bins) if limit.dim == 1 else None
+    def fields(s: StableSpec) -> tuple:
+        return (s.p, s.b, s.c, s.a, s.dim)
+
+    def reduce(s: StableSpec):
+        """Moment, barycenter, its half-width and the binning of one law."""
+        xs = sample_stable(s, n, content_seed(seed, *fields(s)))
+        ax = np.abs(xs[:, 0]) if s.dim == 1 else np.sqrt((xs * xs).sum(axis=1))
+        m_r = float((ax**r).mean())
+        bary = xs.mean(axis=0)
+        binned = _quantile_binned(xs[:, 0], bins) if s.dim == 1 and limit.dim == 1 else None
+        bary.setflags(write=False)
+        if binned is not None:
+            binned[0].setflags(write=False)
+            binned[1].setflags(write=False)
+        return m_r, bary, block_hw(xs), binned
+
+    # one draw per distinct law, the limit first; laws are keyed by the repr
+    # of their seed fields, since 0.0 == -0.0 would merge two seeds
+    laws = {repr(fields(limit)): reduce(limit)}
+    _, limit_bary, limit_hw, limit_binned = laws[repr(fields(limit))]
 
     per_index = []
     moment_sup = 0.0
@@ -459,20 +497,19 @@ def stable_mean_convergence_experiment(
     final_hw = 0.0
     kgaps = []
     for i, spec in enumerate(specs):
-        xs = sample_stable(spec, n, spec_seed(spec))
-        ax = np.abs(xs[:, 0]) if spec.dim == 1 else np.sqrt((xs * xs).sum(axis=1))
-        m_r = float((ax**r).mean())
+        key = repr(fields(spec))
+        if key not in laws:
+            laws[key] = reduce(spec)
+        m_r, bary, hw, binned = laws[key]
         moment_sup = max(moment_sup, m_r)
-        bary = xs.mean(axis=0)
-        hw = block_hw(xs)
         row = {
             "index": i,
             "barycenter": bary.tolist(),
             "barycenter_half_width": hw,
             f"moment[r={r:g}]": m_r,
         }
-        if spec.dim == 1 and limit.dim == 1:
-            gap, bin_err = _binned_gap(xs[:, 0], limit_binned, q, bins)
+        if binned is not None:
+            gap, bin_err = _binned_gap(binned, limit_binned, q)
             row[f"k_gap[q={q:g}]"] = gap
             row["binning_error"] = bin_err
             kgaps.append(gap)

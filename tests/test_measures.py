@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from kantorovich_lab import measures
 from kantorovich_lab.measures import (
     PseudometricSpace,
+    _matrix,
     barycenter,
     jordan_decompose,
     load_measure,
@@ -39,6 +41,20 @@ class TestValidation:
             points = tuple(f"p{j}" for j in range(n))
             with pytest.raises(ValueError, match=rf"fails at pair \({pair[0]}, {pair[1]}\)"):
                 PseudometricSpace(points=points, metrics={"d": bad})
+
+    def test_line_metrics_at_large_scale_accepted(self, rng):
+        # |x_i - x_j| is a metric; its relays round at the scale of the points
+        for _ in range(20):
+            x = rng.uniform(-1e4, 1e4, size=60)
+            line = np.abs(x[:, None] - x[None, :])
+            PseudometricSpace(points=tuple(f"p{j}" for j in range(60)), metrics={"d": line})
+
+    def test_triangle_violation_relative_to_scale_rejected(self):
+        for scale in (1.0, 1e4, 1e8):
+            bad = scale * np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+            bad[0, 2] = bad[2, 0] = 2.0 * scale + 1e-9 * scale
+            with pytest.raises(ValueError, match="triangle"):
+                PseudometricSpace(points=("a", "b", "c"), metrics={"d": bad})
 
     def test_asymmetry_rejected(self):
         bad = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -398,6 +414,86 @@ class TestSpaceReuse:
         assert nu.space is not mu.space
         assert nu.space.same_as(fresh.space) and nu.space.points == fresh.space.points
         assert np.array_equal(nu.space.coords, fresh.space.coords)
+
+
+class TestSharedSpace:
+    """``measure_from_dict(doc, space, space_doc)``: a file repeating the raw
+    space of ``space_doc`` parses only its weights; any other file is read as
+    with ``reuse`` alone."""
+
+    def test_same_raw_space_parses_only_weights(self, monkeypatch):
+        mu_doc = _file_doc()
+        mu = measure_from_dict(mu_doc)
+        doc = _file_doc()
+        doc["weights"] = ["1", "2", "3"]
+        parsed = []
+        monkeypatch.setattr(measures, "_matrix", lambda rows: parsed.append(rows) or _matrix(rows))
+        nu = measure_from_dict(doc, mu.space, mu_doc)
+        assert nu.space is mu.space
+        assert parsed == [[doc["weights"]]]
+        assert nu.weights.tobytes() == measure_from_dict(doc, mu.space).weights.tobytes()
+
+    @pytest.mark.parametrize(
+        "change", ["ulp", "anchor", "missing anchor", "null coords", "points", "numeric points", "metric order"]
+    )
+    def test_other_space_takes_the_full_path(self, change):
+        mu_doc = _file_doc()
+        if change == "numeric points":
+            mu_doc["points"] = [1, 2, 3]
+        elif change == "metric order":
+            mu_doc["metrics"]["e"] = mu_doc["metrics"]["d"]
+        elif change == "null coords":
+            del mu_doc["coords"]
+        mu = measure_from_dict(mu_doc)
+        doc = json.loads(json.dumps(mu_doc))
+        if change == "ulp":
+            doc["metrics"]["d"][0][1] = doc["metrics"]["d"][1][0] = repr(math.nextafter(1.5, 2.0))
+        elif change == "anchor":
+            doc["anchor"] = 0
+        elif change == "missing anchor":
+            mu_doc["anchor"] = doc["anchor"] = 0
+            mu = measure_from_dict(mu_doc)
+            del doc["anchor"]
+        elif change == "null coords":
+            doc["coords"] = None
+        elif change == "points":
+            doc["points"][2] = "z"
+        elif change == "metric order":
+            doc["metrics"] = {"e": doc["metrics"]["e"], "d": doc["metrics"]["d"]}
+        else:  # equal under ==, but the point names differ
+            doc["points"] = [1.0, 2.0, 3.0]
+        nu = measure_from_dict(doc, mu.space, mu_doc)
+        ref = measure_from_dict(doc, mu.space)
+        assert (nu.space is mu.space) == (ref.space is mu.space)
+        assert nu.space.points == ref.space.points and nu.space.anchor == ref.space.anchor
+        assert nu.space.same_as(ref.space) and list(nu.space.metrics) == list(ref.space.metrics)
+
+    @pytest.mark.parametrize("weights", [None, 5, ["1", "x", "2"], ["1", "inf", "2"], ["1", "2"]])
+    def test_errors_as_in_full_parse(self, weights):
+        mu_doc = _file_doc()
+        mu = measure_from_dict(mu_doc)
+        for doc in (_file_doc(), {**_file_doc(), "anchor": 0}):
+            if weights is None:
+                del doc["weights"]
+            else:
+                doc["weights"] = weights
+            assert _message(lambda: measure_from_dict(doc, mu.space, mu_doc)) == _message(
+                lambda: measure_from_dict(doc, mu.space)
+            )
+        assert _message(lambda: measure_from_dict([1], mu.space, mu_doc)) == _message(
+            lambda: measure_from_dict([1], mu.space)
+        )
+
+    def test_null_anchor_is_not_a_missing_one(self):
+        # the space's file leaves the anchor out (anchor 0) and the other file
+        # sets it to null, which the full parse refuses
+        mu_doc = _file_doc()
+        del mu_doc["anchor"]
+        mu = measure_from_dict(mu_doc)
+        doc = {**mu_doc, "anchor": None}
+        expected = _message(lambda: measure_from_dict(doc, mu.space))
+        assert expected[1].startswith("malformed measure file")
+        assert _message(lambda: measure_from_dict(doc, mu.space, mu_doc)) == expected
 
 
 class TestArithmetic:

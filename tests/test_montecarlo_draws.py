@@ -1,0 +1,321 @@
+"""The Monte-Carlo draws: in-place samplers and one draw per distinct law in
+the mean-convergence experiments, each checked bit for bit against the plain
+expressions."""
+
+import math
+
+import numpy as np
+import pytest
+
+from kantorovich_lab import logconcave, stable
+from kantorovich_lab.logconcave import (
+    KappaPolicy,
+    LogConcaveSpec,
+    _column_mean_std,
+    _exp_moment,
+    _power_moment,
+    mean_convergence_experiment,
+    seminorm,
+)
+from kantorovich_lab.reports import (
+    CheckRecord,
+    ConcentrationReport,
+    content_seed,
+    half_width,
+    one_sided,
+    two_sided,
+)
+from kantorovich_lab.stable import (
+    StableSpec,
+    _binned_gap,
+    _quantile_binned,
+    sample_stable,
+    stable_mean_convergence_experiment,
+)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Samplers: reference copies of the out-of-place expressions
+# ---------------------------------------------------------------------------
+
+
+def _stable_reference(spec, n, seed):
+    rng = np.random.default_rng(seed)
+    p = spec.p
+    zeta = spec.b * math.tan(math.pi * p / 2.0)
+    B = math.atan(zeta) / p
+    S = (1.0 + zeta * zeta) ** (1.0 / (2.0 * p))
+    U = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=(n, spec.dim))
+    W = np.maximum(rng.standard_exponential((n, spec.dim)), 1e-300)
+    core = np.sin(p * (U + B)) / np.cos(U) ** (1.0 / p)
+    tail = (np.cos(U - p * (U + B)) / W) ** ((1.0 - p) / p)
+    x = S * core * tail
+    return spec.a + spec.c ** (1.0 / p) * x
+
+
+def _logconcave_reference(spec, n, seed):
+    rng = np.random.default_rng(seed)
+    if spec.family == "gaussian":
+        mean = np.asarray(spec.mean)
+        vals, vecs = np.linalg.eigh(np.asarray(spec.cov))
+        root = vecs * np.sqrt(np.maximum(vals, 0.0))[None, :]
+        z = rng.standard_normal((n, spec.dim))
+        return mean[None, :] + z @ root.T
+    if spec.family == "uniform_simplex":
+        g = rng.standard_exponential((n, spec.dim + 1))
+        return g[:, : spec.dim] / g.sum(axis=1, keepdims=True)
+    if spec.family == "product_exponential":
+        return rng.standard_exponential((n, spec.dim)) / np.asarray(spec.rates)[None, :]
+    raise AssertionError(spec.family)
+
+
+class TestSamplers:
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0])
+    @pytest.mark.parametrize("b", [0.0, -0.4, 1.0])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_stable_matches_expression(self, p, b, dim):
+        spec = StableSpec(p=p, b=b, c=1.7, a=-0.3, dim=dim)
+        for seed in (0, 11):
+            assert _same_bits(sample_stable(spec, 5000, seed), _stable_reference(spec, 5000, seed))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            LogConcaveSpec.gaussian([0.5], [[2.0]]),
+            LogConcaveSpec.gaussian([1.0, -2.0], [[2.0, 0.3], [0.3, 1.0]]),
+            LogConcaveSpec.gaussian([1.0, -2.0, 0.25], [[1.0, 0.2, 0.0], [0.2, 0.7, 0.1], [0.0, 0.1, 0.4]]),
+            LogConcaveSpec.product_exponential([2.0, 0.5, 3.0]),
+            LogConcaveSpec.uniform_simplex(3),
+        ],
+        ids=lambda s: f"{s.family}-{s.dim}",
+    )
+    def test_logconcave_matches_expression(self, spec):
+        for seed in (0, 11):
+            out = logconcave.sample(spec, 5000, seed)
+            ref = _logconcave_reference(spec, 5000, seed)
+            assert _same_bits(out, ref)
+            assert out.flags.c_contiguous == ref.flags.c_contiguous
+
+
+# ---------------------------------------------------------------------------
+# One draw per distinct law: reference copies of the experiments without memo
+# ---------------------------------------------------------------------------
+
+
+def _stable_experiment_reference(specs, limit, n, seed, bins=64, blocks=16):
+    p1 = min([s.p for s in specs] + [limit.p])
+    r = q = (1.0 + p1) / 2.0
+
+    def spec_seed(s):
+        return content_seed(seed, s.p, s.b, s.c, s.a, s.dim)
+
+    def block_hw(xs):
+        k = blocks
+        means = xs[: (len(xs) // k) * k].reshape(k, -1, xs.shape[1]).mean(axis=1)
+        return 3.0 * float(means.std(axis=0).max()) / math.sqrt(k)
+
+    limit_samples = sample_stable(limit, n, spec_seed(limit))
+    limit_bary = limit_samples.mean(axis=0)
+    limit_hw = block_hw(limit_samples)
+    limit_binned = _quantile_binned(limit_samples[:, 0], bins) if limit.dim == 1 else None
+    per_index, kgaps = [], []
+    moment_sup, final_gap, final_hw = 0.0, math.inf, 0.0
+    for i, spec in enumerate(specs):
+        xs = sample_stable(spec, n, spec_seed(spec))
+        ax = np.abs(xs[:, 0]) if spec.dim == 1 else np.sqrt((xs * xs).sum(axis=1))
+        m_r = float((ax**r).mean())
+        moment_sup = max(moment_sup, m_r)
+        bary = xs.mean(axis=0)
+        hw = block_hw(xs)
+        row = {
+            "index": i,
+            "barycenter": bary.tolist(),
+            "barycenter_half_width": hw,
+            f"moment[r={r:g}]": m_r,
+        }
+        if spec.dim == 1 and limit.dim == 1:
+            gap, bin_err = _binned_gap(_quantile_binned(xs[:, 0], bins), limit_binned, q)
+            row[f"k_gap[q={q:g}]"] = gap
+            row["binning_error"] = bin_err
+            kgaps.append(gap)
+        per_index.append(row)
+        final_gap = float(np.abs(bary - limit_bary).max())
+        final_hw = hw
+    checks = [
+        CheckRecord(
+            name=f"moments r={r:g} uniformly bounded",
+            estimate=moment_sup,
+            half_width=0.0,
+            bound=moment_sup,
+            passed=math.isfinite(moment_sup),
+        ),
+        one_sided("final barycenter gap vs limit", final_gap, 0.0, final_hw + limit_hw),
+    ]
+    extras = {
+        "p1": p1,
+        "q": q,
+        "r": r,
+        "limit_barycenter": limit_bary.tolist(),
+        "per_index": per_index,
+        "moment_sup": moment_sup,
+    }
+    if kgaps:
+        extras["k_gaps"] = kgaps
+    return ConcentrationReport(
+        name="stable_mean_convergence", sample_count=n, seed=seed, checks=tuple(checks), extras=extras
+    )
+
+
+def _logconcave_experiment_reference(specs, limit, qs, n, seed, rs=(1.0, 2.0)):
+    def spec_seed(s):
+        return content_seed(seed, s.family, s.dim, s.mean, s.cov, s.lo, s.hi, s.rates)
+
+    limit_samples = logconcave.sample(limit, n, spec_seed(limit))
+    q_fns = [(str(name), seminorm(name)) for name in qs]
+    kappas, limit_stats = {}, {}
+    for name, fn in q_fns:
+        values = fn(limit_samples)
+        kappa, c, theta = KappaPolicy().choose(values)
+        kappas[name] = {"kappa": kappa, "c": c, "theta": theta}
+        limit_stats[f"exp[{name}]"] = _exp_moment(values, kappa)
+        for r in rs:
+            limit_stats[f"moment[{name},r={r:g}]"] = _power_moment(values, r)
+    limit_bary, limit_std = _column_mean_std(limit_samples)
+    limit_bary_hw = half_width(float(limit_std.max()), n)
+    per_index, final = [], {}
+    bary_gap_final = bary_hw_final = 0.0
+    for i, spec in enumerate(specs):
+        xs = logconcave.sample(spec, n, spec_seed(spec))
+        row = {"index": i}
+        for name, fn in q_fns:
+            values = fn(xs)
+            row[f"exp[{name}]"] = final[f"exp[{name}]"] = _exp_moment(values, kappas[name]["kappa"])
+            for r in rs:
+                key = f"moment[{name},r={r:g}]"
+                row[key] = final[key] = _power_moment(values, r)
+        bary, std = _column_mean_std(xs)
+        bary_hw = half_width(float(std.max()), n)
+        row["barycenter"] = bary.tolist()
+        row["barycenter_half_width"] = bary_hw
+        per_index.append(row)
+        bary_gap_final = float(np.abs(bary - limit_bary).max())
+        bary_hw_final = bary_hw
+    checks = [
+        two_sided(f"final {key} vs limit", est, hw + limit_stats[key][1], limit_stats[key][0])
+        for key, (est, hw) in sorted(final.items())
+    ]
+    checks.append(
+        one_sided("final barycenter gap", bary_gap_final, 0.0, bary_hw_final + limit_bary_hw)
+    )
+    return ConcentrationReport(
+        name="mean_convergence",
+        sample_count=n,
+        seed=seed,
+        checks=tuple(checks),
+        extras={
+            "kappas": kappas,
+            "limit": dict(limit_stats),
+            "limit_barycenter": limit_bary.tolist(),
+            "per_index": per_index,
+        },
+    )
+
+
+def _stable_sequence(limit, steps=4):
+    """Laws moving to ``limit``, one repeated, one with b = -0.0, ending at it."""
+    specs = [
+        StableSpec(p=limit.p - 0.3 + 0.3 * k / steps, b=-0.0 if k == 0 else limit.b * k / steps,
+                   c=limit.c + 0.5 * (1 - k / steps), a=limit.a + 0.5 * (1 - k / steps), dim=limit.dim)
+        for k in range(steps + 1)
+    ]
+    return specs[:2] + [specs[1]] + specs[2:]
+
+
+def _gaussian(shift, dim=2):
+    return LogConcaveSpec.gaussian([shift] * dim, np.eye(dim) * (1.0 + shift))
+
+
+def _counting(monkeypatch, module, name):
+    """Replace the sampler ``module.name`` by one that records each law drawn."""
+    drawn = []
+    draw = getattr(module, name)
+
+    def counted(spec, n, seed):
+        drawn.append(spec)
+        return draw(spec, n, seed)
+
+    monkeypatch.setattr(module, name, counted)
+    return drawn
+
+
+class TestOneDrawPerLaw:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stable_report_matches_memo_free_loop(self, dim):
+        limit = StableSpec(p=1.7, b=-0.2, c=1.0, a=0.0, dim=dim)
+        for specs in (_stable_sequence(limit), [limit] * 3, [StableSpec(p=1.6, dim=dim)]):
+            report = stable_mean_convergence_experiment(specs, limit, n=4000, seed=5)
+            ref = _stable_experiment_reference(specs, limit, 4000, 5)
+            assert repr(report) == repr(ref)
+
+    def test_logconcave_report_matches_memo_free_loop(self):
+        limit = _gaussian(0.0)
+        seq = [_gaussian(0.5), _gaussian(0.25), _gaussian(0.25), _gaussian(0.0)]
+        for specs in (seq, [limit] * 3, [LogConcaveSpec.product_exponential([1.0, 2.0])]):
+            report = mean_convergence_experiment(specs, limit, qs=("l2", "abs"), n=4000, seed=5)
+            ref = _logconcave_experiment_reference(specs, limit, ("l2", "abs"), 4000, 5)
+            assert repr(report) == repr(ref)
+
+    def test_stable_draw_counts(self, monkeypatch):
+        drawn = _counting(monkeypatch, stable, "sample_stable")
+        limit = StableSpec(p=1.7, b=-0.2)
+        specs = [StableSpec(p=1.5), StableSpec(p=1.6), limit]
+        stable_mean_convergence_experiment(specs, limit, n=2000, seed=1)
+        assert len(drawn) == len(specs)
+        drawn.clear()
+        stable_mean_convergence_experiment([limit] * 5, limit, n=2000, seed=1)
+        assert drawn == [limit]
+        drawn.clear()
+        # 0.0 == -0.0, but the two laws have different seeds
+        stable_mean_convergence_experiment(
+            [StableSpec(p=1.7, b=-0.0)], StableSpec(p=1.7, b=0.0), n=2000, seed=1
+        )
+        assert len(drawn) == 2
+
+    def test_logconcave_draw_counts(self, monkeypatch):
+        drawn = _counting(monkeypatch, logconcave, "sample")
+        limit = _gaussian(0.0)
+        specs = [_gaussian(0.5), _gaussian(0.25), limit]
+        mean_convergence_experiment(specs, limit, n=2000, seed=1)
+        assert len(drawn) == len(specs)
+        drawn.clear()
+        mean_convergence_experiment([limit] * 5, limit, n=2000, seed=1)
+        assert drawn == [limit]
+        drawn.clear()
+        minus = LogConcaveSpec.gaussian([-0.0], [[1.0]])
+        plus = LogConcaveSpec.gaussian([0.0], [[1.0]])
+        assert minus == plus
+        report = mean_convergence_experiment([minus], plus, qs=("abs",), n=2000, seed=1)
+        assert len(drawn) == 2
+        # distinct seeds give distinct draws, so the moments differ
+        assert report.extras["per_index"][0]["exp[abs]"] != report.extras["limit"]["exp[abs]"]
+
+    def test_reused_limit_arrays_are_read_only(self, monkeypatch):
+        seen = []
+        gap = stable._binned_gap
+
+        def checked(x, y, q):
+            seen.append((x, y))
+            return gap(x, y, q)
+
+        monkeypatch.setattr(stable, "_binned_gap", checked)
+        limit = StableSpec(p=1.7)
+        stable_mean_convergence_experiment([StableSpec(p=1.5), limit], limit, n=2000, seed=1)
+        assert len(seen) == 2 and seen[1][0] is seen[1][1]
+        for x, y in seen:
+            for arr in (*x[:2], *y[:2]):
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0

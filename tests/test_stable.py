@@ -257,7 +257,7 @@ class TestBinnedGap:
             x = sample_stable(StableSpec(p=1.8, a=1.0 / (draw + 1)), 2000, seed=draw)[:, 0]
             y = sample_stable(StableSpec(p=1.8), 3000, seed=100 + draw)[:, 0]
             limit = _quantile_binned(y, 64)
-            gap, err = _binned_gap(x, limit, q, 64)
+            gap, err = _binned_gap(_quantile_binned(x, 64), limit, q)
             ax, wx, ex = _quantile_binned(x, 64)
             pts = np.concatenate([[0.0], ax, limit[0]])
             space = PseudometricSpace(
