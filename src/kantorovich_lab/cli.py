@@ -254,13 +254,11 @@ def _run_convergence(params, seed, base):
         per_index.append(row)
     witnesses = []
     for rec in report.per_metric:
-        delta = seq.measures[-1] - seq.require_limit()
+        witness = rec.last_k_witness  # None unless q = 1
+        if witness is None:
+            witness = k_norm(seq.measures[-1] - seq.require_limit(), rec.metric_name)[1]
         witnesses.append(
-            {
-                "metric": rec.metric_name,
-                "index": len(seq) - 1,
-                "potential": k_norm(delta, rec.metric_name)[1].values.tolist(),
-            }
+            {"metric": rec.metric_name, "index": len(seq) - 1, "potential": witness.values.tolist()}
         )
     out = {
         "verdict": report.verdict,

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .measures import PseudometricSpace, SignedMeasure, total_variation
-from .transport import k_norm, kq_norm, kr_norm
+from .transport import LipschitzWitness, k_norm, kq_norm, kr_norm
 
 #: Convergence tolerance for verdicts on finite prefixes.
 GAP_TOL = 1e-7
@@ -162,6 +162,8 @@ class MetricConvergenceRecord:
     gaps_converged: bool
     settled_from: int | None
     verdict: str  # PASS | UI_FAIL | VIOLATION
+    #: witness of the last anchored gap; None when q > 1 (the k gaps are kq)
+    last_k_witness: LipschitzWitness | None = None
 
 
 @dataclass(frozen=True)
@@ -217,11 +219,13 @@ def check_tau_k_convergence(
         ui = r_full <= r_half
         kr_gaps = []
         k_gaps = []
+        witness = None
         for m in seq.measures:
             delta = m - limit
             kr_gaps.append(kr_norm(delta, name)[0])
             if q == 1:
-                k_gaps.append(k_norm(delta, name)[0])
+                gap, witness = k_norm(delta, name)
+                k_gaps.append(gap)
             else:
                 k_gaps.append(kq_norm(delta, name, q))
         settled = _settled_index(k_gaps, tol)
@@ -245,6 +249,7 @@ def check_tau_k_convergence(
                 gaps_converged=converged,
                 settled_from=settled,
                 verdict=verdict,
+                last_k_witness=witness,
             )
         )
     overall = "PASS"
@@ -379,11 +384,9 @@ class BarycenterReport:
     bound_holds: bool
 
 
-def coordinate_seminorm_space(space: PseudometricSpace) -> PseudometricSpace:
-    """Same points with one pseudometric per coordinate, |x_c - y_c|."""
-    if space.coords is None:
-        raise ValueError("points carry no coordinates")
-    coords = space.coords
+def coordinate_seminorm_space(space: PseudometricSpace, coords: np.ndarray) -> PseudometricSpace:
+    """``space``'s points and anchor with one pseudometric per coordinate of
+    ``coords``, |x_c - y_c|; only the new metrics are validated."""
     metrics = {}
     for c in range(coords.shape[1]):
         col = coords[:, c]
@@ -404,14 +407,7 @@ def barycenter_convergence(seq: MeasureSequence) -> BarycenterReport:
     if seq.space.coords is None:
         raise ValueError("points carry no coordinates")
     centered = seq.space.coords - seq.space.coords[seq.space.anchor]
-    aux = coordinate_seminorm_space(
-        PseudometricSpace(
-            points=seq.space.points,
-            metrics=seq.space.metrics,
-            anchor=seq.space.anchor,
-            coords=centered,
-        )
-    )
+    aux = coordinate_seminorm_space(seq.space, centered)
     rows = []
     for idx, m in enumerate(seq.measures):
         delta_w = m.weights - limit.weights

@@ -47,29 +47,38 @@ def _jacobi_smallest_direction(G: np.ndarray, sweeps: int = 60) -> np.ndarray:
     W[n:] = np.eye(m)
     A = W[:n]
     scale = max(1.0, float(np.abs(A).max()))
-    tol = 1e-15 * scale * scale
+    skip = 1e-15 * scale * scale + 1e-300
+    # column views bound once; a column's squared norm is kept until a
+    # rotation changes the column, which gives the same bits as recomputing it
+    a_cols = [A[:, j] for j in range(m)]
+    w_cols = [W[:, j] for j in range(m)]
+    dot = np.dot  # the BLAS dot of ``@`` on two vectors, called directly
+    sq = [float(dot(x, x)) for x in a_cols]
+    CP, SQ, SP = np.empty(n + m), np.empty(n + m), np.empty(n + m)
     for _ in range(sweeps):
         rotated = False
         for p in range(m - 1):
+            Ap, Wp = a_cols[p], w_cols[p]
             for q in range(p + 1, m):
-                app = float(A[:, p] @ A[:, p])
-                aqq = float(A[:, q] @ A[:, q])
-                apq = float(A[:, p] @ A[:, q])
-                if abs(apq) <= tol + 1e-300:
+                Aq = a_cols[q]
+                apq = float(dot(Ap, Aq))
+                if abs(apq) <= skip:
                     continue
                 rotated = True
-                tau = (aqq - app) / (2.0 * apq)
+                tau = (sq[q] - sq[p]) / (2.0 * apq)
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.hypot(1.0, t)
                 s = t * c
-                Wp = W[:, p]
-                Wq = W[:, q]
-                P = Wp.copy()
-                Q = Wq.copy()
-                Wp *= c
-                Wp -= s * Q
+                # Wp, Wq = c Wp - s Wq, s Wp + c Wq
+                Wq = w_cols[q]
+                np.multiply(Wp, c, out=CP)
+                np.multiply(Wq, s, out=SQ)
+                np.multiply(Wp, s, out=SP)
+                np.subtract(CP, SQ, out=Wp)
                 Wq *= c
-                Wq += s * P
+                Wq += SP
+                sq[p] = float(dot(Ap, Ap))
+                sq[q] = float(dot(Aq, Aq))
         if not rotated:
             break
     norms = np.sqrt((A * A).sum(axis=0))

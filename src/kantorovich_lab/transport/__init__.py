@@ -102,6 +102,9 @@ class Coupling:
             raise ValueError("column marginals do not match")
         d = mu.space.metric(self.metric_name)
         cost = float((sig * d**self.q).sum()) if self.q != 1 else float((sig * d).sum())
+        # comparisons with NaN are false, so a non-finite cost would pass below
+        if not (math.isfinite(self.cost) and math.isfinite(cost)):
+            raise ValueError("coupling cost is not finite")
         # relative to the recomputed cost below 1, so a small wrong cost fails
         size = abs(cost)
         if abs(cost - self.cost) > max(tol * min(1.0, size), 1e-12 * size):

@@ -12,11 +12,17 @@ et al., "Displacement Interpolation Using Lagrangian Mass Transport"
   flows and cost multiplied back afterwards, so every tolerance below acts at
   unit scale whatever the mass scale of the data.
 - The basis is kept as a spanning tree rooted at row 0 with parent, depth and
-  child links.  The cycle of an entering cell is found by walking both of its
-  endpoints up to their common ancestor; after a pivot only the subtree cut
-  off by the leaving cell is re-hung and has its depths and duals updated.
-  A node's dual is fixed by its path to the root, so it equals what a fresh
-  traversal of the basis would give.
+  child links, and each node caches the flow and the cost of the edge to its
+  parent.  The cycle of an entering cell is found by walking both of its
+  endpoints up to their common ancestor, and one scan per side finds theta
+  and the leaving edge.  After a pivot only the subtree cut off by the
+  leaving cell is re-hung: the edges of the path it hangs by move their
+  cached flow and cost one node down, and a walk of the subtree sets each
+  depth and each dual as the cached edge cost minus the parent's dual.  A
+  node's dual is fixed by its path to the root, so it equals what a fresh
+  traversal of the basis would give.  The duals live in one ``array('d')``
+  that the walk writes and pricing reads through ``np.frombuffer``, so no
+  copy is synchronised between them.
 - The starting basis is the least-cost ("matrix minimum") one: cells are
   taken in increasing cost and each closes its row or its column, so the
   start already ships most mass along cheap cells and the simplex needs far
@@ -49,16 +55,20 @@ et al., "Displacement Interpolation Using Lagrangian Mass Transport"
   sum vanishes only when the side is a single leaf column, whose flow is its
   own demand (positive in every problem the package builds, as zero-mass
   atoms are dropped), so every basis the simplex visits, the starting one
-  included, is nondegenerate whatever order it was built in.  The final basis
-  is re-flowed against the unperturbed marginals, so reported flows and costs
-  are exact for the original data.
+  included, is nondegenerate whatever order it was built in.  The simplex's
+  own final tree is re-flowed against the unperturbed marginals, so reported
+  flows and costs are exact for the original data: each edge's flow is the
+  net supply of the subtree below it, summed exactly in integers and rounded
+  once, and the cost is one ``math.fsum`` of the flows times their costs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,7 +94,7 @@ class TransportSolution:
     iterations: int
 
 
-def _least_cost_basis(a: np.ndarray, b: np.ndarray, C: np.ndarray):
+def _least_cost_basis(a: Sequence[float], b: Sequence[float], C: np.ndarray):
     """Starting basis by the matrix-minimum rule.
 
     Cells are visited in increasing cost (ties in row-major order); a cell
@@ -95,21 +105,24 @@ def _least_cost_basis(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     owed to it).  A closed line appears in no later cell, so the r + s - 1
     cells form a spanning tree.  The sorted cells are taken in chunks of
     ``START_CHUNK_CELLS``, and numpy drops those of a chunk whose line closed
-    before it, which the rule would skip anyway.
+    before it, which the rule would skip anyway.  Returns the basis cells in
+    the order taken and a dict of their flows in the same order.
     """
     r, s = len(a), len(b)
-    rem_a = a.tolist()
-    rem_b = b.tolist()
-    row_open = np.ones(r, dtype=bool)
-    col_open = np.ones(s, dtype=bool)
+    rem_a = list(map(float, a))
+    rem_b = list(map(float, b))
+    row_open = [True] * r
+    col_open = [True] * s
     open_rows, open_cols = r, s
     basis = []
     flows = {}
     order = np.argsort(C, axis=None, kind="stable")
     for lo in range(0, order.size, START_CHUNK_CELLS):
         rows, cols = np.divmod(order[lo : lo + START_CHUNK_CELLS], s)
-        keep = row_open[rows] & col_open[cols]
-        for i, j in zip(rows[keep].tolist(), cols[keep].tolist()):
+        if lo:  # no line closes before the first chunk
+            keep = np.array(row_open)[rows] & np.array(col_open)[cols]
+            rows, cols = rows[keep], cols[keep]
+        for i, j in zip(rows.tolist(), cols.tolist()):
             if not (row_open[i] and col_open[j]):
                 continue
             f = min(rem_a[i], rem_b[j])
@@ -128,43 +141,6 @@ def _least_cost_basis(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     return basis, flows
 
 
-def _cell(node: int, other: int, r: int) -> tuple[int, int]:
-    """Basis cell of the tree edge between ``node`` and ``other``."""
-    return (node, other - r) if node < r else (other, node - r)
-
-
-def _reflow(basis, a: np.ndarray, b: np.ndarray):
-    """Exact tree flows for the original marginals.
-
-    The flow on a tree edge is the net supply of the subtree it cuts off.  It
-    is summed exactly, in integers over a common power-of-two denominator, and
-    rounded once, so no rounding error accumulates along the tree.
-    """
-    r, s = len(a), len(b)
-    ratios = [x.as_integer_ratio() for x in a.tolist()]
-    ratios += [(-x).as_integer_ratio() for x in b.tolist()]
-    den = max(q for _, q in ratios)
-    net = [p * (den // q) for p, q in ratios]  # node balance: + supply, - demand
-    adj = [[] for _ in range(r + s)]
-    for (i, j) in basis:
-        adj[i].append(r + j)
-        adj[r + j].append(i)
-    parent = [-1] * (r + s)
-    order = [0]
-    for x in order:
-        for y in adj[x]:
-            if y != parent[x]:
-                parent[y] = x
-                order.append(y)
-    flows = {}
-    for x in reversed(order[1:]):
-        up = parent[x]
-        net[up] += net[x]
-        # rows ship to columns
-        flows[_cell(x, up, r)] = (net[x] if x < r else -net[x]) / den
-    return flows
-
-
 def solve_transportation(a, b, C) -> TransportSolution:
     """Balanced problem: min sum f_ij C_ij, row sums = a, column sums = b."""
     a = np.asarray(a, dtype=float)
@@ -173,64 +149,74 @@ def solve_transportation(a, b, C) -> TransportSolution:
     r, s = len(a), len(b)
     if C.shape != (r, s):
         raise ValueError("cost matrix shape mismatch")
-    if np.any(a < 0) or np.any(b < 0):
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(C).all()):
+        raise ValueError("marginals and costs must be finite")
+    al, bl = a.tolist(), b.tolist()
+    if min(al) < 0 or min(bl) < 0:
         raise ValueError("marginals must be nonnegative")
-    total = math.fsum(a.tolist())
-    if abs(total - math.fsum(b.tolist())) > BALANCE_TOL * total:
+    total = math.fsum(al)
+    if abs(total - math.fsum(bl)) > BALANCE_TOL * total:
         raise ValueError("marginals are not balanced")
     max_iter = 50 * r * s + 1000
 
-    scale = max(float(a.max()), float(b.max())) or 1.0
-    a2 = a / scale + PERTURBATION * (np.arange(r) + 1.0)
-    b2 = b / scale
-    b2[-1] += math.fsum(a2.tolist()) - math.fsum(b2.tolist())
+    scale = max(max(al), max(bl)) or 1.0
+    a2 = [x / scale + PERTURBATION * (i + 1.0) for i, x in enumerate(al)]
+    b2 = [x / scale for x in bl]
+    b2[-1] += math.fsum(a2) - math.fsum(b2)
 
     # spanning tree of the starting basis, rooted at row 0; nodes are rows
-    # 0..r-1 and columns r..r+s-1, and eflow[x] is the flow on the edge from
-    # x to its parent
+    # 0..r-1 and columns r..r+s-1, and eflow[x] and ecost[x] are the flow and
+    # the cost of the edge from x to its parent
     basis, start_flows = _least_cost_basis(a2, b2, C)
     n_nodes = r + s
-    adj = [[] for _ in range(n_nodes)]
-    for (i, j) in basis:
-        adj[i].append(r + j)
-        adj[r + j].append(i)
     Cl = C.tolist()
+    adj = [[] for _ in range(n_nodes)]
+    for (i, j), f in zip(basis, start_flows.values()):
+        c = Cl[i][j]
+        adj[i].append((r + j, f, c))
+        adj[r + j].append((i, f, c))
     parent = [-1] * n_nodes
     depth = [0] * n_nodes
     eflow = [0.0] * n_nodes
+    ecost = [0.0] * n_nodes
     pot = [0.0] * n_nodes  # duals: u for rows, v for columns
     children = [set() for _ in range(n_nodes)]
     order = [0]
     for x in order:
-        for y in adj[x]:
-            if y != parent[x]:
+        up = parent[x]
+        for y, f, c in adj[x]:
+            if y != up:
                 parent[y] = x
                 depth[y] = depth[x] + 1
                 children[x].add(y)
-                i, j = _cell(y, x, r)
-                eflow[y] = float(start_flows[(i, j)])
-                pot[y] = Cl[i][j] - pot[x]
+                eflow[y] = f
+                ecost[y] = c
+                pot[y] = c - pot[x]
                 order.append(y)
     if len(order) != n_nodes:
         raise RuntimeError("internal error: transportation basis is not a spanning tree")
-    duals = np.array(pot)
+    # pricing reads the duals the pivots write, through one shared buffer
+    pot = array("d", pot)
+    duals = np.frombuffer(pot)
     u, v = duals[:r, None], duals[None, r:]
 
     stop = -FLOW_TOL * max(1.0, float(np.abs(C).max()))
     block_rows = max(1, PRICING_BLOCK_CELLS // s)
-    n_blocks = -(-r // block_rows)
     rc_block = np.empty((min(block_rows, r), s))
+    blocks = [
+        (lo, C[lo : lo + block_rows], u[lo : lo + block_rows], rc_block[: min(block_rows, r - lo)])
+        for lo in range(0, r, block_rows)
+    ]
+    n_blocks = len(blocks)
     blk = 0
     it = 0
     for it in range(1, max_iter + 1):
         # block search: price blocks of rows cyclically from the one after
         # the last hit; a full cycle with no cell below stop is optimal
         for _ in range(n_blocks):
-            lo = blk * block_rows
-            hi = min(lo + block_rows, r)
+            lo, C_blk, u_blk, rc = blocks[blk]
             blk = (blk + 1) % n_blocks
-            rc = rc_block[: hi - lo]
-            np.subtract(C[lo:hi], u[lo:hi], out=rc)
+            np.subtract(C_blk, u_blk, out=rc)
             rc -= v
             k = rc.argmin()
             if rc.item(k) < stop:
@@ -257,14 +243,25 @@ def solve_transportation(a, b, C) -> TransportSolution:
             x = parent[x]
             side_p.append(y)
             y = parent[y]
-        theta = min(eflow[z] for z in side_q[0::2] + side_p[0::2])
-        # leaving edge: first minus cell in path order from column ej to row ei
-        leave = next((t for t in range(0, len(side_q), 2) if eflow[side_q[t]] == theta), None)
-        if leave is not None:
-            path, inner, outer = side_q[: leave + 1], q, p
+        # theta is the least flow on a minus edge; the leaving edge is the
+        # first minus edge carrying it in path order from column ej to row
+        # ei: the column side's first, else the row side's last
+        theta_q = theta_p = math.inf
+        leave_q = leave_p = 0
+        for t in range(0, len(side_q), 2):
+            f = eflow[side_q[t]]
+            if f < theta_q:
+                theta_q, leave_q = f, t
+        for t in range(0, len(side_p), 2):
+            f = eflow[side_p[t]]
+            if f < theta_p:
+                theta_p, leave_p = f, t
+            elif f == theta_p:
+                leave_p = t
+        if theta_q <= theta_p:
+            theta, path, inner, outer = theta_q, side_q[: leave_q + 1], q, p
         else:
-            leave = max(t for t in range(0, len(side_p), 2) if eflow[side_p[t]] == theta)
-            path, inner, outer = side_p[: leave + 1], p, q
+            theta, path, inner, outer = theta_p, side_p[: leave_p + 1], p, q
         for side in (side_q, side_p):
             for z in side[0::2]:
                 eflow[z] -= theta
@@ -272,11 +269,14 @@ def solve_transportation(a, b, C) -> TransportSolution:
                 eflow[z] += theta
 
         # re-hang the subtree cut off by the leaving edge below the entering
-        # one: the path from inner up to the leaving edge reverses direction
+        # one: the path from inner up to the leaving edge reverses direction,
+        # each of its edges now hanging from the node it hung below
         children[parent[path[-1]]].discard(path[-1])
         for t in range(len(path) - 1, 0, -1):
             eflow[path[t]] = eflow[path[t - 1]]
+            ecost[path[t]] = ecost[path[t - 1]]
         eflow[inner] = theta
+        ecost[inner] = Cl[ei][ej]
         prev = outer
         for z in path:
             parent[z] = prev
@@ -287,26 +287,38 @@ def solve_transportation(a, b, C) -> TransportSolution:
         for z in nodes:
             up = parent[z]
             depth[z] = depth[up] + 1
-            pot[z] = (Cl[z][up - r] if z < r else Cl[up][z - r]) - pot[up]
+            pot[z] = ecost[z] - pot[up]
             nodes.extend(children[z])
-        duals[nodes] = [pot[z] for z in nodes]
     else:
         raise RuntimeError("internal error: transportation simplex iteration limit")
 
-    # tree flows are linear in the marginals: re-flowing against the original
-    # data gives the unit-scale flows times the scale, without rounding twice
-    basis = [_cell(x, parent[x], r) for x in range(1, n_nodes)]
-    exact = _reflow(basis, a, b)
-    out = np.zeros((r, s))
-    neg = 0.0
-    for (i, j), f in exact.items():
-        if f < 0:
-            neg = min(neg, f)
-            f = 0.0
-        out[i, j] = f
-    if neg < -FLOW_TOL * scale:
-        raise RuntimeError(f"internal error: negative basic flow {neg}")
-    cost = math.fsum(out[i, j] * C[i, j] for (i, j) in exact)
+    # Tree flows are linear in the marginals: re-flowing the final tree
+    # against the original data gives the unit-scale flows times the scale,
+    # without rounding twice.  The flow on a tree edge is the net supply of
+    # the subtree it cuts off, summed exactly in integers over a common
+    # power-of-two denominator (so in any child-first order) and rounded once.
+    ratios = [x.as_integer_ratio() for x in al]
+    ratios += [(-x).as_integer_ratio() for x in bl]
+    den = max(q for _, q in ratios)
+    net = [p * (den // q) for p, q in ratios]  # node balance: + supply, - demand
+    order = [0]
+    for x in order:
+        order.extend(children[x])
+    for x in order[:0:-1]:
+        net[parent[x]] += net[x]
+    # rows ship to their parent columns, columns receive from their parent rows
+    flows = [f / den for f in net[1:r]] + [-f / den for f in net[r:]]
+    neg = min(flows)
+    if neg < 0:
+        if neg < -FLOW_TOL * scale:
+            raise RuntimeError(f"internal error: negative basic flow {neg}")
+        flows = [0.0 if f < 0 else f for f in flows]
+    cells = [x * s + parent[x] - r for x in range(1, r)]
+    cells += [parent[x] * s + x - r for x in range(r, n_nodes)]
+    out = np.zeros(r * s)
+    out[cells] = flows
+    cost = math.fsum(map(operator.mul, flows, ecost[1:]))
+    out.shape = (r, s)
     return TransportSolution(out, cost, duals[:r].copy(), duals[r:].copy(), it)
 
 

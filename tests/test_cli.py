@@ -375,6 +375,41 @@ class TestDeterminism:
             assert got["verdict"] == rec.verdict
         assert payload["verdict"] == expected.verdict
 
+    @pytest.mark.parametrize("q,own_solves", [(1.0, 0), (2.0, 2)])
+    def test_convergence_witness_reuses_the_last_k_gap(self, tmp_path, monkeypatch, q, own_solves):
+        seq_doc = {
+            "points": ["x0", "x1", "x2"],
+            "metrics": {
+                "d": [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]],
+                "e": [["0", "2", "4"], ["2", "0", "2"], ["4", "2", "0"]],
+            },
+            "anchor": 0,
+            "weights_sequence": [["0.5", "0.5", "0"], ["0.9", "0", "0.1"]],
+            "limit_weights": ["1", "0", "0"],
+        }
+        seq_path = write(tmp_path / "seq.json", seq_doc)
+        config = {
+            "kind": "convergence",
+            "seed": 5,
+            "out": str(tmp_path / "out"),
+            "params": {"sequence": seq_path.name, "q": q},
+        }
+        calls = []
+        k_norm = cli.k_norm
+
+        def spy(mu, name):
+            calls.append(name)
+            return k_norm(mu, name)
+
+        monkeypatch.setattr(cli, "k_norm", spy)
+        code, report, _ = cli.run(config, base=tmp_path)
+        assert code == cli.EXIT_OK and len(calls) == own_solves
+        space = space_from_dict(seq_doc)
+        delta = space.measure([-0.1, 0.0, 0.1])
+        for got in report["payload"]["witnesses"]:
+            assert got["index"] == 1
+            assert got["potential"] == k_norm(delta, got["metric"])[1].values.tolist()
+
     def test_seed_override_changes_hash(self, tmp_path):
         path = norms_config(tmp_path)
         assert cli.main(["norms", "--config", str(path), "--seed", "8"]) == 0

@@ -11,8 +11,9 @@ from kantorovich_lab.convergence import (
     tail_profile,
     weak_gap,
 )
+from kantorovich_lab import measures
 from kantorovich_lab.measures import PseudometricSpace, barycenter
-from kantorovich_lab.transport import kr_norm
+from kantorovich_lab.transport import k_norm, kr_norm
 
 from conftest import random_space
 
@@ -200,6 +201,17 @@ class TestTauK:
         assert rec.tail.power == 1.5
         assert len(rec.k_gaps) == 32
 
+    def test_last_k_witness_is_the_last_anchored_gaps(self):
+        seq = harmonic_pass_sequence(16)
+        delta = seq.measures[-1] - seq.limit
+        (rec,) = check_tau_k_convergence(seq, q=1.0).per_metric
+        gap, witness = k_norm(delta, "d")
+        assert rec.k_gaps[-1] == gap
+        got = rec.last_k_witness
+        assert (got.metric_name, got.achieved, got.mode) == ("d", witness.achieved, "anchored")
+        assert got.values.tobytes() == witness.values.tobytes()
+        assert check_tau_k_convergence(seq, q=2.0).per_metric[0].last_k_witness is None
+
     def test_q_below_one_rejected(self):
         seq = harmonic_pass_sequence(4)
         with pytest.raises(ValueError, match="q must be"):
@@ -364,6 +376,20 @@ class TestBarycenterConvergence:
             seq = MeasureSequence(space, (space.measure(w1),), space.measure(w2))
             report = barycenter_convergence(seq)
             assert report.bound_holds
+
+    def test_validates_only_the_coordinate_metrics(self, monkeypatch):
+        seq = harmonic_pass_sequence(8)
+        validated = []
+        check = measures._validate_pseudometric
+
+        def spy(name, p, n):
+            validated.append(name)
+            check(name, p, n)
+
+        monkeypatch.setattr(measures, "_validate_pseudometric", spy)
+        report = barycenter_convergence(seq)
+        assert validated == ["coord0"]
+        assert report.bound_holds
 
     def test_missing_coords_rejected(self, rng):
         space = random_space(rng, 3)

@@ -1,0 +1,85 @@
+"""Distances whose q-th power overflows must fail loudly, never as a NaN PASS.
+
+Points at 0, 1e200 and 3e200 form a valid line metric, but with q = 2 the
+costs ``d**q`` overflow to inf.  The solver rejects non-finite data, and a
+coupling whose cost is not finite does not validate.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from kantorovich_lab import cli
+from kantorovich_lab.measures import PseudometricSpace
+from kantorovich_lab.transport import kq_norm, wasserstein_q
+from kantorovich_lab.transport._transportation import solve_transportation
+
+X = (0.0, 1e200, 3e200)
+FINITE_ERROR = "^marginals and costs must be finite$"
+
+
+def overflowing_space():
+    x = np.array(X)
+    return PseudometricSpace(points=("a", "b", "c"), metrics={"d": np.abs(x[:, None] - x[None, :])})
+
+
+@pytest.mark.parametrize("where", ["a", "b", "C"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solver_rejects_non_finite_data(where, bad):
+    data = {"a": np.array([0.5, 0.5]), "b": np.array([0.25, 0.75]), "C": np.array([[0.0, 1.0], [2.0, 0.5]])}
+    data[where].flat[-1] = bad
+    with pytest.raises(ValueError, match=FINITE_ERROR):
+        solve_transportation(data["a"], data["b"], data["C"])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_costs_raise():
+    space = overflowing_space()
+    mu, nu = space.measure([0.5, 0.5, 0.0]), space.measure([0.0, 0.5, 0.5])
+    with pytest.raises(ValueError, match=FINITE_ERROR):
+        wasserstein_q(mu, nu, "d", 2.0)
+    with pytest.raises(ValueError, match=FINITE_ERROR):
+        kq_norm(mu - nu, "d", 2.0)
+    # q = 1 stays finite and is solved as before
+    value, coupling = wasserstein_q(mu, nu, "d", 1.0)
+    coupling.validate(mu, nu)
+    assert value == 1.5e200
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_coupling_with_non_finite_cost_fails_validation():
+    space = overflowing_space()
+    mu, nu = space.measure([0.5, 0.5, 0.0]), space.measure([0.0, 0.5, 0.5])
+    _, coupling = wasserstein_q(mu, nu, "d", 1.0)
+    for cost in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^coupling cost is not finite$"):
+            dataclasses.replace(coupling, cost=cost).validate(mu, nu)
+    # a finite reported cost against a recomputed cost that overflows
+    with pytest.raises(ValueError, match="^coupling cost is not finite$"):
+        dataclasses.replace(coupling, q=2.0, cost=1.0).validate(mu, nu)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("op", ["wq", "kq"])
+def test_cli_exits_3(tmp_path, capsys, op):
+    def doc(weights):
+        d = [[repr(abs(x - y)) for y in X] for x in X]
+        return {"points": ["a", "b", "c"], "metrics": {"d": d}, "weights": weights}
+
+    (tmp_path / "mu.json").write_text(json.dumps(doc(["0.5", "0.5", "0"])))
+    (tmp_path / "nu.json").write_text(json.dumps(doc(["0", "0.5", "0.5"])))
+    config = {
+        "kind": "norms",
+        "seed": 1,
+        "out": str(tmp_path / "out"),
+        "params": {"measure": "mu.json", "other_measure": "nu.json", "metric": "d", "ops": [op], "q": 2},
+    }
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert cli.main(["norms", "--config", str(tmp_path / "c.json")]) == cli.EXIT_INPUT_ERROR
+    assert "marginals and costs must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*"))
