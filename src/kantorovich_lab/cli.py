@@ -179,9 +179,9 @@ def _load_json(path_or_doc, base: Path):
         raise InputDataError(f"input file is not valid JSON: {p}: {exc}") from exc
 
 
-def _load_measure(doc, reuse=None, reuse_doc=None):
+def _load_measure(doc, reuse=None):
     try:
-        return measure_from_dict(doc, reuse, reuse_doc)
+        return measure_from_dict(doc, reuse)
     except ValueError as exc:
         raise InputDataError(str(exc)) from exc
 
@@ -218,7 +218,7 @@ def _run_norms(params, seed, base):
             )
         elif op == "wq":
             # the other file usually repeats mu's space: parse and validate it once
-            nu = _load_measure(_load_json(params["other_measure"], base), mu.space, mu_doc)
+            nu = _load_measure(_load_json(params["other_measure"], base), (mu.space, mu_doc))
             value, coupling = wasserstein_q(mu, nu, metric, q)
             coupling.validate(mu, nu)
             records.append({"name": f"wq[q={q:g}]", "value": value, "verdict": "PASS"})

@@ -5,6 +5,10 @@ neighborhood of zero cut out by n test functions while its barycenter keeps
 unit l1 norm, and the block rescaling schedule (boundaries, scale factors,
 seminorm assignment) certifying summable tail masses and scaled tail
 integrals for a uniformly integrable family.
+
+The measure's weights are the last right singular vector of the n x (n+1)
+test-value matrix scaled to max |entry| 1, with its first clearly nonzero
+entry made positive and its l1 norm made 1.
 """
 
 from __future__ import annotations
@@ -30,59 +34,6 @@ class ScheduleInfeasibleError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Weak-null measures with unit barycenter norm
 # ---------------------------------------------------------------------------
-
-
-def _jacobi_smallest_direction(G: np.ndarray, sweeps: int = 60) -> np.ndarray:
-    """Direction of smallest singular value via one-sided Jacobi, fixed sweep order.
-
-    Deterministic by construction (row-major pair order, fixed rotation
-    convention), which pins down a canonical null vector even when the null
-    space has dimension > 1.
-    """
-    G = np.asarray(G, dtype=float)
-    n, m = G.shape
-    # A and V stacked, so each rotation updates both in two column operations
-    W = np.empty((n + m, m))
-    W[:n] = G
-    W[n:] = np.eye(m)
-    A = W[:n]
-    scale = max(1.0, float(np.abs(A).max()))
-    skip = 1e-15 * scale * scale + 1e-300
-    # column views bound once; a column's squared norm is kept until a
-    # rotation changes the column, which gives the same bits as recomputing it
-    a_cols = [A[:, j] for j in range(m)]
-    w_cols = [W[:, j] for j in range(m)]
-    dot = np.dot  # the BLAS dot of ``@`` on two vectors, called directly
-    sq = [float(dot(x, x)) for x in a_cols]
-    CP, SQ, SP = np.empty(n + m), np.empty(n + m), np.empty(n + m)
-    for _ in range(sweeps):
-        rotated = False
-        for p in range(m - 1):
-            Ap, Wp = a_cols[p], w_cols[p]
-            for q in range(p + 1, m):
-                Aq = a_cols[q]
-                apq = float(dot(Ap, Aq))
-                if abs(apq) <= skip:
-                    continue
-                rotated = True
-                tau = (sq[q] - sq[p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # Wp, Wq = c Wp - s Wq, s Wp + c Wq
-                Wq = w_cols[q]
-                np.multiply(Wp, c, out=CP)
-                np.multiply(Wq, s, out=SQ)
-                np.multiply(Wp, s, out=SP)
-                np.subtract(CP, SQ, out=Wp)
-                Wq *= c
-                Wq += SP
-                sq[p] = float(dot(Ap, Ap))
-                sq[q] = float(dot(Aq, Aq))
-        if not rotated:
-            break
-    norms = np.sqrt((A * A).sum(axis=0))
-    return W[n:, int(np.argmin(norms))]
 
 
 @dataclass(frozen=True)
@@ -134,8 +85,8 @@ def l1_counterexample(F, eps: float = 1e-6) -> L1CounterexampleInstance:
         c = np.zeros(k)
         c[0] = 1.0
         return L1CounterexampleInstance(F=F, c=c, eps=eps)
-    Fs = F / scale
-    c = _jacobi_smallest_direction(Fs.T @ Fs)
+    # the reduced SVD drops the null direction: the last row of the full Vt
+    c = np.linalg.svd(F / scale)[2][-1]
     for x in c:
         if abs(x) > 1e-12:
             if x < 0:
@@ -208,16 +159,7 @@ class RescalingSchedule:
 
     def block_of(self, k: int) -> int:
         """Block number n >= 0; block 0 is k <= N_2, block n is (N_{n+1}, N_{n+2}]."""
-        if k < 1:
-            raise ValueError("indices start at 1")
-        if k > self.max_index:
-            raise ValueError(f"index {k} beyond the last boundary {self.max_index}")
-        N = self.boundaries
-        if len(N) < 2 or k <= N[1]:
-            return 0
-        # N[n] = N_{n+1}; block n covers N[n] < k <= N[n+1]
-        n = int(np.searchsorted(np.asarray(N), k, side="left")) - 1
-        return n
+        return int(self.blocks(k))
 
     def alpha_at(self, k: int) -> float:
         n = self.block_of(k)
@@ -229,15 +171,10 @@ class RescalingSchedule:
 
     def blocks(self, ks: np.ndarray) -> np.ndarray:
         """Vectorized ``block_of`` over an index array."""
-        N = np.asarray(self.boundaries)
         if np.any(ks < 1) or np.any(ks > self.max_index):
             raise ValueError("index out of schedule coverage")
-        out = np.maximum(np.searchsorted(N, ks, side="left") - 1, 0)
-        if len(N) >= 2:
-            out = np.where(ks <= N[1], 0, out)
-        else:
-            out = np.zeros_like(out)
-        return out
+        # N[n] = N_{n+1}; block n covers N[n] < k <= N[n+1], and k <= N[1] is block 0
+        return np.maximum(np.searchsorted(self.boundaries, ks, side="left") - 1, 0)
 
 
 def rescaling_schedule(

@@ -292,62 +292,47 @@ def _matrix(rows) -> np.ndarray:
     return np.array([[_num(x) for x in row] for row in rows])
 
 
-def _bitwise_equal(a: np.ndarray | None, b: np.ndarray | None) -> bool:
-    if a is None or b is None:
-        return a is b
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 _MISSING = object()
 
 
 def space_from_dict(
-    doc: Mapping, reuse: PseudometricSpace | None = None, reuse_doc: Mapping | None = None
+    doc: Mapping, reuse: tuple[PseudometricSpace, Mapping] | None = None
 ) -> PseudometricSpace:
-    """Space of a measure file.  ``reuse`` is returned in place of a new space
-    when the file holds exactly its points, anchor, metrics and coords, which
-    skips validating them again.
+    """Space of a measure file.
 
-    ``reuse_doc``, the file ``reuse`` was parsed from, lets a file that
-    repeats its metrics, anchor and coords (plain equality of the parsed
-    JSON, a key left out differing from a null one) and its point names skip
-    parsing them too.  A number equal to one of another type parses to the
-    same double, or to a zero of the other sign, which the space's checks and
-    solvers treat alike.  Any other file is parsed in full, so its errors are
+    ``reuse`` is a space and the file it was parsed from.  A file that
+    repeats that file's metrics, anchor and coords (plain equality of the
+    parsed JSON, a key left out differing from a null one) and its point
+    names gets that space back, without parsing or validating them again.  A
+    number equal to one of another type parses to the same double, or to a
+    zero of the other sign, which the space's checks and solvers treat alike.
+    Any other file is parsed and validated in full, even one that writes the
+    same space in other text (``"1.50"`` for ``"1.5"``), so its errors are
     those of a file read alone.
     """
     try:
         points = tuple(str(p) for p in doc["points"])
-        if (
-            reuse_doc is not None
-            and points == reuse.points
-            and all(doc.get(k, _MISSING) == reuse_doc.get(k, _MISSING) for k in ("metrics", "anchor", "coords"))
-            and list(doc["metrics"]) == list(reuse.metrics)
-        ):
-            return reuse
+        if reuse is not None:
+            space, space_doc = reuse
+            if (
+                points == space.points
+                and all(doc.get(k, _MISSING) == space_doc.get(k, _MISSING) for k in ("metrics", "anchor", "coords"))
+                and list(doc["metrics"]) == list(space.metrics)
+            ):
+                return space
         metrics = {str(name): _matrix(matrix) for name, matrix in doc["metrics"].items()}
         anchor = int(doc.get("anchor", 0))
         coords = None if doc.get("coords") is None else _matrix(doc["coords"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed measure file: {exc}") from exc
-    if (
-        reuse is not None
-        and points == reuse.points
-        and anchor == reuse.anchor
-        and list(metrics) == list(reuse.metrics)
-        and all(_bitwise_equal(metrics[k], reuse.metrics[k]) for k in metrics)
-        and _bitwise_equal(None if coords is None else np.atleast_2d(coords), reuse.coords)
-    ):
-        return reuse
     return PseudometricSpace(points=points, metrics=metrics, anchor=anchor, coords=coords)
 
 
 def measure_from_dict(
-    doc: Mapping, reuse: PseudometricSpace | None = None, reuse_doc: Mapping | None = None
+    doc: Mapping, reuse: tuple[PseudometricSpace, Mapping] | None = None
 ) -> SignedMeasure:
-    """Measure of a measure file; ``reuse`` and ``reuse_doc`` as in
-    ``space_from_dict``."""
-    return _weights_on(space_from_dict(doc, reuse, reuse_doc), doc)
+    """Measure of a measure file; ``reuse`` as in ``space_from_dict``."""
+    return _weights_on(space_from_dict(doc, reuse), doc)
 
 
 def _weights_on(space: PseudometricSpace, doc: Mapping) -> SignedMeasure:

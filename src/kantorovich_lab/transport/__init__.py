@@ -62,6 +62,9 @@ class LipschitzWitness:
 
     def validate(self, mu: SignedMeasure, tol: float = WITNESS_TOL) -> None:
         f = self.values
+        # comparisons with NaN are false, so a NaN witness would pass below
+        if not (np.isfinite(f).all() and math.isfinite(self.achieved)):
+            raise ValueError("witness is not finite")
         d = mu.space.metric(self.metric_name)
         gap = np.abs(f[:, None] - f[None, :]) - d
         if gap.max(initial=0.0) > tol:

@@ -277,6 +277,8 @@ def wq_run(tmp_path, change=None):
         nu["anchor"] = 0
     elif change == "triangle":
         nu["metrics"]["d"][0][2] = nu["metrics"]["d"][2][0] = "3"
+    elif change == "other text":
+        nu["metrics"]["d"][0][1] = nu["metrics"]["d"][1][0] = "1.50"
     tmp_path.mkdir(exist_ok=True)
     write(tmp_path / "mu.json", doc(["0.5", "0.25", "0.25"]))
     write(tmp_path / "nu.json", nu)
@@ -303,6 +305,20 @@ class TestOtherMeasure:
         code, report, _ = wq_run(tmp_path)
         assert code == cli.EXIT_OK and shared == [True]
         assert report["checks"][1]["value"] == pytest.approx(math.sqrt(0.25 * 1.5**2 + 0.25 * 1.0**2))
+
+    def test_same_space_in_other_text_built_in_full(self, tmp_path, monkeypatch):
+        shared = []
+        solve = cli.wasserstein_q
+
+        def spy(mu, nu, *args):
+            shared.append(nu.space is mu.space)
+            return solve(mu, nu, *args)
+
+        monkeypatch.setattr(cli, "wasserstein_q", spy)
+        _, same, _ = wq_run(tmp_path / "same")
+        code, other, _ = wq_run(tmp_path / "other", "other text")
+        assert code == cli.EXIT_OK and shared == [True, False]
+        assert other["checks"] == same["checks"] and other["payload"] == same["payload"]
 
     def test_coords_are_not_compared_by_wq(self, tmp_path):
         _, same, _ = wq_run(tmp_path / "same")

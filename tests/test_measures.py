@@ -381,16 +381,20 @@ class TestParsing:
 
 class TestSpaceReuse:
     def test_same_space_reused(self):
-        mu = measure_from_dict(_file_doc())
+        mu_doc = _file_doc()
+        mu = measure_from_dict(mu_doc)
         doc = _file_doc()
         doc["weights"] = ["1", "2", "3"]
-        nu = measure_from_dict(doc, mu.space)
+        nu = measure_from_dict(doc, (mu.space, mu_doc))
         assert nu.space is mu.space
         assert nu.weights.tolist() == [1.0, 2.0, 3.0]
 
-    @pytest.mark.parametrize("change", ["ulp", "coords", "anchor", "triangle", "points", "metric_name"])
+    @pytest.mark.parametrize(
+        "change", ["ulp", "coords", "anchor", "triangle", "points", "metric_name", "other text"]
+    )
     def test_different_space_built_in_full(self, change):
-        mu = measure_from_dict(_file_doc())
+        mu_doc = _file_doc()
+        mu = measure_from_dict(mu_doc)
         doc = _file_doc()
         if change == "ulp":
             doc["metrics"]["d"][0][1] = repr(math.nextafter(1.5, 2.0))
@@ -402,24 +406,27 @@ class TestSpaceReuse:
             doc["metrics"]["d"][0][2] = doc["metrics"]["d"][2][0] = "3"
         elif change == "points":
             doc["points"][2] = "z"
-        else:
+        elif change == "metric_name":
             doc["metrics"] = {"e": doc["metrics"]["d"]}
+        else:  # the same doubles, written differently
+            doc["metrics"]["d"][0][1] = doc["metrics"]["d"][1][0] = "1.50"
         if change == "triangle":
             expected = _message(lambda: measure_from_dict(doc))
             assert "triangle inequality fails" in expected[1]
-            assert _message(lambda: measure_from_dict(doc, mu.space)) == expected
+            assert _message(lambda: measure_from_dict(doc, (mu.space, mu_doc))) == expected
             return
-        nu = measure_from_dict(doc, mu.space)
+        nu = measure_from_dict(doc, (mu.space, mu_doc))
         fresh = measure_from_dict(doc)
         assert nu.space is not mu.space
         assert nu.space.same_as(fresh.space) and nu.space.points == fresh.space.points
         assert np.array_equal(nu.space.coords, fresh.space.coords)
+        assert nu.space.same_as(mu.space) == (change in ("coords", "other text"))
 
 
 class TestSharedSpace:
-    """``measure_from_dict(doc, space, space_doc)``: a file repeating the raw
-    space of ``space_doc`` parses only its weights; any other file is read as
-    with ``reuse`` alone."""
+    """``measure_from_dict(doc, (space, space_doc))``: a file repeating the
+    raw space of ``space_doc`` parses only its weights; any other file is
+    read as if alone."""
 
     def test_same_raw_space_parses_only_weights(self, monkeypatch):
         mu_doc = _file_doc()
@@ -428,10 +435,10 @@ class TestSharedSpace:
         doc["weights"] = ["1", "2", "3"]
         parsed = []
         monkeypatch.setattr(measures, "_matrix", lambda rows: parsed.append(rows) or _matrix(rows))
-        nu = measure_from_dict(doc, mu.space, mu_doc)
+        nu = measure_from_dict(doc, (mu.space, mu_doc))
         assert nu.space is mu.space
         assert parsed == [[doc["weights"]]]
-        assert nu.weights.tobytes() == measure_from_dict(doc, mu.space).weights.tobytes()
+        assert nu.weights.tobytes() == measure_from_dict(doc).weights.tobytes()
 
     @pytest.mark.parametrize(
         "change", ["ulp", "anchor", "missing anchor", "null coords", "points", "numeric points", "metric order"]
@@ -462,11 +469,11 @@ class TestSharedSpace:
             doc["metrics"] = {"e": doc["metrics"]["e"], "d": doc["metrics"]["d"]}
         else:  # equal under ==, but the point names differ
             doc["points"] = [1.0, 2.0, 3.0]
-        nu = measure_from_dict(doc, mu.space, mu_doc)
-        ref = measure_from_dict(doc, mu.space)
-        assert (nu.space is mu.space) == (ref.space is mu.space)
-        assert nu.space.points == ref.space.points and nu.space.anchor == ref.space.anchor
-        assert nu.space.same_as(ref.space) and list(nu.space.metrics) == list(ref.space.metrics)
+        nu = measure_from_dict(doc, (mu.space, mu_doc))
+        fresh = measure_from_dict(doc)
+        assert nu.space is not mu.space
+        assert nu.space.points == fresh.space.points and nu.space.anchor == fresh.space.anchor
+        assert nu.space.same_as(fresh.space) and list(nu.space.metrics) == list(fresh.space.metrics)
 
     @pytest.mark.parametrize("weights", [None, 5, ["1", "x", "2"], ["1", "inf", "2"], ["1", "2"]])
     def test_errors_as_in_full_parse(self, weights):
@@ -477,11 +484,11 @@ class TestSharedSpace:
                 del doc["weights"]
             else:
                 doc["weights"] = weights
-            assert _message(lambda: measure_from_dict(doc, mu.space, mu_doc)) == _message(
-                lambda: measure_from_dict(doc, mu.space)
+            assert _message(lambda: measure_from_dict(doc, (mu.space, mu_doc))) == _message(
+                lambda: measure_from_dict(doc)
             )
-        assert _message(lambda: measure_from_dict([1], mu.space, mu_doc)) == _message(
-            lambda: measure_from_dict([1], mu.space)
+        assert _message(lambda: measure_from_dict([1], (mu.space, mu_doc))) == _message(
+            lambda: measure_from_dict([1])
         )
 
     def test_null_anchor_is_not_a_missing_one(self):
@@ -491,9 +498,9 @@ class TestSharedSpace:
         del mu_doc["anchor"]
         mu = measure_from_dict(mu_doc)
         doc = {**mu_doc, "anchor": None}
-        expected = _message(lambda: measure_from_dict(doc, mu.space))
+        expected = _message(lambda: measure_from_dict(doc))
         assert expected[1].startswith("malformed measure file")
-        assert _message(lambda: measure_from_dict(doc, mu.space, mu_doc)) == expected
+        assert _message(lambda: measure_from_dict(doc, (mu.space, mu_doc))) == expected
 
 
 class TestArithmetic:

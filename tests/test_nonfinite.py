@@ -2,7 +2,8 @@
 
 Points at 0, 1e200 and 3e200 form a valid line metric, but with q = 2 the
 costs ``d**q`` overflow to inf.  The solver rejects non-finite data, and a
-coupling whose cost is not finite does not validate.
+coupling whose cost is not finite does not validate, nor does a Lipschitz
+witness with a non-finite potential or value.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ import pytest
 
 from kantorovich_lab import cli
 from kantorovich_lab.measures import PseudometricSpace
-from kantorovich_lab.transport import kq_norm, wasserstein_q
+from kantorovich_lab.transport import LipschitzWitness, kq_norm, wasserstein_q
 from kantorovich_lab.transport._transportation import solve_transportation
 
 X = (0.0, 1e200, 3e200)
@@ -61,6 +62,31 @@ def test_coupling_with_non_finite_cost_fails_validation():
     # a finite reported cost against a recomputed cost that overflows
     with pytest.raises(ValueError, match="^coupling cost is not finite$"):
         dataclasses.replace(coupling, q=2.0, cost=1.0).validate(mu, nu)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "mode, values, achieved",
+    [
+        ("bounded", [NAN, NAN], NAN),
+        ("anchored", [0.0, NAN], 3.0),
+        ("bounded", [1.0, -1.0], NAN),
+        ("anchored", [0.0, -3.0], NAN),
+        ("bounded", [INF, -INF], 2.0),
+        ("anchored", [0.0, -INF], 3.0),
+        ("bounded", [1.0, -1.0], INF),
+        ("anchored", [0.0, -3.0], -INF),
+    ],
+)
+def test_witness_with_non_finite_entries_fails_validation(mode, values, achieved):
+    mu = PseudometricSpace(points=("a", "b"), metrics={"d": [[0.0, 3.0], [3.0, 0.0]]}).measure([1.0, -1.0])
+    # the finite witnesses of the same shape validate
+    LipschitzWitness("d", np.array([1.0, -1.0]), 2.0, "bounded").validate(mu)
+    LipschitzWitness("d", np.array([0.0, -3.0]), 3.0, "anchored").validate(mu)
+    with pytest.raises(ValueError, match="^witness is not finite$"):
+        LipschitzWitness("d", np.array(values), achieved, mode).validate(mu)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
