@@ -97,7 +97,14 @@ def l1_counterexample(F, eps: float = 1e-6) -> L1CounterexampleInstance:
 
 
 def verify_counterexample(inst: L1CounterexampleInstance, eps: float | None = None) -> dict:
-    """Check neighborhood membership, normalization and barycenter norm."""
+    """Check neighborhood membership, normalization and barycenter norm.
+
+    ``eps`` is absolute, because the weak neighbourhood it tests is: the
+    measure is in it when ``max |F c| < eps`` for the instance's test-value
+    matrix ``F``.  A matrix of scale 1e10 leaves a residual of about 1e-6
+    with a correct null vector, and the FAIL at ``eps = 1e-6`` is then right:
+    the computed measure lies outside that neighbourhood.
+    """
     eps = inst.eps if eps is None else float(eps)
     residuals = inst.residuals()
     max_residual = float(np.abs(residuals).max()) if residuals.size else 0.0

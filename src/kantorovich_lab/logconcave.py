@@ -18,10 +18,10 @@ import numpy as np
 from .reports import (
     CheckRecord,
     ConcentrationReport,
-    content_seed,
     half_width,
     mean_std,
     one_sided,
+    reduce_each_law,
     two_sided,
 )
 
@@ -309,13 +309,10 @@ def mean_convergence_experiment(
     q_fns = [(name, seminorm(fn)) for name, fn in q_items]
     kappas = {}
 
-    def fields(s: LogConcaveSpec) -> tuple:
-        return (s.family, s.dim, s.mean, s.cov, s.lo, s.hi, s.rates)
-
-    def reduce(s: LogConcaveSpec):
+    def reduce(s: LogConcaveSpec, law_seed):
         """Moments, barycenter and its half-width of one law; the first law
         reduced, the limit, picks each seminorm's exponent."""
-        xs = sample(s, n, content_seed(seed, *fields(s)))
+        xs = sample(s, n, law_seed)
         stats: dict[str, tuple[float, float]] = {}
         for name, fn in q_fns:
             values = fn(xs)
@@ -329,20 +326,15 @@ def mean_convergence_experiment(
         bary.setflags(write=False)
         return stats, bary, half_width(float(std.max()), n)
 
-    # keyed by the repr of the seed fields, since 0.0 == -0.0 would merge
-    # two laws whose seeds differ
-    laws = {repr(fields(limit)): reduce(limit)}
-    limit_stats, limit_bary, limit_bary_hw = laws[repr(fields(limit))]
+    (limit_stats, limit_bary, limit_bary_hw), reductions = reduce_each_law(
+        reduce, limit, specs, seed
+    )
 
     per_index = []
     final: dict[str, tuple[float, float]] = {}
     bary_gap_final = 0.0
     bary_hw_final = 0.0
-    for i, spec in enumerate(specs):
-        key = repr(fields(spec))
-        if key not in laws:
-            laws[key] = reduce(spec)
-        stats, bary, bary_hw = laws[key]
+    for i, (stats, bary, bary_hw) in enumerate(reductions):
         final.update(stats)
         per_index.append(
             {"index": i, **stats, "barycenter": bary.tolist(), "barycenter_half_width": bary_hw}

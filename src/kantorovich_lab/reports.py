@@ -6,20 +6,20 @@ half-width.
 
 Reports serialize deterministically, so identical seeds give byte-identical
 files.  ``dump_json`` writes the bytes of
-``json.dumps(_plain(doc), indent=2, sort_keys=True) + "\\n"``: keys sorted,
-two-space indent, ASCII-only strings, floats as their shortest round-trip
-``repr``.  It gets them in one walk over the document instead of converting
-it with ``_plain`` first and then running the stdlib's pure-Python indenting
-encoder.  Floats and strings are recognised by their exact type before the
-slower checks; a list of finite floats, the usual bulk of a report (coupling
-matrices, witnesses), is joined in one ``str.join``; and the file is written
-with one ``write``.
+``json.dumps(_plain(doc), indent=2, sort_keys=True, allow_nan=False) + "\\n"``:
+keys sorted, two-space indent, ASCII-only strings, floats as their shortest
+round-trip ``repr``.  ``_plain`` has one rule for every value, at any depth:
+numpy scalars and arrays become their ``tolist()``, mappings get ``str`` keys,
+and a non-finite float becomes the string ``"inf"``, ``"-inf"`` or ``"nan"``,
+spelled as in curve and measure files.  A report is therefore strict JSON
+(RFC 8259), with no ``Infinity`` or ``NaN`` token.
 
-``_plain``'s rules hold unchanged: numpy scalars and arrays become their
-``tolist()``, mappings get ``str`` keys, and a non-finite Python float
-becomes the string ``"inf"`` or ``"nan"``.  A ``tolist()`` result is written
-as the stdlib writes it, so a non-finite number inside an array is
-``Infinity``/``NaN``.  The stdlib encoder stays the reference the tests
+``dump_json`` gets these bytes in one walk over the document instead of
+converting it with ``_plain`` first and then running the stdlib's pure-Python
+indenting encoder.  Floats and strings are recognised by their exact type
+before the slower checks; a list of finite floats, the usual bulk of a report
+(coupling matrices, witnesses), is joined in one ``str.join``; and the file is
+written with one ``write``.  The stdlib encoder stays the reference the tests
 compare these bytes with.
 """
 
@@ -28,9 +28,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from json.encoder import encode_basestring_ascii as _string
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -60,6 +60,27 @@ def content_seed(base_seed: int, *fields) -> np.random.SeedSequence:
     digest = hashlib.sha256(repr(fields).encode("utf-8")).digest()
     key = int.from_bytes(digest[:8], "big")
     return np.random.SeedSequence(entropy=(int(base_seed), key))
+
+
+def reduce_each_law(reduce: Callable, limit, specs: Sequence, base_seed: int) -> tuple:
+    """``reduce(spec, seed)`` of the limit and of each spec, drawing each law once.
+
+    Laws are reduced in order, the limit first, each with the seed
+    ``content_seed(base_seed, *astuple(spec))``; a spec equal to the limit or
+    to an earlier spec reuses its reduction.  Laws are keyed by the ``repr``
+    of their fields, since ``0.0 == -0.0`` would merge two laws whose seeds
+    differ.  Returns the limit's reduction and the list of the specs'.
+    """
+    laws = {}
+
+    def once(spec):
+        fields = astuple(spec)
+        key = repr(fields)
+        if key not in laws:
+            laws[key] = reduce(spec, content_seed(base_seed, *fields))
+        return laws[key]
+
+    return once(limit), [once(spec) for spec in specs]
 
 
 @dataclass(frozen=True)
@@ -116,9 +137,11 @@ class ConcentrationReport:
 
 
 def _plain(obj):
-    """Recursively convert numpy scalars/arrays for JSON output."""
+    """The document as the stdlib encoder is to see it: numpy scalars and
+    arrays become their ``tolist()``, converted in turn; mappings get ``str``
+    keys; and a non-finite float becomes ``"inf"``, ``"-inf"`` or ``"nan"``."""
     if hasattr(obj, "tolist"):
-        return obj.tolist()
+        return _plain(obj.tolist())
     if isinstance(obj, Mapping):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -126,90 +149,6 @@ def _plain(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
-
-
-def _json_float(x: float) -> str:
-    """A float as the stdlib encoder writes it."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_key(key) -> str:
-    """A dict key as the stdlib encoder converts it."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _json_float(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _encode_list(items, level: int, out: list, encode) -> None:
-    if not items:
-        out.append("[]")
-        return
-    inner = "\n" + "  " * (level + 1)
-    sep = "," + inner
-    if set(map(type, items)) == {float}:
-        line = sep.join(map(float.__repr__, items))
-        # "inf" and "nan" are the only float reprs holding an "n"
-        if "n" not in line:
-            out += ("[", inner, line, "\n", "  " * level, "]")
-            return
-    out.append("[")
-    for i, value in enumerate(items):
-        out.append(sep if i else inner)
-        encode(value, level + 1, out)
-    out.append("\n" + "  " * level + "]")
-
-
-def _encode_dict(pairs, level: int, out: list, encode) -> None:
-    """``pairs``: (str key, value) in output order."""
-    if not pairs:
-        out.append("{}")
-        return
-    inner = "\n" + "  " * (level + 1)
-    sep = "," + inner
-    out.append("{")
-    for i, (key, value) in enumerate(pairs):
-        out.append((sep if i else inner) + _string(key) + ": ")
-        encode(value, level + 1, out)
-    out.append("\n" + "  " * level + "}")
-
-
-def _encode_json(obj, level: int, out: list) -> None:
-    """Append ``obj`` as the stdlib encoder writes it (a ``tolist()`` result)."""
-    if isinstance(obj, str):
-        out.append(_string(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(_json_float(obj))
-    elif isinstance(obj, (list, tuple)):
-        _encode_list(obj, level, out, _encode_json)
-    elif isinstance(obj, dict):
-        pairs = [(_json_key(k), v) for k, v in sorted(obj.items())]
-        _encode_dict(pairs, level, out, _encode_json)
-    else:
-        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def _encode(obj, level: int, out: list) -> None:
@@ -221,15 +160,49 @@ def _encode(obj, level: int, out: list) -> None:
         out.append(_string(obj))
     # the rest in _plain's order
     elif hasattr(obj, "tolist"):
-        _encode_json(obj.tolist(), level, out)
+        _encode(obj.tolist(), level, out)
     elif isinstance(obj, Mapping):
-        _encode_dict(sorted({str(k): v for k, v in obj.items()}.items()), level, out, _encode)
+        if not obj:
+            out.append("{}")
+            return
+        inner = "\n" + "  " * (level + 1)
+        sep = "," + inner
+        out.append("{")
+        for i, (key, value) in enumerate(sorted({str(k): v for k, v in obj.items()}.items())):
+            out.append((sep if i else inner) + _string(key) + ": ")
+            _encode(value, level + 1, out)
+        out.append("\n" + "  " * level + "}")
     elif isinstance(obj, (list, tuple)):
-        _encode_list(obj, level, out, _encode)
-    elif isinstance(obj, float) and not math.isfinite(obj):
-        out.append(_string(repr(obj)))
+        if not obj:
+            out.append("[]")
+            return
+        inner = "\n" + "  " * (level + 1)
+        sep = "," + inner
+        if set(map(type, obj)) == {float}:
+            line = sep.join(map(float.__repr__, obj))
+            # "inf" and "nan" are the only float reprs holding an "n"
+            if "n" not in line:
+                out += ("[", inner, line, "\n", "  " * level, "]")
+                return
+        out.append("[")
+        for i, value in enumerate(obj):
+            out.append(sep if i else inner)
+            _encode(value, level + 1, out)
+        out.append("\n" + "  " * level + "]")
+    elif isinstance(obj, float):
+        out.append(float.__repr__(obj) if math.isfinite(obj) else _string(repr(obj)))
+    elif isinstance(obj, str):
+        out.append(_string(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
     else:
-        _encode_json(obj, level, out)
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def dump_json(doc, path) -> None:

@@ -19,10 +19,10 @@ import numpy as np
 from .reports import (
     CheckRecord,
     ConcentrationReport,
-    content_seed,
     half_width,
     mean_std,
     one_sided,
+    reduce_each_law,
 )
 from .transport._transportation import flow_seminorm_value
 
@@ -223,28 +223,21 @@ def stable_tail_check(
     p1: float,
     n: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    q=None,
     delta: float = 0.8,
     ts: Sequence[float] | None = None,
     slope_margin: float = 0.15,
 ) -> ConcentrationReport:
     """Power tail bound and log-log tail slope for a stable law.
 
-    The seminorm is rescaled so that 80% of its mass sits below 1 (so the
-    sublevel fraction exceeds 3/4), then empirical tails on a grid in
+    The seminorm |x_1| is rescaled so that 80% of its mass sits below 1 (so
+    the sublevel fraction exceeds 3/4), then empirical tails on a grid in
     (2, t_max] are compared against C t^-p1 and the fitted slope is checked
     against -p1 (an order p below p1 violates the hypothesis; the slope check
     is then recorded as an expected failure).
     """
     if not p1 > 1:
         raise ValueError("p1 must exceed 1")
-    samples = sample_stable(spec, n, seed)
-    if q is None:
-        values = np.abs(samples[:, 0])
-    else:
-        from .logconcave import seminorm
-
-        values = seminorm(q)(samples)
+    values = np.abs(sample_stable(spec, n, seed)[:, 0])
     scale = float(np.quantile(values, 0.8))
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError("cannot rescale: the seminorm has no positive 80% quantile")
@@ -470,12 +463,9 @@ def stable_mean_convergence_experiment(
         means = xs[: (len(xs) // k) * k].reshape(k, -1, xs.shape[1]).mean(axis=1)
         return 3.0 * float(means.std(axis=0).max()) / math.sqrt(k)
 
-    def fields(s: StableSpec) -> tuple:
-        return (s.p, s.b, s.c, s.a, s.dim)
-
-    def reduce(s: StableSpec):
+    def reduce(s: StableSpec, law_seed):
         """Moment, barycenter, its half-width and the binning of one law."""
-        xs = sample_stable(s, n, content_seed(seed, *fields(s)))
+        xs = sample_stable(s, n, law_seed)
         ax = np.abs(xs[:, 0]) if s.dim == 1 else np.sqrt((xs * xs).sum(axis=1))
         m_r = float((ax**r).mean())
         bary = xs.mean(axis=0)
@@ -486,21 +476,16 @@ def stable_mean_convergence_experiment(
             binned[1].setflags(write=False)
         return m_r, bary, block_hw(xs), binned
 
-    # one draw per distinct law, the limit first; laws are keyed by the repr
-    # of their seed fields, since 0.0 == -0.0 would merge two seeds
-    laws = {repr(fields(limit)): reduce(limit)}
-    _, limit_bary, limit_hw, limit_binned = laws[repr(fields(limit))]
+    (_, limit_bary, limit_hw, limit_binned), reductions = reduce_each_law(
+        reduce, limit, specs, seed
+    )
 
     per_index = []
     moment_sup = 0.0
     final_gap = math.inf
     final_hw = 0.0
     kgaps = []
-    for i, spec in enumerate(specs):
-        key = repr(fields(spec))
-        if key not in laws:
-            laws[key] = reduce(spec)
-        m_r, bary, hw, binned = laws[key]
+    for i, (m_r, bary, hw, binned) in enumerate(reductions):
         moment_sup = max(moment_sup, m_r)
         row = {
             "index": i,

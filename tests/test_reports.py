@@ -17,7 +17,8 @@ from kantorovich_lab.reports import _plain, dump_json, mean_std
 
 
 def reference(doc) -> bytes:
-    return (json.dumps(_plain(doc), indent=2, sort_keys=True) + "\n").encode("utf-8")
+    text = json.dumps(_plain(doc), indent=2, sort_keys=True, allow_nan=False)
+    return (text + "\n").encode("utf-8")
 
 
 def written(doc, path) -> bytes:
@@ -45,9 +46,9 @@ numpy_arrays = hnp.arrays(
     dtype=st.sampled_from([np.float64, np.int64, np.bool_]),
     shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
 )
-# a tolist() result is written as the stdlib writes it: an object array's
-# dicts keep their non-str keys, sorted as they are and then converted, and its
-# numpy floats are written by float.__repr__
+# a tolist() result follows the document's rules: an object array's dicts get
+# str keys like any mapping's, and its numpy floats, finite or not, are written
+# as Python floats are
 raw_dicts = st.one_of(
     st.dictionaries(st.integers() | st.floats(), floats, max_size=4),
     st.dictionaries(st.booleans(), texts, max_size=2),
@@ -104,12 +105,33 @@ def test_edge_document(report_path):
     }
     text = written(doc, report_path)
     assert text == reference(doc)
-    # _plain's rule: a bare non-finite float is a string, one inside an array is not
-    assert b'"-inf",' in text and b"  -Infinity," in text
+    # one rule at every depth: a non-finite float is a string, never a bare token
+    assert b'"-inf",' in text
+    assert b"Infinity" not in text and b"NaN" not in text
+
+
+def _no_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+def test_numpy_non_finite_is_strict_json(report_path):
+    doc = {
+        "array": np.array([math.inf, -math.inf, math.nan, 1.5]),
+        "matrix": np.array([[math.nan, 0.0], [-math.inf, math.inf]]),
+        "scalars": [np.float64(math.inf), np.float32(-math.inf), np.float64(math.nan)],
+        "zero_d": np.array(math.nan),
+    }
+    loaded = json.loads(written(doc, report_path), parse_constant=_no_constant)
+    assert loaded == {
+        "array": ["inf", "-inf", "nan", 1.5],
+        "matrix": [["nan", 0.0], ["-inf", "inf"]],
+        "scalars": ["inf", "-inf", "nan"],
+        "zero_d": "nan",
+    }
 
 
 def test_unserializable_raises_like_stdlib(report_path):
-    for doc in ({"a": {1, 2}}, [object()], np.array([{(1, 2): 3.0}], dtype=object)):
+    for doc in ({"a": {1, 2}}, [object()]):
         with pytest.raises(TypeError):
             reference(doc)
         with pytest.raises(TypeError):
