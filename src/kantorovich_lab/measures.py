@@ -9,6 +9,7 @@ freely across threads.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -143,7 +144,7 @@ class SignedMeasure:
 
     @property
     def support(self) -> np.ndarray:
-        return np.flatnonzero(self.weights)
+        return self.weights.nonzero()[0]
 
     def _require_same_space(self, other: "SignedMeasure") -> None:
         if self.space is not other.space and not self.space.same_as(other.space):
@@ -280,14 +281,18 @@ def _num(x) -> float:
 def _matrix(rows) -> np.ndarray:
     """Rows of decimal strings as a float array; a non-finite entry is an error.
 
-    Parses row by row; on any failure the entries are parsed again one by one,
-    so the error is the one the first bad entry in row order raises.
+    Parses every entry in one flat pass when the rows are of equal length; on
+    any failure the entries are parsed again one by one, so the error is the
+    one the first bad entry in row order (or a ragged shape) raises.
     """
     try:
-        out = np.array([list(map(float, row)) for row in rows])
-        if np.isfinite(out).all():
-            return out
-    except (TypeError, ValueError):
+        n_rows = len(rows)
+        n_cols = len(rows[0]) if n_rows else 0
+        if all(len(row) == n_cols for row in rows):
+            out = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float, n_rows * n_cols)
+            if np.isfinite(out).all():
+                return out.reshape(n_rows, n_cols) if n_rows else out
+    except (TypeError, ValueError, KeyError, IndexError):
         pass
     return np.array([[_num(x) for x in row] for row in rows])
 

@@ -131,12 +131,14 @@ def _seminorm_potential(d: np.ndarray, w: np.ndarray, mode: str, anchor: int) ->
         if len(prob.pos) == 0:
             return np.full(len(w), -1.0)
         g = np.minimum(u[:-1] - u[-1], 1.0)
-        return np.clip((g[None, :] - d[:, prob.pos]).max(axis=1), -1.0, 1.0)
-    rows = np.append(prob.pos, anchor)
+        f = (g - d.take(prob.pos, 1)).max(axis=1)
+        np.maximum(f, -1.0, out=f)
+        return np.minimum(f, 1.0, out=f)
+    rows = np.array([*prob.pos.tolist(), anchor])
     # capping by the row of d read below keeps f(anchor) <= 0 exactly
-    g = np.minimum(u - u[-1], d[anchor, rows])
+    g = np.minimum(u - u[-1], d[anchor].take(rows))
     g[-1] = 0.0
-    return np.maximum((g[None, :] - d[:, rows]).max(axis=1), -d[:, anchor])
+    return np.maximum((g - d.take(rows, 1)).max(axis=1), -d[:, anchor])
 
 
 def kr_norm(mu: SignedMeasure, metric_name: str) -> tuple[float, LipschitzWitness]:

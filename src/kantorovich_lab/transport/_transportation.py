@@ -27,6 +27,10 @@ et al., "Displacement Interpolation Using Lagrangian Mass Transport"
   taken in increasing cost and each closes its row or its column, so the
   start already ships most mass along cheap cells and the simplex needs far
   fewer pivots than from the northwest corner, which ignores the costs.
+  The next cell comes from a heap of each open row's cheapest open cell, so
+  the cells of a closed row are never visited.  A closed line appears in no
+  later cell, so the start hangs it below the cell's other line and builds
+  the tree as it goes; re-rooting it at row 0 reverses one path.
 - The entering cell comes from block-search pricing, the default rule of
   LEMON (Kovács, "Minimum-cost flow algorithms: an experimental
   evaluation", 2015).  The cost matrix is priced in blocks of whole rows,
@@ -58,8 +62,9 @@ et al., "Displacement Interpolation Using Lagrangian Mass Transport"
   included, is nondegenerate whatever order it was built in.  The simplex's
   own final tree is re-flowed against the unperturbed marginals, so reported
   flows and costs are exact for the original data: each edge's flow is the
-  net supply of the subtree below it, summed exactly in integers and rounded
-  once, and the cost is one ``math.fsum`` of the flows times their costs.
+  net supply of the subtree below it, one ``math.fsum`` (exact, rounded
+  once) of the subtree's balances, gathered deepest node first; the cost is
+  one ``math.fsum`` of the flows times their costs.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -81,8 +87,6 @@ FLOW_TOL = 1e-9
 BALANCE_TOL = 1e-9
 #: Cells priced per block of whole rows (at least one row per block).
 PRICING_BLOCK_CELLS = 8192
-#: Sorted cells filtered at a time while building the starting basis.
-START_CHUNK_CELLS = 1024
 
 
 @dataclass(frozen=True)
@@ -94,51 +98,77 @@ class TransportSolution:
     iterations: int
 
 
-def _least_cost_basis(a: Sequence[float], b: Sequence[float], C: np.ndarray):
-    """Starting basis by the matrix-minimum rule.
+def _least_cost_tree(a: Sequence[float], b: Sequence[float], C: np.ndarray):
+    """Starting basis by the matrix-minimum rule, as a spanning tree.
 
-    Cells are visited in increasing cost (ties in row-major order); a cell
-    whose row or column is closed is skipped, otherwise it ships what its row
-    and column can still take and closes exactly one of them: the exhausted
-    one, except that the last open column or row stays open until the last
-    cell, which closes both (round-off could leave it short of the mass still
-    owed to it).  A closed line appears in no later cell, so the r + s - 1
-    cells form a spanning tree.  The sorted cells are taken in chunks of
-    ``START_CHUNK_CELLS``, and numpy drops those of a chunk whose line closed
-    before it, which the rule would skip anyway.  Returns the basis cells in
-    the order taken and a dict of their flows in the same order.
+    Cells are taken in increasing cost (ties in row-major order); a cell
+    whose row or column is closed is passed over, otherwise it ships what its
+    row and column can still take and closes exactly one of them: the
+    exhausted one, except that the last open column or row stays open until
+    the last cell, which closes both (round-off could leave it short of the
+    mass still owed to it).  The next cell is the least of the open rows'
+    cheapest cells, kept in a heap: a closed row leaves the heap, and a row
+    whose cheapest column closed moves on along its columns in increasing
+    cost, so no cell of a closed row is visited again.
+
+    A closed line appears in no later cell, so each cell hangs the line it
+    closes below its other line, and the r + s - 1 cells form a spanning tree
+    rooted at the column left open.  Nodes are rows 0..r-1 and columns
+    r..r+s-1.  Returns ``(order, parent, eflow, ecost)``: the nodes, parent
+    first from the root; each node's parent (-1 at the root); and the flow
+    and the cost of the cell that joins it to its parent.
     """
     r, s = len(a), len(b)
     rem_a = list(map(float, a))
     rem_b = list(map(float, b))
-    row_open = [True] * r
     col_open = [True] * s
     open_rows, open_cols = r, s
-    basis = []
-    flows = {}
-    order = np.argsort(C, axis=None, kind="stable")
-    for lo in range(0, order.size, START_CHUNK_CELLS):
-        rows, cols = np.divmod(order[lo : lo + START_CHUNK_CELLS], s)
-        if lo:  # no line closes before the first chunk
-            keep = np.array(row_open)[rows] & np.array(col_open)[cols]
-            rows, cols = rows[keep], cols[keep]
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            if not (row_open[i] and col_open[j]):
-                continue
-            f = min(rem_a[i], rem_b[j])
-            basis.append((i, j))
-            flows[(i, j)] = f
-            rem_a[i] -= f
-            rem_b[j] -= f
-            if open_cols == 1 or (open_rows > 1 and rem_a[i] <= rem_b[j]):
-                row_open[i] = False
+    parent = [-1] * (r + s)
+    eflow = [0.0] * (r + s)
+    ecost = [0.0] * (r + s)
+    closed = []
+    Cl = C.tolist()
+    by_cost = C.argsort(kind="stable").tolist()
+    at = [0] * r  # position of each row's heap cell in its by_cost list
+    heap = [(Cl[i][row[0]], i, row[0]) for i, row in enumerate(by_cost)]
+    heapify(heap)
+    while True:
+        c, i, j = heap[0]
+        if col_open[j]:
+            ra, rb = rem_a[i], rem_b[j]
+            f = ra if ra <= rb else rb
+            # the exhausted line closes (ra <= rb is rem_a <= rem_b after
+            # shipping f); only the line left open needs its remainder
+            if open_cols == 1 or (open_rows > 1 and ra <= rb):
+                x = i
+                parent[i] = r + j
+                rem_b[j] = rb - f
                 open_rows -= 1
-                if open_rows == 0:
-                    return basis, flows
             else:
+                x = r + j
+                parent[x] = i
+                rem_a[i] = ra - f
                 col_open[j] = False
                 open_cols -= 1
-    return basis, flows
+            eflow[x] = f
+            ecost[x] = c
+            closed.append(x)
+            if x == i:
+                if open_rows == 0:
+                    closed.append(r + j)
+                    closed.reverse()
+                    return closed, parent, eflow, ecost
+                heappop(heap)
+                continue
+        # row i's cheapest cell lies in a closed column: move on to its next
+        # open column (one is left while a row is open)
+        row = by_cost[i]
+        p = at[i] + 1
+        while not col_open[row[p]]:
+            p += 1
+        at[i] = p
+        j = row[p]
+        heapreplace(heap, (Cl[i][j], i, j))
 
 
 def solve_transportation(a, b, C) -> TransportSolution:
@@ -149,9 +179,11 @@ def solve_transportation(a, b, C) -> TransportSolution:
     r, s = len(a), len(b)
     if C.shape != (r, s):
         raise ValueError("cost matrix shape mismatch")
-    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(C).all()):
-        raise ValueError("marginals and costs must be finite")
     al, bl = a.tolist(), b.tolist()
+    # the largest |cost| is NaN or infinite exactly when some cost is
+    cmax = float(np.abs(C).max(initial=0.0))
+    if not (math.isfinite(cmax) and all(map(math.isfinite, al)) and all(map(math.isfinite, bl))):
+        raise ValueError("marginals and costs must be finite")
     if min(al) < 0 or min(bl) < 0:
         raise ValueError("marginals must be nonnegative")
     total = math.fsum(al)
@@ -164,43 +196,44 @@ def solve_transportation(a, b, C) -> TransportSolution:
     b2 = [x / scale for x in bl]
     b2[-1] += math.fsum(a2) - math.fsum(b2)
 
-    # spanning tree of the starting basis, rooted at row 0; nodes are rows
-    # 0..r-1 and columns r..r+s-1, and eflow[x] and ecost[x] are the flow and
-    # the cost of the edge from x to its parent
-    basis, start_flows = _least_cost_basis(a2, b2, C)
+    # The start tree, rooted at row 0: the edges on the spine, the path from
+    # row 0 up to the start's root, reverse direction, each now hanging from
+    # the node it hung below.  eflow[x] and ecost[x] are the flow and the cost of the
+    # edge from node x to its parent.
+    order, parent, eflow, ecost = _least_cost_tree(a2, b2, C)
     n_nodes = r + s
-    Cl = C.tolist()
-    adj = [[] for _ in range(n_nodes)]
-    for (i, j), f in zip(basis, start_flows.values()):
-        c = Cl[i][j]
-        adj[i].append((r + j, f, c))
-        adj[r + j].append((i, f, c))
-    parent = [-1] * n_nodes
-    depth = [0] * n_nodes
-    eflow = [0.0] * n_nodes
-    ecost = [0.0] * n_nodes
+    spine = [0]
+    while parent[spine[-1]] >= 0 and len(spine) <= n_nodes:
+        spine.append(parent[spine[-1]])
+    if len(order) != n_nodes or len(set(order)) != n_nodes or len(spine) > n_nodes:
+        raise RuntimeError("internal error: transportation basis is not a spanning tree")
+    for t in range(len(spine) - 1, 0, -1):
+        z, child = spine[t], spine[t - 1]
+        parent[z] = child
+        eflow[z] = eflow[child]
+        ecost[z] = ecost[child]
+    parent[0] = -1
+    # A dual is fixed by its path to the root, so any parent-first order
+    # gives the same bits: the spine first, then the order the tree grew in.
+    # A node placed before its parent keeps a negative depth.
+    order.remove(0)
+    depth = [-n_nodes] * n_nodes
+    depth[0] = 0
     pot = [0.0] * n_nodes  # duals: u for rows, v for columns
     children = [set() for _ in range(n_nodes)]
-    order = [0]
-    for x in order:
-        up = parent[x]
-        for y, f, c in adj[x]:
-            if y != up:
-                parent[y] = x
-                depth[y] = depth[x] + 1
-                children[x].add(y)
-                eflow[y] = f
-                ecost[y] = c
-                pot[y] = c - pot[x]
-                order.append(y)
-    if len(order) != n_nodes:
+    for z in spine[1:] + order:
+        up = parent[z]
+        depth[z] = depth[up] + 1
+        pot[z] = ecost[z] - pot[up]
+        children[up].add(z)
+    if min(depth) < 0:
         raise RuntimeError("internal error: transportation basis is not a spanning tree")
     # pricing reads the duals the pivots write, through one shared buffer
     pot = array("d", pot)
     duals = np.frombuffer(pot)
     u, v = duals[:r, None], duals[None, r:]
 
-    stop = -FLOW_TOL * max(1.0, float(np.abs(C).max()))
+    stop = -FLOW_TOL * max(1.0, cmax)
     block_rows = max(1, PRICING_BLOCK_CELLS // s)
     rc_block = np.empty((min(block_rows, r), s))
     blocks = [
@@ -276,7 +309,7 @@ def solve_transportation(a, b, C) -> TransportSolution:
             eflow[path[t]] = eflow[path[t - 1]]
             ecost[path[t]] = ecost[path[t - 1]]
         eflow[inner] = theta
-        ecost[inner] = Cl[ei][ej]
+        ecost[inner] = C_blk.item(k)
         prev = outer
         for z in path:
             parent[z] = prev
@@ -294,20 +327,19 @@ def solve_transportation(a, b, C) -> TransportSolution:
 
     # Tree flows are linear in the marginals: re-flowing the final tree
     # against the original data gives the unit-scale flows times the scale,
-    # without rounding twice.  The flow on a tree edge is the net supply of
-    # the subtree it cuts off, summed exactly in integers over a common
-    # power-of-two denominator (so in any child-first order) and rounded once.
-    ratios = [x.as_integer_ratio() for x in al]
-    ratios += [(-x).as_integer_ratio() for x in bl]
-    den = max(q for _, q in ratios)
-    net = [p * (den // q) for p, q in ratios]  # node balance: + supply, - demand
-    order = [0]
-    for x in order:
-        order.extend(children[x])
-    for x in order[:0:-1]:
-        net[parent[x]] += net[x]
-    # rows ship to their parent columns, columns receive from their parent rows
-    flows = [f / den for f in net[1:r]] + [-f / den for f in net[r:]]
+    # without rounding twice.  The flow on a tree edge is the net supply
+    # (+ supply, - demand) of the subtree it cuts off: one math.fsum, exact
+    # and rounded once, of the balances of the subtree's nodes, gathered
+    # deepest node first.
+    below = [[x] for x in al]
+    below += [[-x] for x in bl]
+    for x in sorted(range(1, n_nodes), key=depth.__getitem__, reverse=True):
+        below[parent[x]] += below[x]
+    # rows ship to their parent columns, columns receive from their parent
+    # rows; "+ 0.0" and "0.0 -" write an exact zero as +0.0
+    fsum = math.fsum
+    flows = [fsum(below[x]) + 0.0 for x in range(1, r)]
+    flows += [0.0 - fsum(below[x]) for x in range(r, n_nodes)]
     neg = min(flows)
     if neg < 0:
         if neg < -FLOW_TOL * scale:
@@ -348,18 +380,24 @@ def seminorm_problem(d: np.ndarray, weights: np.ndarray, mode: str, anchor: int 
     if mode not in ("bounded", "anchored"):
         raise ValueError(f"unknown mode {mode!r}; expected 'bounded' or 'anchored'")
     w = np.asarray(weights, dtype=float)
-    pos = np.flatnonzero(w > 0)
-    neg = np.flatnonzero(w < 0)
-    if len(pos) + len(neg) == 0:
+    pos = (w > 0).nonzero()[0]
+    neg = (w < 0).nonzero()[0]
+    if not (len(pos) or len(neg)):
         return None
+    # the absorbing node's row and column read the anchor's entries; bounded
+    # mode reads point 0's and overwrites them with the slack's
+    end = anchor if mode == "anchored" else 0
+    rows = np.array([*pos.tolist(), end])
+    cols = np.array([*neg.tolist(), end])
+    a = w[rows]
+    b = -w[cols]
+    a[-1] = math.fsum(b[:-1].tolist())
+    b[-1] = math.fsum(a[:-1].tolist())
+    C = d.take(rows, 0).take(cols, 1)
     if mode == "bounded":
-        C = np.ones((len(pos) + 1, len(neg) + 1))
-        C[:-1, :-1] = d[np.ix_(pos, neg)]
+        C[-1] = 1.0
+        C[:, -1] = 1.0
         C[-1, -1] = 0.0
-    else:
-        C = d[np.ix_(np.append(pos, anchor), np.append(neg, anchor))]
-    a = np.append(w[pos], math.fsum((-w[neg]).tolist()))
-    b = np.append(-w[neg], math.fsum(w[pos].tolist()))
     return SeminormProblem(pos, a, b, C)
 
 

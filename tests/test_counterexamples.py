@@ -169,6 +169,24 @@ class TestRescalingSchedule:
                 exact.tail_integral(1, [t])[0], abs=1e-12
             )
 
+    def test_geometric_tails_match_the_power_bit_for_bit(self):
+        """The closed-form tails take 2 ** -t by setting the exponent; the
+        values must be those of the power, across the subnormal range, where
+        it rounds to 0 (from t = 1075 on), and at +inf and NaN thresholds."""
+        t = np.array(
+            [0.0, 0.5, 1.0, 52.0, 1022.0, 1023.0, 1073.0, 1074.0, 1074.9, 1075.0, 1076.0,
+             1e300, np.inf, np.nan, -np.nan, -2.5, -np.inf]
+        )
+        member = GeometricTailMember()
+        with np.errstate(invalid="ignore"):  # inf * 0 in the integral at t = +inf
+            whole = np.floor(np.maximum(t, 0.0))
+            expected_mass = 2.0 ** (-whole)
+            expected_integral = (whole + 2.0) * 2.0 ** (-whole)
+            mass = member.tail_mass(1, t)
+            integral = member.tail_integral(1, t)
+        assert mass.tobytes() == expected_mass.tobytes()
+        assert integral.tobytes() == expected_integral.tobytes()
+
     def test_tail_mass_sums_match_per_block_scan(self):
         # reference: each block re-evaluates the tail masses of its own suffix
         sched = rescaling_schedule(family_tail_functions([GeometricTailMember()], 8), 10**5)

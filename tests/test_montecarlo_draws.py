@@ -319,3 +319,21 @@ class TestOneDrawPerLaw:
             for arr in (*x[:2], *y[:2]):
                 with pytest.raises(ValueError):
                     arr[0] = 1.0
+
+
+def test_content_seed_fields_are_those_spelled_by_hand():
+    """``reports.reduce_each_law`` seeds a law by its spec's fields in
+    declaration order; three copies spell that order by hand and would keep
+    the old seeds if a field were added or moved."""
+    import dataclasses
+
+    copies = (
+        "tests/test_montecarlo_draws.py lines 114 and 175 (the spec_seed helpers) "
+        "and perfbench/generate.py line 334 (draws in _stable_gap_references)"
+    )
+    assert [f.name for f in dataclasses.fields(StableSpec)] == ["p", "b", "c", "a", "dim"], (
+        f"StableSpec's fields changed: update the content_seed calls in {copies}"
+    )
+    assert [f.name for f in dataclasses.fields(LogConcaveSpec)] == [
+        "family", "dim", "mean", "cov", "lo", "hi", "rates"
+    ], f"LogConcaveSpec's fields changed: update the content_seed calls in {copies}"

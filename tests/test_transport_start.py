@@ -14,7 +14,7 @@ import pytest
 
 from kantorovich_lab.measures import PseudometricSpace
 from kantorovich_lab.transport import k_norm, kq_norm, kr_norm, wasserstein_q
-from kantorovich_lab.transport._transportation import _least_cost_basis, solve_transportation
+from kantorovich_lab.transport._transportation import _least_cost_tree, solve_transportation
 
 from conftest import highs_coupling_cost, highs_seminorm
 from test_transport_highs import SCALES, assert_agrees
@@ -22,7 +22,19 @@ from test_transport_highs import SCALES, assert_agrees
 
 def assert_spanning_start(a, b, C):
     r, s = len(a), len(b)
-    basis, flows = _least_cost_basis(a, b, C)
+    order, parent, eflow, ecost = _least_cost_tree(a, b, C)
+    # every node but the root joins its parent, a node of the other side,
+    # by the start cell that carries its edge's flow and cost
+    assert sorted(order) == list(range(r + s)) and parent[order[0]] == -1
+    place = {x: k for k, x in enumerate(order)}
+    basis, flows = [], {}
+    for x in order[1:]:
+        assert (x < r) != (parent[x] < r)
+        assert place[parent[x]] < place[x], "order is not parent first"
+        cell = (x, parent[x] - r) if x < r else (parent[x], x - r)
+        assert ecost[x] == C[cell]
+        basis.append(cell)
+        flows[cell] = eflow[x]
     assert len(basis) == r + s - 1
     assert len(set(basis)) == len(basis)
     comp = list(range(r + s))
