@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..measures import SignedMeasure
+from ..measures import TRIANGLE_TOL, SignedMeasure
 from ._simplex import kernel_backend
 from ._transportation import flow_seminorm_value, seminorm_problem, solve_transportation
 from ._trees import min_cost_vertex
@@ -66,8 +66,12 @@ class LipschitzWitness:
         if not (np.isfinite(f).all() and math.isfinite(self.achieved)):
             raise ValueError("witness is not finite")
         d = mu.space.metric(self.metric_name)
+        # relative to the metric below 1, so a small metric cannot hide a
+        # steep potential; never below the space's own triangle tolerance
+        dmax = float(np.abs(d).max(initial=0.0))
+        lip_tol = max(tol * min(1.0, dmax), TRIANGLE_TOL * max(1.0, dmax))
         gap = np.abs(f[:, None] - f[None, :]) - d
-        if gap.max(initial=0.0) > tol:
+        if gap.max(initial=0.0) > lip_tol:
             raise ValueError(f"potential is not 1-Lipschitz (violation {gap.max():.3g})")
         if self.mode == "bounded":
             if np.abs(f).max(initial=0.0) > 1 + tol:
@@ -95,10 +99,12 @@ class Coupling:
 
     def validate(self, mu: SignedMeasure, nu: SignedMeasure, tol: float = WITNESS_TOL) -> None:
         sig = self.matrix
-        if sig.min(initial=0.0) < -1e-12:
-            raise ValueError("coupling has a negative entry")
         scale = max(float(np.abs(mu.weights).max()), float(np.abs(nu.weights).max()))
         mass_tol = _mass_tol(tol, scale, max(abs(mu.total_mass), abs(nu.total_mass)))
+        # at most the mass tolerance, so negative entries cannot pass for
+        # round-off at a small mass scale
+        if sig.min(initial=0.0) < -min(1e-12, mass_tol):
+            raise ValueError("coupling has a negative entry")
         if np.abs(sig.sum(axis=1) - mu.weights).max() > mass_tol:
             raise ValueError("row marginals do not match")
         if np.abs(sig.sum(axis=0) - nu.weights).max() > mass_tol:

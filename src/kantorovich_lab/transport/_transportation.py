@@ -11,18 +11,29 @@ et al., "Displacement Interpolation Using Lagrangian Mass Transport"
 - The marginals are divided by their largest entry before solving and the
   flows and cost multiplied back afterwards, so every tolerance below acts at
   unit scale whatever the mass scale of the data.
-- The basis is kept as a spanning tree rooted at row 0 with parent, depth and
-  child links, and each node caches the flow and the cost of the edge to its
-  parent.  The cycle of an entering cell is found by walking both of its
-  endpoints up to their common ancestor, and one scan per side finds theta
-  and the leaving edge.  After a pivot only the subtree cut off by the
-  leaving cell is re-hung: the edges of the path it hangs by move their
-  cached flow and cost one node down, and a walk of the subtree sets each
-  depth and each dual as the cached edge cost minus the parent's dual.  A
-  node's dual is fixed by its path to the root, so it equals what a fresh
-  traversal of the basis would give.  The duals live in one ``array('d')``
-  that the walk writes and pricing reads through ``np.frombuffer``, so no
-  copy is synchronised between them.
+- The basis is kept as a spanning tree rooted at row 0 and threaded as in
+  LEMON (Kovács, "Minimum-cost flow algorithms: an experimental evaluation",
+  2015): each node has its parent, its successor in a circular preorder of
+  the tree (``thread``) and its predecessor, the size of its subtree and the
+  subtree's last node in the thread.  Each node also caches the flow and the
+  cost of the edge to its parent.  The cycle of an entering cell is found by
+  stepping up from whichever endpoint has the smaller subtree, which cannot
+  be an ancestor of the other, until the two meet at the join; one scan per
+  side finds theta and the leaving edge.  A pivot re-hangs only the subtree
+  cut off by the leaving edge.  The stem, the path from the entering cell up
+  to the leaving edge, reverses and moves its cached flows and costs one
+  node down.  ``_rehang`` re-links the thread along the stem, splices the
+  subtree in after the entering cell's other end, and corrects sizes and
+  last nodes on the two sides of the cycle, so it costs steps in the stem
+  and the cycle, not in the subtree.  The subtree is then the next ``succ``
+  nodes of the thread, each after its parent, and one walk along them sets
+  each dual as the cached edge cost minus the parent's dual.  A node's dual
+  is fixed by its path to the root, so it equals a fresh traversal's bit for
+  bit.  Shifting the subtree's duals by one delta instead would round
+  differently from a fresh traversal, and the witnesses are read off the
+  duals, so the walk stays.  The duals live in one ``array('d')`` that the
+  walk writes and pricing reads through ``np.frombuffer``, so no copy is
+  synchronised between them.
 - The starting basis is the least-cost ("matrix minimum") one: cells are
   taken in increasing cost and each closes its row or its column, so the
   start already ships most mass along cheap cells and the simplex needs far
@@ -31,21 +42,20 @@ et al., "Displacement Interpolation Using Lagrangian Mass Transport"
   the cells of a closed row are never visited.  A closed line appears in no
   later cell, so the start hangs it below the cell's other line and builds
   the tree as it goes; re-rooting it at row 0 reverses one path.
-- The entering cell comes from block-search pricing, the default rule of
-  LEMON (Kovács, "Minimum-cost flow algorithms: an experimental
-  evaluation", 2015).  The cost matrix is priced in blocks of whole rows,
-  ``PRICING_BLOCK_CELLS`` cells each, cyclically from the block after the
-  one that gave the last entering cell.  Within a block the reduced costs
-  ``(C - u) - v`` are computed and the block's most negative cell (first in
-  row-major order) enters if it is below the stop tolerance.  The solve is
-  optimal once a full cycle of blocks finds none, the same certificate as
-  pricing the whole matrix.  A problem of at most ``PRICING_BLOCK_CELLS``
-  cells is one block, which is Dantzig's rule.  Blocks of 1024 to 8192
-  cells solve 256 x 256 and 512 x 512 problems within about 10% of each
-  other's time; the largest keeps the most problems (every one up to
-  90 x 90) on Dantzig's rule.  Basic cells are not masked: their reduced
-  cost is round-off of the duals, about 1e-13 times the largest cost, far
-  above the stop tolerance of ``-FLOW_TOL`` times it, so they never enter.
+- The entering cell comes from block-search pricing, LEMON's default rule.
+  The cost matrix is priced in blocks of whole rows, ``PRICING_BLOCK_CELLS``
+  cells each, cyclically from the block after the one that gave the last
+  entering cell.  Within a block the reduced costs ``(C - u) - v`` are
+  computed and the block's most negative cell (first in row-major order)
+  enters if it is below the stop tolerance.  The solve is optimal once a
+  full cycle of blocks finds none, the same certificate as pricing the whole
+  matrix.  A problem of at most ``PRICING_BLOCK_CELLS`` cells is one block,
+  which is Dantzig's rule.  Blocks of 1024 to 8192 cells solve 256 x 256
+  and 512 x 512 problems within about 10% of each other's time; the largest
+  keeps the most problems (every one up to 90 x 90) on Dantzig's rule.
+  Basic cells are not masked: their reduced cost is round-off of the duals,
+  about 1e-13 times the largest cost, far above the stop tolerance of
+  ``-FLOW_TOL`` times it, so they never enter.
   Up to ``PRICING_BLOCK_CELLS`` cells the pivots, and so the flows, duals
   and cost, are those of Dantzig's rule bit for bit.  Above it the pivots
   differ, and where the optimum is tied the solve may return another
@@ -63,8 +73,9 @@ et al., "Displacement Interpolation Using Lagrangian Mass Transport"
   own final tree is re-flowed against the unperturbed marginals, so reported
   flows and costs are exact for the original data: each edge's flow is the
   net supply of the subtree below it, one ``math.fsum`` (exact, rounded
-  once) of the subtree's balances, gathered deepest node first; the cost is
-  one ``math.fsum`` of the flows times their costs.
+  once) of the subtree's balances, gathered backwards along the thread, so
+  children before parents; the cost is one ``math.fsum`` of the flows times
+  their costs.
 """
 
 from __future__ import annotations
@@ -74,6 +85,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
+from itertools import filterfalse
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -171,6 +183,96 @@ def _least_cost_tree(a: Sequence[float], b: Sequence[float], C: np.ndarray):
         heapreplace(heap, (Cl[i][j], i, j))
 
 
+def _rehang(path, v_in, join, parent, thread, rev, succ, last) -> None:
+    """Re-hang the subtree cut off by a pivot's leaving edge below its
+    entering edge, updating the tree's parents and thread.
+
+    ``path`` is the stem: the entering edge's endpoint inside the subtree,
+    then its ancestors up to the child end of the leaving edge, the subtree's
+    old root.  ``v_in`` is the entering edge's other endpoint and ``join`` the
+    deepest common ancestor of the two.  ``thread`` is a circular preorder
+    with inverse ``rev``; ``succ`` and ``last`` give each subtree's size and
+    last node in the thread.  This is LEMON's ``updateTreeStructure``
+    (Kovács 2015), and it costs O(stem + cycle + climb) steps, whatever the
+    size of the subtree.
+    """
+    u_in, u_out = path[0], path[-1]
+    v_out = parent[u_out]
+    size = succ[u_out]
+    old_last = last[u_out]
+    before, after = rev[u_out], thread[old_last]
+    if u_in == u_out:
+        # a one-node stem keeps its subtree, its size and its last node
+        new_last = old_last
+        parent[u_in] = v_in
+    else:
+        # The subtree is a run of the thread from u_out to old_last.  Its new
+        # preorder is u_in's subtree, then each further stem node z with what
+        # is left of its subtree once its stem child c's is gone: the run
+        # from z to just before c and the run from just after c's subtree to
+        # z's last node.
+        ends, starts = [last[u_in]], []
+        c = u_in
+        for z in path[1:]:
+            starts.append(z)
+            ends.append(rev[c])
+            if last[c] != last[z]:
+                starts.append(thread[last[c]])
+                ends.append(last[z])
+            c = z
+        new_last = ends[-1]
+        for e, z in zip(ends, starts):
+            thread[e] = z
+            rev[z] = e
+        # each stem node now hangs from the one below it (u_in from v_in),
+        # and holds the subtree less what its old stem child held
+        up, gone = v_in, 0
+        for z in path:
+            parent[z] = up
+            held = succ[z]
+            succ[z] = size - gone
+            last[z] = new_last
+            gone = held
+            up = z
+    # cut the run out of the thread and splice it in right after v_in
+    thread[before] = after
+    rev[after] = before
+    after = thread[v_in]
+    thread[v_in] = u_in
+    rev[u_in] = v_in
+    thread[new_last] = after
+    rev[after] = new_last
+    # below the join, v_in's ancestors gain the subtree and v_out's lose it
+    z = v_in
+    while z != join:
+        succ[z] += size
+        if last[z] == v_in:
+            last[z] = new_last
+        z = parent[z]
+    z = v_out
+    while z != join:
+        succ[z] -= size
+        if last[z] == old_last:
+            last[z] = before
+        z = parent[z]
+    # from the join up, a subtree that ended at v_in, or at the cut run when
+    # v_in was just before it, now ends at the run's new last node; one that
+    # ended at the cut run otherwise ends just before it
+    end = last[join]
+    if end == v_in or (end == old_last and before == v_in):
+        new_end = new_last
+    elif end == old_last:
+        new_end = before
+    else:
+        return
+    if new_end == end:
+        return
+    z = join
+    while z >= 0 and last[z] == end:
+        last[z] = new_end
+        z = parent[z]
+
+
 def solve_transportation(a, b, C) -> TransportSolution:
     """Balanced problem: min sum f_ij C_ij, row sums = a, column sums = b."""
     a = np.asarray(a, dtype=float)
@@ -215,18 +317,29 @@ def solve_transportation(a, b, C) -> TransportSolution:
     parent[0] = -1
     # A dual is fixed by its path to the root, so any parent-first order
     # gives the same bits: the spine first, then the order the tree grew in.
-    # A node placed before its parent keeps a negative depth.
-    order.remove(0)
-    depth = [-n_nodes] * n_nodes
-    depth[0] = 0
+    # Each node enters the thread right after its parent, as a leaf, so the
+    # thread stays a preorder.  A node placed before its parent would be left
+    # out of the root's subtree size.
+    grown = spine[1:]
+    grown += filterfalse(set(spine).__contains__, order)
     pot = [0.0] * n_nodes  # duals: u for rows, v for columns
-    children = [set() for _ in range(n_nodes)]
-    for z in spine[1:] + order:
+    thread = [0] * n_nodes  # preorder successor, circular through the root
+    rev = [0] * n_nodes  # preorder predecessor
+    for z in grown:
         up = parent[z]
-        depth[z] = depth[up] + 1
         pot[z] = ecost[z] - pot[up]
-        children[up].add(z)
-    if min(depth) < 0:
+        after = thread[up]
+        thread[z] = after
+        rev[after] = z
+        thread[up] = z
+        rev[z] = up
+    succ = [1] * n_nodes  # subtree sizes
+    last = list(range(n_nodes))  # each subtree's last node in the thread
+    for z in reversed(grown):
+        up = parent[z]
+        succ[up] += succ[z]
+        last[up] = last[z]
+    if succ[0] != n_nodes:
         raise RuntimeError("internal error: transportation basis is not a spanning tree")
     # pricing reads the duals the pivots write, through one shared buffer
     pot = array("d", pot)
@@ -259,23 +372,25 @@ def solve_transportation(a, b, C) -> TransportSolution:
         ei, ej = divmod(int(k), s)
         ei += lo
         # The cycle is the entering cell plus the tree path from column ej
-        # up to the common ancestor and down to row ei.  Each side lists the
-        # child ends of its edges from the endpoint upwards; even positions
-        # lose flow, odd positions gain it.
+        # up to the join, the deepest common ancestor, and down to row ei.
+        # An ancestor's subtree is larger than its descendant's, so the
+        # endpoint with the smaller subtree is not the join and steps up.
+        # Each side lists the child ends of its edges from the endpoint
+        # upwards; even positions lose flow, odd positions gain it.
         p, q = ei, r + ej
         side_q, side_p = [], []
         x, y = q, p
-        while depth[x] > depth[y]:
-            side_q.append(x)
-            x = parent[x]
-        while depth[y] > depth[x]:
-            side_p.append(y)
-            y = parent[y]
-        while x != y:
-            side_q.append(x)
-            x = parent[x]
-            side_p.append(y)
-            y = parent[y]
+        for _ in range(n_nodes):
+            if x == y:
+                break
+            if succ[x] < succ[y]:
+                side_q.append(x)
+                x = parent[x]
+            else:
+                side_p.append(y)
+                y = parent[y]
+        else:
+            raise RuntimeError("internal error: transportation basis is not a spanning tree")
         # theta is the least flow on a minus edge; the leaving edge is the
         # first minus edge carrying it in path order from column ej to row
         # ei: the column side's first, else the row side's last
@@ -296,32 +411,25 @@ def solve_transportation(a, b, C) -> TransportSolution:
         else:
             theta, path, inner, outer = theta_p, side_p[: leave_p + 1], p, q
         for side in (side_q, side_p):
-            for z in side[0::2]:
-                eflow[z] -= theta
-            for z in side[1::2]:
-                eflow[z] += theta
+            f = -theta
+            for z in side:
+                eflow[z] += f
+                f = -f
 
-        # re-hang the subtree cut off by the leaving edge below the entering
-        # one: the path from inner up to the leaving edge reverses direction,
-        # each of its edges now hanging from the node it hung below
-        children[parent[path[-1]]].discard(path[-1])
-        for t in range(len(path) - 1, 0, -1):
-            eflow[path[t]] = eflow[path[t - 1]]
-            ecost[path[t]] = ecost[path[t - 1]]
-        eflow[inner] = theta
-        ecost[inner] = C_blk.item(k)
-        prev = outer
+        # the edges of the stem, the path from inner up to the leaving edge,
+        # reverse direction, each now hanging from the node it hung below;
+        # inner takes the entering edge, and the leaving edge drops out
+        f, c = theta, C_blk.item(k)
         for z in path:
-            parent[z] = prev
-            children[prev].add(z)
-            children[z].discard(prev)
-            prev = z
-        nodes = [inner]
-        for z in nodes:
-            up = parent[z]
-            depth[z] = depth[up] + 1
-            pot[z] = ecost[z] - pot[up]
-            nodes.extend(children[z])
+            eflow[z], f = f, eflow[z]
+            ecost[z], c = c, ecost[z]
+        _rehang(path, outer, x, parent, thread, rev, succ, last)  # x is the join
+        # the re-hung subtree is the thread's next succ[inner] nodes, each
+        # after its parent
+        z = inner
+        for _ in range(succ[inner]):
+            pot[z] = ecost[z] - pot[parent[z]]
+            z = thread[z]
     else:
         raise RuntimeError("internal error: transportation simplex iteration limit")
 
@@ -330,11 +438,13 @@ def solve_transportation(a, b, C) -> TransportSolution:
     # without rounding twice.  The flow on a tree edge is the net supply
     # (+ supply, - demand) of the subtree it cuts off: one math.fsum, exact
     # and rounded once, of the balances of the subtree's nodes, gathered
-    # deepest node first.
+    # backwards along the thread, so each node's after its children's.
     below = [[x] for x in al]
     below += [[-x] for x in bl]
-    for x in sorted(range(1, n_nodes), key=depth.__getitem__, reverse=True):
-        below[parent[x]] += below[x]
+    z = 0
+    for _ in range(n_nodes - 1):
+        z = rev[z]
+        below[parent[z]] += below[z]
     # rows ship to their parent columns, columns receive from their parent
     # rows; "+ 0.0" and "0.0 -" write an exact zero as +0.0
     fsum = math.fsum

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from kantorovich_lab.measures import PseudometricSpace, total_variation
+from kantorovich_lab.measures import TRIANGLE_TOL, PseudometricSpace, total_variation
 from kantorovich_lab.measures import pushforward, quotient
 from kantorovich_lab.transport import (
     WITNESS_TOL,
+    Coupling,
+    LipschitzWitness,
     brute_force_dual,
     k_norm,
     kq_norm,
@@ -279,6 +281,43 @@ class TestWitnesses:
         coupling.validate(mu, nu)
         with pytest.raises(ValueError, match="cost"):
             dataclasses.replace(coupling, cost=2.0 * coupling.cost).validate(mu, nu)
+
+    @pytest.mark.parametrize("mass", [1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_negative_entries_checked_at_every_mass_scale(self, mass):
+        # both marginals match and the cost is negative: only the sign check
+        # can reject it, and at mass 1e-15 its entries of -1e-13 are not round-off
+        space = two_point_space(1.0)
+        mu = nu = space.measure([mass, mass])
+        Coupling("d", 1.0, np.diag([mass, mass]), 0.0).validate(mu, nu)
+        off = 100.0 * mass
+        bad = np.array([[mass + off, -off], [-off, mass + off]])
+        with pytest.raises(ValueError, match="negative entry"):
+            Coupling("d", 1.0, bad, -2.0 * off).validate(mu, nu)
+
+    def test_steep_witness_rejected_on_a_small_metric(self):
+        # kr is 1e-12 here; this potential claims 980 times as much
+        mu = two_point_space(1e-12).measure([1.0, -1.0])
+        witness = LipschitzWitness("d", np.array([4.9e-10, -4.9e-10]), 9.8e-10, "bounded")
+        with pytest.raises(ValueError, match="1-Lipschitz"):
+            witness.validate(mu)
+
+    @pytest.mark.parametrize(
+        "dist, lip_tol", [(1e-12, TRIANGLE_TOL), (1.0, WITNESS_TOL), (1e6, TRIANGLE_TOL * 1e6)]
+    )
+    def test_lipschitz_tolerance_follows_the_metric_scale(self, dist, lip_tol):
+        # an anchored potential steeper than d by `excess` on the one pair
+        mu = two_point_space(dist).measure([1.0, -1.0])
+        _, exact = k_norm(mu, "d")
+        exact.validate(mu)
+        assert exact.achieved == dist
+        for factor, ok in ((0.5, True), (2.0, False)):
+            excess = factor * lip_tol
+            witness = LipschitzWitness("d", np.array([0.0, -(dist + excess)]), dist + excess, "anchored")
+            if ok:
+                witness.validate(mu)
+            else:
+                with pytest.raises(ValueError, match="1-Lipschitz"):
+                    witness.validate(mu)
 
 
 class TestSolvers:

@@ -2,14 +2,15 @@
 
 Each seeded problem below is solved and its ``(flows, u, v, cost,
 iterations)`` hashed.  The digests were recorded from the solver before its
-pivot loop, start tree and re-flow were reworked for speed; a change that
-alters any pivot, flow, dual or cost bit fails here.  The problems cover the
-shapes the package builds: Euclidean couplings below and above one pricing
-block (8,192 cells), bounded and anchored seminorm problems on an integer
-line (many tied costs) and on planar points at mass scales 1e-12 to 1e6, and
-single-row and single-column problems.  ``kr_norm`` and ``k_norm`` are pinned
-the same way, value and witness, since their witnesses are read off the
-duals.
+pivot loop, start tree, re-flow and tree structure were reworked for speed;
+a change that alters any pivot, flow, dual or cost bit fails here.  The
+problems cover the shapes the package builds: Euclidean couplings below and
+above one pricing block (8,192 cells), a squared-Euclidean 256 x 256 coupling
+of eight blocks, an integer-line coupling with many tied costs above one
+block, bounded and anchored seminorm problems on an integer line and on
+planar points at mass scales 1e-12 to 1e6, and single-row and single-column
+problems.  ``kr_norm`` and ``k_norm`` are pinned the same way, value and
+witness, since their witnesses are read off the duals.
 """
 
 import functools
@@ -33,6 +34,20 @@ def _euclidean(seed, r, s):
     x, y = rng.uniform(0, 1, size=(r, 2)), rng.uniform(0, 1, size=(s, 2))
     C = np.sqrt(((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2))
     return rng.dirichlet(np.ones(r)), rng.dirichlet(np.ones(s)), C
+
+
+def _squared_euclidean(seed, n):
+    a, b, C = _euclidean(seed, n, n)
+    return a, b, C * C
+
+
+def _tied_coupling(seed, n):
+    """The integer-line coupling of the pricing tests' tie-heavy HiGHS check."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 12, size=n).astype(float)
+    rng.integers(n)  # the space's anchor
+    a = rng.integers(1, 4, size=n).astype(float)
+    return a, rng.permutation(a), np.abs(x[:, None] - x[None, :])
 
 
 def _integer_line(seed, mode):
@@ -78,6 +93,8 @@ PROBLEMS = {
     "euclidean 12x14": lambda: _euclidean(1, 12, 14),
     "euclidean 64x64": lambda: _euclidean(2, 64, 64),
     "euclidean 100x100": lambda: _euclidean(3, 100, 100),
+    "euclidean q=2 256x256": lambda: _squared_euclidean(8, 256),
+    "tied coupling 120x120": lambda: _tied_coupling(7, 120),
     "integer line, bounded": lambda: _integer_line(4, "bounded"),
     "integer line, anchored": lambda: _integer_line(5, "anchored"),
     "1 x 9": lambda: _one_row(6, 9),
@@ -95,6 +112,8 @@ DIGESTS = {
     "euclidean 12x14": (15, "311b140e927ce3150b5a2f440779f15fca8653c4fa99777109b909bf29d13453"),
     "euclidean 64x64": (63, "490c11ed4e6449c6548c24a708e42485e75577050339719facc865f8438e37b7"),
     "euclidean 100x100": (167, "c451f2e9434d653e1ebfaec6531874b0d78c2c4a72f7c348da66b3ba4420c526"),
+    "euclidean q=2 256x256": (1754, "1162ba8eee411a8e2f96a806183db726a0d5f6499c5db8b79f5932583fd9237f"),
+    "tied coupling 120x120": (19, "99a24d92bfe49d56050dcb30bce0cd2e74aa3f14ce2a11b7c91cb40391f745c6"),
     "integer line, bounded": (8, "b587e6ec29defb99f9819d8a4c614fe8e68aabd37a8096f833a47fafcdfb114d"),
     "integer line, anchored": (16, "e39991b72c3008b3588787eb5b4f7abdf63a8511eaed9dae7e742433909bd49a"),
     "1 x 9": (1, "f30248002ab89095b15d5be74b9dbe007a5dc67ce774b0fee39ee2cf41e0035f"),
@@ -120,6 +139,13 @@ def solution_digest(sol) -> str:
 
 def test_one_problem_spans_several_pricing_blocks():
     _, _, C = PROBLEMS["euclidean 100x100"]()
+    assert C.size > PRICING_BLOCK_CELLS
+
+
+def test_large_pins_span_pricing_blocks():
+    _, _, C = PROBLEMS["euclidean q=2 256x256"]()
+    assert C.size == 8 * PRICING_BLOCK_CELLS
+    _, _, C = PROBLEMS["tied coupling 120x120"]()
     assert C.size > PRICING_BLOCK_CELLS
 
 
