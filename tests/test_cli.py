@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import json
 import math
 import re
@@ -431,3 +433,170 @@ class TestDeterminism:
         assert cli.main(["norms", "--config", str(path), "--seed", "8"]) == 0
         assert cli.main(["norms", "--config", str(path), "--seed", "9"]) == 0
         assert len(list((tmp_path / "out").glob("norms-*.json"))) == 2
+
+
+_LINE = {
+    "points": ["x0", "x1", "x2", "x3"],
+    "metrics": {"d": [["0", "1", "2", "4"], ["1", "0", "1", "3"], ["2", "1", "0", "2"], ["4", "3", "2", "0"]]},
+    "anchor": 0,
+    "coords": [["0"], ["1"], ["2"], ["4"]],
+}
+_SIGNED = {**_LINE, "weights": ["0.5", "-0.25", "0", "-0.125"]}
+_MU = {**_LINE, "weights": ["0.5", "0.25", "0", "0.25"]}
+_NU = {**_LINE, "weights": ["0.25", "0.25", "0.5", "0"]}
+_SEQUENCE = {
+    **_LINE,
+    "weights_sequence": [["0.5", "0.5", "0", "0"], ["0.875", "0", "0.125", "0"], ["1", "0", "0", "0"]],
+    "limit_weights": ["1", "0", "0", "0"],
+}
+_GAUSS = {"family": "gaussian", "mean": [0.0], "cov": [[1.0]]}
+_X = {"coeffs_1d": [0.0, 1.0]}
+_ONE = {"degree": 0, "terms": [[[0], 1.0]]}
+
+#: One small config per kind, ``norms`` op and Monte-Carlo check, with the
+#: exit code, the sha256 (first 16 hex digits) of the report without its
+#: ``wall_clock_s`` line, and that of each curve file by curve name.
+PINNED = {
+    "norms[default]": (
+        {"kind": "norms", "params": {"measure": _SIGNED, "metric": "d"}},
+        0,
+        {"report": "7fff0a6cd24a4d67"},
+    ),
+    "norms[kr]": (
+        {"kind": "norms", "params": {"measure": _SIGNED, "metric": "d", "ops": ["kr"]}},
+        0,
+        {"report": "748b1d030bbd5612"},
+    ),
+    "norms[k]": (
+        {"kind": "norms", "params": {"measure": _SIGNED, "metric": "d", "ops": ["k"]}},
+        0,
+        {"report": "0b3a7e1c32a9e5dd"},
+    ),
+    "norms[kq]": (
+        {"kind": "norms", "params": {"measure": _SIGNED, "metric": "d", "ops": ["kq"], "q": 2.5}},
+        0,
+        {"report": "2665285ba735fa53"},
+    ),
+    "norms[wq]": (
+        {"kind": "norms", "params": {"measure": _MU, "metric": "d", "ops": ["wq"], "q": 2, "other_measure": _NU}},
+        0,
+        {"report": "b5f7d74ca1015953"},
+    ),
+    "norms[oracle]": (
+        {"kind": "norms", "params": {"measure": _SIGNED, "metric": "d", "ops": ["oracle"]}},
+        0,
+        {"report": "ef086a33cef5f877"},
+    ),
+    "convergence[q=1]": (
+        {"kind": "convergence", "params": {"sequence": _SEQUENCE, "weak_gap": True, "barycenters": True}},
+        0,
+        {"report": "91a823349e73f284", "tail_d": "bcb5b86d4d56f5bc"},
+    ),
+    "convergence[q=2]": (
+        {"kind": "convergence", "params": {"sequence": _SEQUENCE, "q": 2.0, "metrics": ["d"]}},
+        0,
+        {"report": "54e1518dd6295da4", "tail_d": "ff34e3487b030aae"},
+    ),
+    "counterexample": (
+        {"kind": "counterexample", "params": {"matrix": [[2.0, 1.0]], "epsilon": 1e-6}},
+        0,
+        {"report": "7a9653a3a868b336"},
+    ),
+    "schedule[family]": (
+        {"kind": "schedule", "params": {"family": "geometric", "depth": 8, "n_max": 6}},
+        0,
+        {"report": "230fd1d53c698f0f"},
+    ),
+    "schedule[tails]": (
+        {"kind": "schedule", "params": {"tails": [{"n": 1, "samples": [[0, 1.0], [2, 0.01]]},
+                                                  {"n": 2, "samples": [[0, 1.0], [4, 0.001]]}], "horizon": 64}},
+        0,
+        {"report": "2a82b7b068e16c56"},
+    ),
+    "schedule[infeasible]": (
+        {"kind": "schedule", "params": {"tails": [{"n": 1, "samples": [[0, 1.0], [2, 0.5]]}], "horizon": 64}},
+        1,
+        {"report": "7b2ad403cd7d3724"},
+    ),
+    "logconcave[borell]": (
+        {"kind": "logconcave", "params": {"check": "borell", "spec": _GAUSS, "c": 1.0, "ts": [1.0, 2.0], "n": 5000}},
+        0,
+        {"report": "eababd6924d550b2", "tail": "66ff8fd3b4099c7b"},
+    ),
+    "logconcave[small_value]": (
+        {"kind": "logconcave", "params": {"check": "small_value", "spec": _GAUSS, "poly": _X, "n": 5000}},
+        0,
+        {"report": "f02df836597d0ca7", "small_value": "c411411f2ce976be"},
+    ),
+    "logconcave[lp_equivalence]": (
+        {"kind": "logconcave", "params": {"check": "lp_equivalence", "spec": _GAUSS,
+                                          "polys": [_X, {"degree": 2, "terms": [[[0], 1.0], [[2], 1.0]]}],
+                                          "n": 5000}},
+        0,
+        {"report": "e9f3e4c9b61e2d70"},
+    ),
+    "logconcave[mean_convergence]": (
+        {"kind": "logconcave", "params": {"check": "mean_convergence",
+                                          "specs": [{**_GAUSS, "mean": [0.5]}, _GAUSS],
+                                          "limit": _GAUSS, "n": 5000}},
+        0,
+        {"report": "edf6ac4013631d4c"},
+    ),
+    "logconcave[polynomial_density]": (
+        {"kind": "logconcave", "params": {"check": "polynomial_density", "specs": [{**_GAUSS, "mean": [0.25]}],
+                                          "densities": [_ONE], "limit_barycenter": [0.25], "n": 5000}},
+        0,
+        {"report": "9db528d1cfc01979"},
+    ),
+    "stable[cf]": (
+        {"kind": "stable", "params": {"check": "cf", "spec": {"p": 1.8}, "n": 5000}},
+        0,
+        {"report": "f9e98e2e7e0f148f", "cf": "12332e5ec1836c04"},
+    ),
+    "stable[tail]": (
+        {"kind": "stable", "params": {"check": "tail", "spec": {"p": 1.5}, "p1": 1.4, "n": 5000}},
+        0,
+        {"report": "b411bc6855e1258a", "tail": "cd4518cc1b1bc700"},
+    ),
+    "stable[constants]": (
+        {"kind": "stable", "params": {"check": "constants", "delta": 0.8, "p": 1.5}},
+        0,
+        {"report": "4058892a6cefd579"},
+    ),
+    "stable[identity]": (
+        {"kind": "stable", "params": {"check": "identity", "spec": {"p": 1.5}, "n": 5000}},
+        0,
+        {"report": "cb490077aca61579", "cf_pair": "476f6d8fed2361a9"},
+    ),
+    "stable[mean_convergence]": (
+        {"kind": "stable", "params": {"check": "mean_convergence", "specs": [{"p": 1.6}, {"p": 1.8}],
+                                      "limit": {"p": 2.0}, "n": 2000}},
+        0,
+        {"report": "09c8b646a389d8ad"},
+    ),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def run_digests(config, tmp_path):
+    """Exit code, report digest and curve digests of one ``cli.run``."""
+    code, _, path = cli.run({"seed": 11, **copy.deepcopy(config)}, base=tmp_path)
+    curves = {
+        csv.name[len(path.stem) + 1 : -len(".csv")]: _sha(csv.read_text())
+        for csv in sorted(path.parent.glob(f"{path.stem}-*.csv"))
+    }
+    return code, _sha(strip_wall_clock(path.read_text())), curves
+
+
+class TestPinnedReports:
+    """Every report and curve file of every kind, op and check, byte for byte."""
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_report_bytes(self, tmp_path, case):
+        config, code, digests = PINNED[case]
+        got_code, report, curves = run_digests(config, tmp_path)
+        assert got_code == code
+        assert {"report": report, **curves} == digests
