@@ -16,6 +16,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .convergence import (
@@ -61,8 +62,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_INPUT_ERROR = 3
 
-KINDS = ("norms", "convergence", "counterexample", "schedule", "logconcave", "stable")
-
 
 class ConfigError(Exception):
     pass
@@ -83,9 +82,6 @@ def thread_limit() -> int:
 # Config schema
 # ---------------------------------------------------------------------------
 
-_COMMON_FIELDS = {"kind": str, "seed": int, "out": str, "params": dict}
-
-
 def validate_config(config) -> list[str]:
     """Diagnostics for a config document; empty means runnable."""
     diags: list[str] = []
@@ -94,7 +90,7 @@ def validate_config(config) -> list[str]:
     kind = config.get("kind")
     if kind is None:
         diags.append("missing field: kind")
-    elif kind not in KINDS:
+    elif not _known(kind, _RUNNERS):
         diags.append(f"unknown kind {kind!r}; expected one of {list(KINDS)}")
     seed = config.get("seed")
     if seed is None:
@@ -104,64 +100,37 @@ def validate_config(config) -> list[str]:
     params = config.get("params")
     if params is None:
         diags.append("missing field: params")
-        return diags
-    if not isinstance(params, dict):
+    elif not isinstance(params, dict):
         diags.append("field params must be an object")
-        return diags
-    if kind == "norms":
-        if "measure" not in params:
-            diags.append("norms: missing params.measure (path or inline document)")
-        if "metric" not in params:
-            diags.append("norms: missing params.metric")
-        ops = params.get("ops", ["kr", "k"])
-        bad = [o for o in ops if o not in ("kr", "k", "kq", "wq", "oracle")]
-        if bad:
-            diags.append(f"norms: unknown ops {bad}")
-        if any(o in ("kq", "wq") for o in ops):
-            q = params.get("q")
-            if q is None:
-                diags.append("norms: missing params.q for kq/wq")
-            elif not isinstance(q, (int, float)) or q < 1:
-                diags.append("norms: params.q must be a real number >= 1")
-        if "wq" in ops and "other_measure" not in params:
-            diags.append("norms: missing params.other_measure for wq")
-    elif kind == "convergence":
-        if "sequence" not in params:
-            diags.append("convergence: missing params.sequence")
-        q = params.get("q", 1.0)
-        if not isinstance(q, (int, float)) or q < 1:
-            diags.append("convergence: params.q must be a real number >= 1")
-    elif kind == "counterexample":
-        if "matrix" not in params:
-            diags.append("counterexample: missing params.matrix")
-    elif kind == "schedule":
-        if "family" not in params and "tails" not in params:
-            diags.append("schedule: missing params.family (or params.tails)")
-    elif kind == "logconcave":
-        check = params.get("check")
-        if check not in ("borell", "small_value", "lp_equivalence", "mean_convergence", "polynomial_density"):
-            diags.append(f"logconcave: unknown or missing check {check!r}")
-    elif kind == "stable":
-        check = params.get("check")
-        if check not in ("cf", "tail", "constants", "identity", "mean_convergence"):
-            diags.append(f"stable: unknown or missing check {check!r}")
-        if check in ("cf", "tail", "identity") and not _has_p(params.get("spec")):
-            diags.append("stable: missing params.spec.p")
-        elif check == "tail" and "p1" not in params:
-            diags.append("stable: missing params.p1")
-        elif check == "constants":
-            diags.extend(f"stable: missing params.{key}" for key in ("delta", "p") if key not in params)
-        elif check == "mean_convergence":
-            specs = params.get("specs")
-            if not isinstance(specs, list) or not specs or not all(map(_has_p, specs)):
-                diags.append("stable: missing params.specs (a non-empty list of specs with p)")
-            if not _has_p(params.get("limit")):
-                diags.append("stable: missing params.limit.p")
+    elif _known(kind, _RUNNERS):
+        diags.extend(f"{kind}: {d}" for d in _RUNNERS[kind].diagnose(params))
     return diags
+
+
+def _known(name, table) -> bool:
+    """Whether ``name`` is a key of ``table``; an unhashable name is not."""
+    return isinstance(name, str) and name in table
+
+
+def _missing(params, keys) -> list[str]:
+    return [f"missing params.{key}" for key in keys if key not in params]
 
 
 def _has_p(spec) -> bool:
     return isinstance(spec, dict) and "p" in spec
+
+
+def _q_at_least_1(q) -> list[str]:
+    real = isinstance(q, (int, float)) and not isinstance(q, bool)
+    return ["params.q must be a real number >= 1"] if not real or q < 1 else []
+
+
+class _Entry(NamedTuple):
+    """One row of a dispatch table: what runs, and the diagnostics (without
+    the kind's prefix) of what it needs from ``params``."""
+
+    run: Callable
+    diagnose: Callable[[dict], list[str]] = lambda params: []
 
 
 def _load_json(path_or_doc, base: Path):
@@ -187,42 +156,76 @@ def _load_measure(doc, reuse=None):
 
 
 # ---------------------------------------------------------------------------
-# Experiment dispatch
+# Experiment dispatch: each kind, norms op and Monte-Carlo check is one key of
+# a table.  An entry names its experiment functions in its body and never
+# holds them, so whatever this module's globals hold when it runs is called,
+# a tracer's wrapper included.
 # ---------------------------------------------------------------------------
+
+DEFAULT_OPS = ("kr", "k")
+
+
+def _diagnose_norms(params):
+    diags = []
+    if "measure" not in params:
+        diags.append("missing params.measure (path or inline document)")
+    if "metric" not in params:
+        diags.append("missing params.metric")
+    ops = params.get("ops", DEFAULT_OPS)
+    if not isinstance(ops, (list, tuple)):
+        return diags + ["params.ops must be a list of op names"]
+    bad = [op for op in ops if not _known(op, _NORM_OPS)]
+    if bad:
+        diags.append(f"unknown ops {bad}")
+    runs = {_NORM_OPS.get(op) for op in ops if isinstance(op, str)}
+    if runs & {_kq, _wq}:
+        q = params.get("q")
+        diags += ["missing params.q for kq/wq"] if q is None else _q_at_least_1(q)
+    if _wq in runs and "other_measure" not in params:
+        diags.append("missing params.other_measure for wq")
+    return diags
+
+
+def _witnessed(op, mu, metric, q, other):
+    value, witness = globals()[f"{op}_norm"](mu, metric)
+    witness.validate(mu)
+    return {"name": op, "value": value, "verdict": "PASS"}, {f"{op}_witness": witness.values.tolist()}
+
+
+def _kq(op, mu, metric, q, other):
+    return {"name": f"{op}[q={q:g}]", "value": kq_norm(mu, metric, q), "verdict": "PASS"}, {}
+
+
+def _wq(op, mu, metric, q, other):
+    nu = other()
+    value, coupling = wasserstein_q(mu, nu, metric, q)
+    coupling.validate(mu, nu)
+    return {"name": f"{op}[q={q:g}]", "value": value, "verdict": "PASS"}, {"coupling": coupling.matrix.tolist()}
+
+
+def _oracle(op, mu, metric, q, other):
+    return {"name": f"{op}_bounded", "value": brute_force_dual(mu, metric, "bounded"), "verdict": "PASS"}, {}
+
+
+_NORM_OPS = {"kr": _witnessed, "k": _witnessed, "kq": _kq, "wq": _wq, "oracle": _oracle}
 
 
 def _run_norms(params, seed, base):
     mu_doc = _load_json(params["measure"], base)
     mu = _load_measure(mu_doc)
+
+    def other():
+        # the other file usually repeats mu's space: parse and validate it once
+        return _load_measure(_load_json(params["other_measure"], base), (mu.space, mu_doc))
+
     metric = params["metric"]
-    ops = params.get("ops", ["kr", "k"])
     q = float(params.get("q", 1.0))
     records = []
     payload = {}
-    for op in ops:
-        if op == "kr":
-            value, witness = kr_norm(mu, metric)
-            witness.validate(mu)
-            records.append({"name": "kr", "value": value, "verdict": "PASS"})
-            payload["kr_witness"] = witness.values.tolist()
-        elif op == "k":
-            value, witness = k_norm(mu, metric)
-            witness.validate(mu)
-            records.append({"name": "k", "value": value, "verdict": "PASS"})
-            payload["k_witness"] = witness.values.tolist()
-        elif op == "kq":
-            records.append({"name": f"kq[q={q:g}]", "value": kq_norm(mu, metric, q), "verdict": "PASS"})
-        elif op == "oracle":
-            records.append(
-                {"name": "oracle_bounded", "value": brute_force_dual(mu, metric, "bounded"), "verdict": "PASS"}
-            )
-        elif op == "wq":
-            # the other file usually repeats mu's space: parse and validate it once
-            nu = _load_measure(_load_json(params["other_measure"], base), (mu.space, mu_doc))
-            value, coupling = wasserstein_q(mu, nu, metric, q)
-            coupling.validate(mu, nu)
-            records.append({"name": f"wq[q={q:g}]", "value": value, "verdict": "PASS"})
-            payload["coupling"] = coupling.matrix.tolist()
+    for op in params.get("ops", DEFAULT_OPS):
+        record, entries = _NORM_OPS[op](op, mu, metric, q, other)
+        records.append(record)
+        payload.update(entries)
     return {"checks": records, "payload": payload, "passed": True}, {}
 
 
@@ -325,6 +328,12 @@ def _schedule_family(params):
     raise InputDataError(f"unrecognized schedule family {fam!r}")
 
 
+def _one_check(name, passed, payload):
+    """A result of one named check, without curves."""
+    checks = [{"name": name, "verdict": "PASS" if passed else "FAIL"}]
+    return {"checks": checks, "payload": payload, "passed": passed}, {}
+
+
 def _sampled_tails(tail_docs):
     """Tail functions from sampled (radius, value) pairs, held constant
     between samples (nonincreasing step interpolation)."""
@@ -360,23 +369,10 @@ def _run_schedule(params, seed, base):
     try:
         sched = rescaling_schedule(tails, horizon=horizon)
     except ScheduleInfeasibleError as exc:
-        return (
-            {
-                "checks": [{"name": "schedule construction", "verdict": "FAIL"}],
-                "payload": {"error": str(exc), "infeasible_at": exc.n},
-                "passed": False,
-            },
-            {},
-        )
+        return _one_check("schedule construction", False, {"error": str(exc), "infeasible_at": exc.n})
     if sampled:
-        return (
-            {
-                "checks": [{"name": "schedule construction", "verdict": "PASS"}],
-                "payload": {"boundaries": list(sched.boundaries), "certificates": "skipped (no family evaluators)"},
-                "passed": True,
-            },
-            {},
-        )
+        payload = {"boundaries": list(sched.boundaries), "certificates": "skipped (no family evaluators)"}
+        return _one_check("schedule construction", True, payload)
     verify_h = int(params.get("verify_horizon", min(horizon, sched.max_index)))
     report = verify_schedule(sched, family, horizon=verify_h, n_max=params.get("n_max"))
     checks = [
@@ -445,50 +441,60 @@ def _report_to_result(report):
     )
 
 
-def _run_logconcave(params, seed, base):
-    check = params["check"]
-    n = int(params.get("n", 10**5))
-    if check == "borell":
-        spec = _logconcave_spec(params["spec"])
-        report = check_borell(
-            spec,
-            params.get("q", "abs"),
-            float(params["c"]),
-            [float(t) for t in params.get("ts", [1.0, 2.0, 4.0])],
-            n=n,
-            seed=seed,
-        )
-    elif check == "small_value":
-        spec = _logconcave_spec(params["spec"])
-        rs = params.get("rs")
-        report = small_value_check(
-            spec,
-            _poly_from(params["poly"]),
-            rs=[float(r) for r in rs] if rs else None,
-            n=n,
-            seed=seed,
-        )
-    elif check == "lp_equivalence":
-        spec = _logconcave_spec(params["spec"])
-        polys = [_poly_from(d) for d in params["polys"]]
-        report = lp_equivalence_check(
-            spec, polys, ps=[float(p) for p in params.get("ps", [2.0, 4.0])], n=n, seed=seed
-        )
-    elif check == "mean_convergence":
-        specs = [_logconcave_spec(d) for d in params["specs"]]
-        limit = _logconcave_spec(params["limit"])
-        report = mean_convergence_experiment(
-            specs, limit, qs=params.get("qs", ["l2"]), n=n, seed=seed
-        )
-    elif check == "polynomial_density":
-        specs = [_logconcave_spec(d) for d in params["specs"]]
-        densities = [_poly_from(d) for d in params["densities"]]
-        report = polynomial_density_experiment(
-            specs, densities, params["limit_barycenter"], n=n, seed=seed
-        )
-    else:  # pragma: no cover - guarded by validate_config
-        raise ConfigError(f"unknown logconcave check {check!r}")
-    return _report_to_result(report)
+def _borell(params, n, seed):
+    return check_borell(
+        _logconcave_spec(params["spec"]),
+        params.get("q", "abs"),
+        float(params["c"]),
+        [float(t) for t in params.get("ts", [1.0, 2.0, 4.0])],
+        n=n,
+        seed=seed,
+    )
+
+
+def _small_value(params, n, seed):
+    spec = _logconcave_spec(params["spec"])
+    rs = params.get("rs")
+    return small_value_check(
+        spec,
+        _poly_from(params["poly"]),
+        rs=[float(r) for r in rs] if rs else None,
+        n=n,
+        seed=seed,
+    )
+
+
+def _lp_equivalence(params, n, seed):
+    spec = _logconcave_spec(params["spec"])
+    polys = [_poly_from(d) for d in params["polys"]]
+    return lp_equivalence_check(
+        spec, polys, ps=[float(p) for p in params.get("ps", [2.0, 4.0])], n=n, seed=seed
+    )
+
+
+def _logconcave_sequence(params, n, seed):
+    specs = [_logconcave_spec(d) for d in params["specs"]]
+    limit = _logconcave_spec(params["limit"])
+    return mean_convergence_experiment(
+        specs, limit, qs=params.get("qs", ["l2"]), n=n, seed=seed
+    )
+
+
+def _polynomial_density(params, n, seed):
+    specs = [_logconcave_spec(d) for d in params["specs"]]
+    densities = [_poly_from(d) for d in params["densities"]]
+    return polynomial_density_experiment(
+        specs, densities, params["limit_barycenter"], n=n, seed=seed
+    )
+
+
+_LOGCONCAVE_CHECKS = {
+    "borell": _Entry(_borell),
+    "small_value": _Entry(_small_value),
+    "lp_equivalence": _Entry(_lp_equivalence),
+    "mean_convergence": _Entry(_logconcave_sequence),
+    "polynomial_density": _Entry(_polynomial_density),
+}
 
 
 def _stable_spec(doc) -> StableSpec:
@@ -504,50 +510,86 @@ def _stable_spec(doc) -> StableSpec:
         raise InputDataError(f"bad stable spec: {exc}") from exc
 
 
-def _run_stable(params, seed, base):
-    check = params["check"]
-    n = int(params.get("n", 10**5))
-    if check == "cf":
-        report = validate_sampler(_stable_spec(params["spec"]), n=n, seed=seed)
-    elif check == "tail":
-        report = stable_tail_check(
-            _stable_spec(params["spec"]), p1=float(params["p1"]), n=n, seed=seed,
-            delta=float(params.get("delta", 0.8)),
-        )
-    elif check == "constants":
-        tc = tail_constants(float(params["delta"]), float(params["p"]))
-        result = {
-            "checks": [{"name": "tail constants", "verdict": "PASS"}],
-            "payload": {
-                "delta": tc.delta,
-                "p": tc.p,
-                "k": tc.k,
-                "rho": tc.rho,
-                "beta": tc.beta,
-                "log_coefficient": tc.log_coefficient,
-            },
-            "passed": True,
-        }
-        return result, {}
-    elif check == "identity":
-        report = stability_identity_check(_stable_spec(params["spec"]), n=n, seed=seed)
-    elif check == "mean_convergence":
-        specs = [_stable_spec(d) for d in params["specs"]]
-        limit = _stable_spec(params["limit"])
-        report = stable_mean_convergence_experiment(specs, limit, n=n, seed=seed)
-    else:  # pragma: no cover - guarded by validate_config
-        raise ConfigError(f"unknown stable check {check!r}")
-    return _report_to_result(report)
+def _needs_spec(params):
+    return [] if _has_p(params.get("spec")) else ["missing params.spec.p"]
+
+
+def _diagnose_stable_sequence(params):
+    diags = []
+    specs = params.get("specs")
+    if not isinstance(specs, list) or not specs or not all(map(_has_p, specs)):
+        diags.append("missing params.specs (a non-empty list of specs with p)")
+    if not _has_p(params.get("limit")):
+        diags.append("missing params.limit.p")
+    return diags
+
+
+def _cf(params, n, seed):
+    return validate_sampler(_stable_spec(params["spec"]), n=n, seed=seed)
+
+
+def _tail(params, n, seed):
+    return stable_tail_check(
+        _stable_spec(params["spec"]), p1=float(params["p1"]), n=n, seed=seed,
+        delta=float(params.get("delta", 0.8)),
+    )
+
+
+def _constants(params, n, seed):
+    """The closed-form constants: already a (result, curves) pair."""
+    tc = tail_constants(float(params["delta"]), float(params["p"]))
+    keys = ("delta", "p", "k", "rho", "beta", "log_coefficient")
+    return _one_check("tail constants", True, {key: getattr(tc, key) for key in keys})
+
+
+def _identity(params, n, seed):
+    return stability_identity_check(_stable_spec(params["spec"]), n=n, seed=seed)
+
+
+def _stable_sequence(params, n, seed):
+    specs = [_stable_spec(d) for d in params["specs"]]
+    limit = _stable_spec(params["limit"])
+    return stable_mean_convergence_experiment(specs, limit, n=n, seed=seed)
+
+
+_STABLE_CHECKS = {
+    "cf": _Entry(_cf, _needs_spec),
+    "tail": _Entry(_tail, lambda params: _needs_spec(params) or _missing(params, ("p1",))),
+    "constants": _Entry(_constants, lambda params: _missing(params, ("delta", "p"))),
+    "identity": _Entry(_identity, _needs_spec),
+    "mean_convergence": _Entry(_stable_sequence, _diagnose_stable_sequence),
+}
+
+
+def _checks(table) -> _Entry:
+    """A Monte-Carlo kind: ``params.check`` names the entry of ``table`` to run."""
+
+    def run(params, seed, base):
+        report = table[params["check"]].run(params, int(params.get("n", 10**5)), seed)
+        return report if isinstance(report, tuple) else _report_to_result(report)
+
+    def diagnose(params):
+        check = params.get("check")
+        return table[check].diagnose(params) if _known(check, table) else [f"unknown or missing check {check!r}"]
+
+    return _Entry(run, diagnose)
 
 
 _RUNNERS = {
-    "norms": _run_norms,
-    "convergence": _run_convergence,
-    "counterexample": _run_counterexample,
-    "schedule": _run_schedule,
-    "logconcave": _run_logconcave,
-    "stable": _run_stable,
+    "norms": _Entry(_run_norms, _diagnose_norms),
+    "convergence": _Entry(
+        _run_convergence, lambda params: _missing(params, ("sequence",)) + _q_at_least_1(params.get("q", 1.0))
+    ),
+    "counterexample": _Entry(_run_counterexample, lambda params: _missing(params, ("matrix",))),
+    "schedule": _Entry(
+        _run_schedule,
+        lambda params: [] if "family" in params or "tails" in params else ["missing params.family (or params.tails)"],
+    ),
+    "logconcave": _checks(_LOGCONCAVE_CHECKS),
+    "stable": _checks(_STABLE_CHECKS),
 }
+
+KINDS = tuple(_RUNNERS)
 
 
 def config_hash(config) -> str:
@@ -582,7 +624,7 @@ def run(config, base: Path | None = None) -> tuple[int, dict, Path | None]:
         out_dir = base / out_dir
 
     started = time.perf_counter()
-    result, curves = _RUNNERS[kind](config["params"], seed, base)
+    result, curves = _RUNNERS[kind].run(config["params"], seed, base)
     wall = time.perf_counter() - started
 
     report = {
@@ -627,32 +669,23 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG_ERROR
 
     if args.command == "validate":
-        diags = validate_config(config)
-        print(json.dumps(diags, indent=2))
+        print(json.dumps(validate_config(config), indent=2))
         return EXIT_OK
 
-    if config.get("kind") not in (None, args.command):
-        print(
-            f"config error: config kind {config.get('kind')!r} does not match subcommand {args.command!r}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG_ERROR
-    config["kind"] = args.command
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.out is not None:
-        config["out"] = args.out
-
-    base = Path(args.config).resolve().parent
     try:
-        code, report, path = run(config, base=base)
+        if isinstance(config, dict):  # run diagnoses anything else
+            if config.get("kind") not in (None, args.command):
+                raise ConfigError(f"config kind {config.get('kind')!r} does not match subcommand {args.command!r}")
+            config["kind"] = args.command
+            if args.seed is not None:
+                config["seed"] = args.seed
+            if args.out is not None:
+                config["out"] = args.out
+        code, report, path = run(config, base=Path(args.config).resolve().parent)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except InputDataError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (ValueError, KeyError) as exc:
+    except (InputDataError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

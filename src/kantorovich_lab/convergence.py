@@ -117,19 +117,41 @@ def tail_profile(
     power: float = 1.0,
 ) -> TailProfile:
     """Exact sup over the family of the tail integral of p(., x0)^power."""
+    radii, tails = _tail_table(seq, metric_name, radii, power)
+    return TailProfile(metric_name, power, tuple(radii), tuple(_family_sup(tails, len(tails))))
+
+
+def _tail_table(seq: MeasureSequence, metric_name: str, radii: Sequence[float], power: float):
+    """The grid as floats, and the tail integral of p(., x0)^power over
+    {p(., x0) >= r}: one row per measure, one column per radius r."""
     radii = [float(r) for r in radii]
     if not radii:
         raise ValueError("radius grid must be non-empty")
     dist = seq.space.anchor_distances(metric_name)
     weighted = dist**power
-    values = []
-    for r in radii:
-        mask = dist >= r
-        best = 0.0
-        for m in seq.measures:
-            best = max(best, math.fsum((weighted[mask] * np.abs(m.weights)[mask]).tolist()))
-        values.append(best)
-    return TailProfile(metric_name, power, tuple(radii), tuple(values))
+    masks = [dist >= r for r in radii]
+    tails = []
+    for m in seq.measures:
+        mass = np.abs(m.weights)
+        tails.append([math.fsum((weighted[mask] * mass[mask]).tolist()) for mask in masks])
+    return radii, tails
+
+
+def _family_sup(tails: list[list[float]], upto: int) -> list[float]:
+    """Per radius, the sup of a tail table over its first ``upto`` measures."""
+    return [max([0.0, *column[:upto]]) for column in zip(*tails)]
+
+
+def _stabilized_radii(tails: list[list[float]], radii: Sequence[float], tol: float):
+    """Radius stabilization on a tail table: the full prefix's sup at each
+    radius, and the first radius where the sup is at most ``tol`` over the
+    half prefix and over the full prefix."""
+
+    def clearing(values):
+        return next((r for r, v in zip(radii, values) if v <= tol), math.inf)
+
+    full = _family_sup(tails, len(tails))
+    return full, clearing(_family_sup(tails, max(1, len(tails) // 2))), clearing(full)
 
 
 def default_radii(space: PseudometricSpace, metric_name: str) -> list[float]:
@@ -139,15 +161,6 @@ def default_radii(space: PseudometricSpace, metric_name: str) -> list[float]:
         return [1.0]
     grid = [2.0**k for k in range(0, int(np.ceil(np.log2(dmax))))]
     return [r for r in grid if r < dmax] + [dmax, dmax * (1.0 + 1e-9)]
-
-
-def _clearing_radius(seq: MeasureSequence, metric_name: str, radii, power: float, tol: float):
-    """Smallest grid radius pushing the family tail profile below tolerance."""
-    profile = tail_profile(seq, metric_name, radii, power=power)
-    for r, v in zip(profile.radii, profile.values):
-        if v <= tol:
-            return r, profile
-    return math.inf, profile
 
 
 @dataclass(frozen=True)
@@ -210,12 +223,9 @@ def check_tau_k_convergence(
     names = tuple(metric_names) if metric_names is not None else seq.space.metric_names()
     records = []
     for name in names:
-        grid = list(radii) if radii is not None else default_radii(seq.space, name)
-        half = MeasureSequence(
-            seq.space, seq.measures[: max(1, len(seq) // 2)], limit=seq.limit
-        )
-        r_half, _ = _clearing_radius(half, name, grid, q, tol)
-        r_full, profile = _clearing_radius(seq, name, grid, q, tol)
+        grid, tails = _tail_table(seq, name, radii if radii is not None else default_radii(seq.space, name), q)
+        values, r_half, r_full = _stabilized_radii(tails, grid, tol)
+        profile = TailProfile(name, q, tuple(grid), tuple(values))
         ui = r_full <= r_half
         kr_gaps = []
         k_gaps = []
@@ -333,28 +343,16 @@ def check_ac_limit(
     levels = np.unique(np.concatenate([np.abs(f) for f in fs]))
     radii = [float(r) for r in levels] + [float(levels[-1]) + 1.0]
 
-    def tail(upto: int, r: float) -> float:
-        best = 0.0
-        for k in range(upto):
-            mask = np.abs(fs[k]) >= r
-            best = max(best, math.fsum(np.abs(nu_weights[k])[mask].tolist()))
-        return best
-
-    def first_settled(upto: int) -> float:
-        for r in radii:
-            if tail(upto, r) <= tol:
-                return r
-        return math.inf
-
-    half = max(1, len(fs) // 2)
-    r_half = first_settled(half)
-    r_full = first_settled(len(fs))
+    tails = []
+    for f, nu in zip(fs, nu_weights):
+        level, mass = np.abs(f), np.abs(nu)
+        tails.append([math.fsum(mass[level >= r].tolist()) for r in radii])
+    tail_values, r_half, r_full = _stabilized_radii(tails, radii, tol)
     hypothesis = r_full <= r_half
 
     mu_zero = np.abs(mu_limit.weights) <= 1e-12
     conclusion = bool(np.all(np.abs(nu_limit.weights)[mu_zero] <= 1e-12))
 
-    tail_values = tuple(tail(len(fs), r) for r in radii)
     return AbsoluteContinuityReport(
         hypothesis_holds=hypothesis,
         conclusion_holds=conclusion,
@@ -362,7 +360,7 @@ def check_ac_limit(
         radius_full=r_full,
         radius_half=r_half,
         tail_radii=tuple(radii),
-        tail_values=tail_values,
+        tail_values=tuple(tail_values),
     )
 
 

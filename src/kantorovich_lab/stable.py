@@ -24,7 +24,7 @@ from .reports import (
     one_sided,
     reduce_each_law,
 )
-from .transport._transportation import flow_seminorm_value
+from .transport._transportation import moment_seminorm_value
 
 DEFAULT_SAMPLES = 10**5
 
@@ -416,11 +416,9 @@ def _binned_gap(
     ay, wy, ey = y
     pts = np.concatenate([[0.0], ax, ay])
     # |x_i - x_j| is a metric by construction, so the space is not validated;
-    # this is the arithmetic of kq_norm with the anchor at the origin
+    # this is kq_norm with the anchor at the origin
     d = np.abs(pts[:, None] - pts[None, :])
-    w = np.concatenate([[0.0], wx, -wy])
-    gap = flow_seminorm_value(d, w * (1.0 + d[:, 0] ** q), "bounded")
-    return gap, ex + ey
+    return moment_seminorm_value(d, np.concatenate([[0.0], wx, -wy]), q, 0), ex + ey
 
 
 def stable_mean_convergence_experiment(

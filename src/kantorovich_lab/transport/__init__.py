@@ -17,7 +17,7 @@ import numpy as np
 
 from ..measures import TRIANGLE_TOL, SignedMeasure
 from ._simplex import kernel_backend
-from ._transportation import flow_seminorm_value, seminorm_problem, solve_transportation
+from ._transportation import moment_seminorm_value, seminorm_problem, solve_transportation
 from ._trees import min_cost_vertex
 
 __all__ = [
@@ -201,8 +201,7 @@ def kq_norm(mu: SignedMeasure, metric_name: str, q: float) -> float:
     """Moment-weighted seminorm: bounded seminorm of (1 + d(., x0)^q) . mu."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    density = 1.0 + mu.space.anchor_distances(metric_name) ** q
-    return flow_seminorm_value(mu.space.metric(metric_name), mu.weights * density, "bounded")
+    return moment_seminorm_value(mu.space.metric(metric_name), mu.weights, q, mu.space.anchor)
 
 
 def brute_force_dual(mu: SignedMeasure, metric_name: str, mode: str) -> float:

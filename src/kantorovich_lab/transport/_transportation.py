@@ -517,3 +517,8 @@ def flow_seminorm_value(d: np.ndarray, weights: np.ndarray, mode: str, anchor: i
     if prob is None:
         return 0.0
     return solve_transportation(prob.a, prob.b, prob.C).cost
+
+
+def moment_seminorm_value(d: np.ndarray, weights: np.ndarray, q: float, anchor: int) -> float:
+    """Moment-weighted seminorm: bounded seminorm of (1 + d(., x0)^q) . weights."""
+    return flow_seminorm_value(d, weights * (1.0 + d[:, anchor] ** q), "bounded")

@@ -600,3 +600,114 @@ class TestPinnedReports:
         got_code, report, curves = run_digests(config, tmp_path)
         assert got_code == code
         assert {"report": report, **curves} == digests
+
+    def test_pins_cover_every_kind_op_and_check(self):
+        assert {case.split("[")[0] for case in PINNED} == set(cli.KINDS)
+        covered = {(config["kind"], name) for config, _, _ in PINNED.values()
+                   for name in config["params"].get("ops", [config["params"].get("check")])}
+        assert {("norms", op) for op in cli._NORM_OPS} <= covered
+        assert {("logconcave", check) for check in cli._LOGCONCAVE_CHECKS} <= covered
+        assert {("stable", check) for check in cli._STABLE_CHECKS} <= covered
+
+
+class Reached(Exception):
+    pass
+
+
+class TestDispatchLooksUpGlobals:
+    """Each table entry calls the experiment function bound in ``cli`` when it
+    runs, so a wrapper patched into the module (a span tracer's, a test's)
+    is the one called."""
+
+    @pytest.mark.parametrize(
+        "case, name",
+        [
+            ("norms[kr]", "kr_norm"),
+            ("norms[k]", "k_norm"),
+            ("norms[kq]", "kq_norm"),
+            ("norms[wq]", "wasserstein_q"),
+            ("norms[oracle]", "brute_force_dual"),
+            ("norms[wq]", "measure_from_dict"),
+            ("convergence[q=1]", "check_tau_k_convergence"),
+            ("convergence[q=1]", "weak_gap"),
+            ("convergence[q=1]", "barycenter_convergence"),
+            ("convergence[q=1]", "write_curve_csv"),
+            ("counterexample", "l1_counterexample"),
+            ("counterexample", "verify_counterexample"),
+            ("counterexample", "dump_json"),
+            ("schedule[family]", "family_tail_functions"),
+            ("schedule[family]", "rescaling_schedule"),
+            ("schedule[family]", "verify_schedule"),
+            ("logconcave[borell]", "check_borell"),
+            ("logconcave[small_value]", "small_value_check"),
+            ("logconcave[lp_equivalence]", "lp_equivalence_check"),
+            ("logconcave[mean_convergence]", "mean_convergence_experiment"),
+            ("logconcave[polynomial_density]", "polynomial_density_experiment"),
+            ("stable[cf]", "validate_sampler"),
+            ("stable[tail]", "stable_tail_check"),
+            ("stable[constants]", "tail_constants"),
+            ("stable[identity]", "stability_identity_check"),
+            ("stable[mean_convergence]", "stable_mean_convergence_experiment"),
+        ],
+    )
+    def test_patched_binding_is_called(self, tmp_path, monkeypatch, case, name):
+        def stub(*args, **kwargs):
+            raise Reached(name)
+
+        monkeypatch.setattr(cli, name, stub)
+        with pytest.raises(Reached):
+            cli.run({"seed": 11, **copy.deepcopy(PINNED[case][0])}, base=tmp_path)
+
+
+def _norms(**params):
+    return {"kind": "norms", "seed": 1, "params": {"measure": "m.json", "metric": "d", **params}}
+
+
+class TestMalformedConfigs:
+    @pytest.mark.parametrize(
+        "config, diags",
+        [
+            (_norms(ops=5), ["norms: params.ops must be a list of op names"]),
+            (_norms(ops="k"), ["norms: params.ops must be a list of op names"]),
+            (_norms(ops=["k", ["kq"], 3]), ["norms: unknown ops [['kq'], 3]"]),
+            (_norms(ops=["kq"], q=True), ["norms: params.q must be a real number >= 1"]),
+            (_norms(ops=["wq", "kq"]),
+             ["norms: missing params.q for kq/wq", "norms: missing params.other_measure for wq"]),
+            ({"kind": "convergence", "seed": 1, "params": {"sequence": "s.json", "q": True}},
+             ["convergence: params.q must be a real number >= 1"]),
+            ({"kind": "stable", "seed": 1, "params": {"check": ["cf"]}}, ["stable: unknown or missing check ['cf']"]),
+            ({"kind": "logconcave", "seed": 1, "params": {"check": {"borell": 1}}},
+             ["logconcave: unknown or missing check {'borell': 1}"]),
+        ],
+    )
+    def test_diagnosed_and_exit_2(self, tmp_path, capsys, config, diags):
+        assert cli.validate_config(config) == diags
+        path = write(tmp_path / "c.json", {**config, "out": str(tmp_path / "out")})
+        assert cli.main([config["kind"], "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: {'; '.join(diags)}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_unhashable_kind_is_unknown(self):
+        assert cli.validate_config({"kind": ["norms"], "seed": 1, "params": {}}) == [
+            f"unknown kind ['norms']; expected one of {list(cli.KINDS)}"
+        ]
+
+    @pytest.mark.parametrize("doc", [[1], "norms", 3, None])
+    def test_config_not_an_object_exits_2(self, tmp_path, capsys, doc):
+        path = write(tmp_path / "c.json", doc)
+        assert cli.main(["norms", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+
+
+def test_readme_lists_the_dispatch_tables():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = " ".join(text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0].split())
+
+    def names(pattern):
+        return re.findall(r"`(\w+)`", re.search(pattern, section).group(1))
+
+    assert names(r"Kinds: (.*?)\. ") == list(cli.KINDS)
+    assert names(r"`norms` ops: (.*?) \(") == list(cli._NORM_OPS)
+    assert list(cli.DEFAULT_OPS) == json.loads(re.search(r"`(\[[^]]*\])` when left out", section).group(1))
+    assert names(r"`logconcave` checks: (.*?);") == list(cli._LOGCONCAVE_CHECKS)
+    assert names(r"`stable` checks: (.*?);") == list(cli._STABLE_CHECKS)
