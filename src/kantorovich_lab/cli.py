@@ -120,9 +120,20 @@ def _has_p(spec) -> bool:
     return isinstance(spec, dict) and "p" in spec
 
 
+def _real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _q_at_least_1(q) -> list[str]:
-    real = isinstance(q, (int, float)) and not isinstance(q, bool)
-    return ["params.q must be a real number >= 1"] if not real or q < 1 else []
+    # NaN fails q >= 1
+    return [] if _real(q) and q >= 1 else ["params.q must be a real number >= 1"]
+
+
+def _list_of(params, key, test, what) -> list[str]:
+    """The diagnostic of an optional ``params[key]`` that is not a list of
+    entries passing ``test``."""
+    value = params.get(key, [])
+    return [] if isinstance(value, list) and all(map(test, value)) else [f"params.{key} must be a list of {what}"]
 
 
 class _Entry(NamedTuple):
@@ -489,7 +500,7 @@ def _polynomial_density(params, n, seed):
 
 
 _LOGCONCAVE_CHECKS = {
-    "borell": _Entry(_borell),
+    "borell": _Entry(_borell, lambda params: _list_of(params, "ts", _real, "real numbers")),
     "small_value": _Entry(_small_value),
     "lp_equivalence": _Entry(_lp_equivalence),
     "mean_convergence": _Entry(_logconcave_sequence),
@@ -578,7 +589,10 @@ def _checks(table) -> _Entry:
 _RUNNERS = {
     "norms": _Entry(_run_norms, _diagnose_norms),
     "convergence": _Entry(
-        _run_convergence, lambda params: _missing(params, ("sequence",)) + _q_at_least_1(params.get("q", 1.0))
+        _run_convergence,
+        lambda params: _missing(params, ("sequence",))
+        + _q_at_least_1(params.get("q", 1.0))
+        + _list_of(params, "metrics", lambda name: isinstance(name, str), "metric names"),
     ),
     "counterexample": _Entry(_run_counterexample, lambda params: _missing(params, ("matrix",))),
     "schedule": _Entry(

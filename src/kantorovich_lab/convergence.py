@@ -217,7 +217,7 @@ def check_tau_k_convergence(
     a stable tail with non-settling gaps contradicts the criterion and is
     flagged VIOLATION.
     """
-    if q < 1:
+    if not q >= 1:
         raise ValueError("q must be >= 1")
     limit = seq.require_limit()
     names = tuple(metric_names) if metric_names is not None else seq.space.metric_names()

@@ -5,6 +5,11 @@ exponential) are known log-concave instances; log-concavity is assumed from
 the family tag, not verified from samples.  Checks are one-sided at three
 standard errors, with theorem-true inequalities expected to pass essentially
 always; estimates are deterministic per seed with fixed reduction order.
+
+A seminorm (an entry of ``SEMINORMS``, or a callable passed in its place)
+maps draws of shape (n, dim) to n values, each a function of its own row
+only, so that applying it to blocks of rows (as ``check_borell`` does) gives
+the values of applying it to all the draws.
 """
 
 from __future__ import annotations
@@ -16,12 +21,15 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .reports import (
+    BLOCK,
     CheckRecord,
     ConcentrationReport,
     half_width,
     mean_std,
+    mean_std_in_place,
     one_sided,
     reduce_each_law,
+    row_blocks,
     two_sided,
 )
 
@@ -47,9 +55,13 @@ class LogConcaveSpec:
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
         if cov.shape != (len(mean), len(mean)):
             raise ValueError("covariance shape does not match the mean")
-        if np.abs(cov - cov.T).max() > 1e-12:
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and covariance must be finite")
+        # the tolerances scale with the covariance's largest entry
+        scale = np.abs(cov).max()
+        if np.abs(cov - cov.T).max() > 1e-12 * scale:
             raise ValueError("covariance must be symmetric")
-        if np.linalg.eigvalsh(cov).min() < -1e-10:
+        if np.linalg.eigvalsh(cov).min() < -1e-10 * scale:
             raise ValueError("covariance must be positive semidefinite")
         return LogConcaveSpec(
             "gaussian", len(mean), mean=tuple(mean), cov=tuple(map(tuple, cov))
@@ -61,6 +73,8 @@ class LogConcaveSpec:
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if lo.shape != hi.shape or np.any(lo >= hi):
             raise ValueError("box bounds must satisfy lo < hi coordinatewise")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("box bounds must be finite")
         return LogConcaveSpec("uniform_box", len(lo), lo=tuple(lo), hi=tuple(hi))
 
     @staticmethod
@@ -72,44 +86,72 @@ class LogConcaveSpec:
     @staticmethod
     def product_exponential(rates) -> "LogConcaveSpec":
         rates = np.atleast_1d(np.asarray(rates, dtype=float))
-        if np.any(rates <= 0):
-            raise ValueError("rates must be positive")
+        if not np.all((rates > 0) & np.isfinite(rates)):
+            raise ValueError("rates must be positive and finite")
         return LogConcaveSpec("product_exponential", len(rates), rates=tuple(rates))
 
 
 def sample(spec: LogConcaveSpec, n: int, seed) -> np.ndarray:
-    """n i.i.d. draws, shape (n, dim), deterministic per seed.
+    """n i.i.d. draws, shape (n, dim) and C-contiguous, deterministic per seed,
+    filled one block of rows at a time (``_block_drawer``)."""
+    draw = _block_drawer(spec, n, seed)
+    x = np.empty((n, spec.dim))
+    for rows in row_blocks(n):
+        draw(x[rows])
+    return x
 
-    The Gaussian and product-exponential draws shift or scale their
-    standard draws in place; each entry sees the same single operation as in
-    ``mean + z @ root.T`` and ``e / rates``, so the bits are those of the
-    out-of-place expressions.
+
+def _block_drawer(spec: LogConcaveSpec, n: int, seed) -> Callable[[np.ndarray], None]:
+    """``draw(x)`` fills a C-contiguous block ``x`` of at most ``BLOCK`` rows
+    with the next rows of the n draws of ``spec``.
+
+    numpy's generator fills an array in order, so blocks drawn one after
+    another continue its stream as one (n, dim) draw would, and each entry
+    sees the operations of ``mean + z @ root.T``, ``rng.uniform(lo, hi)``,
+    ``g[:, :dim] / g.sum(axis=1)`` or ``e / rates``: over the slices of
+    ``row_blocks(n)`` the blocks have the bits of those one-shot draws.
+    ``z`` and ``g`` go to one reused block-sized array.
     """
     if n < 1:
         raise ValueError("sample count must be positive")
     rng = np.random.default_rng(seed)
+    rows = min(n, BLOCK)
+    dim = spec.dim
     if spec.family == "gaussian":
         mean = np.asarray(spec.mean)
-        cov = np.asarray(spec.cov)
-        vals, vecs = np.linalg.eigh(cov)
+        vals, vecs = np.linalg.eigh(np.asarray(spec.cov))
         root = vecs * np.sqrt(np.maximum(vals, 0.0))[None, :]
-        z = rng.standard_normal((n, spec.dim))
-        x = z @ root.T
-        x += mean
-        return x
-    if spec.family == "uniform_box":
+        z = np.empty((rows, dim))
+
+        def draw(x):
+            np.matmul(rng.standard_normal(out=z[: len(x)]), root.T, out=x)
+            x += mean
+
+    elif spec.family == "uniform_box":
         lo = np.asarray(spec.lo)
         hi = np.asarray(spec.hi)
-        return rng.uniform(lo, hi, size=(n, spec.dim))
-    if spec.family == "uniform_simplex":
+
+        def draw(x):
+            x[...] = rng.uniform(lo, hi, size=x.shape)
+
+    elif spec.family == "uniform_simplex":
         # Dirichlet(1,...,1) on dim+1 coordinates projects to the solid simplex
-        g = rng.standard_exponential((n, spec.dim + 1))
-        return g[:, : spec.dim] / g.sum(axis=1, keepdims=True)
-    if spec.family == "product_exponential":
-        x = rng.standard_exponential((n, spec.dim))
-        x /= np.asarray(spec.rates)
-        return x
-    raise ValueError(f"unknown family {spec.family!r}")
+        g = np.empty((rows, dim + 1))
+
+        def draw(x):
+            gx = rng.standard_exponential(out=g[: len(x)])
+            np.divide(gx[:, :dim], gx.sum(axis=1, keepdims=True), out=x)
+
+    elif spec.family == "product_exponential":
+        rates = np.asarray(spec.rates)
+
+        def draw(x):
+            rng.standard_exponential(out=x)
+            x /= rates
+
+    else:
+        raise ValueError(f"unknown family {spec.family!r}")
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -117,20 +159,27 @@ def sample(spec: LogConcaveSpec, n: int, seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _l2(x: np.ndarray) -> np.ndarray:
-    """Row norms with the bits of ``np.sqrt((x * x).sum(axis=1))``.
+    """Row norms with the bits of ``np.sqrt((x * x).sum(axis=1))``, one
+    block of rows at a time.
 
     Below 8 terms numpy's row sum adds the squares left to right, so one
-    accumulator over the columns gives the same bits without the (n, dim)
+    accumulator over the columns gives the same bits without the (rows, dim)
     temporary; from 8 terms on its pairwise sum unrolls 8 ways and adds in
     another order, so the row sum itself is kept there.
     """
-    dim = x.shape[1]
-    if dim >= 8:
-        return np.sqrt((x * x).sum(axis=1))
-    acc = x[:, 0] * x[:, 0]
-    for j in range(1, dim):
-        acc += x[:, j] * x[:, j]
-    return np.sqrt(acc, out=acc)
+    n, dim = x.shape
+    out = np.empty(n)
+    for rows in row_blocks(n):
+        xb = x[rows]
+        acc = out[rows]
+        if dim >= 8:
+            (xb * xb).sum(axis=1, out=acc)
+        else:
+            np.multiply(xb[:, 0], xb[:, 0], out=acc)
+            for j in range(1, dim):
+                acc += xb[:, j] * xb[:, j]
+        np.sqrt(acc, out=acc)
+    return out
 
 
 def _column_mean_std(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,11 +188,11 @@ def _column_mean_std(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     On a C-contiguous array with two or more columns numpy reduces axis 0
     row by row, so each column is summed strictly left to right: that is the
-    last entry of ``np.cumsum`` of the column, which streams one column at a
-    time instead of running an inner loop of length dim per row.  A single
-    column is one contiguous vector, which numpy sums pairwise, as
-    ``mean_std`` does.  Other layouts can reduce in another order and keep
-    numpy's own reductions.
+    last entry of ``np.cumsum`` of the column (``_left_sum``), which streams
+    one column at a time instead of running an inner loop of length dim per
+    row.  A single column is one contiguous vector, which numpy sums
+    pairwise, as ``mean_std`` does.  Other layouts can reduce in another
+    order and keep numpy's own reductions.
     """
     n, dim = xs.shape
     if dim == 1:
@@ -153,13 +202,37 @@ def _column_mean_std(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return xs.mean(axis=0), xs.std(axis=0)
     means = np.empty(dim)
     stds = np.empty(dim)
+    work = np.empty(min(n, BLOCK) + 1)
     for j in range(dim):
         col = xs[:, j]
-        means[j] = np.cumsum(col)[-1] / n
-        d = col - means[j]
-        d *= d
-        stds[j] = np.sqrt(np.cumsum(d, out=d)[-1] / n)
+        means[j] = _left_sum(col, None, work) / n
+        stds[j] = np.sqrt(_left_sum(col, means[j], work) / n)
     return means, stds
+
+
+def _left_sum(col: np.ndarray, center, work: np.ndarray):
+    """``np.cumsum(col)[-1]``, or with ``center`` that of the squares
+    ``d *= d`` of ``d = col - center``, one block at a time in ``work``
+    (``BLOCK + 1`` entries or more).
+
+    Each block is summed behind the running total, as ``np.cumsum`` of
+    ``[total, block]``, so the terms are added in the order of one cumulative
+    sum.  The total starts at -0.0, which adds exactly to any first term
+    (a column of -0.0 alone sums to -0.0, as in ``np.cumsum``; numpy's
+    ``mean`` starts at 0.0 and gives 0.0).
+    """
+    total = -0.0
+    for rows in row_blocks(len(col)):
+        w = work[: rows.stop - rows.start + 1]
+        w[0] = total
+        d = w[1:]
+        if center is None:
+            d[...] = col[rows]
+        else:
+            np.subtract(col[rows], center, out=d)
+            d *= d
+        total = np.cumsum(w, out=w)[-1]
+    return total
 
 
 SEMINORMS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -211,10 +284,18 @@ def check_borell(
 
     The sublevel set {q < c} plays the absolutely convex set; its empirical
     mass must exceed 1/2 significantly, and the bound is evaluated at the
-    conservative theta (estimate minus half-width).
+    conservative theta (estimate minus half-width).  The draws are made and
+    their seminorm taken one block of rows at a time, so only the seminorm
+    values, those of ``q(sample(spec, n, seed))``, are held whole.
     """
     qfn = seminorm(q)
-    values = qfn(sample(spec, n, seed))
+    draw = _block_drawer(spec, n, seed)
+    block = np.empty((min(n, BLOCK), spec.dim))
+    values = np.empty(n)
+    for rows in row_blocks(n):
+        x = block[: rows.stop - rows.start]
+        draw(x)
+        values[rows] = qfn(x)
     theta, theta_hw = _fraction(values < c)
     if not theta > 0.5 + theta_hw:
         raise ValueError(f"set mass {theta:.4f} is not significantly above 1/2")
@@ -251,13 +332,13 @@ def _exp_moment(values: np.ndarray, kappa: float) -> tuple[float, float]:
         raise ValueError(
             f"kappa {kappa:g} overflows exp at observed seminorm scale {top / max(kappa, 1e-300):.3g}"
         )
-    est, std = mean_std(np.exp(exponents, out=exponents))
+    est, std = mean_std_in_place(np.exp(exponents, out=exponents))
     return est, half_width(std, len(values))
 
 
 def _power_moment(values: np.ndarray, r: float) -> tuple[float, float]:
     """Mean of values**r with its half-width."""
-    est, std = mean_std(values if r == 1 else values**r)
+    est, std = mean_std(values) if r == 1 else mean_std_in_place(values**r)
     return est, half_width(std, len(values))
 
 
@@ -311,18 +392,20 @@ def mean_convergence_experiment(
 
     def reduce(s: LogConcaveSpec, law_seed):
         """Moments, barycenter and its half-width of one law; the first law
-        reduced, the limit, picks each seminorm's exponent."""
+        reduced, the limit, picks each seminorm's exponent.  The draws are
+        dropped once their seminorm values and column statistics are taken."""
         xs = sample(s, n, law_seed)
+        q_values = [(name, fn(xs)) for name, fn in q_fns]
+        bary, std = _column_mean_std(xs)
+        del xs
         stats: dict[str, tuple[float, float]] = {}
-        for name, fn in q_fns:
-            values = fn(xs)
+        for name, values in q_values:
             if name not in kappas:
                 kappa, c, theta = kappa_policy.choose(values)
                 kappas[name] = {"kappa": kappa, "c": c, "theta": theta}
             stats[f"exp[{name}]"] = _exp_moment(values, kappas[name]["kappa"])
             for r in rs:
                 stats[f"moment[{name},r={r:g}]"] = _power_moment(values, r)
-        bary, std = _column_mean_std(xs)
         bary.setflags(write=False)
         return stats, bary, half_width(float(std.max()), n)
 

@@ -40,13 +40,41 @@ def half_width(std: float, n: int) -> float:
     return 3.0 * std / math.sqrt(n)
 
 
+#: Rows drawn or reduced at a time by the Monte-Carlo samplers and
+#: reductions, so that their work arrays are block-sized, not full-length.
+BLOCK = 1 << 15
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Slices of at most ``BLOCK`` rows covering ``range(n)`` in order.
+
+    No slice holds a single row unless n == 1: numpy multiplies one row by a
+    matrix through BLAS's gemv, whose bits can differ from gemm's, so a
+    one-row tail is cut as two rows, one taken from the block before it.
+    """
+    starts = list(range(0, n, BLOCK))
+    if n > 1 and n - starts[-1] == 1:
+        starts[-1] -= 1
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def mean_std(v: np.ndarray) -> tuple[float, float]:
     """Mean and population std of a 1-D array, bit for bit ``v.mean()`` and
     ``v.std()``: the same sums, deviations and divisions as numpy's
     ``_mean``/``_var``, with the mean's sum taken once instead of twice."""
+    return _mean_std(v, None)
+
+
+def mean_std_in_place(v: np.ndarray) -> tuple[float, float]:
+    """``mean_std(v)`` with the deviations written over ``v``, for a
+    temporary the caller owns: the same bits without a second array."""
+    return _mean_std(v, v)
+
+
+def _mean_std(v: np.ndarray, out: np.ndarray | None) -> tuple[float, float]:
     n = len(v)
     m = v.sum() / n
-    d = v - m
+    d = np.subtract(v, m, out=out)
     d *= d
     return float(m), float(np.sqrt(d.sum() / n))
 

@@ -17,12 +17,14 @@ from typing import Sequence
 import numpy as np
 
 from .reports import (
+    BLOCK,
     CheckRecord,
     ConcentrationReport,
     half_width,
-    mean_std,
+    mean_std_in_place,
     one_sided,
     reduce_each_law,
+    row_blocks,
 )
 from .transport._transportation import moment_seminorm_value
 
@@ -47,8 +49,10 @@ class StableSpec:
             raise ValueError("order p must lie in (1, 2]")
         if not -1.0 <= self.b <= 1.0:
             raise ValueError("skew b must lie in [-1, 1]")
-        if not self.c > 0:
-            raise ValueError("scale c must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValueError("scale c must be positive and finite")
+        if not math.isfinite(self.a):
+            raise ValueError("shift a must be finite")
         if self.dim < 1:
             raise ValueError("dimension must be positive")
 
@@ -72,9 +76,14 @@ def sample_stable(spec: StableSpec, n: int, seed) -> np.ndarray:
         a + c^(1/p) S sin(p (U + B)) / cos(U)^(1/p)
             * (cos(U - p (U + B)) / W)^((1 - p) / p),
 
-    evaluated in place on two work arrays, in the order of the operations
-    of that expression, so every draw has the bits of the expression
-    evaluated with a fresh array per step.
+    with U uniform on (-pi/2, pi/2) and W standard exponential, all of U
+    drawn before W.  U is drawn whole; W is then drawn one block of rows
+    (``row_blocks``) at a time, which continues the generator's stream as one
+    whole draw would.  Each block is transformed on block-sized work arrays,
+    in the order of the operations of that expression, and its result is
+    written over its rows of U.  Every draw has the bits of the expression
+    evaluated on whole arrays with a fresh array per step, and the only
+    full-length array is U.
     """
     if n < 1:
         raise ValueError("sample count must be positive")
@@ -84,37 +93,45 @@ def sample_stable(spec: StableSpec, n: int, seed) -> np.ndarray:
     B = math.atan(zeta) / p
     S = (1.0 + zeta * zeta) ** (1.0 / (2.0 * p))
     U = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=(n, spec.dim))
-    W = rng.standard_exponential((n, spec.dim))
-    np.maximum(W, 1e-300, out=W)
-    V = U + B
-    V *= p
-    x = np.sin(V)
-    t = np.cos(U)
-    t **= 1.0 / p
-    x /= t
-    np.subtract(U, V, out=t)
-    np.cos(t, out=t)
-    t /= W
-    t **= (1.0 - p) / p
-    x *= S
-    x *= t
-    x *= spec.c ** (1.0 / p)
-    x += spec.a
-    return x
+    work = np.empty((4, min(n, BLOCK), spec.dim))
+    for rows in row_blocks(n):
+        u = U[rows]
+        W, V, t, x = work[:, : len(u)]
+        rng.standard_exponential(out=W)
+        np.maximum(W, 1e-300, out=W)
+        np.add(u, B, out=V)
+        V *= p
+        np.sin(V, out=x)
+        np.cos(u, out=t)
+        t **= 1.0 / p
+        x /= t
+        np.subtract(u, V, out=t)
+        np.cos(t, out=t)
+        t /= W
+        t **= (1.0 - p) / p
+        x *= S
+        x *= t
+        x *= spec.c ** (1.0 / p)
+        np.add(x, spec.a, out=u)
+    return U
 
 
 def empirical_cf_gap(samples: np.ndarray, spec: StableSpec, ts: Sequence[float] = CF_GRID):
-    """Per-grid-point z-scores of the empirical vs exact characteristic function."""
+    """Per-grid-point z-scores of the empirical vs exact characteristic function.
+
+    Every grid point reuses two work arrays: ``t x``, overwritten by its
+    sine, and its cosine; each moment's deviations overwrite its array.
+    """
     x = np.asarray(samples, dtype=float).reshape(-1)
     n = len(x)
+    tx = np.empty(n)
+    wave = np.empty(n)
     rows = []
     for t in ts:
-        tx = t * x
-        re = np.cos(tx)
-        im = np.sin(tx)
+        np.multiply(t, x, out=tx)
         cf = stable_cf(t, spec)
-        mean_re, std_re = mean_std(re)
-        mean_im, std_im = mean_std(im)
+        mean_re, std_re = mean_std_in_place(np.cos(tx, out=wave))
+        mean_im, std_im = mean_std_in_place(np.sin(tx, out=tx))
         hw_re = half_width(std_re, n)
         hw_im = half_width(std_im, n)
         z_re = abs(mean_re - cf.real) / max(hw_re / 3.0, 1e-300)
@@ -237,11 +254,11 @@ def stable_tail_check(
     """
     if not p1 > 1:
         raise ValueError("p1 must exceed 1")
-    values = np.abs(sample_stable(spec, n, seed)[:, 0])
-    scale = float(np.quantile(values, 0.8))
+    u = np.abs(sample_stable(spec, n, seed)[:, 0])
+    scale = float(np.quantile(u, 0.8))
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError("cannot rescale: the seminorm has no positive 80% quantile")
-    u = values / scale
+    u /= scale
     frac_below = float(np.mean(u < 1.0))
     if not frac_below > 0.75:
         raise ValueError("rescaling failed to put 3/4 of the mass below 1")
@@ -380,8 +397,12 @@ def _quantile_bins(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarra
     order = np.argsort(values)
     ordered = values[order]
     qs = np.quantile(ordered, np.linspace(0.0, 1.0, bins + 1))
+    ordered_bins = np.searchsorted(qs, ordered, side="right")
+    del ordered
+    ordered_bins -= 1
+    np.clip(ordered_bins, 0, bins - 1, out=ordered_bins)
     idx = np.empty(len(values), dtype=np.intp)
-    idx[order] = np.clip(np.searchsorted(qs, ordered, side="right") - 1, 0, bins - 1)
+    idx[order] = ordered_bins
     return qs, idx
 
 
@@ -401,7 +422,8 @@ def _quantile_binned(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndar
     # an empty bin keeps its left quantile as atom, with weight 0
     atoms = np.where(counts > 0, sums / np.maximum(counts, 1), qs[:bins])
     weights = counts / n
-    spread = values - atoms[idx]
+    spread = np.take(atoms, idx)
+    np.subtract(values, spread, out=spread)
     deviation = np.bincount(idx, weights=np.abs(spread, out=spread), minlength=bins)
     err = sum((deviation / n).tolist())
     return atoms, weights, err
@@ -465,7 +487,9 @@ def stable_mean_convergence_experiment(
         """Moment, barycenter, its half-width and the binning of one law."""
         xs = sample_stable(s, n, law_seed)
         ax = np.abs(xs[:, 0]) if s.dim == 1 else np.sqrt((xs * xs).sum(axis=1))
-        m_r = float((ax**r).mean())
+        ax **= r
+        m_r = float(ax.mean())
+        del ax
         bary = xs.mean(axis=0)
         binned = _quantile_binned(xs[:, 0], bins) if s.dim == 1 and limit.dim == 1 else None
         bary.setflags(write=False)

@@ -168,7 +168,7 @@ def wasserstein_q(
     mu: SignedMeasure, nu: SignedMeasure, metric_name: str, q: float
 ) -> tuple[float, Coupling]:
     """q-coupling metric: (min coupling cost of d^q)^(1/q) with its coupling."""
-    if q < 1:
+    if not q >= 1:
         raise ValueError("q must be >= 1")
     mu._require_same_space(nu)
     if mu.weights.min(initial=0.0) < 0 or nu.weights.min(initial=0.0) < 0:
@@ -199,7 +199,7 @@ def wasserstein_q(
 
 def kq_norm(mu: SignedMeasure, metric_name: str, q: float) -> float:
     """Moment-weighted seminorm: bounded seminorm of (1 + d(., x0)^q) . mu."""
-    if q < 1:
+    if not q >= 1:
         raise ValueError("q must be >= 1")
     return moment_seminorm_value(mu.space.metric(metric_name), mu.weights, q, mu.space.anchor)
 

@@ -699,6 +699,69 @@ class TestMalformedConfigs:
         assert capsys.readouterr().err == "config error: config must be a JSON object\n"
 
 
+def _borell(**params):
+    return {"kind": "logconcave", "seed": 1,
+            "params": {"check": "borell", "spec": _GAUSS, "c": 1.0, "n": 1000, **params}}
+
+
+class TestMalformedParams:
+    """Parameters that used to pass silently or end in a traceback: each is
+    diagnosed and exits 2, before anything is read or run."""
+
+    @pytest.mark.parametrize(
+        "config, diags",
+        [
+            (_norms(ops=["kq"], q=math.nan), ["norms: params.q must be a real number >= 1"]),
+            (_norms(ops=["wq"], q=math.nan, other_measure="m.json"), ["norms: params.q must be a real number >= 1"]),
+            ({"kind": "convergence", "seed": 1, "params": {"sequence": "s.json", "q": math.nan}},
+             ["convergence: params.q must be a real number >= 1"]),
+            ({"kind": "convergence", "seed": 1, "params": {"sequence": "s.json", "metrics": 5}},
+             ["convergence: params.metrics must be a list of metric names"]),
+            ({"kind": "convergence", "seed": 1, "params": {"sequence": "s.json", "metrics": "de"}},
+             ["convergence: params.metrics must be a list of metric names"]),
+            ({"kind": "convergence", "seed": 1, "params": {"sequence": "s.json", "metrics": ["d", 1]}},
+             ["convergence: params.metrics must be a list of metric names"]),
+            (_borell(ts=3), ["logconcave: params.ts must be a list of real numbers"]),
+            (_borell(ts=[1.0, "2"]), ["logconcave: params.ts must be a list of real numbers"]),
+            (_borell(ts=[1.0, None]), ["logconcave: params.ts must be a list of real numbers"]),
+        ],
+    )
+    def test_diagnosed_and_exit_2(self, tmp_path, capsys, config, diags):
+        assert cli.validate_config(config) == diags
+        path = write(tmp_path / "c.json", {**config, "out": str(tmp_path / "out")})
+        assert cli.main([config["kind"], "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: {'; '.join(diags)}\n"
+        assert not (tmp_path / "out").exists()
+
+
+class TestNonFiniteSpecs:
+    """A spec with a non-finite parameter exits 3 with its cause, instead of
+    running on NaN draws."""
+
+    @pytest.mark.parametrize(
+        "config, cause",
+        [
+            (_borell(spec={"family": "gaussian", "mean": [math.nan], "cov": [[1.0]]}),
+             "bad log-concave spec: mean and covariance must be finite"),
+            (_borell(spec={"family": "gaussian", "mean": [0.0], "cov": [[math.inf]]}),
+             "bad log-concave spec: mean and covariance must be finite"),
+            (_borell(spec={"family": "uniform_box", "lo": [math.nan], "hi": [1.0]}),
+             "bad log-concave spec: box bounds must be finite"),
+            (_borell(spec={"family": "product_exponential", "rates": [math.nan]}),
+             "bad log-concave spec: rates must be positive and finite"),
+            ({"kind": "stable", "seed": 1, "params": {"check": "cf", "spec": {"p": 1.5, "a": math.nan}}},
+             "bad stable spec: shift a must be finite"),
+            ({"kind": "stable", "seed": 1, "params": {"check": "cf", "spec": {"p": 1.5, "c": math.inf}}},
+             "bad stable spec: scale c must be positive and finite"),
+        ],
+    )
+    def test_exit_3_with_the_cause(self, tmp_path, capsys, config, cause):
+        path = write(tmp_path / "c.json", {**config, "out": str(tmp_path / "out")})
+        assert cli.main([config["kind"], "--config", str(path)]) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"input error: {cause}\n"
+        assert not (tmp_path / "out").exists()
+
+
 def test_readme_lists_the_dispatch_tables():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = " ".join(text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0].split())

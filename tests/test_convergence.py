@@ -217,6 +217,10 @@ class TestTauK:
         with pytest.raises(ValueError, match="q must be"):
             check_tau_k_convergence(seq, q=0.5)
 
+    def test_nan_q_rejected(self):
+        with pytest.raises(ValueError, match="q must be"):
+            check_tau_k_convergence(harmonic_pass_sequence(4), q=float("nan"))
+
     def test_limit_required(self, rng):
         space = random_space(rng, 3)
         seq = MeasureSequence(space, (space.dirac(0),), None)

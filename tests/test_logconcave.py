@@ -88,6 +88,55 @@ class TestSamplers:
             sample(LogConcaveSpec.uniform_simplex(1), 0, seed=0)
 
 
+class TestSpecValidation:
+    @pytest.mark.parametrize(
+        "mean, cov",
+        [([math.nan], [[1.0]]), ([0.0, math.inf], np.eye(2)), ([0.0], [[math.nan]]),
+         ([0.0, 0.0], [[1.0, math.inf], [math.inf, 1.0]])],
+    )
+    def test_gaussian_rejects_non_finite(self, mean, cov):
+        with pytest.raises(ValueError, match="must be finite"):
+            LogConcaveSpec.gaussian(mean, cov)
+
+    def test_gaussian_symmetry_tolerance_scales_with_the_covariance(self):
+        cov = 1e6 * np.array([[2.0, 0.3], [0.3, 1.0]])
+        cov[0, 1] += 1e-9  # round-off at scale 1e6
+        spec = LogConcaveSpec.gaussian([0.0, 0.0], cov)
+        assert np.isfinite(sample(spec, 10, seed=0)).all()
+        cov[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            LogConcaveSpec.gaussian([0.0, 0.0], cov)
+        tiny = 1e-14 * np.array([[1.0, 0.0], [1e-3, 1.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            LogConcaveSpec.gaussian([0.0, 0.0], tiny)
+
+    def test_gaussian_psd_tolerance_scales_with_the_covariance(self):
+        # eigenvalues a + b = 1e-14 and a - b = -1e-11: indefinite at scale 1e-14
+        a = (1e-14 - 1e-11) / 2
+        b = (1e-14 + 1e-11) / 2
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            LogConcaveSpec.gaussian([0.0, 0.0], [[a, b], [b, a]])
+        # round-off below zero at scale 1e6 is accepted
+        vecs = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        cov = vecs @ np.diag([2e6, -1e-6]) @ vecs.T
+        cov = (cov + cov.T) / 2
+        LogConcaveSpec.gaussian([0.0, 0.0], cov)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            LogConcaveSpec.gaussian([0.0, 0.0], vecs @ np.diag([2e6, -1.0]) @ vecs.T)
+
+    @pytest.mark.parametrize(
+        "lo, hi", [([math.nan], [1.0]), ([0.0], [math.nan]), ([-math.inf], [1.0]), ([0.0, 0.0], [1.0, math.inf])]
+    )
+    def test_box_rejects_non_finite(self, lo, hi):
+        with pytest.raises(ValueError, match="box bounds"):
+            LogConcaveSpec.uniform_box(lo, hi)
+
+    @pytest.mark.parametrize("rates", [[math.nan], [1.0, math.inf], [-1.0], [0.0]])
+    def test_rates_must_be_positive_and_finite(self, rates):
+        with pytest.raises(ValueError, match="rates must be positive and finite"):
+            LogConcaveSpec.product_exponential(rates)
+
+
 class TestBorell:
     def test_bound_values(self):
         assert borell_bound(0.6827, 2.0) == pytest.approx(0.46477, abs=1e-4)

@@ -58,6 +58,16 @@ class TestCharacteristicFunction:
         with pytest.raises(ValueError, match="scale"):
             StableSpec(p=1.5, c=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [("a", math.nan, "shift a"), ("a", math.inf, "shift a"), ("a", -math.inf, "shift a"),
+         ("c", math.inf, "scale c"), ("c", math.nan, "scale c"),
+         ("b", math.nan, "skew"), ("p", math.nan, "order p")],
+    )
+    def test_non_finite_parameters_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            StableSpec(**{"p": 1.5, field: value})
+
 
 class TestSampler:
     def test_gaussian_case_variance(self):

@@ -197,6 +197,13 @@ class TestKqNorm:
         with pytest.raises(ValueError, match="q must be"):
             kq_norm(space.dirac(0), "d", 0.5)
 
+    def test_nan_q_rejected(self):
+        space = two_point_space(1.0)
+        with pytest.raises(ValueError, match="q must be"):
+            kq_norm(space.dirac(0), "d", math.nan)
+        with pytest.raises(ValueError, match="q must be"):
+            wasserstein_q(space.dirac(0), space.dirac(1), "d", math.nan)
+
 
 class TestOracle:
     def test_matches_lp_on_two_points(self):
