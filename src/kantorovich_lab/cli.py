@@ -3,14 +3,13 @@
 One subcommand per experiment kind plus ``validate``; every run echoes its
 config, dispatches to the owning module, writes a JSON report (and CSV curves
 when present) named by the config hash, and exits 0/1/2/3 for success, check
-failure, config parse error, input error.  Reports are append-only: an
-existing file is never overwritten.
+failure, a config fault, a fault in an input document.  Reports are
+append-only: an existing file is never overwritten.
 """
-
-from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -37,6 +36,7 @@ from .counterexamples import (
     verify_schedule,
 )
 from .logconcave import (
+    SEMINORMS,
     LogConcaveSpec,
     PolynomialSpec,
     check_borell,
@@ -79,7 +79,11 @@ def thread_limit() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Config schema
+# Config schema.  A runner declares its ``params`` fields as its keyword-only
+# parameters: the annotation names the field's type in ``_TYPES``, and the
+# default, if any, is the field's default.  ``validate_config`` checks every
+# field from these declarations, and a runner is called with the fields that
+# ``params`` holds, read by their types.  Unknown keys are ignored.
 # ---------------------------------------------------------------------------
 
 def validate_config(config) -> list[str]:
@@ -103,7 +107,7 @@ def validate_config(config) -> list[str]:
     elif not isinstance(params, dict):
         diags.append("field params must be an object")
     elif _known(kind, _RUNNERS):
-        diags.extend(f"{kind}: {d}" for d in _RUNNERS[kind].diagnose(params))
+        diags.extend(f"{kind}: {d}" for d in _diagnose(_RUNNERS[kind], params))
     return diags
 
 
@@ -112,36 +116,102 @@ def _known(name, table) -> bool:
     return isinstance(name, str) and name in table
 
 
-def _missing(params, keys) -> list[str]:
-    return [f"missing params.{key}" for key in keys if key not in params]
+def _real(value) -> bool:
+    """A finite number; JSON's ``true`` and ``false`` are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
+
+
+def _is(*types):
+    return lambda value: isinstance(value, types)
+
+
+def _list_of(test):
+    """The test of a non-empty list whose entries all pass ``test``."""
+    return lambda value: isinstance(value, list) and len(value) > 0 and all(map(test, value))
 
 
 def _has_p(spec) -> bool:
     return isinstance(spec, dict) and "p" in spec
 
 
-def _real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+class _Type(NamedTuple):
+    """A field type: the test of a JSON value, the diagnostic of a value that
+    fails it and that of a required field left out (each formatted with the
+    field's name), and what the runner gets for a value that passes."""
+
+    test: Callable[[object], bool]
+    wrong: str
+    read: Callable = lambda value: value
+    missing: str = "missing params.{}"
 
 
-def _q_at_least_1(q) -> list[str]:
-    # NaN fails q >= 1
-    return [] if _real(q) and q >= 1 else ["params.q must be a real number >= 1"]
+_LAWS = "missing params.{} (a non-empty list of specs with p)"
+
+_TYPES = {
+    "real": _Type(_real, "params.{} must be a real number", float),
+    "q": _Type(lambda v: _real(v) and v >= 1, "params.{} must be a real number >= 1", float),
+    "count": _Type(lambda v: _real(v) and v >= 1 and v % 1 == 0, "params.{} must be a positive integer", int),
+    "reals": _Type(_list_of(_real), "params.{} must be a list of real numbers"),
+    "flag": _Type(_is(bool), "params.{} must be true or false"),
+    "name": _Type(_is(str), "params.{} must be a name"),
+    "metrics": _Type(_list_of(_is(str)), "params.{} must be a list of metric names"),
+    "ops": _Type(_list_of(lambda op: True), "params.{} must be a list of op names"),
+    "seminorm": _Type(lambda v: _known(v, SEMINORMS), "params.{} must be one of " + ", ".join(SEMINORMS)),
+    "seminorms": _Type(_list_of(lambda v: _known(v, SEMINORMS)),
+                       "params.{} must be a list of names from " + ", ".join(SEMINORMS)),
+    "doc": _Type(_is(str, dict), "params.{} must be a path or an object"),
+    "object": _Type(_is(dict), "params.{} must be an object"),
+    "objects": _Type(_list_of(_is(dict)), "params.{} must be a list of objects"),
+    "matrix": _Type(lambda v: isinstance(v, str) or _list_of(_list_of(_real))(v),
+                    "params.{} must be a path or a list of rows of real numbers"),
+    "family": _Type(lambda v: v == "geometric" or isinstance(v, dict) or _list_of(lambda m: True)(v),
+                    'params.{} must be "geometric", an object or a list'),
+    "stable_law": _Type(_has_p, "missing params.{}.p", missing="missing params.{}.p"),
+    "stable_laws": _Type(_list_of(_has_p), _LAWS, missing=_LAWS),
+}
 
 
-def _list_of(params, key, test, what) -> list[str]:
-    """The diagnostic of an optional ``params[key]`` that is not a list of
-    entries passing ``test``."""
-    value = params.get(key, [])
-    return [] if isinstance(value, list) and all(map(test, value)) else [f"params.{key} must be a list of {what}"]
+def _fields(runner) -> list[inspect.Parameter]:
+    """The ``params`` fields ``runner`` declares: its keyword-only parameters."""
+    return [f for f in inspect.signature(runner).parameters.values() if f.kind is f.KEYWORD_ONLY]
 
 
-class _Entry(NamedTuple):
-    """One row of a dispatch table: what runs, and the diagnostics (without
-    the kind's prefix) of what it needs from ``params``."""
+def _diagnose(entry, params) -> list[str]:
+    """What ``params`` lacks or holds wrongly for a runner or, through
+    ``params.check``, for a table of checks."""
+    if isinstance(entry, dict):
+        check = params.get("check")
+        if not _known(check, entry):
+            return [f"unknown or missing check {check!r}"]
+        return _diagnose(_draws, params) + _diagnose(entry[check], params)
+    diags = []
+    for field in _fields(entry):
+        declared = _TYPES[field.annotation]
+        if field.name in params:
+            if not declared.test(params[field.name]):
+                diags.append(declared.wrong.format(field.name))
+        elif field.default is field.empty:
+            diags.append(declared.missing.format(field.name))
+    if diags or entry not in _ACROSS:
+        return diags
+    return _ACROSS[entry](_read(entry, params))
 
-    run: Callable
-    diagnose: Callable[[dict], list[str]] = lambda params: []
+
+def _read(runner, params) -> dict:
+    """Each field of ``runner``: read by its type if ``params`` holds it, else its default."""
+    return {f.name: _TYPES[f.annotation].read(params[f.name]) if f.name in params else f.default
+            for f in _fields(runner)}
+
+
+def _call(entry, params, seed, base):
+    """Run a runner, or the check of a table that ``params.check`` names, on its fields."""
+    if not isinstance(entry, dict):
+        return entry(seed, base, **_read(entry, params))
+    check = entry[params["check"]]
+    report = check(_draws(**_read(_draws, params)), seed, **_read(check, params))
+    return report if isinstance(report, tuple) else _report_to_result(report)
 
 
 def _load_json(path_or_doc, base: Path):
@@ -153,8 +223,8 @@ def _load_json(path_or_doc, base: Path):
     try:
         with open(p, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise InputDataError(f"input file not found: {p}") from exc
+    except OSError as exc:
+        raise InputDataError(f"cannot read input file {p}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise InputDataError(f"input file is not valid JSON: {p}: {exc}") from exc
 
@@ -174,27 +244,6 @@ def _load_measure(doc, reuse=None):
 # ---------------------------------------------------------------------------
 
 DEFAULT_OPS = ("kr", "k")
-
-
-def _diagnose_norms(params):
-    diags = []
-    if "measure" not in params:
-        diags.append("missing params.measure (path or inline document)")
-    if "metric" not in params:
-        diags.append("missing params.metric")
-    ops = params.get("ops", DEFAULT_OPS)
-    if not isinstance(ops, (list, tuple)):
-        return diags + ["params.ops must be a list of op names"]
-    bad = [op for op in ops if not _known(op, _NORM_OPS)]
-    if bad:
-        diags.append(f"unknown ops {bad}")
-    runs = {_NORM_OPS.get(op) for op in ops if isinstance(op, str)}
-    if runs & {_kq, _wq}:
-        q = params.get("q")
-        diags += ["missing params.q for kq/wq"] if q is None else _q_at_least_1(q)
-    if _wq in runs and "other_measure" not in params:
-        diags.append("missing params.other_measure for wq")
-    return diags
 
 
 def _witnessed(op, mu, metric, q, other):
@@ -221,27 +270,38 @@ def _oracle(op, mu, metric, q, other):
 _NORM_OPS = {"kr": _witnessed, "k": _witnessed, "kq": _kq, "wq": _wq, "oracle": _oracle}
 
 
-def _run_norms(params, seed, base):
-    mu_doc = _load_json(params["measure"], base)
+def _run_norms(seed, base, *, measure: "doc", metric: "name", ops: "ops" = DEFAULT_OPS, q: "q" = None,
+               other_measure: "doc" = None):
+    mu_doc = _load_json(measure, base)
     mu = _load_measure(mu_doc)
 
     def other():
         # the other file usually repeats mu's space: parse and validate it once
-        return _load_measure(_load_json(params["other_measure"], base), (mu.space, mu_doc))
+        return _load_measure(_load_json(other_measure, base), (mu.space, mu_doc))
 
-    metric = params["metric"]
-    q = float(params.get("q", 1.0))
     records = []
     payload = {}
-    for op in params.get("ops", DEFAULT_OPS):
+    for op in ops:
         record, entries = _NORM_OPS[op](op, mu, metric, q, other)
         records.append(record)
         payload.update(entries)
     return {"checks": records, "payload": payload, "passed": True}, {}
 
 
-def _sequence_from_params(params, base) -> MeasureSequence:
-    doc = _load_json(params["sequence"], base)
+def _ops_need(fields) -> list[str]:
+    """The rules tying ``norms`` ops to the other fields."""
+    bad = [op for op in fields["ops"] if not _known(op, _NORM_OPS)]
+    diags = [f"unknown ops {bad}"] if bad else []
+    runs = {_NORM_OPS.get(op) for op in fields["ops"] if isinstance(op, str)}
+    if runs & {_kq, _wq} and fields["q"] is None:
+        diags.append("missing params.q for kq/wq")
+    if _wq in runs and fields["other_measure"] is None:
+        diags.append("missing params.other_measure for wq")
+    return diags
+
+
+def _sequence_from(path_or_doc, base) -> MeasureSequence:
+    doc = _load_json(path_or_doc, base)
     try:
         space = space_from_dict(doc)
         seq_weights = doc["weights_sequence"]
@@ -254,10 +314,9 @@ def _sequence_from_params(params, base) -> MeasureSequence:
     return MeasureSequence(space=space, measures=measures, limit=limit)
 
 
-def _run_convergence(params, seed, base):
-    seq = _sequence_from_params(params, base)
-    q = float(params.get("q", 1.0))
-    metrics = params.get("metrics")
+def _run_convergence(seed, base, *, sequence: "doc", q: "q" = 1.0, metrics: "metrics" = None,
+                     weak_gap: "flag" = False, barycenters: "flag" = False):
+    seq = _sequence_from(sequence, base)
     names = tuple(metrics) if metrics else seq.space.metric_names()
     report = check_tau_k_convergence(seq, metric_names=names, q=q)
     per_index = []
@@ -298,11 +357,11 @@ def _run_convergence(params, seed, base):
         for rec in report.per_metric
     }
     checks = [{"name": f"tau_k[{rec.metric_name}]", "verdict": rec.verdict} for rec in report.per_metric]
-    if params.get("weak_gap", False):
+    if weak_gap:
         name = report.per_metric[0].metric_name
-        gaps = weak_gap(seq, lipschitz_dictionary(seq.space, name), bound=1.0)
-        out["weak_gaps"] = gaps
-    if params.get("barycenters", False):
+        # the field shadows the function, which is looked up as a global
+        out["weak_gaps"] = globals()["weak_gap"](seq, lipschitz_dictionary(seq.space, name), bound=1.0)
+    if barycenters:
         bary = barycenter_convergence(seq)
         out["barycenter_bound_holds"] = bary.bound_holds
         checks.append(
@@ -312,31 +371,28 @@ def _run_convergence(params, seed, base):
     return {"checks": checks, "payload": out, "passed": passed}, curves
 
 
-def _run_counterexample(params, seed, base):
-    matrix = params["matrix"]
+def _run_counterexample(seed, base, *, matrix: "matrix", epsilon: "real" = 1e-6):
     if isinstance(matrix, str):
         matrix = _load_json(matrix, base)
-    eps = float(params.get("epsilon", 1e-6))
     try:
-        inst = l1_counterexample(matrix, eps=eps)
-    except ValueError as exc:
+        inst = l1_counterexample(matrix, eps=epsilon)
+    except (TypeError, ValueError) as exc:  # a matrix file's contents
         raise InputDataError(str(exc)) from exc
-    report = verify_counterexample(inst, eps)
+    report = verify_counterexample(inst, epsilon)
     checks = [{"name": k, "verdict": "PASS" if ok else "FAIL"} for k, ok in report["checks"].items()]
     payload = dict(report)
     payload["c"] = inst.c.tolist()
     return {"checks": checks, "payload": payload, "passed": report["passed"]}, {}
 
 
-def _schedule_family(params):
-    fam = params["family"]
-    if fam == "geometric":
+def _schedule_family(family):
+    if family == "geometric":
         return [GeometricTailMember()]
-    if isinstance(fam, dict) and "weights" in fam:
-        return [DiscreteTailMember(fam["weights"], fam["values"])]
-    if isinstance(fam, list):
-        return [DiscreteTailMember(m["weights"], m["values"]) for m in fam]
-    raise InputDataError(f"unrecognized schedule family {fam!r}")
+    members = family if isinstance(family, list) else [family]
+    try:
+        return [DiscreteTailMember(m["weights"], m["values"]) for m in members]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputDataError(f"bad schedule family member: {exc}") from exc
 
 
 def _one_check(name, passed, payload):
@@ -349,9 +405,11 @@ def _sampled_tails(tail_docs):
     """Tail functions from sampled (radius, value) pairs, held constant
     between samples (nonincreasing step interpolation)."""
     by_n = {}
-    for doc in tail_docs:
-        samples = sorted((float(m), float(v)) for m, v in doc["samples"])
-        by_n[int(doc["n"])] = samples
+    try:
+        for doc in tail_docs:
+            by_n[int(doc["n"])] = sorted((float(m), float(v)) for m, v in doc["samples"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputDataError(f"bad tail samples: {exc}") from exc
 
     def make(samples):
         def T(m: float) -> float:
@@ -368,15 +426,15 @@ def _sampled_tails(tail_docs):
     return [make(by_n[n]) for n in sorted(by_n)]
 
 
-def _run_schedule(params, seed, base):
+def _run_schedule(seed, base, *, family: "family" = None, tails: "objects" = None, depth: "count" = 8,
+                  horizon: "count" = 10**5, verify_horizon: "count" = None, n_max: "count" = None):
     # sampled tail functions: construct the schedule only, no certificates
-    sampled = "tails" in params and "family" not in params
+    sampled = family is None
     if sampled:
-        tails = _sampled_tails(params["tails"])
+        tails = _sampled_tails(tails)
     else:
-        family = _schedule_family(params)
-        tails = family_tail_functions(family, int(params.get("depth", 8)))
-    horizon = int(params.get("horizon", 10**5))
+        family = _schedule_family(family)
+        tails = family_tail_functions(family, depth)
     try:
         sched = rescaling_schedule(tails, horizon=horizon)
     except ScheduleInfeasibleError as exc:
@@ -384,8 +442,7 @@ def _run_schedule(params, seed, base):
     if sampled:
         payload = {"boundaries": list(sched.boundaries), "certificates": "skipped (no family evaluators)"}
         return _one_check("schedule construction", True, payload)
-    verify_h = int(params.get("verify_horizon", min(horizon, sched.max_index)))
-    report = verify_schedule(sched, family, horizon=verify_h, n_max=params.get("n_max"))
+    report = verify_schedule(sched, family, horizon=verify_horizon or min(horizon, sched.max_index), n_max=n_max)
     checks = [
         {
             "name": f"block {c.n}",
@@ -405,6 +462,17 @@ def _run_schedule(params, seed, base):
     return {"checks": checks, "payload": payload, "passed": report.passed}, {}
 
 
+def _family_or_tails(fields) -> list[str]:
+    if fields["family"] is None and fields["tails"] is None:
+        return ["missing params.family (or params.tails)"]
+    return []
+
+
+def _draws(*, n: "count" = 10**5) -> int:
+    """The field every Monte-Carlo check shares: the number of draws."""
+    return n
+
+
 def _logconcave_spec(doc) -> LogConcaveSpec:
     fam = doc.get("family")
     try:
@@ -416,95 +484,63 @@ def _logconcave_spec(doc) -> LogConcaveSpec:
             return LogConcaveSpec.uniform_simplex(int(doc["dim"]))
         if fam == "product_exponential":
             return LogConcaveSpec.product_exponential(doc["rates"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"bad log-concave spec: {exc}") from exc
     raise InputDataError(f"unknown log-concave family {fam!r}")
 
 
 def _poly_from(doc) -> PolynomialSpec:
-    if "coeffs_1d" in doc:
-        return PolynomialSpec.from_1d_coeffs(doc["coeffs_1d"])
-    return PolynomialSpec(int(doc["degree"]), {tuple(k): v for k, v in doc["terms"]})
+    try:
+        if "coeffs_1d" in doc:
+            return PolynomialSpec.from_1d_coeffs(doc["coeffs_1d"])
+        return PolynomialSpec(int(doc["degree"]), {tuple(k): v for k, v in doc["terms"]})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputDataError(f"bad polynomial: {exc}") from exc
 
 
 def _report_to_result(report):
+    """A Monte-Carlo report as a (result, curves) pair."""
     checks = [
-        {
-            "name": c.name,
-            "estimate": c.estimate,
-            "half_width": c.half_width,
-            "bound": c.bound,
-            "verdict": ("EXPECTED_FAIL" if c.expected_failure and not c.passed else ("PASS" if c.passed else "FAIL")),
-        }
+        {"name": c.name, "estimate": c.estimate, "half_width": c.half_width, "bound": c.bound,
+         "verdict": "EXPECTED_FAIL" if c.expected_failure and not c.passed else ("PASS" if c.passed else "FAIL")}
         for c in report.checks
     ]
-    curves = {
-        name: (tuple(f"c{i}" for i in range(len(rows[0]))), rows) if rows else ((), rows)
-        for name, rows in report.curves.items()
-    }
-    return (
-        {
-            "checks": checks,
-            "payload": {"extras": report.extras, "name": report.name},
-            "passed": report.passed,
-        },
-        curves,
-    )
+    curves = {name: (tuple(f"c{i}" for i in range(len(rows[0]))) if rows else (), rows)
+              for name, rows in report.curves.items()}
+    result = {"checks": checks, "payload": {"extras": report.extras, "name": report.name}, "passed": report.passed}
+    return result, curves
 
 
-def _borell(params, n, seed):
-    return check_borell(
-        _logconcave_spec(params["spec"]),
-        params.get("q", "abs"),
-        float(params["c"]),
-        [float(t) for t in params.get("ts", [1.0, 2.0, 4.0])],
-        n=n,
-        seed=seed,
-    )
+def _borell(n, seed, *, spec: "object", c: "real", q: "seminorm" = "abs", ts: "reals" = (1.0, 2.0, 4.0)):
+    return check_borell(_logconcave_spec(spec), q, c, ts, n=n, seed=seed)
 
 
-def _small_value(params, n, seed):
-    spec = _logconcave_spec(params["spec"])
-    rs = params.get("rs")
-    return small_value_check(
-        spec,
-        _poly_from(params["poly"]),
-        rs=[float(r) for r in rs] if rs else None,
-        n=n,
-        seed=seed,
-    )
+def _small_value(n, seed, *, spec: "object", poly: "object", rs: "reals" = None):
+    return small_value_check(_logconcave_spec(spec), _poly_from(poly), rs=rs, n=n, seed=seed)
 
 
-def _lp_equivalence(params, n, seed):
-    spec = _logconcave_spec(params["spec"])
-    polys = [_poly_from(d) for d in params["polys"]]
-    return lp_equivalence_check(
-        spec, polys, ps=[float(p) for p in params.get("ps", [2.0, 4.0])], n=n, seed=seed
-    )
+def _lp_equivalence(n, seed, *, spec: "object", polys: "objects", ps: "reals" = (2.0, 4.0)):
+    return lp_equivalence_check(_logconcave_spec(spec), [_poly_from(d) for d in polys], ps=ps, n=n, seed=seed)
 
 
-def _logconcave_sequence(params, n, seed):
-    specs = [_logconcave_spec(d) for d in params["specs"]]
-    limit = _logconcave_spec(params["limit"])
+def _logconcave_sequence(n, seed, *, specs: "objects", limit: "object", qs: "seminorms" = ("l2",)):
     return mean_convergence_experiment(
-        specs, limit, qs=params.get("qs", ["l2"]), n=n, seed=seed
+        [_logconcave_spec(d) for d in specs], _logconcave_spec(limit), qs=qs, n=n, seed=seed
     )
 
 
-def _polynomial_density(params, n, seed):
-    specs = [_logconcave_spec(d) for d in params["specs"]]
-    densities = [_poly_from(d) for d in params["densities"]]
+def _polynomial_density(n, seed, *, specs: "objects", densities: "objects", limit_barycenter: "reals"):
     return polynomial_density_experiment(
-        specs, densities, params["limit_barycenter"], n=n, seed=seed
+        [_logconcave_spec(d) for d in specs], [_poly_from(d) for d in densities], limit_barycenter, n=n, seed=seed
     )
 
 
 _LOGCONCAVE_CHECKS = {
-    "borell": _Entry(_borell, lambda params: _list_of(params, "ts", _real, "real numbers")),
-    "small_value": _Entry(_small_value),
-    "lp_equivalence": _Entry(_lp_equivalence),
-    "mean_convergence": _Entry(_logconcave_sequence),
-    "polynomial_density": _Entry(_polynomial_density),
+    "borell": _borell,
+    "small_value": _small_value,
+    "lp_equivalence": _lp_equivalence,
+    "mean_convergence": _logconcave_sequence,
+    "polynomial_density": _polynomial_density,
 }
 
 
@@ -517,93 +553,55 @@ def _stable_spec(doc) -> StableSpec:
             a=float(doc.get("a", 0.0)),
             dim=int(doc.get("dim", 1)),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"bad stable spec: {exc}") from exc
 
 
-def _needs_spec(params):
-    return [] if _has_p(params.get("spec")) else ["missing params.spec.p"]
+def _cf(n, seed, *, spec: "stable_law"):
+    return validate_sampler(_stable_spec(spec), n=n, seed=seed)
 
 
-def _diagnose_stable_sequence(params):
-    diags = []
-    specs = params.get("specs")
-    if not isinstance(specs, list) or not specs or not all(map(_has_p, specs)):
-        diags.append("missing params.specs (a non-empty list of specs with p)")
-    if not _has_p(params.get("limit")):
-        diags.append("missing params.limit.p")
-    return diags
+def _tail(n, seed, *, spec: "stable_law", p1: "real", delta: "real" = 0.8):
+    return stable_tail_check(_stable_spec(spec), p1=p1, n=n, seed=seed, delta=delta)
 
 
-def _cf(params, n, seed):
-    return validate_sampler(_stable_spec(params["spec"]), n=n, seed=seed)
-
-
-def _tail(params, n, seed):
-    return stable_tail_check(
-        _stable_spec(params["spec"]), p1=float(params["p1"]), n=n, seed=seed,
-        delta=float(params.get("delta", 0.8)),
-    )
-
-
-def _constants(params, n, seed):
+def _constants(n, seed, *, delta: "real", p: "real"):
     """The closed-form constants: already a (result, curves) pair."""
-    tc = tail_constants(float(params["delta"]), float(params["p"]))
+    tc = tail_constants(delta, p)
     keys = ("delta", "p", "k", "rho", "beta", "log_coefficient")
     return _one_check("tail constants", True, {key: getattr(tc, key) for key in keys})
 
 
-def _identity(params, n, seed):
-    return stability_identity_check(_stable_spec(params["spec"]), n=n, seed=seed)
+def _identity(n, seed, *, spec: "stable_law"):
+    return stability_identity_check(_stable_spec(spec), n=n, seed=seed)
 
 
-def _stable_sequence(params, n, seed):
-    specs = [_stable_spec(d) for d in params["specs"]]
-    limit = _stable_spec(params["limit"])
-    return stable_mean_convergence_experiment(specs, limit, n=n, seed=seed)
+def _stable_sequence(n, seed, *, specs: "stable_laws", limit: "stable_law"):
+    return stable_mean_convergence_experiment([_stable_spec(d) for d in specs], _stable_spec(limit), n=n, seed=seed)
 
 
 _STABLE_CHECKS = {
-    "cf": _Entry(_cf, _needs_spec),
-    "tail": _Entry(_tail, lambda params: _needs_spec(params) or _missing(params, ("p1",))),
-    "constants": _Entry(_constants, lambda params: _missing(params, ("delta", "p"))),
-    "identity": _Entry(_identity, _needs_spec),
-    "mean_convergence": _Entry(_stable_sequence, _diagnose_stable_sequence),
+    "cf": _cf,
+    "tail": _tail,
+    "constants": _constants,
+    "identity": _identity,
+    "mean_convergence": _stable_sequence,
 }
 
-
-def _checks(table) -> _Entry:
-    """A Monte-Carlo kind: ``params.check`` names the entry of ``table`` to run."""
-
-    def run(params, seed, base):
-        report = table[params["check"]].run(params, int(params.get("n", 10**5)), seed)
-        return report if isinstance(report, tuple) else _report_to_result(report)
-
-    def diagnose(params):
-        check = params.get("check")
-        return table[check].diagnose(params) if _known(check, table) else [f"unknown or missing check {check!r}"]
-
-    return _Entry(run, diagnose)
-
-
+#: Each kind's runner, or the table of checks that ``params.check`` picks from.
 _RUNNERS = {
-    "norms": _Entry(_run_norms, _diagnose_norms),
-    "convergence": _Entry(
-        _run_convergence,
-        lambda params: _missing(params, ("sequence",))
-        + _q_at_least_1(params.get("q", 1.0))
-        + _list_of(params, "metrics", lambda name: isinstance(name, str), "metric names"),
-    ),
-    "counterexample": _Entry(_run_counterexample, lambda params: _missing(params, ("matrix",))),
-    "schedule": _Entry(
-        _run_schedule,
-        lambda params: [] if "family" in params or "tails" in params else ["missing params.family (or params.tails)"],
-    ),
-    "logconcave": _checks(_LOGCONCAVE_CHECKS),
-    "stable": _checks(_STABLE_CHECKS),
+    "norms": _run_norms,
+    "convergence": _run_convergence,
+    "counterexample": _run_counterexample,
+    "schedule": _run_schedule,
+    "logconcave": _LOGCONCAVE_CHECKS,
+    "stable": _STABLE_CHECKS,
 }
 
 KINDS = tuple(_RUNNERS)
+
+#: The rules that span fields, checked once every field passes its own test.
+_ACROSS = {_run_norms: _ops_need, _run_schedule: _family_or_tails}
 
 
 def config_hash(config) -> str:
@@ -638,7 +636,7 @@ def run(config, base: Path | None = None) -> tuple[int, dict, Path | None]:
         out_dir = base / out_dir
 
     started = time.perf_counter()
-    result, curves = _RUNNERS[kind].run(config["params"], seed, base)
+    result, curves = _call(_RUNNERS[kind], config["params"], seed, base)
     wall = time.perf_counter() - started
 
     report = {
@@ -704,8 +702,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
 
     for check in report["checks"]:
-        verdict = check.get("verdict", "PASS")
-        print(f"{check['name']}: {verdict}")
+        print(f"{check['name']}: {check.get('verdict', 'PASS')}")
     print(f"overall: {report['overall_verdict']} ({path})")
     return code
 

@@ -24,6 +24,7 @@ from .reports import (
     BLOCK,
     CheckRecord,
     ConcentrationReport,
+    fraction,
     half_width,
     mean_std,
     mean_std_in_place,
@@ -266,12 +267,6 @@ def borell_bound(theta: float, t: float) -> float:
     return ((1.0 - theta) / theta) ** (t / 2.0)
 
 
-def _fraction(mask: np.ndarray) -> tuple[float, float]:
-    n = len(mask)
-    p = float(np.count_nonzero(mask)) / n
-    return p, half_width(math.sqrt(p * (1.0 - p)), n)
-
-
 def check_borell(
     spec: LogConcaveSpec,
     q,
@@ -296,14 +291,14 @@ def check_borell(
         x = block[: rows.stop - rows.start]
         draw(x)
         values[rows] = qfn(x)
-    theta, theta_hw = _fraction(values < c)
+    theta, theta_hw = fraction(values < c)
     if not theta > 0.5 + theta_hw:
         raise ValueError(f"set mass {theta:.4f} is not significantly above 1/2")
     theta_lo = theta - theta_hw
     checks = []
     curve = []
     for t in ts:
-        tail, tail_hw = _fraction(values >= c * t)
+        tail, tail_hw = fraction(values >= c * t)
         bound = borell_bound(theta_lo, t)
         checks.append(one_sided(f"tail[t={t:g}]", tail, tail_hw, bound))
         curve.append((float(t), tail, bound))
@@ -356,7 +351,7 @@ class KappaPolicy:
         c = float(np.quantile(limit_values, self.theta_target))
         if c <= 0:
             raise ValueError("sublevel scale must be positive")
-        theta, hw = _fraction(limit_values < c)
+        theta, hw = fraction(limit_values < c)
         if theta <= 0.5:
             raise ValueError("kappa policy yields nonpositive kappa (theta <= 1/2)")
         tau = math.sqrt((1.0 - theta) / theta)
@@ -508,19 +503,20 @@ def small_value_check(
     if poly.degree < 1:
         raise ValueError("degree must be at least 1")
     values = poly(sample(spec, n, seed))
-    l1 = float(np.abs(values).mean())
+    mean, std = mean_std(values)
+    size = np.abs(values, out=values)  # |f|: the signed values are not read again
+    l1 = float(size.mean())
     if not l1 > 0:
         raise ValueError("polynomial has vanishing first absolute moment")
-    mean, std = mean_std(values)
     if std < 1e-12 * max(1.0, abs(mean)):
         raise ValueError("polynomial is almost surely constant under this law")
     if rs is None:
-        scale = float(np.quantile(np.abs(values), 0.5))
+        scale = float(np.quantile(size, 0.5))
         rs = list(scale * np.geomspace(1e-3, 0.2, 10))
     d = poly.degree
     probs = []
     for r in rs:
-        p, hw = _fraction(np.abs(values) <= r)
+        p, hw = fraction(size <= r)
         probs.append((float(r), p, hw))
     usable = [(r, p) for r, p, _ in probs if p > 0]
     if len(usable) < 3:

@@ -325,6 +325,8 @@ def space_from_dict(
                 and list(doc["metrics"]) == list(space.metrics)
             ):
                 return space
+        if not isinstance(doc["metrics"], Mapping):
+            raise TypeError("metrics must be an object of named matrices")
         metrics = {str(name): _matrix(matrix) for name, matrix in doc["metrics"].items()}
         anchor = int(doc.get("anchor", 0))
         coords = None if doc.get("coords") is None else _matrix(doc["coords"])

@@ -133,6 +133,18 @@ def one_sided(name: str, estimate: float, hw: float, bound: float, **kw) -> Chec
     )
 
 
+def fraction(mask: np.ndarray) -> tuple[float, float]:
+    """The share of true entries in a boolean mask, and its half-width."""
+    n = len(mask)
+    p = float(np.count_nonzero(mask)) / n
+    return p, half_width(math.sqrt(p * (1.0 - p)), n)
+
+
+def max_z_check(name: str, zmax: float) -> CheckRecord:
+    """The verdict on the largest z-score over a grid: at most 3 passes."""
+    return CheckRecord(name=name, estimate=zmax, half_width=0.0, bound=3.0, passed=zmax <= 3.0)
+
+
 def two_sided(name: str, estimate: float, hw: float, target: float, **kw) -> CheckRecord:
     return CheckRecord(
         name=name,

@@ -20,7 +20,9 @@ from .reports import (
     BLOCK,
     CheckRecord,
     ConcentrationReport,
+    fraction,
     half_width,
+    max_z_check,
     mean_std_in_place,
     one_sided,
     reduce_each_law,
@@ -147,15 +149,7 @@ def validate_sampler(
     """Empirical characteristic function match on the fixed grid, at 3 SE."""
     samples = sample_stable(spec, n, seed)
     rows, zmax = empirical_cf_gap(samples[:, 0], spec, ts)
-    checks = [
-        CheckRecord(
-            name="cf match (max z-score over grid)",
-            estimate=zmax,
-            half_width=0.0,
-            bound=3.0,
-            passed=zmax <= 3.0,
-        )
-    ]
+    checks = [max_z_check("cf match (max z-score over grid)", zmax)]
     return ConcentrationReport(
         name="stable_cf",
         sample_count=n,
@@ -259,7 +253,7 @@ def stable_tail_check(
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError("cannot rescale: the seminorm has no positive 80% quantile")
     u /= scale
-    frac_below = float(np.mean(u < 1.0))
+    frac_below = fraction(u < 1.0)[0]
     if not frac_below > 0.75:
         raise ValueError("rescaling failed to put 3/4 of the mass below 1")
 
@@ -270,8 +264,7 @@ def stable_tail_check(
     curve = []
     usable = []
     for t in ts:
-        tail = float(np.mean(u > t))
-        hw = half_width(math.sqrt(max(tail * (1 - tail), 0.0)), n)
+        tail, hw = fraction(u > t)
         bound = float(constants.bound(t))
         checks.append(one_sided(f"tail bound[t={t:.3g}]", tail, hw, bound))
         curve.append((float(t), tail, bound))
@@ -360,15 +353,7 @@ def stability_identity_check(
         z_im = abs(float(im1.mean()) - float(im2.mean())) / max(se_im, 1e-300)
         zmax = max(zmax, z_re, z_im)
         curve.append((float(t), float(re1.mean()), float(re2.mean()), z_re, z_im))
-    checks = [
-        CheckRecord(
-            name="two-sample cf distance (max z)",
-            estimate=zmax,
-            half_width=0.0,
-            bound=3.0,
-            passed=zmax <= 3.0,
-        )
-    ]
+    checks = [max_z_check("two-sample cf distance (max z)", zmax)]
     return ConcentrationReport(
         name="stability_identity",
         sample_count=n,

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -87,7 +88,7 @@ class TestValidate:
     @pytest.mark.parametrize("check", ["cf", "tail", "identity"])
     def test_stable_single_law_checks_need_spec(self, check):
         diags = cli.validate_config({"kind": "stable", "seed": 1, "params": {"check": check}})
-        assert diags == ["stable: missing params.spec.p"]
+        assert diags == ["stable: missing params.spec.p"] + (["stable: missing params.p1"] if check == "tail" else [])
 
     @pytest.mark.parametrize(
         "params, diags",
@@ -774,3 +775,158 @@ def test_readme_lists_the_dispatch_tables():
     assert list(cli.DEFAULT_OPS) == json.loads(re.search(r"`(\[[^]]*\])` when left out", section).group(1))
     assert names(r"`logconcave` checks: (.*?);") == list(cli._LOGCONCAVE_CHECKS)
     assert names(r"`stable` checks: (.*?);") == list(cli._STABLE_CHECKS)
+
+    rows = re.findall(r"^\| `([\w.]+)` \| `(\w+)` \| `(\w+)` \| (.+?) \|$", text, flags=re.M)
+    assert rows == [(entry, f.name, f.annotation, _shown(f.default)) for entry, f in DECLARED]
+    types = re.search(r" Types: (.*?) Exit code 2 ", section).group(1)
+    assert set(re.findall(r"`(\w+)`: ", types)) == set(cli._TYPES)
+
+
+def _shown(default) -> str:
+    """A declared default as README's table writes it."""
+    if default is inspect.Parameter.empty:
+        return "required"
+    if default is None:
+        return "optional"
+    return f"`{json.dumps(list(default) if isinstance(default, tuple) else default)}`"
+
+
+#: Every declared params field, in declaration order, by its entry's name:
+#: a kind, or ``kind.check`` for a Monte-Carlo check; ``n`` is the kind's.
+DECLARED = []
+for _kind, _entry in cli._RUNNERS.items():
+    if isinstance(_entry, dict):
+        DECLARED += [(_kind, f) for f in cli._fields(cli._draws)]
+        DECLARED += [(f"{_kind}.{check}", f) for check, runner in _entry.items() for f in cli._fields(runner)]
+    else:
+        DECLARED += [(_kind, f) for f in cli._fields(_entry)]
+
+
+def _base(entry):
+    """A runnable config of ``entry``, from the pinned ones."""
+    kind, _, check = entry.partition(".")
+    case = check and f"{kind}[{check}]"
+    case = case or next(c for c in PINNED if c.split("[")[0] == kind)
+    return {"seed": 1, **copy.deepcopy(PINNED[case][0])}
+
+
+#: A value of a JSON type that each field type does not take.
+WRONG_TYPE = {
+    "real": "1", "q": "2", "count": "5", "reals": 1.0, "flag": 1, "name": 5, "metrics": "d", "ops": "kr",
+    "seminorm": 5, "seminorms": "l2", "doc": 5, "object": "x", "objects": {}, "matrix": 5, "family": 5,
+    "stable_law": "p", "stable_laws": {"p": 1.5},
+}
+#: Values of the JSON type a field type takes, but outside it.
+OUT_OF_RANGE = {
+    "q": [0.5], "count": [1.7, 0, -3], "reals": [[1.0, "2"]], "metrics": [["d", 1]], "seminorm": ["nope"],
+    "seminorms": [["l2", "nope"]], "objects": [[{}, 5]], "matrix": [[[1.0], "x"], [[1.0, math.nan]]],
+    "family": ["nope"], "stable_law": [{"b": 0.0}], "stable_laws": [[{"p": 1.5}, {"b": 0.0}]],
+}
+NESTED = [[[1]]]
+BAD_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "true": True, "empty list": [],
+              "nested list": NESTED}
+#: A flag takes true; a family is a list of members, whose contents are an
+#: input document's (exit 3, as ``TestInputDocuments`` shows).
+TAKEN = {("flag", "true"), ("family", "nested list")}
+
+
+def _bad_cases():
+    for entry, f in DECLARED:
+        values = {"wrong type": WRONG_TYPE[f.annotation], **BAD_VALUES}
+        values.update((f"out of range {i}", v) for i, v in enumerate(OUT_OF_RANGE.get(f.annotation, [])))
+        for label, value in values.items():
+            if (f.annotation, label) not in TAKEN:
+                yield pytest.param(entry, f.name, value, id=f"{entry}.{f.name}-{label}")
+
+
+class TestDeclaredFields:
+    """Every declared field of every entry is checked before anything runs."""
+
+    def test_every_field_type_is_declared(self):
+        assert {f.annotation for _, f in DECLARED} == set(cli._TYPES) == set(WRONG_TYPE)
+
+    @pytest.mark.parametrize("entry, name, value", _bad_cases())
+    def test_bad_value_exits_2(self, tmp_path, capsys, entry, name, value):
+        config = _base(entry)
+        assert cli.validate_config(config) == []
+        config["params"][name] = value
+        kind = config["kind"]
+        wrong = cli._TYPES[declared_type(entry, name)].wrong.format(name)
+        diag = "unknown ops [[[1]]]" if (name, value) == ("ops", NESTED) else wrong
+        assert cli.validate_config(config) == [f"{kind}: {diag}"]
+        path = write(tmp_path / "c.json", {**config, "out": str(tmp_path / "out")})
+        assert cli.main([kind, "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: {kind}: {diag}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "entry, name", [(entry, f.name) for entry, f in DECLARED if f.default is inspect.Parameter.empty]
+    )
+    def test_required_field_left_out_exits_2(self, tmp_path, capsys, entry, name):
+        config = _base(entry)
+        del config["params"][name]
+        diag = f"{config['kind']}: {cli._TYPES[declared_type(entry, name)].missing.format(name)}"
+        assert cli.validate_config(config) == [diag]
+        path = write(tmp_path / "c.json", {**config, "out": str(tmp_path / "out")})
+        assert cli.main([config["kind"], "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: {diag}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_counts_run(self, tmp_path):
+        config = {"seed": 3, "kind": "stable", "params": {"check": "cf", "spec": {"p": 1.5}, "n": 2000}}
+        assert cli.validate_config({**config, "params": {**config["params"], "n": 1e6}}) == []
+        code, exact, _ = cli.run(copy.deepcopy(config), base=tmp_path / "int")
+        config["params"]["n"] = 2e3
+        code_f, integral, _ = cli.run(config, base=tmp_path / "float")
+        assert code == code_f == cli.EXIT_OK
+        assert integral["checks"] == exact["checks"] and integral["payload"] == exact["payload"]
+
+    @pytest.mark.parametrize("entry", sorted({entry for entry, _ in DECLARED}))
+    def test_unknown_keys_are_ignored(self, entry):
+        config = _base(entry)
+        config["params"].update(placeholder={"p": "x"}, notes=[math.nan])
+        assert cli.validate_config(config) == []
+
+
+def declared_type(entry, name) -> str:
+    """The type that ``entry`` (or its kind) declares for field ``name``."""
+    kind = entry.split(".")[0]
+    return next(f.annotation for e, f in DECLARED if e in (entry, kind) and f.name == name)
+
+
+class TestInputDocuments:
+    """A fault inside an input document exits 3 with its cause, never with a
+    traceback; the config's fields themselves are well-typed."""
+
+    @pytest.mark.parametrize(
+        "kind, params, cause",
+        [
+            ("logconcave", {"check": "small_value", "spec": _GAUSS, "poly": {"coeffs_1d": 5}}, "bad polynomial: "),
+            ("logconcave", {"check": "small_value", "spec": _GAUSS, "poly": {"degree": 1, "terms": 5}},
+             "bad polynomial: "),
+            ("logconcave", {"check": "small_value", "spec": _GAUSS, "poly": {"terms": []}}, "bad polynomial: 'degree'"),
+            ("logconcave", {"check": "borell", "spec": {"family": "uniform_simplex", "dim": [2]}, "c": 1.0},
+             "bad log-concave spec: "),
+            ("stable", {"check": "cf", "spec": {"p": 1.5, "dim": None}}, "bad stable spec: "),
+            ("stable", {"check": "cf", "spec": {"p": [1]}}, "bad stable spec: "),
+            ("stable", {"check": "mean_convergence", "specs": [{"p": "x"}], "limit": {"p": 2.0}}, "bad stable spec: "),
+            ("schedule", {"tails": [{"n": 1, "samples": 5}]}, "bad tail samples: "),
+            ("schedule", {"tails": [{"samples": []}]}, "bad tail samples: 'n'"),
+            ("schedule", {"family": [5]}, "bad schedule family member: "),
+            ("schedule", {"family": NESTED}, "bad schedule family member: "),
+            ("schedule", {"family": {"weights": [1.0]}}, "bad schedule family member: 'values'"),
+            ("norms", {"measure": {**two_point_measure_doc(), "metrics": 5}, "metric": "d"},
+             "malformed measure file: metrics must be an object of named matrices"),
+            ("norms", {"measure": ".", "metric": "d"}, "cannot read input file "),
+            ("counterexample", {"matrix": "matrix.json"}, "float() argument must be"),
+        ],
+    )
+    def test_exit_3_with_the_cause(self, tmp_path, capsys, kind, params, cause):
+        config = {"kind": kind, "seed": 1, "out": str(tmp_path / "out"), "params": params}
+        assert cli.validate_config(config) == []
+        write(tmp_path / "matrix.json", {"rows": [[2.0, 1.0]]})
+        path = write(tmp_path / "c.json", config)
+        assert cli.main([kind, "--config", str(path)]) == cli.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {cause}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
