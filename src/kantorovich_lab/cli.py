@@ -8,6 +8,7 @@ append-only: an existing file is never overwritten.
 """
 
 import argparse
+import functools
 import hashlib
 import inspect
 import json
@@ -173,9 +174,10 @@ _TYPES = {
 }
 
 
-def _fields(runner) -> list[inspect.Parameter]:
+@functools.cache
+def _fields(runner) -> tuple[inspect.Parameter, ...]:
     """The ``params`` fields ``runner`` declares: its keyword-only parameters."""
-    return [f for f in inspect.signature(runner).parameters.values() if f.kind is f.KEYWORD_ONLY]
+    return tuple(f for f in inspect.signature(runner).parameters.values() if f.kind is f.KEYWORD_ONLY)
 
 
 def _diagnose(entry, params) -> list[str]:
@@ -260,7 +262,7 @@ def _wq(op, mu, metric, q, other):
     nu = other()
     value, coupling = wasserstein_q(mu, nu, metric, q)
     coupling.validate(mu, nu)
-    return {"name": f"{op}[q={q:g}]", "value": value, "verdict": "PASS"}, {"coupling": coupling.matrix.tolist()}
+    return {"name": f"{op}[q={q:g}]", "value": value, "verdict": "PASS"}, {"coupling": coupling.matrix}
 
 
 def _oracle(op, mu, metric, q, other):
@@ -473,6 +475,14 @@ def _draws(*, n: "count" = 10**5) -> int:
     return n
 
 
+def _integer(doc, key, default=None) -> int:
+    """An inline spec's integer field: a JSON integer, not a boolean or a float."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _logconcave_spec(doc) -> LogConcaveSpec:
     fam = doc.get("family")
     try:
@@ -481,7 +491,7 @@ def _logconcave_spec(doc) -> LogConcaveSpec:
         if fam == "uniform_box":
             return LogConcaveSpec.uniform_box(doc["lo"], doc["hi"])
         if fam == "uniform_simplex":
-            return LogConcaveSpec.uniform_simplex(int(doc["dim"]))
+            return LogConcaveSpec.uniform_simplex(_integer(doc, "dim"))
         if fam == "product_exponential":
             return LogConcaveSpec.product_exponential(doc["rates"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -493,7 +503,7 @@ def _poly_from(doc) -> PolynomialSpec:
     try:
         if "coeffs_1d" in doc:
             return PolynomialSpec.from_1d_coeffs(doc["coeffs_1d"])
-        return PolynomialSpec(int(doc["degree"]), {tuple(k): v for k, v in doc["terms"]})
+        return PolynomialSpec(_integer(doc, "degree"), {tuple(k): v for k, v in doc["terms"]})
     except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"bad polynomial: {exc}") from exc
 
@@ -551,7 +561,7 @@ def _stable_spec(doc) -> StableSpec:
             b=float(doc.get("b", 0.0)),
             c=float(doc.get("c", 1.0)),
             a=float(doc.get("a", 0.0)),
-            dim=int(doc.get("dim", 1)),
+            dim=_integer(doc, "dim", 1),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"bad stable spec: {exc}") from exc

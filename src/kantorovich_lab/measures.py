@@ -22,9 +22,11 @@ from .reports import dump_json
 #: Validation tolerance for the pseudometric axioms (user-supplied matrices),
 #: relative to the matrix's scale ``max(1, max |p|)``.
 TRIANGLE_TOL = 1e-12
-#: Rows per block of the triangle-inequality check (a block holds rows * n^2
-#: temporaries).
+#: Rows and relay points per tile of the triangle-inequality check.  A tile
+#: holds rows * relays * n doubles (4 MB at n = 1024), so it stays in cache
+#: while its minimum over the relay points is taken.
 TRIANGLE_BLOCK_ROWS = 8
+TRIANGLE_TILE_RELAYS = 64
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -46,14 +48,44 @@ def _validate_pseudometric(name: str, p: np.ndarray, n: int) -> None:
         raise ValueError(f"metric {name!r}: not symmetric")
     if np.any(p < -tol):
         raise ValueError(f"metric {name!r}: negative entries")
-    # p(i,k) <= min_j p(i,j) + p(j,k); rows i in blocks keep memory O(n^2)
-    relay = np.empty_like(p)
-    for lo in range(0, n, TRIANGLE_BLOCK_ROWS):
-        rows = p[lo : lo + TRIANGLE_BLOCK_ROWS]
-        relay[lo : lo + TRIANGLE_BLOCK_ROWS] = (rows[:, :, None] + p[None, :, :]).min(axis=1)
+    # p(i,k) <= min_j p(i,j) + p(j,k)
+    relay = _relay(p)
     if np.any(p > relay + tol):
         i, k = np.unravel_index(int(np.argmax(p - relay)), p.shape)
         raise ValueError(f"metric {name!r}: triangle inequality fails at pair ({i}, {k})")
+
+
+def _relay(p: np.ndarray) -> np.ndarray:
+    """``min_j p[i, j] + p[j, k]`` for every pair (i, k), bit for bit
+    ``(p[:, :, None] + p[None]).min(axis=1)`` in O(n^2) memory.
+
+    Rows are taken in blocks and relay points in tiles, each tile's minimum
+    folded into the block's with ``np.minimum``; the minimum of equal sums
+    keeps the last, in tiles as in one reduction, so even signed zeros agree.
+    For an exactly symmetric ``p`` the relay is symmetric too (the same sums,
+    added the other way round), so a block computes only its columns from
+    its first row on and takes the rest from the rows above it; a last block
+    of one row is computed whole, since numpy would reduce a one-column tile
+    along its contiguous axis in SIMD lanes, which may keep the other zero.
+    """
+    n = len(p)
+    symmetric = np.array_equal(p.view(np.uint64), p.T.view(np.uint64))
+    relay = np.empty_like(p)
+    tiles = np.empty(TRIANGLE_BLOCK_ROWS * TRIANGLE_TILE_RELAYS * n)
+    for lo in range(0, n, TRIANGLE_BLOCK_ROWS):
+        hi = min(lo + TRIANGLE_BLOCK_ROWS, n)
+        start = lo if symmetric and lo < n - 1 else 0
+        relay[lo:hi, :start] = relay[:start, lo:hi].T
+        block = relay[lo:hi, start:]
+        for j in range(0, n, TRIANGLE_TILE_RELAYS):
+            jh = min(j + TRIANGLE_TILE_RELAYS, n)
+            tile = tiles[: (hi - lo) * (jh - j) * (n - start)].reshape(hi - lo, jh - j, n - start)
+            np.add(p[lo:hi, j:jh, None], p[None, j:jh, start:], out=tile)
+            if j:
+                np.minimum(block, tile.min(axis=1), out=block)
+            else:
+                tile.min(axis=1, out=block)
+    return relay
 
 
 @dataclass(frozen=True)

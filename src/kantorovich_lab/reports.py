@@ -17,10 +17,13 @@ spelled as in curve and measure files.  A report is therefore strict JSON
 ``dump_json`` gets these bytes in one walk over the document instead of
 converting it with ``_plain`` first and then running the stdlib's pure-Python
 indenting encoder.  Floats and strings are recognised by their exact type
-before the slower checks; a list of finite floats, the usual bulk of a report
-(coupling matrices, witnesses), is joined in one ``str.join``; and the file is
-written with one ``write``.  The stdlib encoder stays the reference the tests
-compare these bytes with.
+before the slower checks; a list of finite floats (witnesses) is joined in one
+``str.join``; and the file is written with one ``write``.  A finite float64
+ndarray of one or two dimensions, the usual bulk of a report (an n x n
+coupling with r + s - 1 nonzero cells), is written straight from numpy:
+every ``+0.0`` cell shares one ``"0.0"`` token, a ``-0.0`` cell is
+``"-0.0"``, and only the nonzero cells go through ``float.__repr__``.  The
+stdlib encoder stays the reference the tests compare these bytes with.
 """
 
 from __future__ import annotations
@@ -191,6 +194,39 @@ def _plain(obj):
     return obj
 
 
+#: The bits of -0.0, the one float64 zero that is not written "0.0".
+_NEGATIVE_ZERO = np.float64(-0.0).view(np.uint64)
+
+
+def _bracketed(items: list, level: int) -> str:
+    """A list of encoded items as the stdlib encoder writes it, nested ``level`` deep."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (level + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
+
+
+def _float_array(a: np.ndarray, level: int, out: list) -> None:
+    """Append ``a.tolist()`` encoded, for a finite float64 array of one or two dimensions."""
+    flat = a.ravel()
+    tokens = ["0.0"] * flat.size
+    nonzero = np.flatnonzero(flat)
+    for i, v in zip(nonzero.tolist(), flat[nonzero].tolist()):
+        tokens[i] = float.__repr__(v)
+    for i in np.flatnonzero(flat.view(np.uint64) == _NEGATIVE_ZERO).tolist():
+        tokens[i] = "-0.0"
+    if a.ndim == 1 or not len(a):
+        out.append(_bracketed(tokens, level))
+        return
+    # the rows go to ``out`` one by one: joining them here would copy the text once more
+    width = a.shape[1]
+    inner = "\n" + "  " * (level + 1)
+    for r in range(len(a)):
+        out.append(("," if r else "[") + inner)
+        out.append(_bracketed(tokens[r * width : (r + 1) * width], level + 1))
+    out.append("\n" + "  " * level + "]")
+
+
 def _encode(obj, level: int, out: list) -> None:
     """Append ``_plain(obj)`` as the stdlib encoder writes it, nested ``level`` deep."""
     kind = type(obj)
@@ -198,6 +234,8 @@ def _encode(obj, level: int, out: list) -> None:
         out.append(float.__repr__(obj) if math.isfinite(obj) else _string(repr(obj)))
     elif kind is str:
         out.append(_string(obj))
+    elif kind is np.ndarray and obj.dtype == np.float64 and obj.ndim in (1, 2) and np.isfinite(obj).all():
+        _float_array(obj, level, out)
     # the rest in _plain's order
     elif hasattr(obj, "tolist"):
         _encode(obj.tolist(), level, out)
@@ -216,14 +254,11 @@ def _encode(obj, level: int, out: list) -> None:
         if not obj:
             out.append("[]")
             return
+        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+            out.append(_bracketed(list(map(float.__repr__, obj)), level))
+            return
         inner = "\n" + "  " * (level + 1)
         sep = "," + inner
-        if set(map(type, obj)) == {float}:
-            line = sep.join(map(float.__repr__, obj))
-            # "inf" and "nan" are the only float reprs holding an "n"
-            if "n" not in line:
-                out += ("[", inner, line, "\n", "  " * level, "]")
-                return
         out.append("[")
         for i, value in enumerate(obj):
             out.append(sep if i else inner)

@@ -44,6 +44,12 @@ def strip_wall_clock(text: str) -> str:
     return re.sub(r'^\s*"wall_clock_s":.*\n', "", text, flags=re.M)
 
 
+def written_body(path: Path) -> str:
+    """A written report without its wall clock and with its output directory,
+    which the config names, spelled ``OUT``."""
+    return strip_wall_clock(path.read_text()).replace(json.dumps(str(path.parent)), '"OUT"')
+
+
 class TestValidate:
     def test_valid_config_has_no_diagnostics(self, tmp_path):
         path = norms_config(tmp_path)
@@ -318,16 +324,16 @@ class TestOtherMeasure:
             return solve(mu, nu, *args)
 
         monkeypatch.setattr(cli, "wasserstein_q", spy)
-        _, same, _ = wq_run(tmp_path / "same")
-        code, other, _ = wq_run(tmp_path / "other", "other text")
+        _, _, same = wq_run(tmp_path / "same")
+        code, _, other = wq_run(tmp_path / "other", "other text")
         assert code == cli.EXIT_OK and shared == [True, False]
-        assert other["checks"] == same["checks"] and other["payload"] == same["payload"]
+        assert written_body(other) == written_body(same)
 
     def test_coords_are_not_compared_by_wq(self, tmp_path):
-        _, same, _ = wq_run(tmp_path / "same")
-        code, moved, _ = wq_run(tmp_path / "moved", "coords")
+        _, _, same = wq_run(tmp_path / "same")
+        code, _, moved = wq_run(tmp_path / "moved", "coords")
         assert code == cli.EXIT_OK
-        assert moved["checks"] == same["checks"] and moved["payload"] == same["payload"]
+        assert written_body(moved) == written_body(same)
 
     @pytest.mark.parametrize("change", ["ulp", "anchor"])
     def test_other_space_rejected(self, tmp_path, change):
@@ -919,6 +925,21 @@ class TestInputDocuments:
              "malformed measure file: metrics must be an object of named matrices"),
             ("norms", {"measure": ".", "metric": "d"}, "cannot read input file "),
             ("counterexample", {"matrix": "matrix.json"}, "float() argument must be"),
+            # an integer field takes a JSON integer only, never a float or a boolean
+            ("stable", {"check": "cf", "spec": {"p": 1.5, "dim": 1.5}},
+             "bad stable spec: dim must be an integer, got 1.5\n"),
+            ("stable", {"check": "cf", "spec": {"p": 1.5, "dim": True}},
+             "bad stable spec: dim must be an integer, got True\n"),
+            ("stable", {"check": "cf", "spec": {"p": 1.5, "dim": 1.0}},
+             "bad stable spec: dim must be an integer, got 1.0\n"),
+            ("logconcave", {"check": "borell", "spec": {"family": "uniform_simplex", "dim": 2.7}, "c": 1.0},
+             "bad log-concave spec: dim must be an integer, got 2.7\n"),
+            ("logconcave", {"check": "borell", "spec": {"family": "uniform_simplex", "dim": True}, "c": 1.0},
+             "bad log-concave spec: dim must be an integer, got True\n"),
+            ("logconcave", {"check": "small_value", "spec": _GAUSS, "poly": {"degree": 1.5, "terms": []}},
+             "bad polynomial: degree must be an integer, got 1.5\n"),
+            ("logconcave", {"check": "small_value", "spec": _GAUSS, "poly": {"degree": False, "terms": []}},
+             "bad polynomial: degree must be an integer, got False\n"),
         ],
     )
     def test_exit_3_with_the_cause(self, tmp_path, capsys, kind, params, cause):

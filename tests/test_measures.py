@@ -81,6 +81,85 @@ class TestValidation:
             mu.weights[0] = 7.0
 
 
+def _one_block_relay(p):
+    """The relay matrix as one (n, n, n) broadcast: the reference for the tiles."""
+    return (p[:, :, None] + p[None, :, :]).min(axis=1)
+
+
+def _planar(rng, n):
+    x = rng.uniform(-4.0, 4.0, size=(n, 2))
+    return np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+
+
+def _metric(rng, n, kind):
+    """A planar metric, exactly symmetric or not: ``asymmetric`` nudges each
+    entry by under 2 ulps, far inside the tolerance; ``signed zeros`` repeats
+    points and writes half of the zero distances as -0.0, so that the relay
+    has ties between +0.0 and -0.0 sums."""
+    if kind == "signed zeros":
+        x = rng.uniform(-4.0, 4.0, size=(max(1, n // 3), 2))[rng.integers(0, max(1, n // 3), size=n)]
+        p = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+        flip = np.triu(rng.random((n, n)) < 0.5) & (p == 0.0)
+        p[flip | flip.T] = -0.0
+        return p
+    p = _planar(rng, n)
+    if kind == "asymmetric":
+        p *= 1.0 + rng.uniform(0.0, 4e-16, size=p.shape)
+    return p
+
+
+class TestTiledTriangleCheck:
+    """The relay in row blocks and relay tiles, on one half when ``p`` is
+    exactly symmetric, against the one-block formula."""
+
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "signed zeros"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65, 130])
+    def test_relay_bits(self, rng, n, kind):
+        p = _metric(rng, n, kind)
+        if kind == "asymmetric" and n > 2:
+            assert not np.array_equal(p, p.T)
+        assert measures._relay(p).tobytes() == _one_block_relay(p).tobytes()
+
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("n", [9, 65, 130])
+    def test_planted_violation_message_and_pair(self, rng, n, kind):
+        for _ in range(4):
+            bad = _metric(rng, n, kind)
+            i, k = rng.choice(n, size=2, replace=False)
+            bad[i, k] = bad[k, i] = 3.0 * bad.max()
+            relay = _one_block_relay(bad)
+            pair = np.unravel_index(int(np.argmax(bad - relay)), bad.shape)
+            assert {int(pair[0]), int(pair[1])} == {int(i), int(k)}
+            # p - relay is symmetric with p, so its first maximum is above the diagonal
+            assert kind == "asymmetric" or pair[0] < pair[1]
+            with pytest.raises(ValueError, match=rf"^metric 'd': triangle inequality fails at pair \({pair[0]}, {pair[1]}\)$"):
+                measures._validate_pseudometric("d", bad, n)
+
+    def test_ties_report_the_first_pair_row_major(self):
+        # the discrete metric with two pairs at distance 3: each exceeds its relay by 1
+        bad = 1.0 - np.eye(70)
+        for i, k in ((66, 3), (5, 40)):
+            bad[i, k] = bad[k, i] = 3.0
+        with pytest.raises(ValueError, match=r"fails at pair \(3, 66\)$"):
+            measures._validate_pseudometric("d", bad, 70)
+
+    def test_peak_memory_is_o_n_squared(self, rng):
+        import tracemalloc
+
+        n = 512
+        p = _planar(rng, n)
+        measures._validate_pseudometric("d", p[:8, :8].copy(), 8)  # first-call allocations
+        tracemalloc.start()
+        try:
+            measures._validate_pseudometric("d", p, n)
+            peak = tracemalloc.get_traced_memory()[1] / (8 * n * n)
+        finally:
+            tracemalloc.stop()
+        # measured 2.13 n^2 doubles; the (8, n, n) block of one row block
+        # alone was 8 n^2, and its check peaked at 9.03 n^2
+        assert peak < 2.5
+
+
 class TestJordan:
     def test_sign_split(self):
         mu = two_point_space(1.0).measure([2.0, -3.0])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kantorovich_lab import cli
+from kantorovich_lab import cli, reports
 from kantorovich_lab.measures import PseudometricSpace, SignedMeasure, measure_to_dict
 from kantorovich_lab.reports import _plain, dump_json, mean_std
 
@@ -108,6 +108,88 @@ def test_edge_document(report_path):
     # one rule at every depth: a non-finite float is a string, never a bare token
     assert b'"-inf",' in text
     assert b"Infinity" not in text and b"NaN" not in text
+
+
+# ---------------------------------------------------------------------------
+# The array path: a finite float64 ndarray of one or two dimensions is written
+# straight from numpy; any other array goes through tolist()
+# ---------------------------------------------------------------------------
+
+ARRAY_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 0.1, 1.0, -3.5]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+array_shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6)
+finite_arrays = st.one_of(
+    hnp.arrays(np.float64, array_shapes, elements=finite),  # dense
+    hnp.arrays(np.float64, array_shapes, elements=finite, fill=st.just(0.0)),  # mostly zero
+    hnp.arrays(np.float64, array_shapes, elements=st.sampled_from(ARRAY_FLOATS)),  # signed zeros, edges
+)
+#: Arrays at the top, in a mapping and in a list, at depths 0 to 2.
+placed = [lambda a: a, lambda a: {"coupling": a, "z": [a]}, lambda a: [1, {"a": a}, a]]
+
+
+@pytest.fixture
+def array_path(monkeypatch):
+    """The arrays that ``dump_json`` writes straight from numpy."""
+    taken = []
+    write = reports._float_array
+
+    def spy(a, level, out):
+        taken.append(a)
+        write(a, level, out)
+
+    monkeypatch.setattr(reports, "_float_array", spy)
+    return taken
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=finite_arrays, where=st.sampled_from(placed))
+def test_array_path_bytes(a, where, report_path):
+    assert written(where(a), report_path) == reference(where(a))
+
+
+STRAIGHT = {
+    "empty": np.zeros(0),
+    "0x3": np.zeros((0, 3)),
+    "3x0": np.zeros((3, 0)),
+    "0x0": np.zeros((0, 0)),
+    "one row": np.array([[0.5, -0.0, 0.0]]),
+    "negative zero": np.array([-0.0]),
+    "edges": np.array(ARRAY_FLOATS),
+    "edges 2x5": np.array(ARRAY_FLOATS).reshape(2, 5),
+    "mostly zero": np.eye(5)[::-1] * 1e-300,
+    "strided": np.eye(4)[:, ::2],
+    "fortran": np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+}
+OTHER = {
+    "inf": np.array([1.0, math.inf]),
+    "-inf": np.array([[0.0, -math.inf]]),
+    "nan": np.array([[math.nan], [2.0]]),
+    "float32": np.array([1.0, 2.0], dtype=np.float32),
+    "int64": np.array([1, -2]),
+    "bool": np.array([True, False]),
+    "big-endian": np.array([[1.5]], dtype=">f8"),
+    "0-d": np.array(2.5),
+    "3-d": np.zeros((2, 1, 2)),
+    "object": np.array([1.5, None], dtype=object),
+    "subclass": np.ma.array([[1.5, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("name", list(STRAIGHT))
+@pytest.mark.parametrize("where", range(len(placed)))
+def test_arrays_written_straight_from_numpy(name, where, array_path, report_path):
+    a = STRAIGHT[name]
+    doc = placed[where](a)
+    assert written(doc, report_path) == reference(doc)
+    assert array_path and all(b is a for b in array_path)
+
+
+@pytest.mark.parametrize("name", list(OTHER))
+def test_other_arrays_take_tolist(name, array_path, report_path):
+    doc = {"a": OTHER[name], "b": [OTHER[name]]}
+    assert written(doc, report_path) == reference(doc)
+    assert array_path == []
 
 
 def _no_constant(token):
