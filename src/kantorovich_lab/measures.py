@@ -310,23 +310,34 @@ def _num(x) -> float:
     return v
 
 
-def _matrix(rows) -> np.ndarray:
+def _list(value, name: str):
+    """``value`` if it is a list (or a tuple or array, from Python callers);
+    anything else is a ``TypeError`` naming the field ``name``."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise TypeError(f"{name} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _matrix(rows, name: str) -> np.ndarray:
     """Rows of decimal strings as a float array; a non-finite entry is an error.
 
-    Parses every entry in one flat pass when the rows are of equal length; on
-    any failure the entries are parsed again one by one, so the error is the
-    one the first bad entry in row order (or a ragged shape) raises.
+    Parses every entry in one flat pass when the rows are lists of equal
+    length; on any failure the rows are parsed again one by one, so the error
+    is the one the first bad row or entry in row order (or a ragged shape)
+    raises.  ``name`` is the field's path in the file (``metrics.d``,
+    ``coords``), named when it or one of its rows is not a list.
     """
+    _list(rows, name)
     try:
         n_rows = len(rows)
         n_cols = len(rows[0]) if n_rows else 0
-        if all(len(row) == n_cols for row in rows):
+        if all(isinstance(row, (list, tuple, np.ndarray)) and len(row) == n_cols for row in rows):
             out = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float, n_rows * n_cols)
             if np.isfinite(out).all():
                 return out.reshape(n_rows, n_cols) if n_rows else out
     except (TypeError, ValueError, KeyError, IndexError):
         pass
-    return np.array([[_num(x) for x in row] for row in rows])
+    return np.array([[_num(x) for x in _list(row, f"{name} row {i}")] for i, row in enumerate(rows)])
 
 
 _MISSING = object()
@@ -348,7 +359,7 @@ def space_from_dict(
     those of a file read alone.
     """
     try:
-        points = tuple(str(p) for p in doc["points"])
+        points = tuple(str(p) for p in _list(doc["points"], "points"))
         if reuse is not None:
             space, space_doc = reuse
             if (
@@ -359,9 +370,9 @@ def space_from_dict(
                 return space
         if not isinstance(doc["metrics"], Mapping):
             raise TypeError("metrics must be an object of named matrices")
-        metrics = {str(name): _matrix(matrix) for name, matrix in doc["metrics"].items()}
+        metrics = {str(name): _matrix(matrix, f"metrics.{name}") for name, matrix in doc["metrics"].items()}
         anchor = int(doc.get("anchor", 0))
-        coords = None if doc.get("coords") is None else _matrix(doc["coords"])
+        coords = None if doc.get("coords") is None else _matrix(doc["coords"], "coords")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed measure file: {exc}") from exc
     return PseudometricSpace(points=points, metrics=metrics, anchor=anchor, coords=coords)
@@ -376,7 +387,7 @@ def measure_from_dict(
 
 def _weights_on(space: PseudometricSpace, doc: Mapping) -> SignedMeasure:
     try:
-        weights = _matrix([doc["weights"]])[0]
+        weights = _matrix([_list(doc["weights"], "weights")], "weights")[0]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed measure file: {exc}") from exc
     return space.measure(weights)

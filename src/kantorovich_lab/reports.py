@@ -74,12 +74,56 @@ def mean_std_in_place(v: np.ndarray) -> tuple[float, float]:
     return _mean_std(v, v)
 
 
+def mean_var_in_place(v: np.ndarray) -> tuple[float, float]:
+    """Mean and population variance of a 1-D array, bit for bit ``v.mean()``
+    and ``v.var()`` (numpy's ``_var``: the deviations from the mean, squared
+    in place, summed and divided by n), with the deviations written over
+    ``v``, a temporary the caller owns."""
+    return _mean_var(v, v)
+
+
 def _mean_std(v: np.ndarray, out: np.ndarray | None) -> tuple[float, float]:
+    m, var = _mean_var(v, out)
+    return m, math.sqrt(var)
+
+
+def _mean_var(v: np.ndarray, out: np.ndarray | None) -> tuple[float, float]:
     n = len(v)
     m = v.sum() / n
     d = np.subtract(v, m, out=out)
     d *= d
-    return float(m), float(np.sqrt(d.sum() / n))
+    return float(m), float(d.sum() / n)
+
+
+def sorted_quantiles(ordered: np.ndarray, q):
+    """``np.quantile(ordered, q)`` of a sorted 1-D float sample, read off it.
+
+    numpy's default ``"linear"`` rule (Hyndman & Fan 1996, definition 7)
+    partitions its input even when that is already sorted; here the order
+    statistics are taken by index, and numpy's arithmetic is repeated bit
+    for bit: the virtual index ``(n - 1) q`` and its floor, the last entry
+    for an index at or past n - 1, and ``_lerp``'s two branches,
+    ``a + (b - a) t`` or, for t >= 0.5, ``b - (b - a) (1 - t)``.  A sample
+    that ends in NaN gives NaN throughout, as numpy does.  A partition may
+    leave equal entries in another order, so a zero may carry the other sign
+    than numpy's.  ``q`` is a float or a float64 array, each in [0, 1].
+    """
+    q = np.asarray(q, dtype=float)
+    last = len(ordered) - 1
+    virtual = last * q.reshape(-1)
+    below = np.floor(virtual)
+    top = virtual >= last
+    lo = np.where(top, -1, below).astype(np.intp)
+    hi = np.where(top, -1, below + 1).astype(np.intp)
+    t = virtual - lo
+    a = ordered[lo]
+    b = ordered[hi]
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    if np.isnan(ordered[-1]):
+        out[:] = ordered[-1]
+    return out.reshape(q.shape)[()]
 
 
 def content_seed(base_seed: int, *fields) -> np.random.SeedSequence:
@@ -138,8 +182,12 @@ def one_sided(name: str, estimate: float, hw: float, bound: float, **kw) -> Chec
 
 def fraction(mask: np.ndarray) -> tuple[float, float]:
     """The share of true entries in a boolean mask, and its half-width."""
-    n = len(mask)
-    p = float(np.count_nonzero(mask)) / n
+    return share(np.count_nonzero(mask), len(mask))
+
+
+def share(count: int, n: int) -> tuple[float, float]:
+    """The share ``count / n`` and its half-width, as ``fraction`` gives them."""
+    p = float(count) / n
     return p, half_width(math.sqrt(p * (1.0 - p)), n)
 
 

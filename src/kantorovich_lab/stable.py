@@ -20,13 +20,14 @@ from .reports import (
     BLOCK,
     CheckRecord,
     ConcentrationReport,
-    fraction,
     half_width,
     max_z_check,
-    mean_std_in_place,
+    mean_var_in_place,
     one_sided,
     reduce_each_law,
     row_blocks,
+    share,
+    sorted_quantiles,
 )
 from .transport._transportation import moment_seminorm_value
 
@@ -118,6 +119,13 @@ def sample_stable(spec: StableSpec, n: int, seed) -> np.ndarray:
     return U
 
 
+def _cos_sin_moments(t: float, z: np.ndarray, tz: np.ndarray, wave: np.ndarray):
+    """``mean_var_in_place`` of cos(t z) and of sin(t z), in that order;
+    ``t z`` goes to ``tz``, overwritten by its sine, and its cosine to ``wave``."""
+    np.multiply(t, z, out=tz)
+    return mean_var_in_place(np.cos(tz, out=wave)), mean_var_in_place(np.sin(tz, out=tz))
+
+
 def empirical_cf_gap(samples: np.ndarray, spec: StableSpec, ts: Sequence[float] = CF_GRID):
     """Per-grid-point z-scores of the empirical vs exact characteristic function.
 
@@ -130,12 +138,10 @@ def empirical_cf_gap(samples: np.ndarray, spec: StableSpec, ts: Sequence[float] 
     wave = np.empty(n)
     rows = []
     for t in ts:
-        np.multiply(t, x, out=tx)
         cf = stable_cf(t, spec)
-        mean_re, std_re = mean_std_in_place(np.cos(tx, out=wave))
-        mean_im, std_im = mean_std_in_place(np.sin(tx, out=tx))
-        hw_re = half_width(std_re, n)
-        hw_im = half_width(std_im, n)
+        (mean_re, var_re), (mean_im, var_im) = _cos_sin_moments(t, x, tx, wave)
+        hw_re = half_width(math.sqrt(var_re), n)
+        hw_im = half_width(math.sqrt(var_im), n)
         z_re = abs(mean_re - cf.real) / max(hw_re / 3.0, 1e-300)
         z_im = abs(mean_im - cf.imag) / max(hw_im / 3.0, 1e-300)
         rows.append((float(t), mean_re, mean_im, cf.real, cf.imag, z_re, z_im))
@@ -245,15 +251,21 @@ def stable_tail_check(
     (2, t_max] are compared against C t^-p1 and the fitted slope is checked
     against -p1 (an order p below p1 violates the hypothesis; the slope check
     is then recorded as an expected failure).
+
+    The seminorm values are sorted once, in place: the quantile is read off
+    them (``sorted_quantiles``) and every count below or above a level is a
+    binary search.  Rescaling by a positive number keeps them sorted.
     """
     if not p1 > 1:
         raise ValueError("p1 must exceed 1")
-    u = np.abs(sample_stable(spec, n, seed)[:, 0])
-    scale = float(np.quantile(u, 0.8))
+    u = np.ascontiguousarray(sample_stable(spec, n, seed)[:, 0])
+    np.abs(u, out=u)
+    u.sort()
+    scale = float(sorted_quantiles(u, 0.8))
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError("cannot rescale: the seminorm has no positive 80% quantile")
     u /= scale
-    frac_below = fraction(u < 1.0)[0]
+    frac_below = share(np.searchsorted(u, 1.0, side="left"), n)[0]
     if not frac_below > 0.75:
         raise ValueError("rescaling failed to put 3/4 of the mass below 1")
 
@@ -264,7 +276,7 @@ def stable_tail_check(
     curve = []
     usable = []
     for t in ts:
-        tail, hw = fraction(u > t)
+        tail, hw = share(n - np.searchsorted(u, t, side="right"), n)
         bound = float(constants.bound(t))
         checks.append(one_sided(f"tail bound[t={t:.3g}]", tail, hw, bound))
         curve.append((float(t), tail, bound))
@@ -331,28 +343,38 @@ def stability_identity_check(
     For independent draws xi, eta, the law of alpha xi + beta eta must match
     the law of (alpha^p + beta^p)^(1/p) xi; compared through empirical
     characteristic functions on the fixed grid at 3 SE.
+
+    ``z1 = alpha xi + beta eta`` and ``z2`` are formed in place over the
+    draws of xi and fresh, and every grid point reuses two work arrays, as
+    ``empirical_cf_gap`` does; each mean and variance has the bits of
+    numpy's ``mean`` and ``var``.
     """
     if spec.a != 0.0 or spec.b != 0.0:
         raise ValueError("the two-sample identity check requires a = 0 and b = 0")
     alpha, beta = coeffs
     ss = np.random.SeedSequence(seed)
     s1, s2, s3 = ss.spawn(3)
-    xi = sample_stable(spec, n, s1)[:, 0]
+    z1 = np.ascontiguousarray(sample_stable(spec, n, s1)[:, 0])
+    z1 *= alpha
     eta = sample_stable(spec, n, s2)[:, 0]
-    fresh = sample_stable(spec, n, s3)[:, 0]
-    z1 = alpha * xi + beta * eta
-    z2 = (alpha**spec.p + beta**spec.p) ** (1.0 / spec.p) * fresh
+    eta *= beta
+    z1 += eta
+    del eta
+    z2 = np.ascontiguousarray(sample_stable(spec, n, s3)[:, 0])
+    z2 *= (alpha**spec.p + beta**spec.p) ** (1.0 / spec.p)
+    tz = np.empty(n)
+    wave = np.empty(n)
     zmax = 0.0
     curve = []
     for t in ts:
-        re1, im1 = np.cos(t * z1), np.sin(t * z1)
-        re2, im2 = np.cos(t * z2), np.sin(t * z2)
-        se_re = math.sqrt(float(re1.var()) / n + float(re2.var()) / n)
-        se_im = math.sqrt(float(im1.var()) / n + float(im2.var()) / n)
-        z_re = abs(float(re1.mean()) - float(re2.mean())) / max(se_re, 1e-300)
-        z_im = abs(float(im1.mean()) - float(im2.mean())) / max(se_im, 1e-300)
+        (re1, var_re1), (im1, var_im1) = _cos_sin_moments(t, z1, tz, wave)
+        (re2, var_re2), (im2, var_im2) = _cos_sin_moments(t, z2, tz, wave)
+        se_re = math.sqrt(var_re1 / n + var_re2 / n)
+        se_im = math.sqrt(var_im1 / n + var_im2 / n)
+        z_re = abs(re1 - re2) / max(se_re, 1e-300)
+        z_im = abs(im1 - im2) / max(se_im, 1e-300)
         zmax = max(zmax, z_re, z_im)
-        curve.append((float(t), float(re1.mean()), float(re2.mean()), z_re, z_im))
+        curve.append((float(t), re1, re2, z_re, z_im))
     checks = [max_z_check("two-sample cf distance (max z)", zmax)]
     return ConcentrationReport(
         name="stability_identity",
@@ -372,22 +394,24 @@ def stability_identity_check(
 def _quantile_bins(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Quantile edges of a 1-D sample and each value's bin, from one sort.
 
-    The edges are taken from the sorted sample, whose order statistics are
-    the sample's own, so they are the sample's quantiles (a zero edge may
-    carry the other sign, which compares equal).  Each sorted value then
-    finds its bin in a search that walks the edges in order, and the bins are
-    scattered back to the sample's order.  Any sort will do, ties in any
-    order, because a value's bin depends only on the value.
+    The edges are read off the sorted sample (``sorted_quantiles``), bit for
+    bit ``np.quantile`` of it (a zero edge may carry the other sign, which
+    compares equal).  A value's bin is
+    ``clip(searchsorted(qs, v, "right") - 1, 0, bins - 1)``: the number of
+    inner edges ``qs[1:bins]`` at or below it.  So the sorted sample falls
+    into runs, bin k starting at the first value not below ``qs[k]`` (one
+    binary search per inner edge), and the runs' bins are scattered back to
+    the sample's order.  Any sort will do, ties in any order, because a
+    value's bin depends only on the value.
     """
+    n = len(values)
     order = np.argsort(values)
     ordered = values[order]
-    qs = np.quantile(ordered, np.linspace(0.0, 1.0, bins + 1))
-    ordered_bins = np.searchsorted(qs, ordered, side="right")
+    qs = sorted_quantiles(ordered, np.linspace(0.0, 1.0, bins + 1))
+    starts = np.searchsorted(ordered, qs[1:bins], side="left")
     del ordered
-    ordered_bins -= 1
-    np.clip(ordered_bins, 0, bins - 1, out=ordered_bins)
-    idx = np.empty(len(values), dtype=np.intp)
-    idx[order] = ordered_bins
+    idx = np.empty(n, dtype=np.intp)
+    idx[order] = np.repeat(np.arange(bins), np.diff(starts, prepend=0, append=n))
     return qs, idx
 
 

@@ -104,6 +104,17 @@ def highs_coupling_cost(C, a, b) -> float:
 
 
 
+def pytest_report_header(config):
+    """numpy's version and BLAS: the sampler pins go through BLAS's gemm and
+    the quantile pins follow numpy's rule, so a failing pin names both."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError, AttributeError):  # numpy before 1.26 takes no mode
+        blas = "unknown"
+    return f"numpy {np.__version__}, BLAS {blas}"
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -940,6 +940,13 @@ class TestInputDocuments:
              "bad polynomial: degree must be an integer, got 1.5\n"),
             ("logconcave", {"check": "small_value", "spec": _GAUSS, "poly": {"degree": False, "terms": []}},
              "bad polynomial: degree must be an integer, got False\n"),
+            # a field that is not a list is named by its path in the measure file
+            ("norms", {"measure": {**two_point_measure_doc(), "points": 5}, "metric": "d"},
+             "malformed measure file: points must be a list, got int\n"),
+            ("norms", {"measure": {**two_point_measure_doc(), "weights": 5}, "metric": "d"},
+             "malformed measure file: weights must be a list, got int\n"),
+            ("norms", {"measure": {**two_point_measure_doc(), "metrics": {"d": [["0", "3"], 5]}}, "metric": "d"},
+             "malformed measure file: metrics.d row 1 must be a list, got int\n"),
         ],
     )
     def test_exit_3_with_the_cause(self, tmp_path, capsys, kind, params, cause):

@@ -428,13 +428,44 @@ class TestParsing:
         doc = _file_doc()
         doc["weights"] = 5
         assert _message(lambda: measure_from_dict(doc)) == (
-            ValueError, "malformed measure file: 'int' object is not iterable"
+            ValueError, "malformed measure file: weights must be a list, got int"
         )
 
     def test_coords_not_rows_is_malformed(self):
         doc = {"points": ["a"], "metrics": {"d": [["0"]]}, "coords": 5, "weights": ["1"]}
         assert _message(lambda: measure_from_dict(doc)) == (
-            ValueError, "malformed measure file: 'int' object is not iterable"
+            ValueError, "malformed measure file: coords must be a list, got int"
+        )
+
+    @pytest.mark.parametrize(
+        "edit, cause",
+        [
+            (lambda doc: doc.update(points=5), "points must be a list, got int"),
+            (lambda doc: doc.update(points="abc"), "points must be a list, got str"),
+            (lambda doc: doc.update(weights="0.5"), "weights must be a list, got str"),
+            (lambda doc: doc.update(weights={"a": "1"}), "weights must be a list, got dict"),
+            (lambda doc: doc["metrics"].update(d=5), "metrics.d must be a list, got int"),
+            (lambda doc: doc["metrics"]["d"].__setitem__(1, 5), "metrics.d row 1 must be a list, got int"),
+            (lambda doc: doc["metrics"]["d"].__setitem__(2, "201"), "metrics.d row 2 must be a list, got str"),
+            (lambda doc: doc["coords"].__setitem__(0, None), "coords row 0 must be a list, got NoneType"),
+        ],
+    )
+    def test_a_field_that_is_not_a_list_is_named(self, edit, cause):
+        doc = _file_doc()
+        edit(doc)
+        assert _message(lambda: measure_from_dict(doc)) == (ValueError, f"malformed measure file: {cause}")
+
+    def test_first_bad_row_or_entry_in_row_order_is_named(self):
+        doc = _file_doc()
+        doc["metrics"]["d"][0][1] = "abc"
+        doc["metrics"]["d"][1] = 5
+        assert _message(lambda: measure_from_dict(doc)) == (
+            ValueError, "could not convert string to float: 'abc'"
+        )
+        doc["metrics"]["d"][0][1] = "1.5"
+        doc["metrics"]["d"][2][0] = "abc"
+        assert _message(lambda: measure_from_dict(doc)) == (
+            ValueError, "malformed measure file: metrics.d row 1 must be a list, got int"
         )
 
     def test_doubles_equal_float_parse(self):
@@ -513,7 +544,7 @@ class TestSharedSpace:
         doc = _file_doc()
         doc["weights"] = ["1", "2", "3"]
         parsed = []
-        monkeypatch.setattr(measures, "_matrix", lambda rows: parsed.append(rows) or _matrix(rows))
+        monkeypatch.setattr(measures, "_matrix", lambda rows, name: parsed.append(rows) or _matrix(rows, name))
         nu = measure_from_dict(doc, (mu.space, mu_doc))
         assert nu.space is mu.space
         assert parsed == [[doc["weights"]]]

@@ -438,6 +438,146 @@ class TestRowBlocks:
         assert drawn == []
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, B - 1, B, B + 1, 2 * B + 1])
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_gaussian_matches_the_transposed_view_formula(dim, n):
+    """The drawer multiplies by a contiguous copy of root.T (the view for a
+    single row) and adds the mean column by column: the bits of
+    ``mean + z @ root.T``."""
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((dim, dim))
+    spec = LogConcaveSpec.gaussian(rng.uniform(-2.0, 2.0, dim), a @ a.T / dim + 0.1 * np.eye(dim))
+    assert _same_bits(logconcave.sample(spec, n, 8), _logconcave_reference(spec, n, 8))
+
+
+# ---------------------------------------------------------------------------
+# Quantiles and counts read off a sorted sample, against numpy's own
+# ---------------------------------------------------------------------------
+
+
+def _same_but_zero_sign(got, ref):
+    """Equal shapes, dtypes and values (NaN equal to NaN), and equal bits
+    except a zero's sign."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    if got.shape != ref.shape or got.dtype != ref.dtype or not np.array_equal(got, ref, equal_nan=True):
+        return False
+    return bool(np.all((got.view(np.uint64) == ref.view(np.uint64)) | (ref == 0) | np.isnan(ref)))
+
+
+def _random_sample(rng, k):
+    """An unsorted sample of 1 to 4000 values, of one of five kinds chosen by k."""
+    n = int(np.exp(rng.uniform(0.0, np.log(4000.0))))
+    kind = k % 5
+    if kind == 0:
+        return rng.standard_normal(n)
+    if kind == 1:  # heavy ties, zeros of both signs among them
+        return rng.integers(-3, 4, n) * rng.choice([-0.0, 0.0, 0.5, 1.0], n)
+    if kind == 2:  # Cauchy tails, cubed
+        return rng.standard_cauchy(n) ** 3
+    if kind == 3:  # NaN sorts last
+        x = rng.standard_normal(n)
+        x[rng.integers(n, size=int(rng.integers(1, 3)))] = np.nan
+        return x
+    return np.full(n, rng.choice([-0.0, 0.0, 1.5]))
+
+
+class TestSortedQuantiles:
+    def test_numpy_linear_rule_on_random_samples(self):
+        rng = np.random.default_rng(19)
+        for k in range(2000):
+            x = np.sort(_random_sample(rng, k))
+            bins = int(rng.integers(1, 81))
+            for q in (np.linspace(0.0, 1.0, bins + 1), float(rng.uniform()), 0.8, 0.0, 1.0, rng.uniform(size=3)):
+                got = reports.sorted_quantiles(x, q)
+                ref = np.quantile(x, q, method="linear")
+                assert type(got) is type(ref)
+                assert _same_but_zero_sign(got, ref), (k, len(x), q)
+
+    @pytest.mark.parametrize(
+        "x",
+        [[2.5], [-0.0], [-0.0, 0.0], [0.0, -0.0], [-np.inf, 1.0], [1.0, np.inf], [-np.inf, np.inf],
+         [np.inf, np.inf], [1.0, np.nan], [np.nan], [5e-324, 1.7976931348623157e308]],
+    )
+    def test_edge_samples(self, x):
+        x = np.array(x)
+        q = np.linspace(0.0, 1.0, 6)
+        with np.errstate(invalid="ignore"):  # inf - inf, as in numpy's own _lerp
+            for qq in (q, 0.8, 1.0):
+                assert _same_but_zero_sign(reports.sorted_quantiles(x, qq), np.quantile(x, qq))
+
+    @pytest.mark.parametrize("bins", [1, 2, 3, 64, 80])
+    def test_bins_follow_the_searchsorted_rule(self, bins):
+        rng = np.random.default_rng(bins)
+        for k in range(100):
+            x = _random_sample(rng, k)
+            qs, idx = stable._quantile_bins(x, bins)
+            assert _same_but_zero_sign(qs, np.quantile(x, np.linspace(0.0, 1.0, bins + 1)))
+            assert idx.dtype == np.intp
+            assert np.array_equal(idx, np.clip(np.searchsorted(qs, x, side="right") - 1, 0, bins - 1))
+
+
+def _tail_reference(spec, p1, n, seed, ts):
+    """The rescale, the fraction below one and each level's (tail, half-width)
+    of ``stable_tail_check``, from ``np.quantile`` and masks over the values
+    in their drawn order."""
+    u = np.abs(stable.sample_stable(spec, n, seed)[:, 0])
+    scale = float(np.quantile(u, 0.8))
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError("cannot rescale: the seminorm has no positive 80% quantile")
+    u /= scale
+    frac_below = reports.fraction(u < 1.0)[0]
+    if not frac_below > 0.75:
+        raise ValueError("rescaling failed to put 3/4 of the mass below 1")
+    return scale, frac_below, [reports.fraction(u > t) for t in ts]
+
+
+def _tail_fields(report, ts):
+    tails = [report.check(f"tail bound[t={t:.3g}]") for t in ts]
+    assert [row[1] for row in report.curves["tail"]] == [c.estimate for c in tails]
+    return report.extras["rescale"], report.extras["fraction_below_one"], [(c.estimate, c.half_width) for c in tails]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+TAIL_TS = list(np.geomspace(2.5, 25.0, 10))
+TAIL_SPEC = StableSpec(p=1.7, b=-0.2)
+
+
+class TestTailCounts:
+    @pytest.mark.parametrize("n", [1, 2, 10, 1000, B + 1, 2 * 10**5])
+    @pytest.mark.parametrize("spec", [TAIL_SPEC, StableSpec(p=1.4, b=0.5, dim=2)], ids=["dim1", "dim2"])
+    def test_report_matches_quantile_and_masks(self, spec, n):
+        for seed in (0, 3, 11):
+            got = _outcome(lambda: _tail_fields(stable.stable_tail_check(spec, p1=1.3, n=n, seed=seed), TAIL_TS))
+            assert got == _outcome(lambda: _tail_reference(spec, 1.3, n, seed, TAIL_TS)), (n, seed)
+
+    @pytest.mark.parametrize("plant", ["ties at every level", "infinity", "nan"])
+    def test_planted_values(self, monkeypatch, plant):
+        n = 5000
+        rng = np.random.default_rng(2)
+        # 76% below one, 10% exactly one (so the 80% quantile is 1.0) and the
+        # rest on the levels themselves, of either sign
+        x = np.concatenate([rng.uniform(-1.0, 1.0, 3800), np.full(500, -1.0), np.repeat(TAIL_TS, 70)])
+        x[:7] = -0.0
+        if plant == "infinity":
+            x[-3:] = [np.inf, -np.inf, np.inf]
+        if plant == "nan":
+            x[17] = np.nan
+        x = rng.permutation(x)[:, None] * rng.choice([-1.0, 1.0], (n, 1))
+        monkeypatch.setattr(stable, "sample_stable", lambda spec, n, seed: x.copy())
+        got = _outcome(lambda: _tail_fields(stable.stable_tail_check(TAIL_SPEC, p1=1.3, n=n), TAIL_TS))
+        assert got == _outcome(lambda: _tail_reference(TAIL_SPEC, 1.3, n, 0, TAIL_TS))
+        if plant == "nan":
+            assert got.startswith("ValueError: cannot rescale")
+        else:
+            assert got[0] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # Peak memory: each check holds its draws (or their seminorm) plus
 # block-sized work arrays, in units of n doubles at n = 2e5
@@ -461,11 +601,13 @@ def _peak_in_n(run):
 _G3 = ALL_FAMILIES[2]
 _STABLE = StableSpec(p=1.7, b=-0.2)
 
-#: name -> (run at n, bound).  Measured: 2.31, 2.00, 3.17, 4.01 and 3.00 n;
-#: before the row blocks, 6.04, 5.00, 5.00, 7.00 and 5.00 n.
+#: name -> (run at n, bound).  Measured: 2.31, 1.66, 3.17, 4.01, 3.00 and
+#: 4.00 n; before the row blocks, 6.04, 5.00, 5.00, 7.00, 5.00 and 12.0 n
+#: (the tail check 2.00 n before its in-place sort, the identity check 12.0
+#: n before its in-place sums and reused work arrays).
 PEAKS = {
     "check_borell": (lambda n: logconcave.check_borell(_G3, "l2", 3.0, (1.0, 1.5, 2.0), n=n, seed=3), 2.6),
-    "stable_tail_check": (lambda n: stable.stable_tail_check(_STABLE, p1=1.3, n=n, seed=3), 2.3),
+    "stable_tail_check": (lambda n: stable.stable_tail_check(_STABLE, p1=1.3, n=n, seed=3), 1.9),
     "mean_convergence_experiment": (
         lambda n: mean_convergence_experiment([_gaussian(0.5), _gaussian(0.0)], _gaussian(0.0), n=n, seed=3),
         3.5,
@@ -475,6 +617,7 @@ PEAKS = {
         4.4,
     ),
     "validate_sampler": (lambda n: stable.validate_sampler(_STABLE, n=n, seed=3), 3.3),
+    "stability_identity_check": (lambda n: stable.stability_identity_check(StableSpec(p=1.7), n=n, seed=3), 4.3),
 }
 
 

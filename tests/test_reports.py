@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from kantorovich_lab import cli, reports
 from kantorovich_lab.measures import PseudometricSpace, SignedMeasure, measure_to_dict
-from kantorovich_lab.reports import _plain, dump_json, mean_std
+from kantorovich_lab.reports import _plain, dump_json, mean_std, mean_var_in_place
 
 
 def reference(doc) -> bytes:
@@ -257,3 +257,6 @@ def test_mean_std_has_numpy_bits(n):
     ):
         m, s = mean_std(v)
         assert np.array_equal([m, s], [float(v.mean()), float(v.std())])
+        w = np.array(v, dtype=float)
+        expected = [float(w.mean()), float(w.var())]
+        assert np.array_equal(mean_var_in_place(w), expected)
