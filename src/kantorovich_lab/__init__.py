@@ -1,4 +1,11 @@
-"""Kantorovich-type seminorms and convergence experiments for signed measures."""
+"""Kantorovich-type seminorms and convergence experiments for signed measures.
+
+``import kantorovich_lab`` loads ``measures``, ``reports`` and ``transport``;
+the experiment modules load on first access.
+"""
+
+import importlib
+import sys
 
 from .measures import (
     PseudometricSpace,
@@ -46,3 +53,22 @@ __all__ = [
     "save_measure",
     "__version__",
 ]
+
+#: The experiment modules, which ``import kantorovich_lab`` does not load.
+_EXPERIMENTS = ("convergence", "counterexamples", "logconcave", "stable")
+
+
+def __getattr__(name):
+    """Load an experiment module on first access (PEP 562)."""
+    if name not in _EXPERIMENTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{name}")
+    cli = sys.modules.get(f"{__name__}.cli")
+    if cli is not None:
+        # before anyone can patch the module: see the note above cli._bind
+        cli._bind(name)
+    return module
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPERIMENTS})

@@ -10,52 +10,18 @@ append-only: an existing file is never overwritten.
 import argparse
 import functools
 import hashlib
+import importlib
 import inspect
 import json
 import math
 import sys
 import time
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import __version__
-from .convergence import (
-    MeasureSequence,
-    barycenter_convergence,
-    check_tau_k_convergence,
-    lipschitz_dictionary,
-    weak_gap,
-)
-from .counterexamples import (
-    DiscreteTailMember,
-    GeometricTailMember,
-    ScheduleInfeasibleError,
-    family_tail_functions,
-    l1_counterexample,
-    rescaling_schedule,
-    verify_counterexample,
-    verify_schedule,
-)
-from .logconcave import (
-    SEMINORMS,
-    LogConcaveSpec,
-    PolynomialSpec,
-    check_borell,
-    lp_equivalence_check,
-    mean_convergence_experiment,
-    polynomial_density_experiment,
-    small_value_check,
-)
 from .measures import measure_from_dict, space_from_dict
 from .reports import dump_json, write_curve_csv
-from .stable import (
-    StableSpec,
-    stability_identity_check,
-    stable_mean_convergence_experiment,
-    stable_tail_check,
-    tail_constants,
-    validate_sampler,
-)
 from .transport import brute_force_dual, k_norm, kq_norm, kr_norm, wasserstein_q
 
 EXIT_OK = 0
@@ -80,6 +46,57 @@ def thread_limit() -> int:
 
 
 # ---------------------------------------------------------------------------
+# Experiment modules.  ``norms`` calls only ``measures`` and ``transport``;
+# each other kind calls one experiment module, which is loaded, and whose
+# names below are bound into this module's globals, when the first config of
+# the kind is validated or run.  A name already bound is never replaced, so a
+# binding patched in earlier (a test's stub) stays.  ``__getattr__`` binds a
+# name for a caller outside this module.
+#
+# Binding copies what the module holds at that moment.  A span tracer
+# (``perfbench/tracer.py``) replaces a function at every binding it finds and
+# puts the original back when it uninstalls, so a name first bound while a
+# tracer was installed would keep the wrapper.  That cannot happen in the
+# benchmark: its timed run installs no tracer, and its traced run, which
+# installs one before the warm-up, reads each experiment module through the
+# package's ``__getattr__``, which binds this module's names from it before
+# the tracer patches anything.
+# ---------------------------------------------------------------------------
+
+_LAZY = {
+    "convergence": ("MeasureSequence", "barycenter_convergence", "check_tau_k_convergence",
+                    "lipschitz_dictionary", "weak_gap"),
+    "counterexamples": ("DiscreteTailMember", "GeometricTailMember", "ScheduleInfeasibleError",
+                        "family_tail_functions", "l1_counterexample", "rescaling_schedule",
+                        "verify_counterexample", "verify_schedule"),
+    "logconcave": ("SEMINORMS", "LogConcaveSpec", "PolynomialSpec", "check_borell", "lp_equivalence_check",
+                   "mean_convergence_experiment", "polynomial_density_experiment", "small_value_check"),
+    "stable": ("MEAN_BLOCKS", "StableSpec", "stability_identity_check", "stable_mean_convergence_experiment",
+               "stable_tail_check", "tail_constants", "validate_sampler"),
+}
+_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def _bind(module_name) -> None:
+    """Bind the names of experiment module ``module_name`` that are not bound
+    here yet, loading it if need be; any other name (``None`` for ``norms``)
+    binds nothing."""
+    bound = globals()
+    missing = [name for name in _LAZY.get(module_name, ()) if name not in bound]
+    if missing:
+        module = importlib.import_module(f"{__package__}.{module_name}")
+        bound.update((name, getattr(module, name)) for name in missing)
+
+
+def __getattr__(name):
+    """A lazily bound name, bound on first access (PEP 562)."""
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_OWNER[name])
+    return globals()[name]
+
+
+# ---------------------------------------------------------------------------
 # Config schema.  A runner declares its ``params`` fields as its keyword-only
 # parameters: the annotation names the field's type in ``_TYPES``, and the
 # default, if any, is the field's default.  ``validate_config`` checks every
@@ -97,6 +114,8 @@ def validate_config(config) -> list[str]:
         diags.append("missing field: kind")
     elif not _known(kind, _RUNNERS):
         diags.append(f"unknown kind {kind!r}; expected one of {list(KINDS)}")
+    else:
+        _bind(_MODULE_OF.get(kind))
     seed = config.get("seed")
     if seed is None:
         diags.append("missing field: seed")
@@ -140,12 +159,29 @@ def _has_p(spec) -> bool:
 class _Type(NamedTuple):
     """A field type: the test of a JSON value, the diagnostic of a value that
     fails it and that of a required field left out (each formatted with the
-    field's name), and what the runner gets for a value that passes."""
+    field's name), and what the runner gets for a value that passes.  The
+    diagnostic of a value that must be one of some ``names`` ends with them,
+    read when it is formatted."""
 
     test: Callable[[object], bool]
-    wrong: str
+    diagnostic: str
     read: Callable = lambda value: value
     missing: str = "missing params.{}"
+    names: Callable[[], Iterable[str]] = tuple
+
+    @property
+    def wrong(self) -> str:
+        return self.diagnostic + ", ".join(self.names())
+
+
+def _seminorms():
+    """logconcave's seminorm names; reading them loads logconcave."""
+    _bind("logconcave")
+    return SEMINORMS
+
+
+def _seminorm(value) -> bool:
+    return _known(value, _seminorms())
 
 
 _LAWS = "missing params.{} (a non-empty list of specs with p)"
@@ -159,9 +195,8 @@ _TYPES = {
     "name": _Type(_is(str), "params.{} must be a name"),
     "metrics": _Type(_list_of(_is(str)), "params.{} must be a list of metric names"),
     "ops": _Type(_list_of(lambda op: True), "params.{} must be a list of op names"),
-    "seminorm": _Type(lambda v: _known(v, SEMINORMS), "params.{} must be one of " + ", ".join(SEMINORMS)),
-    "seminorms": _Type(_list_of(lambda v: _known(v, SEMINORMS)),
-                       "params.{} must be a list of names from " + ", ".join(SEMINORMS)),
+    "seminorm": _Type(_seminorm, "params.{} must be one of ", names=_seminorms),
+    "seminorms": _Type(_list_of(_seminorm), "params.{} must be a list of names from ", names=_seminorms),
     "doc": _Type(_is(str, dict), "params.{} must be a path or an object"),
     "object": _Type(_is(dict), "params.{} must be an object"),
     "objects": _Type(_list_of(_is(dict)), "params.{} must be a list of objects"),
@@ -182,23 +217,25 @@ def _fields(runner) -> tuple[inspect.Parameter, ...]:
 
 def _diagnose(entry, params) -> list[str]:
     """What ``params`` lacks or holds wrongly for a runner or, through
-    ``params.check``, for a table of checks."""
+    ``params.check``, for a table of checks, whose checks also take the draws."""
+    runners = [entry]
     if isinstance(entry, dict):
         check = params.get("check")
         if not _known(check, entry):
             return [f"unknown or missing check {check!r}"]
-        return _diagnose(_draws, params) + _diagnose(entry[check], params)
+        runners = [_draws, entry[check]]
     diags = []
-    for field in _fields(entry):
+    for field in (f for runner in runners for f in _fields(runner)):
         declared = _TYPES[field.annotation]
         if field.name in params:
             if not declared.test(params[field.name]):
                 diags.append(declared.wrong.format(field.name))
         elif field.default is field.empty:
             diags.append(declared.missing.format(field.name))
-    if diags or entry not in _ACROSS:
+    across = _ACROSS.get(runners[-1])
+    if diags or across is None:
         return diags
-    return _ACROSS[entry](_read(entry, params))
+    return across({name: value for runner in runners for name, value in _read(runner, params).items()})
 
 
 def _read(runner, params) -> dict:
@@ -302,7 +339,7 @@ def _ops_need(fields) -> list[str]:
     return diags
 
 
-def _sequence_from(path_or_doc, base) -> MeasureSequence:
+def _sequence_from(path_or_doc, base) -> "MeasureSequence":
     doc = _load_json(path_or_doc, base)
     try:
         space = space_from_dict(doc)
@@ -465,8 +502,15 @@ def _run_schedule(seed, base, *, family: "family" = None, tails: "objects" = Non
 
 
 def _family_or_tails(fields) -> list[str]:
-    if fields["family"] is None and fields["tails"] is None:
-        return ["missing params.family (or params.tails)"]
+    """A family or sampled tails; a family's certificates need a block to
+    certify, and block n needs n + 1 boundaries, one per level of ``depth``."""
+    if fields["family"] is None:
+        return ["missing params.family (or params.tails)"] if fields["tails"] is None else []
+    depth, n_max = fields["depth"], fields["n_max"]
+    if depth < 2:
+        return ["params.depth must be at least 2 for a family (a block to certify)"]
+    if n_max is not None and n_max >= depth:
+        return [f"params.n_max must be at most depth - 1 = {depth - 1} (the last block to certify)"]
     return []
 
 
@@ -483,7 +527,7 @@ def _integer(doc, key, default=None) -> int:
     return value
 
 
-def _logconcave_spec(doc) -> LogConcaveSpec:
+def _logconcave_spec(doc) -> "LogConcaveSpec":
     fam = doc.get("family")
     try:
         if fam == "gaussian":
@@ -499,7 +543,7 @@ def _logconcave_spec(doc) -> LogConcaveSpec:
     raise InputDataError(f"unknown log-concave family {fam!r}")
 
 
-def _poly_from(doc) -> PolynomialSpec:
+def _poly_from(doc) -> "PolynomialSpec":
     try:
         if "coeffs_1d" in doc:
             return PolynomialSpec.from_1d_coeffs(doc["coeffs_1d"])
@@ -554,7 +598,7 @@ _LOGCONCAVE_CHECKS = {
 }
 
 
-def _stable_spec(doc) -> StableSpec:
+def _stable_spec(doc) -> "StableSpec":
     try:
         return StableSpec(
             p=float(doc["p"]),
@@ -590,6 +634,12 @@ def _stable_sequence(n, seed, *, specs: "stable_laws", limit: "stable_law"):
     return stable_mean_convergence_experiment([_stable_spec(d) for d in specs], _stable_spec(limit), n=n, seed=seed)
 
 
+def _a_draw_per_block(fields) -> list[str]:
+    if fields["n"] < MEAN_BLOCKS:
+        return [f"params.n must be at least {MEAN_BLOCKS} (one draw per block mean)"]
+    return []
+
+
 _STABLE_CHECKS = {
     "cf": _cf,
     "tail": _tail,
@@ -610,8 +660,12 @@ _RUNNERS = {
 
 KINDS = tuple(_RUNNERS)
 
+#: The experiment module each kind's runner calls; ``norms`` calls none.
+_MODULE_OF = {"convergence": "convergence", "counterexample": "counterexamples", "schedule": "counterexamples",
+              "logconcave": "logconcave", "stable": "stable"}
+
 #: The rules that span fields, checked once every field passes its own test.
-_ACROSS = {_run_norms: _ops_need, _run_schedule: _family_or_tails}
+_ACROSS = {_run_norms: _ops_need, _run_schedule: _family_or_tails, _stable_sequence: _a_draw_per_block}
 
 
 def config_hash(config) -> str:

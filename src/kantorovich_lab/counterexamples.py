@@ -251,17 +251,23 @@ def verify_schedule(
     mu(p_n > t) and ``tail_integral(n, t)`` returning the integral of p_n over
     {p_n > t}.  For each n the certificate checks the summed tail masses
     beyond boundary n against 2^(1-n) and the sup of the scaled tail
-    integrals over block n against 2^-n.
+    integrals over block n against 2^-n.  Blocks 1 to ``n_max`` are
+    certified; ``n_max`` lies between 1 and one less than the number of
+    boundaries, so a report always holds a certificate.
     """
     N = sched.boundaries
+    if len(N) < 2:
+        raise ValueError("a schedule of one boundary has no block to certify")
+    if n_max is None:
+        n_max = max(1, len(N) - 2)
+    if not 1 <= n_max < len(N):
+        raise ValueError(f"n_max = {n_max} is outside the certifiable blocks 1 to {len(N) - 1}")
     if horizon is None:
         horizon = min(sched.horizon, sched.max_index)
     if horizon > sched.max_index:
         raise ValueError(
             f"verification horizon {horizon} exceeds schedule coverage {sched.max_index}"
         )
-    if n_max is None:
-        n_max = max(1, len(N) - 2)
     violations = tuple(sched.validate())
 
     ks = np.arange(1, horizon + 1)
@@ -274,18 +280,15 @@ def verify_schedule(
     # k > N_{n+1}, which is the slice [N_{n+1}:] since ks starts at 1.
     # qidx is nondecreasing, so each seminorm index holds one slice of ks.
     tail_masses = []
-    if n_max >= 1 and len(N) > 1:
-        cuts = [0, *((qidx[1:] != qidx[:-1]).nonzero()[0] + 1).tolist(), len(ks)]
-        for member in family:
-            per_k = np.zeros(len(ks))
-            for lo, hi in zip(cuts, cuts[1:]):
-                per_k[lo:hi] = member.tail_mass(int(qidx[lo]), thresholds[lo:hi])
-            tail_masses.append(per_k)
+    cuts = [0, *((qidx[1:] != qidx[:-1]).nonzero()[0] + 1).tolist(), len(ks)]
+    for member in family:
+        per_k = np.zeros(len(ks))
+        for lo, hi in zip(cuts, cuts[1:]):
+            per_k[lo:hi] = member.tail_mass(int(qidx[lo]), thresholds[lo:hi])
+        tail_masses.append(per_k)
 
     certificates = []
     for n in range(1, n_max + 1):
-        if n >= len(N):
-            break
         mass_sum = 0.0
         for per_k in tail_masses:
             mass_sum = max(mass_sum, float(per_k[N[n] :].sum()))

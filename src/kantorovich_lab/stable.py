@@ -32,6 +32,9 @@ from .reports import (
 from .transport._transportation import moment_seminorm_value
 
 DEFAULT_SAMPLES = 10**5
+#: Block means behind a barycenter's half-width in the mean-convergence
+#: experiment; each needs a draw, so ``n`` must be at least this many.
+MEAN_BLOCKS = 16
 
 #: Fixed grid where stable characteristic functions differ most.
 CF_GRID = tuple(round(0.1 * k, 1) for k in range(1, 31))
@@ -460,7 +463,7 @@ def stable_mean_convergence_experiment(
     p1: float | None = None,
     q: float | None = None,
     bins: int = 64,
-    blocks: int = 16,
+    blocks: int = MEAN_BLOCKS,
 ) -> ConcentrationReport:
     """Moments, barycenters and discretized seminorm gaps along stable laws.
 
@@ -486,6 +489,8 @@ def stable_mean_convergence_experiment(
         q = (1.0 + p1) / 2.0
     if not 1.0 <= q < p1:
         raise ValueError("q must satisfy 1 <= q < p1")
+    if n < blocks:
+        raise ValueError(f"n = {n} draws cannot fill {blocks} block means: n must be at least {blocks}")
 
     def block_hw(xs: np.ndarray) -> float:
         k = blocks

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..measures import TRIANGLE_TOL, SignedMeasure
 from ._simplex import kernel_backend
-from ._transportation import moment_seminorm_value, seminorm_problem, solve_transportation
+from ._transportation import moment_seminorm_value, power_costs, seminorm_problem, solve_transportation
 from ._trees import min_cost_vertex
 
 __all__ = [
@@ -187,7 +187,7 @@ def wasserstein_q(
     a = mu.weights[rows]
     b = nu.weights[cols] * (mass_mu / mass_nu)
     base = d[np.ix_(rows, cols)]
-    cost_matrix = base if q == 1 else base**q
+    cost_matrix = base if q == 1 else power_costs(base, q)
     sol = solve_transportation(a, b, cost_matrix)
 
     n = mu.space.n_points

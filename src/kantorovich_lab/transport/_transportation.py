@@ -519,6 +519,17 @@ def flow_seminorm_value(d: np.ndarray, weights: np.ndarray, mode: str, anchor: i
     return solve_transportation(prob.a, prob.b, prob.C).cost
 
 
+def power_costs(d: np.ndarray, q: float) -> np.ndarray:
+    """``d ** q`` for distances ``d``; a ValueError naming ``q`` and the
+    largest distance when that power overflows."""
+    largest = float(d.max(initial=0.0))
+    try:
+        largest**q
+    except OverflowError:
+        raise ValueError(f"q = {q:g} overflows d**q at the largest distance {largest:g}") from None
+    return d**q
+
+
 def moment_seminorm_value(d: np.ndarray, weights: np.ndarray, q: float, anchor: int) -> float:
     """Moment-weighted seminorm: bounded seminorm of (1 + d(., x0)^q) . weights."""
-    return flow_seminorm_value(d, weights * (1.0 + d[:, anchor] ** q), "bounded")
+    return flow_seminorm_value(d, weights * (1.0 + power_costs(d[:, anchor], q)), "bounded")

@@ -741,6 +741,54 @@ class TestMalformedParams:
         assert not (tmp_path / "out").exists()
 
 
+def _stable_sequence(n):
+    return {"kind": "stable", "seed": 1,
+            "params": {"check": "mean_convergence", "specs": [{"p": 1.6}], "limit": {"p": 2.0}, "n": n}}
+
+
+def _family(**params):
+    return {"kind": "schedule", "seed": 1, "params": {"family": "geometric", **params}}
+
+
+class TestNothingLeftUnchecked:
+    """Configs that used to report a NaN bound, or PASS with a block or all
+    blocks left uncertified: each exits 2 with one diagnostic."""
+
+    @pytest.mark.parametrize(
+        "config, diag",
+        [
+            (_stable_sequence(8), "stable: params.n must be at least 16 (one draw per block mean)"),
+            (_stable_sequence(15), "stable: params.n must be at least 16 (one draw per block mean)"),
+            (_family(depth=1), "schedule: params.depth must be at least 2 for a family (a block to certify)"),
+            (_family(depth=1, n_max=1), "schedule: params.depth must be at least 2 for a family (a block to certify)"),
+            (_family(depth=2, n_max=1000000),
+             "schedule: params.n_max must be at most depth - 1 = 1 (the last block to certify)"),
+            (_family(n_max=8), "schedule: params.n_max must be at most depth - 1 = 7 (the last block to certify)"),
+        ],
+    )
+    def test_exit_2_with_one_diagnostic(self, tmp_path, capsys, config, diag):
+        assert cli.validate_config(config) == [diag]
+        path = write(tmp_path / "c.json", {**config, "out": str(tmp_path / "out")})
+        assert cli.main([config["kind"], "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: {diag}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config, checks",
+        [
+            (_stable_sequence(16), ["moments r=1.3 uniformly bounded", "final barycenter gap vs limit"]),
+            (_family(depth=2), ["block 1"]),
+            (_family(depth=2, n_max=1), ["block 1"]),
+            (_family(n_max=7), [f"block {n}" for n in range(1, 8)]),
+        ],
+    )
+    def test_the_limits_run(self, tmp_path, config, checks):
+        code, report, _ = cli.run(config, base=tmp_path)
+        assert code == cli.EXIT_OK
+        assert [c["name"] for c in report["checks"]] == checks
+        assert all(math.isfinite(c.get("bound", 0.0)) for c in report["checks"])
+
+
 class TestNonFiniteSpecs:
     """A spec with a non-finite parameter exits 3 with its cause, instead of
     running on NaN draws."""

@@ -227,6 +227,21 @@ class TestRescalingSchedule:
         with pytest.raises(ValueError, match="coverage"):
             verify_schedule(sched, [GeometricTailMember()], horizon=50)
 
+    @pytest.mark.parametrize("depth, n_max", [(1, None), (1, 1), (2, 0), (2, 2), (2, 10**6), (8, 8)])
+    def test_no_report_without_a_certificate_for_each_block(self, depth, n_max):
+        family = [GeometricTailMember()]
+        sched = rescaling_schedule(family_tail_functions(family, depth), 10**5)
+        with pytest.raises(ValueError, match="certify|certifiable"):
+            verify_schedule(sched, family, n_max=n_max)
+
+    @pytest.mark.parametrize("depth, n_max", [(2, None), (2, 1), (8, 7)])
+    def test_last_certifiable_block_is_certified(self, depth, n_max):
+        family = [GeometricTailMember()]
+        sched = rescaling_schedule(family_tail_functions(family, depth), 10**5)
+        report = verify_schedule(sched, family, n_max=n_max)
+        assert [c.n for c in report.certificates] == list(range(1, (n_max or 1) + 1))
+        assert report.passed
+
     def test_determinism(self):
         t1 = rescaling_schedule(family_tail_functions([GeometricTailMember()], 7), 10**5)
         t2 = rescaling_schedule(family_tail_functions([GeometricTailMember()], 7), 10**5)

@@ -1,9 +1,10 @@
 """Distances whose q-th power overflows must fail loudly, never as a NaN PASS.
 
 Points at 0, 1e200 and 3e200 form a valid line metric, but with q = 2 the
-costs ``d**q`` overflow to inf.  The solver rejects non-finite data, and a
-coupling whose cost is not finite does not validate, nor does a Lipschitz
-witness with a non-finite potential or value.
+costs ``d**q`` overflow.  ``kq`` and ``wq`` reject such a ``q`` before
+computing the power, naming it and the largest distance; the solver rejects
+non-finite data, and a coupling whose cost is not finite does not validate,
+nor does a Lipschitz witness with a non-finite potential or value.
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ from kantorovich_lab.transport._transportation import solve_transportation
 
 X = (0.0, 1e200, 3e200)
 FINITE_ERROR = "^marginals and costs must be finite$"
+OVERFLOW_ERROR = "^q = 2 overflows d\\*\\*q at the largest distance 3e\\+200$"
 
 
 def overflowing_space():
@@ -35,14 +37,12 @@ def test_solver_rejects_non_finite_data(where, bad):
         solve_transportation(data["a"], data["b"], data["C"])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_overflowing_costs_raise():
     space = overflowing_space()
     mu, nu = space.measure([0.5, 0.5, 0.0]), space.measure([0.0, 0.5, 0.5])
-    with pytest.raises(ValueError, match=FINITE_ERROR):
+    with pytest.raises(ValueError, match=OVERFLOW_ERROR):
         wasserstein_q(mu, nu, "d", 2.0)
-    with pytest.raises(ValueError, match=FINITE_ERROR):
+    with pytest.raises(ValueError, match=OVERFLOW_ERROR):
         kq_norm(mu - nu, "d", 2.0)
     # q = 1 stays finite and is solved as before
     value, coupling = wasserstein_q(mu, nu, "d", 1.0)
@@ -89,12 +89,11 @@ def test_witness_with_non_finite_entries_fails_validation(mode, values, achieved
         LipschitzWitness("d", np.array(values), achieved, mode).validate(mu)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("op", ["wq", "kq"])
-def test_cli_exits_3(tmp_path, capsys, op):
+def norms_run(tmp_path, op, xs, q) -> int:
+    """Exit code of a ``norms`` run of ``op`` between two measures on the
+    line metric of the points ``xs``; it must write nothing."""
     def doc(weights):
-        d = [[repr(abs(x - y)) for y in X] for x in X]
+        d = [[repr(abs(x - y)) for y in xs] for x in xs]
         return {"points": ["a", "b", "c"], "metrics": {"d": d}, "weights": weights}
 
     (tmp_path / "mu.json").write_text(json.dumps(doc(["0.5", "0.5", "0"])))
@@ -103,9 +102,23 @@ def test_cli_exits_3(tmp_path, capsys, op):
         "kind": "norms",
         "seed": 1,
         "out": str(tmp_path / "out"),
-        "params": {"measure": "mu.json", "other_measure": "nu.json", "metric": "d", "ops": [op], "q": 2},
+        "params": {"measure": "mu.json", "other_measure": "nu.json", "metric": "d", "ops": [op], "q": q},
     }
     (tmp_path / "c.json").write_text(json.dumps(config))
-    assert cli.main(["norms", "--config", str(tmp_path / "c.json")]) == cli.EXIT_INPUT_ERROR
-    assert "marginals and costs must be finite" in capsys.readouterr().err
+    code = cli.main(["norms", "--config", str(tmp_path / "c.json")])
     assert not list(tmp_path.glob("out/*"))
+    return code
+
+
+@pytest.mark.parametrize("op", ["wq", "kq"])
+def test_cli_exits_3(tmp_path, capsys, op):
+    assert norms_run(tmp_path, op, X, 2) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "input error: q = 2 overflows d**q at the largest distance 3e+200\n"
+
+
+@pytest.mark.parametrize("op", ["wq", "kq"])
+def test_q_whose_power_overflows_is_named(tmp_path, capsys, op):
+    """2 ** 2000 overflows: one input error naming q and the largest distance,
+    and no RuntimeWarning (an error under this suite's warning filters)."""
+    assert norms_run(tmp_path, op, (0.0, 1.0, 2.0), 2000) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "input error: q = 2000 overflows d**q at the largest distance 2\n"

@@ -6,6 +6,7 @@ import pytest
 
 from kantorovich_lab.measures import PseudometricSpace, SignedMeasure
 from kantorovich_lab.stable import (
+    MEAN_BLOCKS,
     StableSpec,
     _binned_gap,
     _quantile_binned,
@@ -320,3 +321,13 @@ class TestMeanConvergence:
             stable_mean_convergence_experiment(
                 [StableSpec(p=1.5)], StableSpec(p=1.5), q=1.6, n=100, seed=1
             )
+
+    @pytest.mark.parametrize("n", [1, 8, MEAN_BLOCKS - 1])
+    def test_fewer_draws_than_block_means_rejected(self, n):
+        with pytest.raises(ValueError, match=f"^n = {n} draws cannot fill 16 block means: n must be at least 16$"):
+            stable_mean_convergence_experiment([StableSpec(p=1.6)], StableSpec(p=2.0), n=n, seed=1)
+
+    def test_one_draw_per_block_mean_is_finite(self):
+        report = stable_mean_convergence_experiment([StableSpec(p=1.6)], StableSpec(p=2.0), n=MEAN_BLOCKS, seed=1)
+        assert all(math.isfinite(c.estimate) and math.isfinite(c.bound) for c in report.checks)
+        assert math.isfinite(report.extras["per_index"][0]["barycenter_half_width"])
