@@ -5,7 +5,6 @@ the experiment modules load on first access.
 """
 
 import importlib
-import sys
 
 from .measures import (
     PseudometricSpace,
@@ -62,12 +61,7 @@ def __getattr__(name):
     """Load an experiment module on first access (PEP 562)."""
     if name not in _EXPERIMENTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__name__}.{name}")
-    cli = sys.modules.get(f"{__name__}.cli")
-    if cli is not None:
-        # before anyone can patch the module: see the note above cli._bind
-        cli._bind(name)
-    return module
+    return importlib.import_module(f"{__name__}.{name}")
 
 
 def __dir__():

@@ -10,7 +10,6 @@ append-only: an existing file is never overwritten.
 import argparse
 import functools
 import hashlib
-import importlib
 import inspect
 import json
 import math
@@ -19,10 +18,7 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
-from . import __version__
-from .measures import measure_from_dict, space_from_dict
-from .reports import dump_json, write_curve_csv
-from .transport import brute_force_dual, k_norm, kq_norm, kr_norm, wasserstein_q
+from . import __version__, measures, reports, transport
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -46,57 +42,6 @@ def thread_limit() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Experiment modules.  ``norms`` calls only ``measures`` and ``transport``;
-# each other kind calls one experiment module, which is loaded, and whose
-# names below are bound into this module's globals, when the first config of
-# the kind is validated or run.  A name already bound is never replaced, so a
-# binding patched in earlier (a test's stub) stays.  ``__getattr__`` binds a
-# name for a caller outside this module.
-#
-# Binding copies what the module holds at that moment.  A span tracer
-# (``perfbench/tracer.py``) replaces a function at every binding it finds and
-# puts the original back when it uninstalls, so a name first bound while a
-# tracer was installed would keep the wrapper.  That cannot happen in the
-# benchmark: its timed run installs no tracer, and its traced run, which
-# installs one before the warm-up, reads each experiment module through the
-# package's ``__getattr__``, which binds this module's names from it before
-# the tracer patches anything.
-# ---------------------------------------------------------------------------
-
-_LAZY = {
-    "convergence": ("MeasureSequence", "barycenter_convergence", "check_tau_k_convergence",
-                    "lipschitz_dictionary", "weak_gap"),
-    "counterexamples": ("DiscreteTailMember", "GeometricTailMember", "ScheduleInfeasibleError",
-                        "family_tail_functions", "l1_counterexample", "rescaling_schedule",
-                        "verify_counterexample", "verify_schedule"),
-    "logconcave": ("SEMINORMS", "LogConcaveSpec", "PolynomialSpec", "check_borell", "lp_equivalence_check",
-                   "mean_convergence_experiment", "polynomial_density_experiment", "small_value_check"),
-    "stable": ("MEAN_BLOCKS", "StableSpec", "stability_identity_check", "stable_mean_convergence_experiment",
-               "stable_tail_check", "tail_constants", "validate_sampler"),
-}
-_OWNER = {name: module for module, names in _LAZY.items() for name in names}
-
-
-def _bind(module_name) -> None:
-    """Bind the names of experiment module ``module_name`` that are not bound
-    here yet, loading it if need be; any other name (``None`` for ``norms``)
-    binds nothing."""
-    bound = globals()
-    missing = [name for name in _LAZY.get(module_name, ()) if name not in bound]
-    if missing:
-        module = importlib.import_module(f"{__package__}.{module_name}")
-        bound.update((name, getattr(module, name)) for name in missing)
-
-
-def __getattr__(name):
-    """A lazily bound name, bound on first access (PEP 562)."""
-    if name not in _OWNER:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(_OWNER[name])
-    return globals()[name]
-
-
-# ---------------------------------------------------------------------------
 # Config schema.  A runner declares its ``params`` fields as its keyword-only
 # parameters: the annotation names the field's type in ``_TYPES``, and the
 # default, if any, is the field's default.  ``validate_config`` checks every
@@ -114,8 +59,6 @@ def validate_config(config) -> list[str]:
         diags.append("missing field: kind")
     elif not _known(kind, _RUNNERS):
         diags.append(f"unknown kind {kind!r}; expected one of {list(KINDS)}")
-    else:
-        _bind(_MODULE_OF.get(kind))
     seed = config.get("seed")
     if seed is None:
         diags.append("missing field: seed")
@@ -176,8 +119,8 @@ class _Type(NamedTuple):
 
 def _seminorms():
     """logconcave's seminorm names; reading them loads logconcave."""
-    _bind("logconcave")
-    return SEMINORMS
+    from . import logconcave
+    return logconcave.SEMINORMS
 
 
 def _seminorm(value) -> bool:
@@ -270,40 +213,42 @@ def _load_json(path_or_doc, base: Path):
 
 def _load_measure(doc, reuse=None):
     try:
-        return measure_from_dict(doc, reuse)
+        return measures.measure_from_dict(doc, reuse)
     except ValueError as exc:
         raise InputDataError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
 # Experiment dispatch: each kind, norms op and Monte-Carlo check is one key of
-# a table.  An entry names its experiment functions in its body and never
-# holds them, so whatever this module's globals hold when it runs is called,
-# a tracer's wrapper included.
+# a table.  An entry reads its experiment functions off their defining module
+# when it runs, and an experiment module loads at the first read, so a kind
+# loads only the module it calls, and a function patched into its module (a
+# tracer's wrapper, a test's stub) is the one called.
 # ---------------------------------------------------------------------------
 
 DEFAULT_OPS = ("kr", "k")
 
 
 def _witnessed(op, mu, metric, q, other):
-    value, witness = globals()[f"{op}_norm"](mu, metric)
+    value, witness = getattr(transport, f"{op}_norm")(mu, metric)
     witness.validate(mu)
     return {"name": op, "value": value, "verdict": "PASS"}, {f"{op}_witness": witness.values.tolist()}
 
 
 def _kq(op, mu, metric, q, other):
-    return {"name": f"{op}[q={q:g}]", "value": kq_norm(mu, metric, q), "verdict": "PASS"}, {}
+    return {"name": f"{op}[q={q:g}]", "value": transport.kq_norm(mu, metric, q), "verdict": "PASS"}, {}
 
 
 def _wq(op, mu, metric, q, other):
     nu = other()
-    value, coupling = wasserstein_q(mu, nu, metric, q)
+    value, coupling = transport.wasserstein_q(mu, nu, metric, q)
     coupling.validate(mu, nu)
     return {"name": f"{op}[q={q:g}]", "value": value, "verdict": "PASS"}, {"coupling": coupling.matrix}
 
 
 def _oracle(op, mu, metric, q, other):
-    return {"name": f"{op}_bounded", "value": brute_force_dual(mu, metric, "bounded"), "verdict": "PASS"}, {}
+    value = transport.brute_force_dual(mu, metric, "bounded")
+    return {"name": f"{op}_bounded", "value": value, "verdict": "PASS"}, {}
 
 
 _NORM_OPS = {"kr": _witnessed, "k": _witnessed, "kq": _kq, "wq": _wq, "oracle": _oracle}
@@ -339,25 +284,27 @@ def _ops_need(fields) -> list[str]:
     return diags
 
 
-def _sequence_from(path_or_doc, base) -> "MeasureSequence":
+def _sequence_from(path_or_doc, base) -> "convergence.MeasureSequence":
+    from . import convergence
     doc = _load_json(path_or_doc, base)
     try:
-        space = space_from_dict(doc)
+        space = measures.space_from_dict(doc)
         seq_weights = doc["weights_sequence"]
-        measures = tuple(space.measure([float(x) for x in row]) for row in seq_weights)
+        members = tuple(space.measure([float(x) for x in row]) for row in seq_weights)
         limit = None
         if doc.get("limit_weights") is not None:
             limit = space.measure([float(x) for x in doc["limit_weights"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"malformed sequence file: {exc}") from exc
-    return MeasureSequence(space=space, measures=measures, limit=limit)
+    return convergence.MeasureSequence(space=space, measures=members, limit=limit)
 
 
 def _run_convergence(seed, base, *, sequence: "doc", q: "q" = 1.0, metrics: "metrics" = None,
                      weak_gap: "flag" = False, barycenters: "flag" = False):
+    from . import convergence
     seq = _sequence_from(sequence, base)
     names = tuple(metrics) if metrics else seq.space.metric_names()
-    report = check_tau_k_convergence(seq, metric_names=names, q=q)
+    report = convergence.check_tau_k_convergence(seq, metric_names=names, q=q)
     per_index = []
     for i in range(len(seq)):
         row = {"index": i}
@@ -368,7 +315,7 @@ def _run_convergence(seed, base, *, sequence: "doc", q: "q" = 1.0, metrics: "met
     for rec in report.per_metric:
         witness = rec.last_k_witness  # None unless q = 1
         if witness is None:
-            witness = k_norm(seq.measures[-1] - seq.require_limit(), rec.metric_name)[1]
+            witness = transport.k_norm(seq.measures[-1] - seq.require_limit(), rec.metric_name)[1]
         witnesses.append(
             {"metric": rec.metric_name, "index": len(seq) - 1, "potential": witness.values.tolist()}
         )
@@ -398,10 +345,10 @@ def _run_convergence(seed, base, *, sequence: "doc", q: "q" = 1.0, metrics: "met
     checks = [{"name": f"tau_k[{rec.metric_name}]", "verdict": rec.verdict} for rec in report.per_metric]
     if weak_gap:
         name = report.per_metric[0].metric_name
-        # the field shadows the function, which is looked up as a global
-        out["weak_gaps"] = globals()["weak_gap"](seq, lipschitz_dictionary(seq.space, name), bound=1.0)
+        dictionary = convergence.lipschitz_dictionary(seq.space, name)
+        out["weak_gaps"] = convergence.weak_gap(seq, dictionary, bound=1.0)
     if barycenters:
-        bary = barycenter_convergence(seq)
+        bary = convergence.barycenter_convergence(seq)
         out["barycenter_bound_holds"] = bary.bound_holds
         checks.append(
             {"name": "barycenter bound", "verdict": "PASS" if bary.bound_holds else "FAIL"}
@@ -411,13 +358,14 @@ def _run_convergence(seed, base, *, sequence: "doc", q: "q" = 1.0, metrics: "met
 
 
 def _run_counterexample(seed, base, *, matrix: "matrix", epsilon: "real" = 1e-6):
+    from . import counterexamples
     if isinstance(matrix, str):
         matrix = _load_json(matrix, base)
     try:
-        inst = l1_counterexample(matrix, eps=epsilon)
+        inst = counterexamples.l1_counterexample(matrix, eps=epsilon)
     except (TypeError, ValueError) as exc:  # a matrix file's contents
         raise InputDataError(str(exc)) from exc
-    report = verify_counterexample(inst, epsilon)
+    report = counterexamples.verify_counterexample(inst, epsilon)
     checks = [{"name": k, "verdict": "PASS" if ok else "FAIL"} for k, ok in report["checks"].items()]
     payload = dict(report)
     payload["c"] = inst.c.tolist()
@@ -425,11 +373,12 @@ def _run_counterexample(seed, base, *, matrix: "matrix", epsilon: "real" = 1e-6)
 
 
 def _schedule_family(family):
+    from . import counterexamples
     if family == "geometric":
-        return [GeometricTailMember()]
+        return [counterexamples.GeometricTailMember()]
     members = family if isinstance(family, list) else [family]
     try:
-        return [DiscreteTailMember(m["weights"], m["values"]) for m in members]
+        return [counterexamples.DiscreteTailMember(m["weights"], m["values"]) for m in members]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"bad schedule family member: {exc}") from exc
 
@@ -440,15 +389,27 @@ def _one_check(name, passed, payload):
     return {"checks": checks, "payload": payload, "passed": passed}, {}
 
 
+def _finite(x) -> float:
+    """A sample's radius or value: a finite number, not a boolean."""
+    value = float(x)
+    if isinstance(x, bool) or not math.isfinite(value):
+        raise ValueError(f"a sample must be a finite number, got {x!r}")
+    return value
+
+
 def _sampled_tails(tail_docs):
     """Tail functions from sampled (radius, value) pairs, held constant
-    between samples (nonincreasing step interpolation)."""
+    between samples (nonincreasing step interpolation).  The levels ``n`` are
+    1..K, once each: the schedule reads level n's tail as the n-th."""
     by_n = {}
     try:
         for doc in tail_docs:
-            by_n[int(doc["n"])] = sorted((float(m), float(v)) for m, v in doc["samples"])
-    except (KeyError, TypeError, ValueError) as exc:
+            by_n[_integer(doc, "n")] = sorted((_finite(m), _finite(v)) for m, v in doc["samples"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputDataError(f"bad tail samples: {exc}") from exc
+    levels = [doc["n"] for doc in tail_docs]
+    if sorted(levels) != list(range(1, len(levels) + 1)):
+        raise InputDataError(f"bad tail samples: levels n must be 1..{len(levels)}, once each, got {levels}")
 
     def make(samples):
         def T(m: float) -> float:
@@ -467,21 +428,24 @@ def _sampled_tails(tail_docs):
 
 def _run_schedule(seed, base, *, family: "family" = None, tails: "objects" = None, depth: "count" = 8,
                   horizon: "count" = 10**5, verify_horizon: "count" = None, n_max: "count" = None):
+    from . import counterexamples
     # sampled tail functions: construct the schedule only, no certificates
     sampled = family is None
     if sampled:
         tails = _sampled_tails(tails)
     else:
         family = _schedule_family(family)
-        tails = family_tail_functions(family, depth)
+        tails = counterexamples.family_tail_functions(family, depth)
     try:
-        sched = rescaling_schedule(tails, horizon=horizon)
-    except ScheduleInfeasibleError as exc:
+        sched = counterexamples.rescaling_schedule(tails, horizon=horizon)
+    except counterexamples.ScheduleInfeasibleError as exc:
         return _one_check("schedule construction", False, {"error": str(exc), "infeasible_at": exc.n})
     if sampled:
         payload = {"boundaries": list(sched.boundaries), "certificates": "skipped (no family evaluators)"}
         return _one_check("schedule construction", True, payload)
-    report = verify_schedule(sched, family, horizon=verify_horizon or min(horizon, sched.max_index), n_max=n_max)
+    report = counterexamples.verify_schedule(
+        sched, family, horizon=verify_horizon or min(horizon, sched.max_index), n_max=n_max
+    )
     checks = [
         {
             "name": f"block {c.n}",
@@ -527,27 +491,29 @@ def _integer(doc, key, default=None) -> int:
     return value
 
 
-def _logconcave_spec(doc) -> "LogConcaveSpec":
+def _logconcave_spec(doc) -> "logconcave.LogConcaveSpec":
+    from . import logconcave
     fam = doc.get("family")
     try:
         if fam == "gaussian":
-            return LogConcaveSpec.gaussian(doc["mean"], doc["cov"])
+            return logconcave.LogConcaveSpec.gaussian(doc["mean"], doc["cov"])
         if fam == "uniform_box":
-            return LogConcaveSpec.uniform_box(doc["lo"], doc["hi"])
+            return logconcave.LogConcaveSpec.uniform_box(doc["lo"], doc["hi"])
         if fam == "uniform_simplex":
-            return LogConcaveSpec.uniform_simplex(_integer(doc, "dim"))
+            return logconcave.LogConcaveSpec.uniform_simplex(_integer(doc, "dim"))
         if fam == "product_exponential":
-            return LogConcaveSpec.product_exponential(doc["rates"])
+            return logconcave.LogConcaveSpec.product_exponential(doc["rates"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"bad log-concave spec: {exc}") from exc
     raise InputDataError(f"unknown log-concave family {fam!r}")
 
 
-def _poly_from(doc) -> "PolynomialSpec":
+def _poly_from(doc) -> "logconcave.PolynomialSpec":
+    from . import logconcave
     try:
         if "coeffs_1d" in doc:
-            return PolynomialSpec.from_1d_coeffs(doc["coeffs_1d"])
-        return PolynomialSpec(_integer(doc, "degree"), {tuple(k): v for k, v in doc["terms"]})
+            return logconcave.PolynomialSpec.from_1d_coeffs(doc["coeffs_1d"])
+        return logconcave.PolynomialSpec(_integer(doc, "degree"), {tuple(k): v for k, v in doc["terms"]})
     except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"bad polynomial: {exc}") from exc
 
@@ -566,25 +532,32 @@ def _report_to_result(report):
 
 
 def _borell(n, seed, *, spec: "object", c: "real", q: "seminorm" = "abs", ts: "reals" = (1.0, 2.0, 4.0)):
-    return check_borell(_logconcave_spec(spec), q, c, ts, n=n, seed=seed)
+    from . import logconcave
+    return logconcave.check_borell(_logconcave_spec(spec), q, c, ts, n=n, seed=seed)
 
 
 def _small_value(n, seed, *, spec: "object", poly: "object", rs: "reals" = None):
-    return small_value_check(_logconcave_spec(spec), _poly_from(poly), rs=rs, n=n, seed=seed)
+    from . import logconcave
+    return logconcave.small_value_check(_logconcave_spec(spec), _poly_from(poly), rs=rs, n=n, seed=seed)
 
 
 def _lp_equivalence(n, seed, *, spec: "object", polys: "objects", ps: "reals" = (2.0, 4.0)):
-    return lp_equivalence_check(_logconcave_spec(spec), [_poly_from(d) for d in polys], ps=ps, n=n, seed=seed)
+    from . import logconcave
+    return logconcave.lp_equivalence_check(
+        _logconcave_spec(spec), [_poly_from(d) for d in polys], ps=ps, n=n, seed=seed
+    )
 
 
 def _logconcave_sequence(n, seed, *, specs: "objects", limit: "object", qs: "seminorms" = ("l2",)):
-    return mean_convergence_experiment(
+    from . import logconcave
+    return logconcave.mean_convergence_experiment(
         [_logconcave_spec(d) for d in specs], _logconcave_spec(limit), qs=qs, n=n, seed=seed
     )
 
 
 def _polynomial_density(n, seed, *, specs: "objects", densities: "objects", limit_barycenter: "reals"):
-    return polynomial_density_experiment(
+    from . import logconcave
+    return logconcave.polynomial_density_experiment(
         [_logconcave_spec(d) for d in specs], [_poly_from(d) for d in densities], limit_barycenter, n=n, seed=seed
     )
 
@@ -598,9 +571,10 @@ _LOGCONCAVE_CHECKS = {
 }
 
 
-def _stable_spec(doc) -> "StableSpec":
+def _stable_spec(doc) -> "stable.StableSpec":
+    from . import stable
     try:
-        return StableSpec(
+        return stable.StableSpec(
             p=float(doc["p"]),
             b=float(doc.get("b", 0.0)),
             c=float(doc.get("c", 1.0)),
@@ -612,31 +586,39 @@ def _stable_spec(doc) -> "StableSpec":
 
 
 def _cf(n, seed, *, spec: "stable_law"):
-    return validate_sampler(_stable_spec(spec), n=n, seed=seed)
+    from . import stable
+    return stable.validate_sampler(_stable_spec(spec), n=n, seed=seed)
 
 
 def _tail(n, seed, *, spec: "stable_law", p1: "real", delta: "real" = 0.8):
-    return stable_tail_check(_stable_spec(spec), p1=p1, n=n, seed=seed, delta=delta)
+    from . import stable
+    return stable.stable_tail_check(_stable_spec(spec), p1=p1, n=n, seed=seed, delta=delta)
 
 
 def _constants(n, seed, *, delta: "real", p: "real"):
     """The closed-form constants: already a (result, curves) pair."""
-    tc = tail_constants(delta, p)
+    from . import stable
+    tc = stable.tail_constants(delta, p)
     keys = ("delta", "p", "k", "rho", "beta", "log_coefficient")
     return _one_check("tail constants", True, {key: getattr(tc, key) for key in keys})
 
 
 def _identity(n, seed, *, spec: "stable_law"):
-    return stability_identity_check(_stable_spec(spec), n=n, seed=seed)
+    from . import stable
+    return stable.stability_identity_check(_stable_spec(spec), n=n, seed=seed)
 
 
 def _stable_sequence(n, seed, *, specs: "stable_laws", limit: "stable_law"):
-    return stable_mean_convergence_experiment([_stable_spec(d) for d in specs], _stable_spec(limit), n=n, seed=seed)
+    from . import stable
+    return stable.stable_mean_convergence_experiment(
+        [_stable_spec(d) for d in specs], _stable_spec(limit), n=n, seed=seed
+    )
 
 
 def _a_draw_per_block(fields) -> list[str]:
-    if fields["n"] < MEAN_BLOCKS:
-        return [f"params.n must be at least {MEAN_BLOCKS} (one draw per block mean)"]
+    from . import stable
+    if fields["n"] < stable.MEAN_BLOCKS:
+        return [f"params.n must be at least {stable.MEAN_BLOCKS} (one draw per block mean)"]
     return []
 
 
@@ -659,10 +641,6 @@ _RUNNERS = {
 }
 
 KINDS = tuple(_RUNNERS)
-
-#: The experiment module each kind's runner calls; ``norms`` calls none.
-_MODULE_OF = {"convergence": "convergence", "counterexample": "counterexamples", "schedule": "counterexamples",
-              "logconcave": "logconcave", "stable": "stable"}
 
 #: The rules that span fields, checked once every field passes its own test.
 _ACROSS = {_run_norms: _ops_need, _run_schedule: _family_or_tails, _stable_sequence: _a_draw_per_block}
@@ -716,10 +694,10 @@ def run(config, base: Path | None = None) -> tuple[int, dict, Path | None]:
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{kind}-{config_hash(config)}"
     path = _fresh_path(out_dir, stem, ".json")
-    dump_json(report, path)
+    reports.dump_json(report, path)
     for name, (header, rows) in curves.items():
         if rows:
-            write_curve_csv(_fresh_path(out_dir, f"{stem}-{name}", ".csv"), header, rows)
+            reports.write_curve_csv(_fresh_path(out_dir, f"{stem}-{name}", ".csv"), header, rows)
     return (EXIT_OK if result["passed"] else EXIT_CHECK_FAILED), report, path
 
 

@@ -531,5 +531,15 @@ def power_costs(d: np.ndarray, q: float) -> np.ndarray:
 
 
 def moment_seminorm_value(d: np.ndarray, weights: np.ndarray, q: float, anchor: int) -> float:
-    """Moment-weighted seminorm: bounded seminorm of (1 + d(., x0)^q) . weights."""
-    return flow_seminorm_value(d, weights * (1.0 + power_costs(d[:, anchor], q)), "bounded")
+    """Moment-weighted seminorm: bounded seminorm of (1 + d(., x0)^q) . weights;
+    a ValueError naming ``q`` and the largest |mass| when a moment weight, or
+    a sum of them that the solve forms, overflows."""
+    with np.errstate(over="ignore"):
+        moments = weights * (1.0 + power_costs(d[:, anchor], q))
+    try:
+        if np.isfinite(moments).all():
+            return flow_seminorm_value(d, moments, "bounded")
+    except OverflowError:  # math.fsum of the moment weights
+        pass
+    largest = float(np.abs(weights).max())
+    raise ValueError(f"q = {q:g} overflows the moment weights at the largest |mass| {largest:g}")

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import importlib
 import inspect
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kantorovich_lab import cli
+from kantorovich_lab import cli, transport
 from kantorovich_lab.convergence import MeasureSequence, check_tau_k_convergence
 from kantorovich_lab.measures import space_from_dict
 
@@ -304,26 +305,26 @@ def wq_run(tmp_path, change=None):
 class TestOtherMeasure:
     def test_same_space_validated_once(self, tmp_path, monkeypatch):
         shared = []
-        solve = cli.wasserstein_q
+        solve = transport.wasserstein_q
 
         def spy(mu, nu, *args):
             shared.append(nu.space is mu.space)
             return solve(mu, nu, *args)
 
-        monkeypatch.setattr(cli, "wasserstein_q", spy)
+        monkeypatch.setattr(transport, "wasserstein_q", spy)
         code, report, _ = wq_run(tmp_path)
         assert code == cli.EXIT_OK and shared == [True]
         assert report["checks"][1]["value"] == pytest.approx(math.sqrt(0.25 * 1.5**2 + 0.25 * 1.0**2))
 
     def test_same_space_in_other_text_built_in_full(self, tmp_path, monkeypatch):
         shared = []
-        solve = cli.wasserstein_q
+        solve = transport.wasserstein_q
 
         def spy(mu, nu, *args):
             shared.append(nu.space is mu.space)
             return solve(mu, nu, *args)
 
-        monkeypatch.setattr(cli, "wasserstein_q", spy)
+        monkeypatch.setattr(transport, "wasserstein_q", spy)
         _, _, same = wq_run(tmp_path / "same")
         code, _, other = wq_run(tmp_path / "other", "other text")
         assert code == cli.EXIT_OK and shared == [True, False]
@@ -420,13 +421,13 @@ class TestDeterminism:
             "params": {"sequence": seq_path.name, "q": q},
         }
         calls = []
-        k_norm = cli.k_norm
+        k_norm = transport.k_norm
 
         def spy(mu, name):
             calls.append(name)
             return k_norm(mu, name)
 
-        monkeypatch.setattr(cli, "k_norm", spy)
+        monkeypatch.setattr(transport, "k_norm", spy)
         code, report, _ = cli.run(config, base=tmp_path)
         assert code == cli.EXIT_OK and len(calls) == own_solves
         space = space_from_dict(seq_doc)
@@ -621,10 +622,25 @@ class Reached(Exception):
     pass
 
 
+#: The module that defines each function a dispatch entry calls.
+DEFINED_IN = {
+    **dict.fromkeys(("kr_norm", "k_norm", "kq_norm", "wasserstein_q", "brute_force_dual"), "transport"),
+    "measure_from_dict": "measures",
+    **dict.fromkeys(("write_curve_csv", "dump_json"), "reports"),
+    **dict.fromkeys(("check_tau_k_convergence", "weak_gap", "barycenter_convergence"), "convergence"),
+    **dict.fromkeys(("l1_counterexample", "verify_counterexample", "family_tail_functions", "rescaling_schedule",
+                     "verify_schedule"), "counterexamples"),
+    **dict.fromkeys(("check_borell", "small_value_check", "lp_equivalence_check", "mean_convergence_experiment",
+                     "polynomial_density_experiment"), "logconcave"),
+    **dict.fromkeys(("validate_sampler", "stable_tail_check", "tail_constants", "stability_identity_check",
+                     "stable_mean_convergence_experiment"), "stable"),
+}
+
+
 class TestDispatchLooksUpGlobals:
-    """Each table entry calls the experiment function bound in ``cli`` when it
-    runs, so a wrapper patched into the module (a span tracer's, a test's)
-    is the one called."""
+    """Each table entry reads the experiment function off its defining module
+    when it runs, so a wrapper patched into that module (a span tracer's, a
+    test's) is the one called."""
 
     @pytest.mark.parametrize(
         "case, name",
@@ -661,7 +677,7 @@ class TestDispatchLooksUpGlobals:
         def stub(*args, **kwargs):
             raise Reached(name)
 
-        monkeypatch.setattr(cli, name, stub)
+        monkeypatch.setattr(importlib.import_module(f"kantorovich_lab.{DEFINED_IN[name]}"), name, stub)
         with pytest.raises(Reached):
             cli.run({"seed": 11, **copy.deepcopy(PINNED[case][0])}, base=tmp_path)
 
@@ -995,6 +1011,23 @@ class TestInputDocuments:
              "malformed measure file: weights must be a list, got int\n"),
             ("norms", {"measure": {**two_point_measure_doc(), "metrics": {"d": [["0", "3"], 5]}}, "metric": "d"},
              "malformed measure file: metrics.d row 1 must be a list, got int\n"),
+            # a tail level is a JSON integer, its samples finite numbers, and the levels are 1..K once each
+            ("schedule", {"tails": [{"n": 1.7, "samples": [[0, 1.0]]}]},
+             "bad tail samples: n must be an integer, got 1.7\n"),
+            ("schedule", {"tails": [{"n": True, "samples": [[0, 1.0]]}]},
+             "bad tail samples: n must be an integer, got True\n"),
+            ("schedule", {"tails": [{"n": 1, "samples": [[0, "nan"]]}]},
+             "bad tail samples: a sample must be a finite number, got 'nan'\n"),
+            ("schedule", {"tails": [{"n": 1, "samples": [[0, math.inf]]}]},
+             "bad tail samples: a sample must be a finite number, got inf\n"),
+            ("schedule", {"tails": [{"n": 1, "samples": [[True, 1.0]]}]},
+             "bad tail samples: a sample must be a finite number, got True\n"),
+            ("schedule", {"tails": [{"n": 1, "samples": [[10**400, 1.0]]}]},
+             "bad tail samples: int too large to convert to float\n"),
+            ("schedule", {"tails": [{"n": 1, "samples": [[0, 1.0]]}, {"n": 1, "samples": [[0, 0.5]]}]},
+             "bad tail samples: levels n must be 1..2, once each, got [1, 1]\n"),
+            ("schedule", {"tails": [{"n": 1, "samples": [[0, 1.0]]}, {"n": 3, "samples": [[0, 0.5]]}]},
+             "bad tail samples: levels n must be 1..2, once each, got [1, 3]\n"),
         ],
     )
     def test_exit_3_with_the_cause(self, tmp_path, capsys, kind, params, cause):

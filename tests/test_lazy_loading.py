@@ -2,14 +2,14 @@
 
 ``import kantorovich_lab`` loads ``measures``, ``reports`` and ``transport``;
 ``cli`` loads ``convergence``, ``counterexamples``, ``logconcave`` or
-``stable`` at the first config of a kind that calls it.  Each test of what is
-loaded runs in a fresh interpreter with ``PYTHONPATH=src``, since this
+``stable`` when a runner of a kind that calls it first reads it.  Each test of
+what is loaded runs in a fresh interpreter with ``PYTHONPATH=src``, since this
 process has imported everything already.
 """
 
+import ast
 import builtins
 import dis
-import importlib
 import json
 import os
 import subprocess
@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import kantorovich_lab
 from kantorovich_lab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,8 +74,7 @@ assert code == cli.EXIT_OK, code
 
 def test_kinds_are_covered():
     assert set(KIND_RUNS) == set(cli.KINDS)
-    assert set(cli._MODULE_OF) == set(cli.KINDS) - {"norms"}
-    assert set(cli._MODULE_OF.values()) == set(cli._LAZY) == set(EXPERIMENTS)
+    assert {module for _, modules in KIND_RUNS.values() for module in modules} == set(EXPERIMENTS)
 
 
 def test_importing_the_cli_loads_no_experiment_module():
@@ -114,32 +114,12 @@ else:
     assert loaded_after(code) == ["stable"]
 
 
-def test_the_package_binds_the_cli_names_of_a_module_it_loads():
-    code = """
-import kantorovich_lab as pkg
-import kantorovich_lab.cli as cli
-assert "check_borell" not in vars(cli)
-logconcave = pkg.logconcave
-assert vars(cli)["check_borell"] is logconcave.check_borell
-assert "stable_tail_check" not in vars(cli)
-"""
-    assert loaded_after(code) == ["logconcave"]
-
-
-def test_a_name_bound_earlier_is_kept():
-    code = """
-import kantorovich_lab.cli as cli
-cli.check_borell = stub = object()
-assert cli.validate_config({"kind": "logconcave", "seed": 1, "params": {"check": "cf"}})
-assert cli.check_borell is stub and cli.small_value_check is not None
-"""
-    assert loaded_after(code) == ["logconcave"]
-
-
 def test_a_traced_warm_up_leaves_the_originals_bound():
-    """The benchmark's tracer patches every binding it finds and uninstalls
-    before the untraced passes; a kind first run under it must leave cli
-    holding the experiment functions themselves, not the tracer's wrappers."""
+    """The benchmark's traced run installs its span tracer around the
+    warm-up, uninstalls it, and installs it again for each traced pass.  The
+    second install traces the experiment functions, and once it is
+    uninstalled no module holds a tracer's wrapper.  A wrapper is told by its
+    code: a ``functools`` cache carries ``__wrapped__`` too."""
     code = f"""
 import json, sys, tempfile
 from pathlib import Path
@@ -149,25 +129,48 @@ from tracer import Tracer
 pkg = sys.modules["kantorovich_lab"]
 cli = pkg.cli
 tracer = Tracer()
-tracer.install(pkg)
-assert "kantorovich_lab.cli.stable_tail_check" in tracer.bindings
-with tempfile.TemporaryDirectory() as base:
-    for config in json.loads(sys.argv[1]):
-        assert cli.run(config, base=Path(base))[0] == cli.EXIT_OK
-tracer.uninstall()
+wrapper = tracer._wrap("probe", len, None).__code__
+
+def traced_pass():
+    tracer.install(pkg)
+    try:
+        with tempfile.TemporaryDirectory() as base:
+            for config in json.loads(sys.argv[1]):
+                assert cli.run(config, base=Path(base))[0] == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+
+traced_pass()
+tracer.spans.clear()
+traced_pass()
 assert any(s["name"] == "stable.check" for s in tracer.spans)
-for module, names in cli._LAZY.items():
-    for name in names:
-        assert vars(cli)[name] is getattr(getattr(pkg, module), name), name
+for name, module in list(sys.modules.items()):
+    if name.split(".")[0] == "kantorovich_lab":
+        classes = [v for v in vars(module).values() if isinstance(v, type) and v.__module__ == name]
+        for owner in (module, *classes):
+            leaked = [key for key, v in vars(owner).items() if getattr(v, "__code__", None) is wrapper]
+            assert leaked == [], (name, owner, leaked)
 """
     configs = [{"kind": kind, "seed": 1, "params": params} for kind, (params, _) in KIND_RUNS.items()]
     assert loaded_after(code, json.dumps(configs)) == list(EXPERIMENTS)
 
 
-@pytest.mark.parametrize("module", EXPERIMENTS)
-def test_every_lazily_bound_name_exists_in_its_module(module):
-    owner = importlib.import_module(f"kantorovich_lab.{module}")
-    assert [name for name in cli._LAZY[module] if not hasattr(owner, name)] == []
+def _module_reads(tree: ast.AST) -> list[tuple[str, str]]:
+    """Each ``<module>.<name>`` read in ``tree`` whose ``<module>`` is a
+    package module that ``from . import`` binds in it."""
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module is None for alias in node.names}
+    modules = {name for name in imported if isinstance(getattr(kantorovich_lab, name), types.ModuleType)}
+    return [(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules]
+
+
+def test_every_module_read_of_the_cli_exists():
+    """Every ``<module>.<name>`` that ``cli`` reads is defined on that module."""
+    reads = _module_reads(ast.parse(Path(cli.__file__).read_text()))
+    assert {module for module, _ in reads} == {"measures", "reports", "transport", *EXPERIMENTS}
+    missing = [f"{module}.{name}" for module, name in reads if not hasattr(getattr(kantorovich_lab, module), name)]
+    assert missing == []
 
 
 def _global_loads(code: types.CodeType):
@@ -180,8 +183,6 @@ def _global_loads(code: types.CodeType):
 
 
 def test_every_global_the_cli_reads_is_bound_once_its_modules_are():
-    for module in EXPERIMENTS:
-        cli._bind(module)
     code = compile(Path(cli.__file__).read_text(), cli.__file__, "exec")
     unbound = {name for name in _global_loads(code) if name not in vars(cli) and not hasattr(builtins, name)}
     assert unbound == set()

@@ -4,11 +4,14 @@ Points at 0, 1e200 and 3e200 form a valid line metric, but with q = 2 the
 costs ``d**q`` overflow.  ``kq`` and ``wq`` reject such a ``q`` before
 computing the power, naming it and the largest distance; the solver rejects
 non-finite data, and a coupling whose cost is not finite does not validate,
-nor does a Lipschitz witness with a non-finite potential or value.
+nor does a Lipschitz witness with a non-finite potential or value.  ``kq``
+also names ``q`` and the largest |mass| when a moment weight, or a sum of
+them, overflows.
 """
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -89,14 +92,15 @@ def test_witness_with_non_finite_entries_fails_validation(mode, values, achieved
         LipschitzWitness("d", np.array(values), achieved, mode).validate(mu)
 
 
-def norms_run(tmp_path, op, xs, q) -> int:
+def norms_run(tmp_path, op, xs, q, masses=("0.5", "0.5", "0")) -> int:
     """Exit code of a ``norms`` run of ``op`` between two measures on the
-    line metric of the points ``xs``; it must write nothing."""
+    line metric of the points ``xs``, the first of ``masses``; it must write
+    nothing."""
     def doc(weights):
         d = [[repr(abs(x - y)) for y in xs] for x in xs]
         return {"points": ["a", "b", "c"], "metrics": {"d": d}, "weights": weights}
 
-    (tmp_path / "mu.json").write_text(json.dumps(doc(["0.5", "0.5", "0"])))
+    (tmp_path / "mu.json").write_text(json.dumps(doc(list(masses))))
     (tmp_path / "nu.json").write_text(json.dumps(doc(["0", "0.5", "0.5"])))
     config = {
         "kind": "norms",
@@ -122,3 +126,40 @@ def test_q_whose_power_overflows_is_named(tmp_path, capsys, op):
     and no RuntimeWarning (an error under this suite's warning filters)."""
     assert norms_run(tmp_path, op, (0.0, 1.0, 2.0), 2000) == cli.EXIT_INPUT_ERROR
     assert capsys.readouterr().err == "input error: q = 2000 overflows d**q at the largest distance 2\n"
+
+
+def star_measure(masses):
+    """``masses`` on points at distance 2 from the anchor and 1 from each other."""
+    n = len(masses)
+    d = np.ones((n, n))
+    np.fill_diagonal(d, 0.0)
+    d[0, 1:] = d[1:, 0] = 2.0
+    space = PseudometricSpace(points=tuple(f"p{i}" for i in range(n)), metrics={"d": d}, anchor=0)
+    return space.measure(np.array(masses))
+
+
+def moment_error(q) -> str:
+    return "^" + re.escape(f"q = {q} overflows the moment weights at the largest |mass| 1e+06") + "$"
+
+
+@pytest.mark.parametrize(
+    "q, masses",
+    [
+        (1020, [0.0, 1e6, -1e6]),  # a moment weight, (1 + 2**1020) 1e6, overflows
+        (1000, [0.0] + [1e6] * 39),  # each fits, and their sum overflows math.fsum
+        (1000, [0.0] + [1e6] * 16 + [-1e6] * 16),  # each sign's sum fits, and their total does not
+    ],
+)
+def test_overflowing_moments_are_named(q, masses):
+    with pytest.raises(ValueError, match=moment_error(q)):
+        kq_norm(star_measure(masses), "d", q)
+
+
+def test_moments_near_overflow_keep_their_value():
+    assert kq_norm(star_measure([0.0, 1e6, -1e6]), "d", 1000) == 1.0715086071862673e307
+    assert kq_norm(star_measure([0.0] + [1e6] * 8 + [-1e6] * 8), "d", 1000) == 8.572068857490139e307
+
+
+def test_cli_exits_3_on_overflowing_moments(tmp_path, capsys):
+    assert norms_run(tmp_path, "kq", (0.0, 1.0, 2.0), 1020, ("1e6", "-5e5", "-5e5")) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "input error: q = 1020 overflows the moment weights at the largest |mass| 1e+06\n"
