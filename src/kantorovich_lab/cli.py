@@ -80,10 +80,14 @@ def _known(name, table) -> bool:
 
 
 def _real(value) -> bool:
-    """A finite number; JSON's ``true`` and ``false`` are not numbers here."""
+    """A finite number; JSON's ``true`` and ``false`` are not numbers here,
+    nor is an integer too large for a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return isinstance(value, int) or math.isfinite(value)
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _is(*types):
@@ -188,7 +192,8 @@ def _read(runner, params) -> dict:
 
 
 def _call(entry, params, seed, base):
-    """Run a runner, or the check of a table that ``params.check`` names, on its fields."""
+    """Run a runner, or the check of a table that ``params.check`` names, on
+    its fields: its checks, its payload and its curves."""
     if not isinstance(entry, dict):
         return entry(seed, base, **_read(entry, params))
     check = entry[params["check"]]
@@ -229,26 +234,34 @@ def _load_measure(doc, reuse=None):
 DEFAULT_OPS = ("kr", "k")
 
 
+def _check(name, verdict, **fields) -> dict:
+    """A check of a report: its name, its verdict (a truth value reads as
+    PASS or FAIL) and any further fields."""
+    if not isinstance(verdict, str):
+        verdict = "PASS" if verdict else "FAIL"
+    return {"name": name, "verdict": verdict, **fields}
+
+
 def _witnessed(op, mu, metric, q, other):
     value, witness = getattr(transport, f"{op}_norm")(mu, metric)
     witness.validate(mu)
-    return {"name": op, "value": value, "verdict": "PASS"}, {f"{op}_witness": witness.values.tolist()}
+    return _check(op, True, value=value), {f"{op}_witness": witness.values.tolist()}
 
 
 def _kq(op, mu, metric, q, other):
-    return {"name": f"{op}[q={q:g}]", "value": transport.kq_norm(mu, metric, q), "verdict": "PASS"}, {}
+    return _check(f"{op}[q={q:g}]", True, value=transport.kq_norm(mu, metric, q)), {}
 
 
 def _wq(op, mu, metric, q, other):
     nu = other()
     value, coupling = transport.wasserstein_q(mu, nu, metric, q)
     coupling.validate(mu, nu)
-    return {"name": f"{op}[q={q:g}]", "value": value, "verdict": "PASS"}, {"coupling": coupling.matrix}
+    return _check(f"{op}[q={q:g}]", True, value=value), {"coupling": coupling.matrix}
 
 
 def _oracle(op, mu, metric, q, other):
     value = transport.brute_force_dual(mu, metric, "bounded")
-    return {"name": f"{op}_bounded", "value": value, "verdict": "PASS"}, {}
+    return _check(f"{op}_bounded", True, value=value), {}
 
 
 _NORM_OPS = {"kr": _witnessed, "k": _witnessed, "kq": _kq, "wq": _wq, "oracle": _oracle}
@@ -269,7 +282,7 @@ def _run_norms(seed, base, *, measure: "doc", metric: "name", ops: "ops" = DEFAU
         record, entries = _NORM_OPS[op](op, mu, metric, q, other)
         records.append(record)
         payload.update(entries)
-    return {"checks": records, "payload": payload, "passed": True}, {}
+    return records, payload, {}
 
 
 def _ops_need(fields) -> list[str]:
@@ -342,7 +355,7 @@ def _run_convergence(seed, base, *, sequence: "doc", q: "q" = 1.0, metrics: "met
         f"tail_{rec.metric_name}": (("radius", "tail"), list(zip(rec.tail.radii, rec.tail.values)))
         for rec in report.per_metric
     }
-    checks = [{"name": f"tau_k[{rec.metric_name}]", "verdict": rec.verdict} for rec in report.per_metric]
+    checks = [_check(f"tau_k[{rec.metric_name}]", rec.verdict) for rec in report.per_metric]
     if weak_gap:
         name = report.per_metric[0].metric_name
         dictionary = convergence.lipschitz_dictionary(seq.space, name)
@@ -350,11 +363,8 @@ def _run_convergence(seed, base, *, sequence: "doc", q: "q" = 1.0, metrics: "met
     if barycenters:
         bary = convergence.barycenter_convergence(seq)
         out["barycenter_bound_holds"] = bary.bound_holds
-        checks.append(
-            {"name": "barycenter bound", "verdict": "PASS" if bary.bound_holds else "FAIL"}
-        )
-    passed = report.verdict != "VIOLATION" and all(c["verdict"] != "FAIL" for c in checks)
-    return {"checks": checks, "payload": out, "passed": passed}, curves
+        checks.append(_check("barycenter bound", bary.bound_holds))
+    return checks, out, curves
 
 
 def _run_counterexample(seed, base, *, matrix: "matrix", epsilon: "real" = 1e-6):
@@ -366,10 +376,10 @@ def _run_counterexample(seed, base, *, matrix: "matrix", epsilon: "real" = 1e-6)
     except (TypeError, ValueError) as exc:  # a matrix file's contents
         raise InputDataError(str(exc)) from exc
     report = counterexamples.verify_counterexample(inst, epsilon)
-    checks = [{"name": k, "verdict": "PASS" if ok else "FAIL"} for k, ok in report["checks"].items()]
+    checks = [_check(k, ok) for k, ok in report["checks"].items()]
     payload = dict(report)
     payload["c"] = inst.c.tolist()
-    return {"checks": checks, "payload": payload, "passed": report["passed"]}, {}
+    return checks, payload, {}
 
 
 def _schedule_family(family):
@@ -383,12 +393,6 @@ def _schedule_family(family):
         raise InputDataError(f"bad schedule family member: {exc}") from exc
 
 
-def _one_check(name, passed, payload):
-    """A result of one named check, without curves."""
-    checks = [{"name": name, "verdict": "PASS" if passed else "FAIL"}]
-    return {"checks": checks, "payload": payload, "passed": passed}, {}
-
-
 def _finite(x) -> float:
     """A sample's radius or value: a finite number, not a boolean."""
     value = float(x)
@@ -400,7 +404,8 @@ def _finite(x) -> float:
 def _sampled_tails(tail_docs):
     """Tail functions from sampled (radius, value) pairs, held constant
     between samples (nonincreasing step interpolation).  The levels ``n`` are
-    1..K, once each: the schedule reads level n's tail as the n-th."""
+    1..K, once each: the schedule reads level n's tail as the n-th.  A
+    level's values are nonnegative and do not grow with the radius."""
     by_n = {}
     try:
         for doc in tail_docs:
@@ -410,6 +415,10 @@ def _sampled_tails(tail_docs):
     levels = [doc["n"] for doc in tail_docs]
     if sorted(levels) != list(range(1, len(levels) + 1)):
         raise InputDataError(f"bad tail samples: levels n must be 1..{len(levels)}, once each, got {levels}")
+    for n, samples in by_n.items():
+        values = [value for _, value in samples]
+        if any(value < 0 for value in values) or any(b > a for a, b in zip(values, values[1:])):
+            raise InputDataError(f"bad tail samples: level {n}'s values must be nonnegative and nonincreasing")
 
     def make(samples):
         def T(m: float) -> float:
@@ -439,22 +448,22 @@ def _run_schedule(seed, base, *, family: "family" = None, tails: "objects" = Non
     try:
         sched = counterexamples.rescaling_schedule(tails, horizon=horizon)
     except counterexamples.ScheduleInfeasibleError as exc:
-        return _one_check("schedule construction", False, {"error": str(exc), "infeasible_at": exc.n})
+        return [_check("schedule construction", False)], {"error": str(exc), "infeasible_at": exc.n}, {}
     if sampled:
         payload = {"boundaries": list(sched.boundaries), "certificates": "skipped (no family evaluators)"}
-        return _one_check("schedule construction", True, payload)
+        return [_check("schedule construction", True)], payload, {}
     report = counterexamples.verify_schedule(
         sched, family, horizon=verify_horizon or min(horizon, sched.max_index), n_max=n_max
     )
     checks = [
-        {
-            "name": f"block {c.n}",
-            "verdict": "PASS" if c.passed else "FAIL",
-            "tail_mass_sum": c.tail_mass_sum,
-            "tail_mass_bound": c.tail_mass_bound,
-            "scaled_integral_sup": c.scaled_integral_sup,
-            "scaled_integral_bound": c.scaled_integral_bound,
-        }
+        _check(
+            f"block {c.n}",
+            c.passed,
+            tail_mass_sum=c.tail_mass_sum,
+            tail_mass_bound=c.tail_mass_bound,
+            scaled_integral_sup=c.scaled_integral_sup,
+            scaled_integral_bound=c.scaled_integral_bound,
+        )
         for c in report.certificates
     ]
     payload = {
@@ -462,7 +471,7 @@ def _run_schedule(seed, base, *, family: "family" = None, tails: "objects" = Non
         "invariant_violations": list(report.invariant_violations),
         "horizon": report.horizon,
     }
-    return {"checks": checks, "payload": payload, "passed": report.passed}, {}
+    return checks, payload, {}
 
 
 def _family_or_tails(fields) -> list[str]:
@@ -519,16 +528,12 @@ def _poly_from(doc) -> "logconcave.PolynomialSpec":
 
 
 def _report_to_result(report):
-    """A Monte-Carlo report as a (result, curves) pair."""
-    checks = [
-        {"name": c.name, "estimate": c.estimate, "half_width": c.half_width, "bound": c.bound,
-         "verdict": "EXPECTED_FAIL" if c.expected_failure and not c.passed else ("PASS" if c.passed else "FAIL")}
-        for c in report.checks
-    ]
+    """A Monte-Carlo report as its checks, payload and curves."""
+    checks = [_check(c.name, c.verdict, estimate=c.estimate, half_width=c.half_width, bound=c.bound)
+              for c in report.checks]
     curves = {name: (tuple(f"c{i}" for i in range(len(rows[0]))) if rows else (), rows)
               for name, rows in report.curves.items()}
-    result = {"checks": checks, "payload": {"extras": report.extras, "name": report.name}, "passed": report.passed}
-    return result, curves
+    return checks, {"extras": report.extras, "name": report.name}, curves
 
 
 def _borell(n, seed, *, spec: "object", c: "real", q: "seminorm" = "abs", ts: "reals" = (1.0, 2.0, 4.0)):
@@ -596,11 +601,11 @@ def _tail(n, seed, *, spec: "stable_law", p1: "real", delta: "real" = 0.8):
 
 
 def _constants(n, seed, *, delta: "real", p: "real"):
-    """The closed-form constants: already a (result, curves) pair."""
+    """The closed-form constants: already checks, a payload and curves."""
     from . import stable
     tc = stable.tail_constants(delta, p)
     keys = ("delta", "p", "k", "rho", "beta", "log_coefficient")
-    return _one_check("tail constants", True, {key: getattr(tc, key) for key in keys})
+    return [_check("tail constants", True)], {key: getattr(tc, key) for key in keys}, {}
 
 
 def _identity(n, seed, *, spec: "stable_law"):
@@ -678,17 +683,19 @@ def run(config, base: Path | None = None) -> tuple[int, dict, Path | None]:
         out_dir = base / out_dir
 
     started = time.perf_counter()
-    result, curves = _call(_RUNNERS[kind], config["params"], seed, base)
+    checks, payload, curves = _call(_RUNNERS[kind], config["params"], seed, base)
     wall = time.perf_counter() - started
+    # a run fails when a check FAILs or is a VIOLATION; UI_FAIL and EXPECTED_FAIL do not fail it
+    passed = not any(check["verdict"] in ("FAIL", "VIOLATION") for check in checks)
 
     report = {
         "config": config,
         "tool_version": __version__,
         "kind": kind,
         "seed": seed,
-        "checks": result["checks"],
-        "payload": result["payload"],
-        "overall_verdict": "PASS" if result["passed"] else "FAIL",
+        "checks": checks,
+        "payload": payload,
+        "overall_verdict": "PASS" if passed else "FAIL",
         "wall_clock_s": wall,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -698,7 +705,7 @@ def run(config, base: Path | None = None) -> tuple[int, dict, Path | None]:
     for name, (header, rows) in curves.items():
         if rows:
             reports.write_curve_csv(_fresh_path(out_dir, f"{stem}-{name}", ".csv"), header, rows)
-    return (EXIT_OK if result["passed"] else EXIT_CHECK_FAILED), report, path
+    return (EXIT_OK if passed else EXIT_CHECK_FAILED), report, path
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -744,7 +751,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
 
     for check in report["checks"]:
-        print(f"{check['name']}: {check.get('verdict', 'PASS')}")
+        print(f"{check['name']}: {check['verdict']}")
     print(f"overall: {report['overall_verdict']} ({path})")
     return code
 

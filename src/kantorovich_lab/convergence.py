@@ -170,9 +170,6 @@ class MetricConvergenceRecord:
     k_gaps: tuple[float, ...]
     tail: TailProfile
     ui_holds: bool
-    clearing_radius_full: float
-    clearing_radius_half: float
-    gaps_converged: bool
     settled_from: int | None
     verdict: str  # PASS | UI_FAIL | VIOLATION
     #: witness of the last anchored gap; None when q > 1 (the k gaps are kq)
@@ -254,9 +251,6 @@ def check_tau_k_convergence(
                 k_gaps=tuple(k_gaps),
                 tail=profile,
                 ui_holds=ui,
-                clearing_radius_full=r_full,
-                clearing_radius_half=r_half,
-                gaps_converged=converged,
                 settled_from=settled,
                 verdict=verdict,
                 last_k_witness=witness,

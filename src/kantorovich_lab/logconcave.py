@@ -26,8 +26,7 @@ from .reports import (
     ConcentrationReport,
     fraction,
     half_width,
-    mean_std,
-    mean_std_in_place,
+    mean_var,
     one_sided,
     reduce_each_law,
     row_blocks,
@@ -202,13 +201,13 @@ def _column_mean_std(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     last entry of ``np.cumsum`` of the column (``_left_sum``), which streams
     one column at a time instead of running an inner loop of length dim per
     row.  A single column is one contiguous vector, which numpy sums
-    pairwise, as ``mean_std`` does.  Other layouts can reduce in another
+    pairwise, as ``mean_var`` does.  Other layouts can reduce in another
     order and keep numpy's own reductions.
     """
     n, dim = xs.shape
     if dim == 1:
-        m, s = mean_std(xs[:, 0])
-        return np.array([m]), np.array([s])
+        m, var = mean_var(xs[:, 0])
+        return np.array([m]), np.array([math.sqrt(var)])
     if not xs.flags.c_contiguous:
         return xs.mean(axis=0), xs.std(axis=0)
     means = np.empty(dim)
@@ -314,8 +313,6 @@ def check_borell(
         curve.append((float(t), tail, bound))
     return ConcentrationReport(
         name="borell",
-        sample_count=n,
-        seed=seed,
         checks=tuple(checks),
         extras={"theta": theta, "theta_half_width": theta_hw, "c": c},
         curves={"tail": curve},
@@ -337,14 +334,18 @@ def _exp_moment(values: np.ndarray, kappa: float) -> tuple[float, float]:
         raise ValueError(
             f"kappa {kappa:g} overflows exp at observed seminorm scale {top / max(kappa, 1e-300):.3g}"
         )
-    est, std = mean_std_in_place(np.exp(exponents, out=exponents))
-    return est, half_width(std, len(values))
+    est, var = mean_var(np.exp(exponents, out=exponents), out=exponents)
+    return est, half_width(math.sqrt(var), len(values))
 
 
 def _power_moment(values: np.ndarray, r: float) -> tuple[float, float]:
     """Mean of values**r with its half-width."""
-    est, std = mean_std(values) if r == 1 else mean_std_in_place(values**r)
-    return est, half_width(std, len(values))
+    if r == 1:
+        est, var = mean_var(values)
+    else:
+        powers = values**r
+        est, var = mean_var(powers, out=powers)
+    return est, half_width(math.sqrt(var), len(values))
 
 
 @dataclass(frozen=True)
@@ -444,8 +445,6 @@ def mean_convergence_experiment(
     )
     return ConcentrationReport(
         name="mean_convergence",
-        sample_count=n,
-        seed=seed,
         checks=tuple(checks),
         extras={
             "kappas": kappas,
@@ -513,12 +512,12 @@ def small_value_check(
     if poly.degree < 1:
         raise ValueError("degree must be at least 1")
     values = poly(sample(spec, n, seed))
-    mean, std = mean_std(values)
+    mean, var = mean_var(values)
     size = np.abs(values, out=values)  # |f|: the signed values are not read again
     l1 = float(size.mean())
     if not l1 > 0:
         raise ValueError("polynomial has vanishing first absolute moment")
-    if std < 1e-12 * max(1.0, abs(mean)):
+    if math.sqrt(var) < 1e-12 * max(1.0, abs(mean)):
         raise ValueError("polynomial is almost surely constant under this law")
     if rs is None:
         scale = float(np.quantile(size, 0.5))
@@ -544,8 +543,6 @@ def small_value_check(
         )
     return ConcentrationReport(
         name="small_value",
-        sample_count=n,
-        seed=seed,
         checks=tuple(checks),
         extras={"degree": d, "l1_norm": l1, "fitted_constant": c_hat, "slope": slope},
         curves={"small_value": [(r, p, hw) for r, p, hw in probs]},
@@ -593,8 +590,6 @@ def lp_equivalence_check(
         )
     return ConcentrationReport(
         name="lp_equivalence",
-        sample_count=n,
-        seed=seed,
         checks=tuple(checks),
         extras={"fitted_constants": fitted, "ratios": {f"{p:g}": v for p, v in ratios.items()}},
     )
@@ -630,8 +625,8 @@ def polynomial_density_experiment(
         if fmin < -1e-9 * max(1.0, float(np.abs(f).max())):
             raise ValueError(f"density {i} is negative on samples ({fmin:.3g})")
         f = np.maximum(f, 0.0)
-        mean_f, std_f = mean_std(f)
-        hw_f = half_width(std_f, n)
+        mean_f, var_f = mean_var(f)
+        hw_f = half_width(math.sqrt(var_f), n)
         if abs(mean_f - 1.0) > hw_f + 1e-6:
             raise ValueError(f"density {i} is not normalized: mean {mean_f:.6f}")
         bary = (f[:, None] * xs).mean(axis=0) / mean_f
@@ -662,8 +657,6 @@ def polynomial_density_experiment(
     ]
     return ConcentrationReport(
         name="polynomial_density",
-        sample_count=n,
-        seed=seed,
         checks=tuple(checks),
         extras={
             "per_index": per_index,

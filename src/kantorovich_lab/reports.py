@@ -61,33 +61,14 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def mean_std(v: np.ndarray) -> tuple[float, float]:
-    """Mean and population std of a 1-D array, bit for bit ``v.mean()`` and
-    ``v.std()``: the same sums, deviations and divisions as numpy's
-    ``_mean``/``_var``, with the mean's sum taken once instead of twice."""
-    return _mean_std(v, None)
-
-
-def mean_std_in_place(v: np.ndarray) -> tuple[float, float]:
-    """``mean_std(v)`` with the deviations written over ``v``, for a
-    temporary the caller owns: the same bits without a second array."""
-    return _mean_std(v, v)
-
-
-def mean_var_in_place(v: np.ndarray) -> tuple[float, float]:
+def mean_var(v: np.ndarray, out: np.ndarray | None = None) -> tuple[float, float]:
     """Mean and population variance of a 1-D array, bit for bit ``v.mean()``
-    and ``v.var()`` (numpy's ``_var``: the deviations from the mean, squared
-    in place, summed and divided by n), with the deviations written over
-    ``v``, a temporary the caller owns."""
-    return _mean_var(v, v)
-
-
-def _mean_std(v: np.ndarray, out: np.ndarray | None) -> tuple[float, float]:
-    m, var = _mean_var(v, out)
-    return m, math.sqrt(var)
-
-
-def _mean_var(v: np.ndarray, out: np.ndarray | None) -> tuple[float, float]:
+    and ``v.var()``: numpy's ``_mean`` and ``_var`` (the deviations from the
+    mean, squared in place, summed and divided by n), with the mean's sum
+    taken once instead of twice.  With ``out=v`` the deviations are written
+    over ``v``, a temporary the caller owns: the same bits without a second
+    array.  A standard deviation is the ``math.sqrt`` of the variance, as
+    ``v.std()`` is."""
     n = len(v)
     m = v.sum() / n
     d = np.subtract(v, m, out=out)
@@ -166,7 +147,13 @@ class CheckRecord:
     bound: float | None = None
     passed: bool = True
     expected_failure: bool = False
-    detail: str = ""
+
+    @property
+    def verdict(self) -> str:
+        """PASS, FAIL, or EXPECTED_FAIL for a failure the hypotheses predict."""
+        if self.passed:
+            return "PASS"
+        return "EXPECTED_FAIL" if self.expected_failure else "FAIL"
 
 
 def one_sided(name: str, estimate: float, hw: float, bound: float, **kw) -> CheckRecord:
@@ -210,15 +197,13 @@ def two_sided(name: str, estimate: float, hw: float, target: float, **kw) -> Che
 @dataclass(frozen=True)
 class ConcentrationReport:
     name: str
-    sample_count: int
-    seed: int
     checks: tuple[CheckRecord, ...]
     extras: Mapping = field(default_factory=dict)
     curves: Mapping[str, Sequence[Sequence[float]]] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        return all(c.passed or c.expected_failure for c in self.checks)
+        return all(c.verdict != "FAIL" for c in self.checks)
 
     def check(self, name: str) -> CheckRecord:
         for c in self.checks:

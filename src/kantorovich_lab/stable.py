@@ -22,7 +22,7 @@ from .reports import (
     ConcentrationReport,
     half_width,
     max_z_check,
-    mean_var_in_place,
+    mean_var,
     one_sided,
     reduce_each_law,
     row_blocks,
@@ -123,10 +123,11 @@ def sample_stable(spec: StableSpec, n: int, seed) -> np.ndarray:
 
 
 def _cos_sin_moments(t: float, z: np.ndarray, tz: np.ndarray, wave: np.ndarray):
-    """``mean_var_in_place`` of cos(t z) and of sin(t z), in that order;
-    ``t z`` goes to ``tz``, overwritten by its sine, and its cosine to ``wave``."""
+    """``mean_var`` of cos(t z) and of sin(t z), in that order; ``t z`` goes
+    to ``tz``, overwritten by its sine, and its cosine to ``wave``, and each
+    moment's deviations overwrite its array."""
     np.multiply(t, z, out=tz)
-    return mean_var_in_place(np.cos(tz, out=wave)), mean_var_in_place(np.sin(tz, out=tz))
+    return mean_var(np.cos(tz, out=wave), out=wave), mean_var(np.sin(tz, out=tz), out=tz)
 
 
 def empirical_cf_gap(samples: np.ndarray, spec: StableSpec, ts: Sequence[float] = CF_GRID):
@@ -161,8 +162,6 @@ def validate_sampler(
     checks = [max_z_check("cf match (max z-score over grid)", zmax)]
     return ConcentrationReport(
         name="stable_cf",
-        sample_count=n,
-        seed=seed,
         checks=tuple(checks),
         extras={"p": spec.p, "b": spec.b, "c": spec.c, "a": spec.a},
         curves={"cf": [(r[0], r[1], r[2], r[3], r[4]) for r in rows]},
@@ -298,7 +297,6 @@ def stable_tail_check(
                 bound=-p1 + slope_margin,
                 passed=slope <= -p1 + slope_margin,
                 expected_failure=hypothesis_violated,
-                detail="order below p1 violates the hypothesis" if hypothesis_violated else "",
             )
         )
     else:
@@ -311,13 +309,10 @@ def stable_tail_check(
                 half_width=slope_margin,
                 bound=-p1 + slope_margin,
                 passed=True,
-                detail="tail vanishes on the fitting grid; decay beats every power",
             )
         )
     return ConcentrationReport(
         name="stable_tail",
-        sample_count=n,
-        seed=seed,
         checks=tuple(checks),
         extras={
             "p": spec.p,
@@ -381,8 +376,6 @@ def stability_identity_check(
     checks = [max_z_check("two-sample cf distance (max z)", zmax)]
     return ConcentrationReport(
         name="stability_identity",
-        sample_count=n,
-        seed=seed,
         checks=tuple(checks),
         extras={"coeffs": list(coeffs), "p": spec.p},
         curves={"cf_pair": curve},
@@ -495,7 +488,7 @@ def stable_mean_convergence_experiment(
     def block_hw(xs: np.ndarray) -> float:
         k = blocks
         means = xs[: (len(xs) // k) * k].reshape(k, -1, xs.shape[1]).mean(axis=1)
-        return 3.0 * float(means.std(axis=0).max()) / math.sqrt(k)
+        return half_width(float(means.std(axis=0).max()), k)
 
     def reduce(s: StableSpec, law_seed):
         """Moment, barycenter, its half-width and the binning of one law."""
@@ -565,8 +558,6 @@ def stable_mean_convergence_experiment(
         extras["k_gaps"] = kgaps
     return ConcentrationReport(
         name="stable_mean_convergence",
-        sample_count=n,
-        seed=seed,
         checks=tuple(checks),
         extras=extras,
     )

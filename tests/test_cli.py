@@ -618,6 +618,45 @@ class TestPinnedReports:
         assert {("stable", check) for check in cli._STABLE_CHECKS} <= covered
 
 
+def _escaping(n):
+    """Mass 1/k at distance k from the anchor, k = 1..n, and the limit at the
+    anchor: the moment 1 never leaves, so uniform integrability fails."""
+    far = {"points": [f"x{i}" for i in range(n + 1)],
+           "metrics": {"d": [[str(abs(i - j)) for j in range(n + 1)] for i in range(n + 1)]}, "anchor": 0}
+    rows = [[repr(1 - 1 / k)] + ["0"] * (k - 1) + [repr(1 / k)] + ["0"] * (n - k) for k in range(1, n + 1)]
+    return {**far, "weights_sequence": rows, "limit_weights": ["1"] + ["0"] * n}
+
+
+class TestVerdictRule:
+    """A run fails, with exit 1, exactly when some check's verdict is FAIL or
+    VIOLATION; an UI_FAIL or EXPECTED_FAIL check is recorded and the run passes."""
+
+    @pytest.mark.parametrize(
+        "config, verdict, code",
+        [
+            # an order p below p1 violates the hypothesis, so the failed slope is expected
+            ({"kind": "stable", "params": {"check": "tail", "spec": {"p": 1.2}, "p1": 1.9, "n": 20000}},
+             "EXPECTED_FAIL", cli.EXIT_OK),
+            ({"kind": "convergence", "params": {"sequence": _escaping(16)}}, "UI_FAIL", cli.EXIT_OK),
+            # a constant sequence on a bounded space cannot converge to another measure
+            ({"kind": "convergence", "params": {"sequence": {
+                **_LINE, "weights_sequence": [["1", "0", "0", "0"]] * 3, "limit_weights": ["0", "1", "0", "0"]}}},
+             "VIOLATION", cli.EXIT_CHECK_FAILED),
+            ({"kind": "counterexample", "params": {"matrix": [[3.0, 7.0]], "epsilon": 1e-20}},
+             "FAIL", cli.EXIT_CHECK_FAILED),
+        ],
+        ids=["expected_fail", "ui_fail", "violation", "fail"],
+    )
+    def test_only_fail_and_violation_fail_the_run(self, tmp_path, capsys, config, verdict, code):
+        path = write(tmp_path / "c.json", {**config, "seed": 3, "out": str(tmp_path / "out")})
+        assert cli.main([config["kind"], "--config", str(path)]) == code
+        report = json.loads(next((tmp_path / "out").glob("*.json")).read_text())
+        verdicts = {check["verdict"] for check in report["checks"]}
+        assert verdict in verdicts and verdicts <= {"PASS", verdict}
+        assert report["overall_verdict"] == ("PASS" if code == cli.EXIT_OK else "FAIL")
+        assert f": {verdict}\n" in capsys.readouterr().out
+
+
 class Reached(Exception):
     pass
 
@@ -747,6 +786,14 @@ class TestMalformedParams:
             (_borell(ts=3), ["logconcave: params.ts must be a list of real numbers"]),
             (_borell(ts=[1.0, "2"]), ["logconcave: params.ts must be a list of real numbers"]),
             (_borell(ts=[1.0, None]), ["logconcave: params.ts must be a list of real numbers"]),
+            # a JSON integer with no finite float is not a real number
+            ({"kind": "stable", "seed": 1, "params": {"check": "constants", "delta": 10**400, "p": 1.8}},
+             ["stable: params.delta must be a real number"]),
+            (_norms(ops=["kq"], q=10**400), ["norms: params.q must be a real number >= 1"]),
+            (_borell(n=10**400), ["logconcave: params.n must be a positive integer"]),
+            (_borell(ts=[1.0, 10**400]), ["logconcave: params.ts must be a list of real numbers"]),
+            ({"kind": "counterexample", "seed": 1, "params": {"matrix": [[2**1024, 1.0]]}},
+             ["counterexample: params.matrix must be a path or a list of rows of real numbers"]),
         ],
     )
     def test_diagnosed_and_exit_2(self, tmp_path, capsys, config, diags):
@@ -1028,6 +1075,13 @@ class TestInputDocuments:
              "bad tail samples: levels n must be 1..2, once each, got [1, 1]\n"),
             ("schedule", {"tails": [{"n": 1, "samples": [[0, 1.0]]}, {"n": 3, "samples": [[0, 0.5]]}]},
              "bad tail samples: levels n must be 1..2, once each, got [1, 3]\n"),
+            # a level's values are nonnegative and do not grow with the radius
+            ("schedule", {"tails": [{"n": 1, "samples": [[0, 0.01], [2, 1.0]]}]},
+             "bad tail samples: level 1's values must be nonnegative and nonincreasing\n"),
+            ("schedule", {"tails": [{"n": 1, "samples": [[0, 1.0]]}, {"n": 2, "samples": [[0, -1.0]]}]},
+             "bad tail samples: level 2's values must be nonnegative and nonincreasing\n"),
+            ("schedule", {"tails": [{"n": 1, "samples": [[3, 0.5], [1, 0.25]]}]},
+             "bad tail samples: level 1's values must be nonnegative and nonincreasing\n"),
         ],
     )
     def test_exit_3_with_the_cause(self, tmp_path, capsys, kind, params, cause):

@@ -165,9 +165,7 @@ def _stable_experiment_reference(specs, limit, n, seed, bins=64, blocks=16):
     }
     if kgaps:
         extras["k_gaps"] = kgaps
-    return ConcentrationReport(
-        name="stable_mean_convergence", sample_count=n, seed=seed, checks=tuple(checks), extras=extras
-    )
+    return ConcentrationReport(name="stable_mean_convergence", checks=tuple(checks), extras=extras)
 
 
 def _logconcave_experiment_reference(specs, limit, qs, n, seed, rs=(1.0, 2.0)):
@@ -213,8 +211,6 @@ def _logconcave_experiment_reference(specs, limit, qs, n, seed, rs=(1.0, 2.0)):
     )
     return ConcentrationReport(
         name="mean_convergence",
-        sample_count=n,
-        seed=seed,
         checks=tuple(checks),
         extras={
             "kappas": kappas,
