@@ -30,6 +30,7 @@ from .reports import (
     one_sided,
     reduce_each_law,
     row_blocks,
+    sorted_quantiles,
     two_sided,
 )
 
@@ -200,9 +201,12 @@ def _column_mean_std(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row by row, so each column is summed strictly left to right: that is the
     last entry of ``np.cumsum`` of the column (``_left_sum``), which streams
     one column at a time instead of running an inner loop of length dim per
-    row.  A single column is one contiguous vector, which numpy sums
-    pairwise, as ``mean_var`` does.  Other layouts can reduce in another
-    order and keep numpy's own reductions.
+    row.  Two neighbouring columns are summed in one pass, viewed as one
+    complex column: complex addition and subtraction take one IEEE operation
+    per part, so each part keeps the bits of its own real sum.  An odd last
+    column is summed alone.  A single column is one contiguous vector, which
+    numpy sums pairwise, as ``mean_var`` does.  Other layouts can reduce in
+    another order and keep numpy's own reductions.
     """
     n, dim = xs.shape
     if dim == 1:
@@ -212,26 +216,33 @@ def _column_mean_std(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return xs.mean(axis=0), xs.std(axis=0)
     means = np.empty(dim)
     stds = np.empty(dim)
-    work = np.empty(min(n, BLOCK) + 1)
-    for j in range(dim):
-        col = xs[:, j]
-        means[j] = _left_sum(col, None, work) / n
-        stds[j] = np.sqrt(_left_sum(col, means[j], work) / n)
+    work = np.empty(min(n, BLOCK) + 1, dtype=complex)
+    for j in range(0, dim - 1, 2):
+        pair = xs[:, j : j + 2].view(complex)[:, 0]
+        total = _left_sum(pair, None, work)
+        means[j], means[j + 1] = total.real / n, total.imag / n
+        total = _left_sum(pair, complex(means[j], means[j + 1]), work)
+        stds[j], stds[j + 1] = np.sqrt(total.real / n), np.sqrt(total.imag / n)
+    if dim % 2:
+        col, real_work = xs[:, -1], work.view(float)
+        means[-1] = _left_sum(col, None, real_work) / n
+        stds[-1] = np.sqrt(_left_sum(col, means[-1], real_work) / n)
     return means, stds
 
 
 def _left_sum(col: np.ndarray, center, work: np.ndarray):
-    """``np.cumsum(col)[-1]``, or with ``center`` that of the squares
-    ``d *= d`` of ``d = col - center``, one block at a time in ``work``
-    (``BLOCK + 1`` entries or more).
+    """``np.cumsum(col)[-1]``, or with ``center`` that of the squares of
+    ``d = col - center``, one block at a time in ``work`` (``BLOCK + 1``
+    entries or more, of ``col``'s dtype, float or complex).
 
     Each block is summed behind the running total, as ``np.cumsum`` of
     ``[total, block]``, so the terms are added in the order of one cumulative
     sum.  The total starts at -0.0, which adds exactly to any first term
     (a column of -0.0 alone sums to -0.0, as in ``np.cumsum``; numpy's
-    ``mean`` starts at 0.0 and gives 0.0).
+    ``mean`` starts at 0.0 and gives 0.0).  A complex ``d`` is squared part
+    by part, through its float view.
     """
-    total = -0.0
+    total = complex(-0.0, -0.0) if work.dtype == complex else -0.0
     for rows in row_blocks(len(col)):
         w = work[: rows.stop - rows.start + 1]
         w[0] = total
@@ -240,7 +251,8 @@ def _left_sum(col: np.ndarray, center, work: np.ndarray):
             d[...] = col[rows]
         else:
             np.subtract(col[rows], center, out=d)
-            d *= d
+            parts = d.view(float)
+            parts *= parts
         total = np.cumsum(w, out=w)[-1]
     return total
 
@@ -324,11 +336,12 @@ def exp_moment(samples: np.ndarray, q, kappa: float) -> tuple[float, float]:
     return _exp_moment(seminorm(q)(np.atleast_2d(samples)), kappa)
 
 
-def _exp_moment(values: np.ndarray, kappa: float) -> tuple[float, float]:
-    """``exp_moment`` from the seminorm values themselves."""
+def _exp_moment(values: np.ndarray, kappa: float, work: np.ndarray | None = None) -> tuple[float, float]:
+    """``exp_moment`` from the seminorm values themselves; the exponents go
+    to ``work``, an array of len(values) entries, if one is given."""
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    exponents = kappa * values
+    exponents = np.multiply(kappa, values, out=work)
     top = float(exponents.max(initial=0.0))
     if top > 700.0:
         raise ValueError(
@@ -338,12 +351,14 @@ def _exp_moment(values: np.ndarray, kappa: float) -> tuple[float, float]:
     return est, half_width(math.sqrt(var), len(values))
 
 
-def _power_moment(values: np.ndarray, r: float) -> tuple[float, float]:
-    """Mean of values**r with its half-width."""
+def _power_moment(values: np.ndarray, r: float, work: np.ndarray | None = None) -> tuple[float, float]:
+    """Mean of values**r with its half-width; the powers, or for r = 1 the
+    deviations, go to ``work`` if it is given.  ``np.power`` has the bits of
+    ``values**r``, and ``np.square`` those of r = 2."""
     if r == 1:
-        est, var = mean_var(values)
+        est, var = mean_var(values, out=work)
     else:
-        powers = values**r
+        powers = np.square(values, out=work) if r == 2 else np.power(values, r, out=work)
         est, var = mean_var(powers, out=powers)
     return est, half_width(math.sqrt(var), len(values))
 
@@ -358,8 +373,16 @@ class KappaPolicy:
 
     theta_target: float = 0.75
 
-    def choose(self, limit_values: np.ndarray) -> tuple[float, float, float]:
-        c = float(np.quantile(limit_values, self.theta_target))
+    def choose(self, limit_values: np.ndarray, work: np.ndarray | None = None) -> tuple[float, float, float]:
+        """kappa, c and theta.  c is ``np.quantile(limit_values, theta_target)``,
+        read off a sorted copy (``sorted_quantiles``), made in ``work`` if it is
+        given: a zero c may carry the other sign, and is refused either way."""
+        if not 0 <= self.theta_target <= 1:
+            raise ValueError("Quantiles must be in the range [0, 1]")
+        ordered = np.empty_like(limit_values) if work is None else work
+        ordered[...] = limit_values
+        ordered.sort()
+        c = float(sorted_quantiles(ordered, self.theta_target))
         if c <= 0:
             raise ValueError("sublevel scale must be positive")
         theta, hw = fraction(limit_values < c)
@@ -370,6 +393,29 @@ class KappaPolicy:
         if kappa <= 0:
             raise ValueError("kappa policy yields nonpositive kappa")
         return kappa, c, theta
+
+
+def _values_over_draws(xs: np.ndarray, fns: Sequence[Callable]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each seminorm of ``fns`` at the rows of the C-contiguous draws ``xs``,
+    and an n-entry work array, written over the draws themselves.
+
+    The values of ``fns[0]`` go to the first n entries of the draws' flat
+    buffer, block by block: entry i belongs to row i // dim, a row already
+    read.  In each block the other seminorms, each with its own array, read
+    the rows first, so a seminorm that returns a view of its block still
+    reads intact draws.  The work array is the next n entries when dim >= 2,
+    and a new array when dim = 1.
+    """
+    n, dim = xs.shape
+    flat = xs.reshape(-1)
+    first = flat[:n]
+    rest = [np.empty(n) for _ in fns[1:]]
+    for rows in row_blocks(n):
+        block = xs[rows]
+        for fn, values in zip(fns[1:], rest):
+            values[rows] = fn(block)
+        first[rows] = fns[0](block)
+    return [first, *rest], flat[n : 2 * n] if dim >= 2 else np.empty(n)
 
 
 def mean_convergence_experiment(
@@ -398,20 +444,22 @@ def mean_convergence_experiment(
 
     def reduce(s: LogConcaveSpec, law_seed):
         """Moments, barycenter and its half-width of one law; the first law
-        reduced, the limit, picks each seminorm's exponent.  The draws are
-        dropped once their seminorm values and column statistics are taken."""
+        reduced, the limit, picks each seminorm's exponent.  The column
+        statistics are taken first; then the seminorm values and the work
+        array of the sort and the moments are written over the draws
+        (``_values_over_draws``), so a law holds n * max(dim, 2) doubles, and
+        n more for each seminorm after the first."""
         xs = sample(s, n, law_seed)
-        q_values = [(name, fn(xs)) for name, fn in q_fns]
         bary, std = _column_mean_std(xs)
-        del xs
+        q_values, work = _values_over_draws(xs, [fn for _, fn in q_fns])
         stats: dict[str, tuple[float, float]] = {}
-        for name, values in q_values:
+        for (name, _), values in zip(q_fns, q_values):
             if name not in kappas:
-                kappa, c, theta = kappa_policy.choose(values)
+                kappa, c, theta = kappa_policy.choose(values, work)
                 kappas[name] = {"kappa": kappa, "c": c, "theta": theta}
-            stats[f"exp[{name}]"] = _exp_moment(values, kappas[name]["kappa"])
+            stats[f"exp[{name}]"] = _exp_moment(values, kappas[name]["kappa"], work)
             for r in rs:
-                stats[f"moment[{name},r={r:g}]"] = _power_moment(values, r)
+                stats[f"moment[{name},r={r:g}]"] = _power_moment(values, r, work)
         bary.setflags(write=False)
         return stats, bary, half_width(float(std.max()), n)
 
@@ -490,8 +538,8 @@ class PolynomialSpec:
             term = np.full(x.shape[0], coef)
             for axis, e in enumerate(exps):
                 if e:
-                    term = term * x[:, axis] ** e
-            out = out + term
+                    term *= x[:, axis] ** e
+            out += term
         return out
 
 
@@ -624,15 +672,21 @@ def polynomial_density_experiment(
         fmin = float(f.min())
         if fmin < -1e-9 * max(1.0, float(np.abs(f).max())):
             raise ValueError(f"density {i} is negative on samples ({fmin:.3g})")
-        f = np.maximum(f, 0.0)
+        np.maximum(f, 0.0, out=f)
         mean_f, var_f = mean_var(f)
         hw_f = half_width(math.sqrt(var_f), n)
         if abs(mean_f - 1.0) > hw_f + 1e-6:
             raise ValueError(f"density {i} is not normalized: mean {mean_f:.6f}")
-        bary = (f[:, None] * xs).mean(axis=0) / mean_f
-        var_proxy = (f[:, None] * (xs - bary[None, :])).std(axis=0).max()
-        hw = half_width(float(var_proxy), n) / mean_f
         l2 = math.sqrt(float((f * f).mean()))
+        # f x and then f (x - bary) in one buffer, whose column statistics
+        # have the bits of .mean(axis=0) and .std(axis=0)
+        weighted = np.multiply(f[:, None], xs)
+        bary = _column_mean_std(weighted)[0] / mean_f
+        np.subtract(xs, bary[None, :], out=weighted)
+        weighted *= f[:, None]
+        var_proxy = _column_mean_std(weighted)[1].max()
+        del xs, f, weighted  # before the next law is drawn
+        hw = half_width(float(var_proxy), n) / mean_f
         l2_norms.append(l2)
         per_index.append(
             {

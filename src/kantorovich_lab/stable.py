@@ -387,8 +387,9 @@ def stability_identity_check(
 # ---------------------------------------------------------------------------
 
 
-def _quantile_bins(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quantile edges of a 1-D sample and each value's bin, from one sort.
+def _quantile_bins(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quantile edges of a 1-D sample, each value's bin and each bin's count,
+    from one sort.
 
     The edges are read off the sorted sample (``sorted_quantiles``), bit for
     bit ``np.quantile`` of it (a zero edge may carry the other sign, which
@@ -398,7 +399,8 @@ def _quantile_bins(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarra
     into runs, bin k starting at the first value not below ``qs[k]`` (one
     binary search per inner edge), and the runs' bins are scattered back to
     the sample's order.  Any sort will do, ties in any order, because a
-    value's bin depends only on the value.
+    value's bin depends only on the value.  The runs' lengths are the bins'
+    counts, those of ``np.bincount(idx, minlength=bins)``.
     """
     n = len(values)
     order = np.argsort(values)
@@ -406,9 +408,10 @@ def _quantile_bins(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarra
     qs = sorted_quantiles(ordered, np.linspace(0.0, 1.0, bins + 1))
     starts = np.searchsorted(ordered, qs[1:bins], side="left")
     del ordered
+    counts = np.diff(starts, prepend=0, append=n)
     idx = np.empty(n, dtype=np.intp)
-    idx[order] = np.repeat(np.arange(bins), np.diff(starts, prepend=0, append=n))
-    return qs, idx
+    idx[order] = np.repeat(np.arange(bins), counts)
+    return qs, idx, counts
 
 
 def _quantile_binned(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -416,13 +419,12 @@ def _quantile_binned(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndar
 
     The error is the mean absolute within-bin deviation, the transport cost of
     snapping samples to their bin means; it shrinks as bins grow.  The bins
-    come from one sort (``_quantile_bins``); counts, sums and deviations are
-    accumulated over the sample in its own order, so every in-bin sum adds
-    its terms in the order they were drawn.
+    and their counts come from one sort (``_quantile_bins``); sums and
+    deviations are accumulated over the sample in its own order, so every
+    in-bin sum adds its terms in the order they were drawn.
     """
-    qs, idx = _quantile_bins(values, bins)
+    qs, idx, counts = _quantile_bins(values, bins)
     n = len(values)
-    counts = np.bincount(idx, minlength=bins)
     sums = np.bincount(idx, weights=values, minlength=bins)
     # an empty bin keeps its left quantile as atom, with weight 0
     atoms = np.where(counts > 0, sums / np.maximum(counts, 1), qs[:bins])

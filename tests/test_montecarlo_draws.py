@@ -11,9 +11,8 @@ from kantorovich_lab import logconcave, reports, stable
 from kantorovich_lab.logconcave import (
     KappaPolicy,
     LogConcaveSpec,
+    PolynomialSpec,
     _column_mean_std,
-    _exp_moment,
-    _power_moment,
     mean_convergence_experiment,
     seminorm,
 )
@@ -168,35 +167,57 @@ def _stable_experiment_reference(specs, limit, n, seed, bins=64, blocks=16):
     return ConcentrationReport(name="stable_mean_convergence", checks=tuple(checks), extras=extras)
 
 
+def _choose_reference(values, theta_target=0.75):
+    """``KappaPolicy.choose`` with ``np.quantile`` of the values themselves."""
+    c = float(np.quantile(values, theta_target))
+    if c <= 0:
+        raise ValueError("sublevel scale must be positive")
+    theta = reports.fraction(values < c)[0]
+    if theta <= 0.5:
+        raise ValueError("kappa policy yields nonpositive kappa (theta <= 1/2)")
+    kappa = -math.log(math.sqrt((1.0 - theta) / theta)) / (2.0 * c)
+    if kappa <= 0:
+        raise ValueError("kappa policy yields nonpositive kappa")
+    return kappa, c, theta
+
+
+def _mean_hw(v):
+    return float(v.mean()), half_width(float(v.std()), len(v))
+
+
+def _moments_reference(values, kappa, rs):
+    """The exponential moment and the power moments, from the plain expressions."""
+    return _mean_hw(np.exp(kappa * values)), [_mean_hw(values**r) for r in rs]
+
+
 def _logconcave_experiment_reference(specs, limit, qs, n, seed, rs=(1.0, 2.0)):
     def spec_seed(s):
         return content_seed(seed, s.family, s.dim, s.mean, s.cov, s.lo, s.hi, s.rates)
 
     limit_samples = logconcave.sample(limit, n, spec_seed(limit))
-    q_fns = [(str(name), seminorm(name)) for name in qs]
+    items = qs.items() if isinstance(qs, dict) else [(str(name), name) for name in qs]
+    q_fns = [(name, seminorm(fn)) for name, fn in items]
     kappas, limit_stats = {}, {}
     for name, fn in q_fns:
         values = fn(limit_samples)
-        kappa, c, theta = KappaPolicy().choose(values)
+        kappa, c, theta = _choose_reference(values)
         kappas[name] = {"kappa": kappa, "c": c, "theta": theta}
-        limit_stats[f"exp[{name}]"] = _exp_moment(values, kappa)
-        for r in rs:
-            limit_stats[f"moment[{name},r={r:g}]"] = _power_moment(values, r)
-    limit_bary, limit_std = _column_mean_std(limit_samples)
-    limit_bary_hw = half_width(float(limit_std.max()), n)
+        limit_stats[f"exp[{name}]"], powers = _moments_reference(values, kappa, rs)
+        for r, moment in zip(rs, powers):
+            limit_stats[f"moment[{name},r={r:g}]"] = moment
+    limit_bary, limit_bary_hw = limit_samples.mean(axis=0), half_width(float(limit_samples.std(axis=0).max()), n)
     per_index, final = [], {}
     bary_gap_final = bary_hw_final = 0.0
     for i, spec in enumerate(specs):
         xs = logconcave.sample(spec, n, spec_seed(spec))
         row = {"index": i}
         for name, fn in q_fns:
-            values = fn(xs)
-            row[f"exp[{name}]"] = final[f"exp[{name}]"] = _exp_moment(values, kappas[name]["kappa"])
-            for r in rs:
+            exp, powers = _moments_reference(fn(xs), kappas[name]["kappa"], rs)
+            row[f"exp[{name}]"] = final[f"exp[{name}]"] = exp
+            for r, moment in zip(rs, powers):
                 key = f"moment[{name},r={r:g}]"
-                row[key] = final[key] = _power_moment(values, r)
-        bary, std = _column_mean_std(xs)
-        bary_hw = half_width(float(std.max()), n)
+                row[key] = final[key] = moment
+        bary, bary_hw = xs.mean(axis=0), half_width(float(xs.std(axis=0).max()), n)
         row["barycenter"] = bary.tolist()
         row["barycenter_half_width"] = bary_hw
         per_index.append(row)
@@ -264,6 +285,31 @@ class TestOneDrawPerLaw:
             report = mean_convergence_experiment(specs, limit, qs=("l2", "abs"), n=4000, seed=5)
             ref = _logconcave_experiment_reference(specs, limit, ("l2", "abs"), 4000, 5)
             assert repr(report) == repr(ref)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("n", [1000, reports.BLOCK + 1, 2 * reports.BLOCK + 3])
+    def test_logconcave_values_over_the_draws(self, dim, n):
+        """Each law's seminorm values and work array are written over its
+        draws: one in-place seminorm, and three with their own arrays."""
+        limit = _gaussian(0.0, dim)
+        specs = [_gaussian(0.5, dim), LogConcaveSpec.product_exponential([1.0, 2.0, 0.5][:dim]), limit]
+        rs = (1.0, 2.0, 0.5, 3.0)
+        for qs in (("l2",), ("abs", "sup", "l2", "abs_sum")):
+            report = mean_convergence_experiment(specs, limit, qs=qs, n=n, seed=7, rs=rs)
+            assert repr(report) == repr(_logconcave_experiment_reference(specs, limit, qs, n, 7, rs))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_logconcave_seminorm_that_returns_a_view(self, dim):
+        """A seminorm may return a view of its block of draws, in place or not."""
+        limit = _gaussian(1.0, dim)
+        specs = [_gaussian(1.5, dim), limit]
+        def first(x):
+            return x[:, 0]
+
+        for qs in ({"first": first, "l2": "l2"}, {"l2": "l2", "first": first}):
+            for n in (1000, 2 * reports.BLOCK + 3):
+                report = mean_convergence_experiment(specs, limit, qs=qs, n=n, seed=2)
+                assert repr(report) == repr(_logconcave_experiment_reference(specs, limit, qs, n, 2))
 
     def test_stable_draw_counts(self, monkeypatch):
         drawn = _counting(monkeypatch, stable, "sample_stable")
@@ -387,9 +433,9 @@ class TestRowBlocks:
         assert out.flags.c_contiguous
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
-    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 9])
     def test_column_mean_std_matches_numpy(self, n, dim):
-        xs = np.random.default_rng(n).standard_normal((n, dim)) * [1.0, 1e-8, 1e8][:dim] + 3.0
+        xs = np.random.default_rng(n).standard_normal((n, dim)) * np.resize([1.0, 1e-8, 1e8], dim) + 3.0
         means, stds = _column_mean_std(xs)
         assert _same_bits(means, xs.mean(axis=0))
         assert _same_bits(stds, xs.std(axis=0))
@@ -397,11 +443,14 @@ class TestRowBlocks:
     def test_column_sum_is_the_last_cumulative_sum(self):
         # numpy's mean starts its sum at 0.0, so a column of -0.0 alone is
         # where the two differ; the sum carried across blocks keeps its sign
-        xs = np.full((B + 5, 2), -0.0)
-        xs[B + 2 :, 1] = [1e16, 1.0, -1e16]
-        means, _ = _column_mean_std(xs)
-        assert _same_bits(means, np.array([np.cumsum(xs[:, j])[-1] / len(xs) for j in range(2)]))
-        assert str(means[0]) == "-0.0"
+        # (both parts of a column pair, and an odd last column alone)
+        for dim in (2, 3):
+            for planted in range(dim):
+                xs = np.full((B + 5, dim), -0.0)
+                xs[B + 2 :, planted] = [1e16, 1.0, -1e16]
+                means, _ = _column_mean_std(xs)
+                assert _same_bits(means, np.array([np.cumsum(xs[:, j])[-1] / len(xs) for j in range(dim)]))
+                assert [str(means[j]) for j in range(dim) if j != planted] == ["-0.0"] * (dim - 1)
 
     @pytest.mark.parametrize("n", [B + 1, 2 * B + 3])
     @pytest.mark.parametrize("q", sorted(logconcave.SEMINORMS))
@@ -506,10 +555,114 @@ class TestSortedQuantiles:
         rng = np.random.default_rng(bins)
         for k in range(100):
             x = _random_sample(rng, k)
-            qs, idx = stable._quantile_bins(x, bins)
+            qs, idx, counts = stable._quantile_bins(x, bins)
             assert _same_but_zero_sign(qs, np.quantile(x, np.linspace(0.0, 1.0, bins + 1)))
             assert idx.dtype == np.intp
             assert np.array_equal(idx, np.clip(np.searchsorted(qs, x, side="right") - 1, 0, bins - 1))
+            assert _same_bits(counts, np.bincount(idx, minlength=bins))
+
+
+def _kappa_samples():
+    """Seminorm values on which the sorted copy and ``np.quantile`` might part."""
+    rng = np.random.default_rng(23)
+    ties = rng.permutation(np.repeat([0.5, 1.0, 2.0, 3.0], [300, 400, 200, 100]))
+    zeros = rng.permutation(np.concatenate([rng.choice([-0.0, 0.0], 800), rng.uniform(0.0, 1.0, 200)]))
+    few_inf = np.abs(rng.standard_normal(1001))
+    few_inf[rng.integers(1001, size=50)] = np.inf
+    many_inf = np.abs(rng.standard_normal(1000))
+    many_inf[:400] = np.inf
+    nan = np.abs(rng.standard_normal(1000))
+    nan[17] = np.nan
+    return {
+        "ties": ties,
+        "signed zeros": zeros,
+        "all -0.0": np.full(1000, -0.0),
+        "few inf": few_inf,
+        "many inf": rng.permutation(many_inf),
+        "nan": nan,
+        "constant": np.ones(1000),
+        "one value": np.array([2.0]),
+        "normal": np.abs(rng.standard_normal(2 * reports.BLOCK + 3)),
+    }
+
+
+def _raised(fn):
+    """``fn``'s result or ValueError with numpy's invalid-value warnings
+    silenced, and whether it warns at all.  The warnings' texts are not
+    compared: np.quantile's ``inf - inf`` is a scalar subtraction and the
+    sorted copy's an array one, and numpy words the two differently."""
+    with np.errstate(invalid="ignore"):
+        try:
+            outcome = repr(fn())
+        except ValueError as exc:
+            outcome = f"ValueError: {exc}"
+    with np.errstate(invalid="raise"):
+        try:
+            fn()
+            warns = False
+        except FloatingPointError:
+            warns = True
+        except ValueError:
+            warns = False
+    return outcome, warns
+
+
+@pytest.mark.parametrize("name", list(_kappa_samples()))
+@pytest.mark.parametrize("theta", [0.75, 0.4, 0.0, 1.0, 0.999, 1.5, math.nan])
+def test_kappa_from_a_sorted_copy_is_numpys(name, theta):
+    """``KappaPolicy.choose`` sorts a copy, in its work array if it is given,
+    and reads c off it: the kappa, c and theta of ``np.quantile``, or its error."""
+    values = _kappa_samples()[name]
+    original = values.copy()
+    policy = KappaPolicy(theta_target=theta)
+    ref = _raised(lambda: _choose_reference(values, theta))
+    assert _raised(lambda: policy.choose(values)) == ref
+    assert _raised(lambda: policy.choose(values, np.empty_like(values))) == ref
+    assert _same_bits(values, original)
+
+
+def _poly_reference(poly, x):
+    """``PolynomialSpec.__call__`` out of place."""
+    out = np.zeros(x.shape[0])
+    for exps, coef in sorted(poly.terms.items()):
+        term = np.full(x.shape[0], coef)
+        for axis, e in enumerate(exps):
+            if e:
+                term = term * x[:, axis] ** e
+        out = out + term
+    return out
+
+
+def test_polynomial_accumulates_in_place():
+    x = logconcave.sample(ALL_FAMILIES[2], 5000, 3)
+    polys = [
+        PolynomialSpec(3, {(3, 0, 0): 0.5, (1, 1, 0): -2.0, (0, 0, 2): 1.25, (0, 0, 0): 0.3, (1, 2, 0): 1e-3}),
+        PolynomialSpec(1, {(0, 1, 0): 7.0}),
+        PolynomialSpec(0, {(0, 0, 0): 2.5}),
+    ]
+    for poly in polys:
+        assert _same_bits(poly(x), _poly_reference(poly, x))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_polynomial_density_reductions_keep_their_bits(dim):
+    """The weighted draws share one buffer, reduced by ``_column_mean_std``:
+    the bits of the ``.mean(axis=0)`` and ``.std(axis=0)`` of the products."""
+    specs = [_gaussian(0.0, dim), LogConcaveSpec.gaussian([0.5] * dim, np.eye(dim))]
+    square = tuple(2 if j == 0 else 0 for j in range(dim))
+    densities = [PolynomialSpec(2, {square: 1.0}), PolynomialSpec(2, {square: 1.0 / 1.25})]
+    n = 2 * reports.BLOCK + 3
+    report = logconcave.polynomial_density_experiment(specs, densities, [0.0] * dim, n=n, seed=4)
+    children = np.random.SeedSequence(4).spawn(2)
+    for row, spec, dens, child in zip(report.extras["per_index"], specs, densities, children):
+        xs = logconcave.sample(spec, n, child)
+        f = np.maximum(dens(xs), 0.0)
+        mean_f = float(f.mean())
+        bary = (f[:, None] * xs).mean(axis=0) / mean_f
+        hw = half_width(float((f[:, None] * (xs - bary[None, :])).std(axis=0).max()), n) / mean_f
+        ref = {"index": row["index"], "barycenter": bary.tolist(), "half_width": hw,
+               "density_mean": mean_f, "density_l2": math.sqrt(float((f * f).mean()))}
+        assert repr(row) == repr(ref)
 
 
 def _tail_reference(spec, p1, n, seed, ts):
@@ -597,16 +750,23 @@ def _peak_in_n(run):
 _G3 = ALL_FAMILIES[2]
 _STABLE = StableSpec(p=1.7, b=-0.2)
 
-#: name -> (run at n, bound).  Measured: 2.31, 1.66, 3.17, 4.01, 3.00 and
-#: 4.00 n; before the row blocks, 6.04, 5.00, 5.00, 7.00, 5.00 and 12.0 n
-#: (the tail check 2.00 n before its in-place sort, the identity check 12.0
-#: n before its in-place sums and reused work arrays).
+#: The two-variable polynomial of the polynomial checks, degree 2.
+_QUAD = PolynomialSpec(2, {(2, 0): 1.0, (1, 1): -0.5, (0, 1): 0.3})
+
+#: name -> (run at n, bound).  Measured, in the order below: 2.31, 1.66, 2.34
+#: (the draws and the column pair's complex work block), 4.01, 3.00, 4.00,
+#: 5.00, 5.00 and 5.33 n.  Before the row blocks: 6.04, 5.00, 5.00, 7.00,
+#: 5.00 and 12.0 n for the first six (the tail check 2.00 n before its
+#: in-place sort, the identity check 12.0 n before its in-place sums and
+#: reused work arrays); the mean-convergence experiment 3.17 n before its
+#: seminorm values and work array went over the draws, and the
+#: polynomial-density experiment 7.04 n before its one weighted buffer.
 PEAKS = {
     "check_borell": (lambda n: logconcave.check_borell(_G3, "l2", 3.0, (1.0, 1.5, 2.0), n=n, seed=3), 2.6),
     "stable_tail_check": (lambda n: stable.stable_tail_check(_STABLE, p1=1.3, n=n, seed=3), 1.9),
     "mean_convergence_experiment": (
         lambda n: mean_convergence_experiment([_gaussian(0.5), _gaussian(0.0)], _gaussian(0.0), n=n, seed=3),
-        3.5,
+        2.45,
     ),
     "stable_mean_convergence_experiment": (
         lambda n: stable_mean_convergence_experiment([StableSpec(p=1.5), _STABLE], _STABLE, n=n, seed=3),
@@ -614,6 +774,14 @@ PEAKS = {
     ),
     "validate_sampler": (lambda n: stable.validate_sampler(_STABLE, n=n, seed=3), 3.3),
     "stability_identity_check": (lambda n: stable.stability_identity_check(StableSpec(p=1.7), n=n, seed=3), 4.3),
+    "small_value_check": (lambda n: logconcave.small_value_check(_gaussian(0.0), _QUAD, n=n, seed=3), 5.1),
+    "lp_equivalence_check": (lambda n: logconcave.lp_equivalence_check(_gaussian(0.0), [_QUAD], n=n, seed=3), 5.1),
+    "polynomial_density_experiment": (
+        lambda n: logconcave.polynomial_density_experiment(
+            [_gaussian(0.0)] * 2, [PolynomialSpec(2, {(2, 0): 1.0})] * 2, [0.0, 0.0], n=n, seed=3
+        ),
+        5.45,
+    ),
 }
 
 

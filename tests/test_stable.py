@@ -251,9 +251,10 @@ class TestOneSortBinning:
     def test_matches_unsorted_search(self, name):
         values = _tie_heavy_samples()[name]
         ref_qs, ref_idx, ref_atoms, ref_weights, ref_err = _quantile_binned_unsorted(values, 64)
-        qs, idx = _quantile_bins(values, 64)
+        qs, idx, counts = _quantile_bins(values, 64)
         assert np.array_equal(qs, ref_qs)
         assert np.array_equal(idx, ref_idx)
+        assert counts.dtype == np.intp and np.array_equal(counts, np.bincount(ref_idx, minlength=64))
         atoms, weights, err = _quantile_binned(values, 64)
         assert np.array_equal(atoms, ref_atoms)
         assert np.array_equal(weights, ref_weights)

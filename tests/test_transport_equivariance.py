@@ -11,7 +11,10 @@ Relations that hold to rounding, each within 1e-12 of the bound on the value
 that the data give (total variation times diameter, and so on): relabelling
 the points leaves every value unchanged, ``wq(mu, mu) = 0``, and
 ``kr <= k``, since a bounded potential f splits into the anchored
-f - f(x0) and the constant f(x0), with |f(x0)| <= 1.
+f - f(x0) and the constant f(x0), with |f(x0)| <= 1.  Scaling the metric by
+lambda scales ``wq`` and the anchored part of ``k`` (the integral of its
+witness, without |mu(X)|) by lambda, since f is 1-Lipschitz for d exactly
+when lambda f is for lambda d.
 """
 
 import functools
@@ -113,3 +116,21 @@ def test_the_bounded_seminorm_is_at_most_the_anchored_one(n):
     for weights in (signed, signed - signed.sum() / n):
         measure = space.measure(weights)
         assert kr_norm(measure, "d")[0] <= k_norm(measure, "d")[0] + REL * bounds(space, weights)[1]
+
+
+#: Factors the metric is scaled by; not powers of two, so the values move by rounding.
+LAMBDAS = (1e-3, 0.37, 3.0, 1e4)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_scaling_the_metric_scales_wq_and_the_anchored_part_of_k(n):
+    space, signed, mu, nu = problem(n)
+    anchored = k_norm(space.measure(signed), "d")[1].achieved
+    wq = wasserstein_q(space.measure(mu), space.measure(nu), "d", 2.0)[0]
+    mass, diameter = float(np.abs(signed).sum()), float(space.metric("d").max())
+    for lam in LAMBDAS:
+        other = PseudometricSpace(points=space.points, metrics={"d": lam * space.metric("d")}, anchor=space.anchor)
+        got = k_norm(other.measure(signed), "d")[1].achieved
+        assert abs(got - lam * anchored) <= REL * lam * mass * diameter, lam
+        got = wasserstein_q(other.measure(mu), other.measure(nu), "d", 2.0)[0]
+        assert abs(got - lam * wq) <= REL * lam * diameter, lam
