@@ -452,9 +452,7 @@ def _run_schedule(seed, base, *, family: "family" = None, tails: "objects" = Non
     if sampled:
         payload = {"boundaries": list(sched.boundaries), "certificates": "skipped (no family evaluators)"}
         return [_check("schedule construction", True)], payload, {}
-    report = counterexamples.verify_schedule(
-        sched, family, horizon=verify_horizon or min(horizon, sched.max_index), n_max=n_max
-    )
+    report = counterexamples.verify_schedule(sched, family, horizon=verify_horizon, n_max=n_max)
     checks = [
         _check(
             f"block {c.n}",

@@ -22,9 +22,6 @@ from .transport import LipschitzWitness, k_norm, kq_norm, kr_norm
 #: Convergence tolerance for verdicts on finite prefixes.
 GAP_TOL = 1e-7
 
-#: Default prefix length for constructed sequences.
-DEFAULT_PREFIX = 64
-
 
 @dataclass(frozen=True)
 class MeasureSequence:
@@ -39,11 +36,9 @@ class MeasureSequence:
         if not measures:
             raise ValueError("sequence must contain at least one measure")
         for m in measures:
-            if m.space is not self.space and not m.space.same_as(self.space):
+            if not m.space.same_as(self.space):
                 raise ValueError("all measures must live on the common space")
-        if self.limit is not None and (
-            self.limit.space is not self.space and not self.limit.space.same_as(self.space)
-        ):
+        if self.limit is not None and not self.limit.space.same_as(self.space):
             raise ValueError("declared limit lives on a different space")
         object.__setattr__(self, "measures", measures)
 

@@ -22,14 +22,19 @@ import numpy as np
 
 from .reports import (
     BLOCK,
-    CheckRecord,
     ConcentrationReport,
+    barycenter_gap,
+    bounded_sup,
+    column_mean_std,
+    column_means,
     fraction,
     half_width,
     mean_var,
     one_sided,
     reduce_each_law,
+    require_laws,
     row_blocks,
+    row_norms,
     sorted_quantiles,
     two_sided,
 )
@@ -169,97 +174,9 @@ def _block_drawer(spec: LogConcaveSpec, n: int, seed) -> Callable[[np.ndarray], 
 # Seminorm evaluators
 # ---------------------------------------------------------------------------
 
-def _l2(x: np.ndarray) -> np.ndarray:
-    """Row norms with the bits of ``np.sqrt((x * x).sum(axis=1))``, one
-    block of rows at a time.
-
-    Below 8 terms numpy's row sum adds the squares left to right, so one
-    accumulator over the columns gives the same bits without the (rows, dim)
-    temporary; from 8 terms on its pairwise sum unrolls 8 ways and adds in
-    another order, so the row sum itself is kept there.
-    """
-    n, dim = x.shape
-    out = np.empty(n)
-    for rows in row_blocks(n):
-        xb = x[rows]
-        acc = out[rows]
-        if dim >= 8:
-            (xb * xb).sum(axis=1, out=acc)
-        else:
-            np.multiply(xb[:, 0], xb[:, 0], out=acc)
-            for j in range(1, dim):
-                acc += xb[:, j] * xb[:, j]
-        np.sqrt(acc, out=acc)
-    return out
-
-
-def _column_mean_std(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and std with the bits of ``xs.mean(axis=0)`` and
-    ``xs.std(axis=0)``.
-
-    On a C-contiguous array with two or more columns numpy reduces axis 0
-    row by row, so each column is summed strictly left to right: that is the
-    last entry of ``np.cumsum`` of the column (``_left_sum``), which streams
-    one column at a time instead of running an inner loop of length dim per
-    row.  Two neighbouring columns are summed in one pass, viewed as one
-    complex column: complex addition and subtraction take one IEEE operation
-    per part, so each part keeps the bits of its own real sum.  An odd last
-    column is summed alone.  A single column is one contiguous vector, which
-    numpy sums pairwise, as ``mean_var`` does.  Other layouts can reduce in
-    another order and keep numpy's own reductions.
-    """
-    n, dim = xs.shape
-    if dim == 1:
-        m, var = mean_var(xs[:, 0])
-        return np.array([m]), np.array([math.sqrt(var)])
-    if not xs.flags.c_contiguous:
-        return xs.mean(axis=0), xs.std(axis=0)
-    means = np.empty(dim)
-    stds = np.empty(dim)
-    work = np.empty(min(n, BLOCK) + 1, dtype=complex)
-    for j in range(0, dim - 1, 2):
-        pair = xs[:, j : j + 2].view(complex)[:, 0]
-        total = _left_sum(pair, None, work)
-        means[j], means[j + 1] = total.real / n, total.imag / n
-        total = _left_sum(pair, complex(means[j], means[j + 1]), work)
-        stds[j], stds[j + 1] = np.sqrt(total.real / n), np.sqrt(total.imag / n)
-    if dim % 2:
-        col, real_work = xs[:, -1], work.view(float)
-        means[-1] = _left_sum(col, None, real_work) / n
-        stds[-1] = np.sqrt(_left_sum(col, means[-1], real_work) / n)
-    return means, stds
-
-
-def _left_sum(col: np.ndarray, center, work: np.ndarray):
-    """``np.cumsum(col)[-1]``, or with ``center`` that of the squares of
-    ``d = col - center``, one block at a time in ``work`` (``BLOCK + 1``
-    entries or more, of ``col``'s dtype, float or complex).
-
-    Each block is summed behind the running total, as ``np.cumsum`` of
-    ``[total, block]``, so the terms are added in the order of one cumulative
-    sum.  The total starts at -0.0, which adds exactly to any first term
-    (a column of -0.0 alone sums to -0.0, as in ``np.cumsum``; numpy's
-    ``mean`` starts at 0.0 and gives 0.0).  A complex ``d`` is squared part
-    by part, through its float view.
-    """
-    total = complex(-0.0, -0.0) if work.dtype == complex else -0.0
-    for rows in row_blocks(len(col)):
-        w = work[: rows.stop - rows.start + 1]
-        w[0] = total
-        d = w[1:]
-        if center is None:
-            d[...] = col[rows]
-        else:
-            np.subtract(col[rows], center, out=d)
-            parts = d.view(float)
-            parts *= parts
-        total = np.cumsum(w, out=w)[-1]
-    return total
-
-
 SEMINORMS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "abs": lambda x: np.abs(x[:, 0]),
-    "l2": _l2,
+    "l2": row_norms,
     "sup": lambda x: np.abs(x).max(axis=1),
     "abs_sum": lambda x: np.abs(x.sum(axis=1)),
 }
@@ -450,7 +367,7 @@ def mean_convergence_experiment(
         (``_values_over_draws``), so a law holds n * max(dim, 2) doubles, and
         n more for each seminorm after the first."""
         xs = sample(s, n, law_seed)
-        bary, std = _column_mean_std(xs)
+        bary, std = column_mean_std(xs)
         q_values, work = _values_over_draws(xs, [fn for _, fn in q_fns])
         stats: dict[str, tuple[float, float]] = {}
         for (name, _), values in zip(q_fns, q_values):
@@ -467,18 +384,11 @@ def mean_convergence_experiment(
         reduce, limit, specs, seed
     )
 
-    per_index = []
-    final: dict[str, tuple[float, float]] = {}
-    bary_gap_final = 0.0
-    bary_hw_final = 0.0
-    for i, (stats, bary, bary_hw) in enumerate(reductions):
-        final.update(stats)
-        per_index.append(
-            {"index": i, **stats, "barycenter": bary.tolist(), "barycenter_half_width": bary_hw}
-        )
-        bary_gap_final = float(np.abs(bary - limit_bary).max())
-        bary_hw_final = bary_hw
-
+    per_index = [
+        {"index": i, **stats, "barycenter": bary.tolist(), "barycenter_half_width": bary_hw}
+        for i, (stats, bary, bary_hw) in enumerate(reductions)
+    ]
+    final_stats, final_bary, final_hw = reductions[-1]
     checks = [
         two_sided(
             f"final {key} vs limit",
@@ -486,10 +396,10 @@ def mean_convergence_experiment(
             hw + limit_stats[key][1],
             limit_stats[key][0],
         )
-        for key, (est, hw) in sorted(final.items())
+        for key, (est, hw) in sorted(final_stats.items())
     ]
     checks.append(
-        one_sided("final barycenter gap", bary_gap_final, 0.0, bary_hw_final + limit_bary_hw)
+        barycenter_gap("final barycenter gap", final_bary, limit_bary, final_hw + limit_bary_hw)
     )
     return ConcentrationReport(
         name="mean_convergence",
@@ -621,21 +531,8 @@ def lp_equivalence_check(
         for p in ps:
             lp = float((values ** float(p)).mean()) ** (1.0 / float(p))
             ratios[float(p)].append(lp / l1)
-    checks = []
-    fitted = {}
-    for p, vals in sorted(ratios.items()):
-        c_hat = max(vals)
-        fitted[f"C[p={p:g},d={d}]"] = c_hat
-        ok = all(math.isfinite(v) for v in vals)
-        checks.append(
-            CheckRecord(
-                name=f"ratios bounded[p={p:g}]",
-                estimate=c_hat,
-                half_width=0.0,
-                bound=c_hat,
-                passed=ok,
-            )
-        )
+    checks = [bounded_sup(f"ratios bounded[p={p:g}]", vals) for p, vals in sorted(ratios.items())]
+    fitted = {f"C[p={p:g},d={d}]": max(vals) for p, vals in sorted(ratios.items())}
     return ConcentrationReport(
         name="lp_equivalence",
         checks=tuple(checks),
@@ -657,16 +554,15 @@ def polynomial_density_experiment(
     reports the L2(mu_n) norms of the densities, whose uniform boundedness is
     the mechanism making the barycenters converge.
     """
+    require_laws(specs)
     if len(specs) != len(densities):
         raise ValueError("one density per law is required")
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(len(specs))
+    children = np.random.SeedSequence(seed).spawn(len(specs))
     limit_bary = np.asarray(limit_barycenter, dtype=float)
-    per_index = []
-    l2_norms = []
-    final_gap = math.inf
-    final_hw = 0.0
-    for i, (spec, dens) in enumerate(zip(specs, densities)):
+
+    def reduce(i: int, spec: LogConcaveSpec, dens: PolynomialSpec) -> tuple[np.ndarray, float, float, float]:
+        """Barycenter, its half-width, and the density's mean and L2 norm
+        under law i."""
         xs = sample(spec, n, children[i])
         f = dens(xs)
         fmin = float(f.min())
@@ -681,40 +577,26 @@ def polynomial_density_experiment(
         # f x and then f (x - bary) in one buffer, whose column statistics
         # have the bits of .mean(axis=0) and .std(axis=0)
         weighted = np.multiply(f[:, None], xs)
-        bary = _column_mean_std(weighted)[0] / mean_f
+        bary = column_means(weighted) / mean_f
         np.subtract(xs, bary[None, :], out=weighted)
         weighted *= f[:, None]
-        var_proxy = _column_mean_std(weighted)[1].max()
-        del xs, f, weighted  # before the next law is drawn
-        hw = half_width(float(var_proxy), n) / mean_f
-        l2_norms.append(l2)
-        per_index.append(
-            {
-                "index": i,
-                "barycenter": bary.tolist(),
-                "half_width": hw,
-                "density_mean": mean_f,
-                "density_l2": l2,
-            }
-        )
-        final_gap = float(np.abs(bary - limit_bary).max())
-        final_hw = hw
-    checks = [
-        one_sided("final barycenter gap", final_gap, 0.0, final_hw),
-        CheckRecord(
-            name="density L2 norms bounded",
-            estimate=max(l2_norms),
-            half_width=0.0,
-            bound=max(l2_norms),
-            passed=all(math.isfinite(v) for v in l2_norms),
-        ),
+        var_proxy = column_mean_std(weighted)[1].max()
+        return bary, half_width(float(var_proxy), n) / mean_f, mean_f, l2
+
+    reductions = [reduce(i, spec, dens) for i, (spec, dens) in enumerate(zip(specs, densities))]
+    per_index = [
+        {"index": i, "barycenter": bary.tolist(), "half_width": hw, "density_mean": mean_f, "density_l2": l2}
+        for i, (bary, hw, mean_f, l2) in enumerate(reductions)
     ]
+    final_bary, final_hw, _, _ = reductions[-1]
+    l2_bounded = bounded_sup("density L2 norms bounded", [l2 for _, _, _, l2 in reductions])
+    checks = [barycenter_gap("final barycenter gap", final_bary, limit_bary, final_hw), l2_bounded]
     return ConcentrationReport(
         name="polynomial_density",
         checks=tuple(checks),
         extras={
             "per_index": per_index,
-            "sup_density_l2": max(l2_norms),
+            "sup_density_l2": l2_bounded.estimate,
             "limit_barycenter": limit_bary.tolist(),
         },
     )

@@ -179,7 +179,7 @@ class SignedMeasure:
         return self.weights.nonzero()[0]
 
     def _require_same_space(self, other: "SignedMeasure") -> None:
-        if self.space is not other.space and not self.space.same_as(other.space):
+        if not self.space.same_as(other.space):
             raise ValueError("measures live on different spaces")
 
     def __add__(self, other: "SignedMeasure") -> "SignedMeasure":
@@ -282,7 +282,7 @@ def quotient(space: PseudometricSpace, metric_name: str) -> QuotientMap:
 
 def pushforward(mu: SignedMeasure, qmap: QuotientMap) -> SignedMeasure:
     """Image measure under the quotient map: class weight = sum over its fiber."""
-    if mu.space is not qmap.source and not mu.space.same_as(qmap.source):
+    if not mu.space.same_as(qmap.source):
         raise ValueError("measure does not live on the quotient's source space")
     k = qmap.n_classes
     cls = np.asarray(qmap.classes)

@@ -1,4 +1,4 @@
-"""Report containers shared by the Monte-Carlo experiment modules.
+"""Report containers and reductions shared by the Monte-Carlo experiment modules.
 
 Every estimate carries a half-width of three standard errors; a one-sided
 check passes when the estimate does not exceed its bound by more than the
@@ -76,6 +76,112 @@ def mean_var(v: np.ndarray, out: np.ndarray | None = None) -> tuple[float, float
     return float(m), float(d.sum() / n)
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Row L2 norms with the bits of ``np.sqrt((x * x).sum(axis=1))``, one
+    block of rows at a time.
+
+    Below 8 terms numpy's row sum adds the squares left to right, so one
+    accumulator over the columns gives the same bits without the (rows, dim)
+    temporary; from 8 terms on its pairwise sum unrolls 8 ways and adds in
+    another order, so the row sum itself is kept there.
+    """
+    n, dim = x.shape
+    out = np.empty(n)
+    for rows in row_blocks(n):
+        xb = x[rows]
+        acc = out[rows]
+        if dim >= 8:
+            (xb * xb).sum(axis=1, out=acc)
+        else:
+            np.multiply(xb[:, 0], xb[:, 0], out=acc)
+            for j in range(1, dim):
+                acc += xb[:, j] * xb[:, j]
+        np.sqrt(acc, out=acc)
+    return out
+
+
+def column_means(xs: np.ndarray) -> np.ndarray:
+    """Per-column means with the bits of ``xs.mean(axis=0)``.
+
+    On a C-contiguous array with two or more columns numpy reduces axis 0
+    row by row, so each column is summed strictly left to right: that is the
+    last entry of ``np.cumsum`` of the column (``_column_sums``).  A single
+    column is one contiguous vector, which numpy sums pairwise, as
+    ``mean_var`` does.  Other layouts can reduce in another order and keep
+    numpy's own reduction.
+    """
+    n, dim = xs.shape
+    if dim == 1:
+        return np.array([xs[:, 0].sum() / n])
+    if not xs.flags.c_contiguous:
+        return xs.mean(axis=0)
+    return _column_sums(xs) / n
+
+
+def column_mean_std(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column means and standard deviations with the bits of
+    ``xs.mean(axis=0)`` and ``xs.std(axis=0)``: ``column_means``, then the
+    left sums of the squared deviations from them, in the same layouts."""
+    n, dim = xs.shape
+    if dim == 1:
+        m, var = mean_var(xs[:, 0])
+        return np.array([m]), np.array([math.sqrt(var)])
+    means = column_means(xs)
+    if not xs.flags.c_contiguous:
+        return means, xs.std(axis=0)
+    return means, np.sqrt(_column_sums(xs, means) / n)
+
+
+def _column_sums(xs: np.ndarray, centers: np.ndarray | None = None) -> np.ndarray:
+    """The last entry of ``np.cumsum`` of each column of a C-contiguous array
+    of two or more columns, or with ``centers`` (one per column) that of the
+    squared deviations from them.
+
+    Streaming one column at a time avoids numpy's inner loop of length dim
+    per row.  Two neighbouring columns are summed in one pass, viewed as one
+    complex column: complex addition and subtraction take one IEEE operation
+    per part, so each part keeps the bits of its own real sum.  An odd last
+    column is summed alone.
+    """
+    n, dim = xs.shape
+    sums = np.empty(dim)
+    work = np.empty(min(n, BLOCK) + 1, dtype=complex)
+    for j in range(0, dim - 1, 2):
+        pair = xs[:, j : j + 2].view(complex)[:, 0]
+        total = _left_sum(pair, None if centers is None else complex(centers[j], centers[j + 1]), work)
+        sums[j], sums[j + 1] = total.real, total.imag
+    if dim % 2:
+        sums[-1] = _left_sum(xs[:, -1], None if centers is None else centers[-1], work.view(float))
+    return sums
+
+
+def _left_sum(col: np.ndarray, center, work: np.ndarray):
+    """``np.cumsum(col)[-1]``, or with ``center`` that of the squares of
+    ``d = col - center``, one block at a time in ``work`` (``BLOCK + 1``
+    entries or more, of ``col``'s dtype, float or complex).
+
+    Each block is summed behind the running total, as ``np.cumsum`` of
+    ``[total, block]``, so the terms are added in the order of one cumulative
+    sum.  The total starts at -0.0, which adds exactly to any first term
+    (a column of -0.0 alone sums to -0.0, as in ``np.cumsum``; numpy's
+    ``mean`` starts at 0.0 and gives 0.0).  A complex ``d`` is squared part
+    by part, through its float view.
+    """
+    total = complex(-0.0, -0.0) if work.dtype == complex else -0.0
+    for rows in row_blocks(len(col)):
+        w = work[: rows.stop - rows.start + 1]
+        w[0] = total
+        d = w[1:]
+        if center is None:
+            d[...] = col[rows]
+        else:
+            np.subtract(col[rows], center, out=d)
+            parts = d.view(float)
+            parts *= parts
+        total = np.cumsum(w, out=w)[-1]
+    return total
+
+
 def sorted_quantiles(ordered: np.ndarray, q):
     """``np.quantile(ordered, q)`` of a sorted 1-D float sample, read off it.
 
@@ -118,6 +224,13 @@ def content_seed(base_seed: int, *fields) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(base_seed), key))
 
 
+def require_laws(specs: Sequence) -> None:
+    """Refuse an empty sequence of laws: a sequence experiment compares its
+    last law with the limit, and an empty one has no last law."""
+    if not specs:
+        raise ValueError("the sequence must hold at least one law")
+
+
 def reduce_each_law(reduce: Callable, limit, specs: Sequence, base_seed: int) -> tuple:
     """``reduce(spec, seed)`` of the limit and of each spec, drawing each law once.
 
@@ -125,8 +238,10 @@ def reduce_each_law(reduce: Callable, limit, specs: Sequence, base_seed: int) ->
     ``content_seed(base_seed, *astuple(spec))``; a spec equal to the limit or
     to an earlier spec reuses its reduction.  Laws are keyed by the ``repr``
     of their fields, since ``0.0 == -0.0`` would merge two laws whose seeds
-    differ.  Returns the limit's reduction and the list of the specs'.
+    differ.  Returns the limit's reduction and the list of the specs'.  An
+    empty ``specs`` is refused before any draw (``require_laws``).
     """
+    require_laws(specs)
     laws = {}
 
     def once(spec):
@@ -181,6 +296,21 @@ def share(count: int, n: int) -> tuple[float, float]:
 def max_z_check(name: str, zmax: float) -> CheckRecord:
     """The verdict on the largest z-score over a grid: at most 3 passes."""
     return CheckRecord(name=name, estimate=zmax, half_width=0.0, bound=3.0, passed=zmax <= 3.0)
+
+
+def bounded_sup(name: str, values: Sequence[float]) -> CheckRecord:
+    """The verdict that a sequence of values is bounded: their largest is both
+    estimate and bound, and the check passes when every value is finite."""
+    top = max(values)
+    return CheckRecord(
+        name=name, estimate=top, half_width=0.0, bound=top, passed=all(map(math.isfinite, values))
+    )
+
+
+def barycenter_gap(name: str, bary: np.ndarray, limit_bary: np.ndarray, bound: float) -> CheckRecord:
+    """The final law's barycenter against the limit's: the largest coordinate
+    gap, which passes when it is at most ``bound``."""
+    return one_sided(name, float(np.abs(bary - limit_bary).max()), 0.0, bound)
 
 
 def two_sided(name: str, estimate: float, hw: float, target: float, **kw) -> CheckRecord:

@@ -20,12 +20,17 @@ from .reports import (
     BLOCK,
     CheckRecord,
     ConcentrationReport,
+    barycenter_gap,
+    bounded_sup,
+    column_mean_std,
+    column_means,
     half_width,
     max_z_check,
     mean_var,
     one_sided,
     reduce_each_law,
     row_blocks,
+    row_norms,
     share,
     sorted_quantiles,
 )
@@ -284,33 +289,24 @@ def stable_tail_check(
         curve.append((float(t), tail, bound))
         if tail * n >= 25:
             usable.append((float(t), tail))
-    hypothesis_violated = p1 > spec.p + 1e-12
+    # sub-power decay leaves fewer than 3 usable grid points: the slope reads
+    # -inf, and the power bound holds vacuously
+    slope = None
     if len(usable) >= 3:
         slope = float(
             np.polyfit(np.log([t for t, _ in usable]), np.log([v for _, v in usable]), 1)[0]
         )
-        checks.append(
-            CheckRecord(
-                name="tail slope",
-                estimate=slope,
-                half_width=slope_margin,
-                bound=-p1 + slope_margin,
-                passed=slope <= -p1 + slope_margin,
-                expected_failure=hypothesis_violated,
-            )
+    estimate = -math.inf if slope is None else slope
+    checks.append(
+        CheckRecord(
+            name="tail slope",
+            estimate=estimate,
+            half_width=slope_margin,
+            bound=-p1 + slope_margin,
+            passed=estimate <= -p1 + slope_margin,
+            expected_failure=p1 > spec.p + 1e-12,
         )
-    else:
-        # sub-power decay empties the grid; the power bound holds vacuously
-        slope = None
-        checks.append(
-            CheckRecord(
-                name="tail slope",
-                estimate=-math.inf,
-                half_width=slope_margin,
-                bound=-p1 + slope_margin,
-                passed=True,
-            )
-        )
+    )
     return ConcentrationReport(
         name="stable_tail",
         checks=tuple(checks),
@@ -490,16 +486,16 @@ def stable_mean_convergence_experiment(
     def block_hw(xs: np.ndarray) -> float:
         k = blocks
         means = xs[: (len(xs) // k) * k].reshape(k, -1, xs.shape[1]).mean(axis=1)
-        return half_width(float(means.std(axis=0).max()), k)
+        return half_width(float(column_mean_std(means)[1].max()), k)
 
     def reduce(s: StableSpec, law_seed):
         """Moment, barycenter, its half-width and the binning of one law."""
         xs = sample_stable(s, n, law_seed)
-        ax = np.abs(xs[:, 0]) if s.dim == 1 else np.sqrt((xs * xs).sum(axis=1))
+        ax = np.abs(xs[:, 0]) if s.dim == 1 else row_norms(xs)
         ax **= r
         m_r = float(ax.mean())
         del ax
-        bary = xs.mean(axis=0)
+        bary = column_means(xs)
         binned = _quantile_binned(xs[:, 0], bins) if s.dim == 1 and limit.dim == 1 else None
         bary.setflags(write=False)
         if binned is not None:
@@ -512,12 +508,8 @@ def stable_mean_convergence_experiment(
     )
 
     per_index = []
-    moment_sup = 0.0
-    final_gap = math.inf
-    final_hw = 0.0
     kgaps = []
     for i, (m_r, bary, hw, binned) in enumerate(reductions):
-        moment_sup = max(moment_sup, m_r)
         row = {
             "index": i,
             "barycenter": bary.tolist(),
@@ -530,23 +522,12 @@ def stable_mean_convergence_experiment(
             row["binning_error"] = bin_err
             kgaps.append(gap)
         per_index.append(row)
-        final_gap = float(np.abs(bary - limit_bary).max())
-        final_hw = hw
 
+    _, final_bary, final_hw, _ = reductions[-1]
+    moments_bounded = bounded_sup(f"moments r={r:g} uniformly bounded", [m_r for m_r, *_ in reductions])
     checks = [
-        CheckRecord(
-            name=f"moments r={r:g} uniformly bounded",
-            estimate=moment_sup,
-            half_width=0.0,
-            bound=moment_sup,
-            passed=math.isfinite(moment_sup),
-        ),
-        one_sided(
-            "final barycenter gap vs limit",
-            final_gap,
-            0.0,
-            final_hw + limit_hw,
-        ),
+        moments_bounded,
+        barycenter_gap("final barycenter gap vs limit", final_bary, limit_bary, final_hw + limit_hw),
     ]
     extras = {
         "p1": p1,
@@ -554,7 +535,7 @@ def stable_mean_convergence_experiment(
         "r": r,
         "limit_barycenter": limit_bary.tolist(),
         "per_index": per_index,
-        "moment_sup": moment_sup,
+        "moment_sup": moments_bounded.estimate,
     }
     if kgaps:
         extras["k_gaps"] = kgaps

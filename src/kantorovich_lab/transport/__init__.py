@@ -147,20 +147,23 @@ def _seminorm_potential(d: np.ndarray, w: np.ndarray, mode: str, anchor: int) ->
     return np.maximum((g - d.take(rows, 1)).max(axis=1), -d[:, anchor])
 
 
-def kr_norm(mu: SignedMeasure, metric_name: str) -> tuple[float, LipschitzWitness]:
-    """Bounded-Lipschitz seminorm: sup of the integral over 1-Lipschitz |f| <= 1."""
-    f = _seminorm_potential(mu.space.metric(metric_name), mu.weights, "bounded", mu.space.anchor)
+def _seminorm_witness(mu: SignedMeasure, metric_name: str, mode: str) -> tuple[float, LipschitzWitness]:
+    """The integral of an optimal ``mode`` potential against mu, an ``fsum``
+    over mu's support, and the potential as its witness."""
+    f = _seminorm_potential(mu.space.metric(metric_name), mu.weights, mode, mu.space.anchor)
     supp = mu.support
     achieved = math.fsum((f[supp] * mu.weights[supp]).tolist())
-    return achieved, LipschitzWitness(metric_name, f, achieved, "bounded")
+    return achieved, LipschitzWitness(metric_name, f, achieved, mode)
+
+
+def kr_norm(mu: SignedMeasure, metric_name: str) -> tuple[float, LipschitzWitness]:
+    """Bounded-Lipschitz seminorm: sup of the integral over 1-Lipschitz |f| <= 1."""
+    return _seminorm_witness(mu, metric_name, "bounded")
 
 
 def k_norm(mu: SignedMeasure, metric_name: str) -> tuple[float, LipschitzWitness]:
     """Anchored seminorm: sup over 1-Lipschitz f with f(x0) = 0, plus |mu(X)|."""
-    f = _seminorm_potential(mu.space.metric(metric_name), mu.weights, "anchored", mu.space.anchor)
-    supp = mu.support
-    achieved = math.fsum((f[supp] * mu.weights[supp]).tolist())
-    witness = LipschitzWitness(metric_name, f, achieved, "anchored")
+    achieved, witness = _seminorm_witness(mu, metric_name, "anchored")
     return achieved + abs(mu.total_mass), witness
 
 

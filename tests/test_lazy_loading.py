@@ -89,6 +89,15 @@ def test_a_run_loads_only_its_own_module(tmp_path, kind):
     assert loaded_after(RUN_ONE, json.dumps(config), str(tmp_path)) == modules
 
 
+def test_a_stable_sequence_loads_only_stable(tmp_path):
+    """The stable sequence experiment takes its row norms and column means
+    from ``reports``, so it never loads ``logconcave``."""
+    params = {"check": "mean_convergence", "specs": [{"p": 1.9, "dim": 2}, {"p": 1.8, "dim": 2}],
+              "limit": {"p": 1.8, "dim": 2}, "n": 64}
+    config = {"kind": "stable", "seed": 1, "params": params}
+    assert loaded_after(RUN_ONE, json.dumps(config), str(tmp_path)) == ["stable"]
+
+
 def test_the_module_entry_point_runs_norms(tmp_path):
     params, _ = KIND_RUNS["norms"]
     path = tmp_path / "c.json"

@@ -9,7 +9,6 @@ from kantorovich_lab.logconcave import (
     KappaPolicy,
     LogConcaveSpec,
     PolynomialSpec,
-    _column_mean_std,
     borell_bound,
     check_borell,
     exp_moment,
@@ -19,6 +18,7 @@ from kantorovich_lab.logconcave import (
     sample,
     small_value_check,
 )
+from kantorovich_lab.reports import column_mean_std, column_means, row_norms
 
 N = 10**5
 
@@ -33,12 +33,14 @@ class TestReductions:
         wide = rng.exponential(2.0, (50_001, dim + 2))
         layouts = (xs, xs[::2], wide[:, 1 : dim + 1], np.asfortranarray(xs), xs[:7])
         for x in layouts:
-            means, stds = _column_mean_std(x)
+            means, stds = column_mean_std(x)
+            assert np.array_equal(column_means(x), means)
             assert np.array_equal(means, x.mean(axis=0))
             assert np.array_equal(stds, x.std(axis=0))
 
     @pytest.mark.parametrize("dim", range(1, 11))
     def test_l2(self, dim):
+        assert SEMINORMS["l2"] is row_norms
         x = np.random.default_rng(dim).standard_normal((10**4, dim)) * 10.0**dim
         for layout in (x, x[::3], np.asfortranarray(x)):
             assert np.array_equal(SEMINORMS["l2"](layout), np.sqrt((layout * layout).sum(axis=1)))

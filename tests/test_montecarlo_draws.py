@@ -12,13 +12,14 @@ from kantorovich_lab.logconcave import (
     KappaPolicy,
     LogConcaveSpec,
     PolynomialSpec,
-    _column_mean_std,
     mean_convergence_experiment,
     seminorm,
 )
 from kantorovich_lab.reports import (
     CheckRecord,
     ConcentrationReport,
+    column_mean_std,
+    column_means,
     content_seed,
     half_width,
     one_sided,
@@ -363,6 +364,61 @@ class TestOneDrawPerLaw:
                     arr[0] = 1.0
 
 
+class TestSequenceRules:
+    """The rules the three sequence experiments share through ``reports``:
+    the refusal of an empty sequence, the row norms and column means of the
+    stable draws, and the bounded-moments check."""
+
+    def test_an_empty_sequence_is_refused_before_any_draw(self, monkeypatch):
+        stable_drawn = _counting(monkeypatch, stable, "sample_stable")
+        logconcave_drawn = _counting(monkeypatch, logconcave, "sample")
+        with pytest.raises(ValueError, match="at least one law"):
+            stable_mean_convergence_experiment([], StableSpec(p=1.5), n=100, seed=1)
+        with pytest.raises(ValueError, match="at least one law"):
+            mean_convergence_experiment([], _gaussian(0.0), n=100, seed=1)
+        with pytest.raises(ValueError, match="at least one law"):
+            logconcave.polynomial_density_experiment([], [], [0.0], n=100, seed=1)
+        assert stable_drawn == logconcave_drawn == []
+
+    @pytest.mark.parametrize("dim", [2, 3, 9])
+    def test_stable_reductions_have_the_bits_of_numpy(self, dim):
+        """Barycenters, r-th moments and barycenter half-widths of dim >= 2
+        laws are those of ``xs.mean(axis=0)``, ``np.sqrt((xs * xs).sum(axis=1))``
+        and the ``.std(axis=0)`` of the block means."""
+        limit = StableSpec(p=1.8, dim=dim)
+        specs = [StableSpec(p=1.6, b=0.3, a=-1.0, dim=dim), limit]
+        n = 2 * reports.BLOCK + 3
+        report = stable_mean_convergence_experiment(specs, limit, n=n, seed=6)
+        r = report.extras["r"]
+        for law, row in zip(specs, report.extras["per_index"]):
+            xs = sample_stable(law, n, content_seed(6, law.p, law.b, law.c, law.a, law.dim))
+            assert _same_bits(np.array(row["barycenter"]), xs.mean(axis=0))
+            moment = float((np.sqrt((xs * xs).sum(axis=1)) ** r).mean())
+            assert _same_bits(np.float64(row[f"moment[r={r:g}]"]), np.float64(moment))
+            k = stable.MEAN_BLOCKS
+            block_means = xs[: (n // k) * k].reshape(k, -1, dim).mean(axis=1)
+            assert row["barycenter_half_width"] == half_width(float(block_means.std(axis=0).max()), k)
+        assert report.extras["limit_barycenter"] == report.extras["per_index"][-1]["barycenter"]
+
+    def test_a_nan_moment_fails_the_bounded_moments_check(self, monkeypatch):
+        """A running ``max(0.0, m)`` would drop the NaN and pass."""
+        draw = stable.sample_stable
+
+        def planted(spec, n, seed):
+            xs = draw(spec, n, seed)
+            if spec.p == 1.6:
+                xs[0, 0] = math.nan
+            return xs
+
+        monkeypatch.setattr(stable, "sample_stable", planted)
+        # at dim 2 no law is binned, so the NaN reaches only the reductions
+        limit = StableSpec(p=1.8, dim=2)
+        report = stable_mean_convergence_experiment([StableSpec(p=1.6, dim=2), limit], limit, n=2000, seed=1)
+        check = report.check("moments r=1.3 uniformly bounded")
+        assert check.verdict == "FAIL"
+        assert math.isnan(report.extras["per_index"][0]["moment[r=1.3]"])
+
+
 def test_content_seed_fields_are_those_spelled_by_hand():
     """``reports.reduce_each_law`` seeds a law by its spec's fields in
     declaration order; three copies spell that order by hand and would keep
@@ -436,9 +492,10 @@ class TestRowBlocks:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 9])
     def test_column_mean_std_matches_numpy(self, n, dim):
         xs = np.random.default_rng(n).standard_normal((n, dim)) * np.resize([1.0, 1e-8, 1e8], dim) + 3.0
-        means, stds = _column_mean_std(xs)
+        means, stds = column_mean_std(xs)
         assert _same_bits(means, xs.mean(axis=0))
         assert _same_bits(stds, xs.std(axis=0))
+        assert _same_bits(column_means(xs), means)
 
     def test_column_sum_is_the_last_cumulative_sum(self):
         # numpy's mean starts its sum at 0.0, so a column of -0.0 alone is
@@ -448,7 +505,8 @@ class TestRowBlocks:
             for planted in range(dim):
                 xs = np.full((B + 5, dim), -0.0)
                 xs[B + 2 :, planted] = [1e16, 1.0, -1e16]
-                means, _ = _column_mean_std(xs)
+                means, _ = column_mean_std(xs)
+                assert _same_bits(column_means(xs), means)
                 assert _same_bits(means, np.array([np.cumsum(xs[:, j])[-1] / len(xs) for j in range(dim)]))
                 assert [str(means[j]) for j in range(dim) if j != planted] == ["-0.0"] * (dim - 1)
 
@@ -646,8 +704,9 @@ def test_polynomial_accumulates_in_place():
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_polynomial_density_reductions_keep_their_bits(dim):
-    """The weighted draws share one buffer, reduced by ``_column_mean_std``:
-    the bits of the ``.mean(axis=0)`` and ``.std(axis=0)`` of the products."""
+    """The weighted draws share one buffer, reduced by ``column_means`` and
+    ``column_mean_std``: the bits of the ``.mean(axis=0)`` and
+    ``.std(axis=0)`` of the products."""
     specs = [_gaussian(0.0, dim), LogConcaveSpec.gaussian([0.5] * dim, np.eye(dim))]
     square = tuple(2 if j == 0 else 0 for j in range(dim))
     densities = [PolynomialSpec(2, {square: 1.0}), PolynomialSpec(2, {square: 1.0 / 1.25})]

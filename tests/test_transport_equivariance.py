@@ -28,6 +28,9 @@ from kantorovich_lab.transport import k_norm, kq_norm, kr_norm, wasserstein_q
 #: The number of points of each random planar space, one seed each.
 SIZES = (8, 11, 17, 24, 32, 45, 64, 80, 99, 120, 141, 160)
 POWERS = (-40, -7, 5, 20)
+#: Larger spaces for the exact scaling alone, two powers each, where the
+#: transportation simplex takes many more pivots.
+LARGE = tuple((n, k) for n in (512, 1024) for k in (-40, 20))
 
 
 @functools.cache
@@ -55,8 +58,7 @@ def values(n, k):
     return kr_norm(scaled, "d")[0], k_norm(scaled, "d")[0], kq_norm(scaled, "d", 2.0), coupling
 
 
-@pytest.mark.parametrize("k", POWERS)
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n,k", [(n, k) for n in SIZES for k in POWERS] + list(LARGE))
 def test_scaling_by_a_power_of_two_scales_every_value_exactly(n, k):
     *norms, coupling = values(n, 0)
     *scaled_norms, scaled = values(n, k)
