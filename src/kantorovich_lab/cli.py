@@ -551,17 +551,29 @@ def _lp_equivalence(n, seed, *, spec: "object", polys: "objects", ps: "reals" = 
     )
 
 
+def _of_dim(laws, dim: int, limit: str):
+    """The laws of a sequence, checked before any draw to be of the limit's
+    dimension ``dim``: the barycenter of a law of another dimension would be
+    broadcast against the limit's."""
+    for i, law in enumerate(laws):
+        if law.dim != dim:
+            raise InputDataError(f"law {i} has dim {law.dim}, but {limit} has dim {dim}")
+    return laws
+
+
 def _logconcave_sequence(n, seed, *, specs: "objects", limit: "object", qs: "seminorms" = ("l2",)):
     from . import logconcave
+    laws, limit = [_logconcave_spec(d) for d in specs], _logconcave_spec(limit)
     return logconcave.mean_convergence_experiment(
-        [_logconcave_spec(d) for d in specs], _logconcave_spec(limit), qs=qs, n=n, seed=seed
+        _of_dim(laws, limit.dim, "the limit"), limit, qs=qs, n=n, seed=seed
     )
 
 
 def _polynomial_density(n, seed, *, specs: "objects", densities: "objects", limit_barycenter: "reals"):
     from . import logconcave
+    laws = _of_dim([_logconcave_spec(d) for d in specs], len(limit_barycenter), "limit_barycenter")
     return logconcave.polynomial_density_experiment(
-        [_logconcave_spec(d) for d in specs], [_poly_from(d) for d in densities], limit_barycenter, n=n, seed=seed
+        laws, [_poly_from(d) for d in densities], limit_barycenter, n=n, seed=seed
     )
 
 
@@ -613,8 +625,9 @@ def _identity(n, seed, *, spec: "stable_law"):
 
 def _stable_sequence(n, seed, *, specs: "stable_laws", limit: "stable_law"):
     from . import stable
+    laws, limit = [_stable_spec(d) for d in specs], _stable_spec(limit)
     return stable.stable_mean_convergence_experiment(
-        [_stable_spec(d) for d in specs], _stable_spec(limit), n=n, seed=seed
+        _of_dim(laws, limit.dim, "the limit"), limit, n=n, seed=seed
     )
 
 

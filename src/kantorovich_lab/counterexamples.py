@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measures import PseudometricSpace, SignedMeasure
+from .reports import BLOCK, row_blocks
 
 
 class ScheduleInfeasibleError(RuntimeError):
@@ -268,24 +269,25 @@ def verify_schedule(
         raise ValueError(
             f"verification horizon {horizon} exceeds schedule coverage {sched.max_index}"
         )
+    if horizon < 1:
+        raise ValueError(f"verification horizon {horizon} holds no index to certify")
     violations = tuple(sched.validate())
 
-    ks = np.arange(1, horizon + 1)
-    blocks = sched.blocks(ks)
-    alphas = np.ldexp(1.0, -blocks.astype(np.intc))
-    qidx = np.maximum(blocks, 1)
-    thresholds = ks * alphas
-
-    # each member's tail mass at every k, once; block n sums the suffix
-    # k > N_{n+1}, which is the slice [N_{n+1}:] since ks starts at 1.
-    # qidx is nondecreasing, so each seminorm index holds one slice of ks.
-    tail_masses = []
-    cuts = [0, *((qidx[1:] != qidx[:-1]).nonzero()[0] + 1).tolist(), len(ks)]
-    for member in family:
-        per_k = np.zeros(len(ks))
-        for lo, hi in zip(cuts, cuts[1:]):
-            per_k[lo:hi] = member.tail_mass(int(qidx[lo]), thresholds[lo:hi])
-        tail_masses.append(per_k)
+    # each member's tail mass at every k: block n sums the suffix k > N_{n+1},
+    # the slice [N_{n+1}:] since k starts at 1, and a pairwise sum's bits
+    # depend on the whole slice, so these are the only arrays as long as the
+    # horizon.  Every other step is elementwise or a max, so k is walked one
+    # row block at a time, each seminorm index over its own cut of a block.
+    tail_masses = [np.empty(horizon) for _ in family]
+    for rows in row_blocks(horizon):
+        ks = np.arange(rows.start + 1, rows.stop + 1)
+        blocks = sched.blocks(ks)
+        qidx = np.maximum(blocks, 1)
+        thresholds = ks * np.ldexp(1.0, -blocks.astype(np.intc))
+        cuts = [0, *((qidx[1:] != qidx[:-1]).nonzero()[0] + 1).tolist(), len(ks)]
+        for member, per_k in zip(family, tail_masses):
+            for lo, hi in zip(cuts, cuts[1:]):
+                per_k[rows.start + lo : rows.start + hi] = member.tail_mass(int(qidx[lo]), thresholds[lo:hi])
 
     certificates = []
     for n in range(1, n_max + 1):
@@ -293,15 +295,20 @@ def verify_schedule(
         for per_k in tail_masses:
             mass_sum = max(mass_sum, float(per_k[N[n] :].sum()))
 
+        # a member's sup over block n is the np.max of its row blocks' maxima:
+        # a NaN in any row block makes it NaN, which max() below skips, as it
+        # skipped the NaN of one whole-block np.max
         sup_scaled = 0.0
         block_lo = N[n]
         block_hi = min(N[n + 1] if n + 1 < len(N) else horizon, horizon)
-        bks = np.arange(block_lo + 1, block_hi + 1)
-        if len(bks):
-            alpha = 2.0 ** (-n)
-            for member in family:
-                vals = member.tail_integral(n, bks * alpha) / alpha
-                sup_scaled = max(sup_scaled, float(np.max(vals)))
+        alpha = 2.0 ** (-n)
+        for member in family:
+            tops = []
+            for rows in row_blocks(block_hi - block_lo):
+                bks = np.arange(block_lo + rows.start + 1, block_lo + rows.stop + 1)
+                tops.append(np.max(member.tail_integral(n, bks * alpha) / alpha))
+            if tops:
+                sup_scaled = max(sup_scaled, float(np.max(tops)))
         certificates.append(
             ScheduleCertificate(
                 n=n,
@@ -340,14 +347,23 @@ class DiscreteTailMember:
         return self.values[n - 1]
 
     def tail_mass(self, n: int, thresholds) -> np.ndarray:
-        v = self._vals(n)
-        t = np.atleast_1d(np.asarray(thresholds, dtype=float))
-        return (self.weights[None, :] * (v[None, :] > t[:, None])).sum(axis=1)
+        return _atom_tail_sums(self.weights, self._vals(n), thresholds)
 
     def tail_integral(self, n: int, thresholds) -> np.ndarray:
         v = self._vals(n)
-        t = np.atleast_1d(np.asarray(thresholds, dtype=float))
-        return ((self.weights * v)[None, :] * (v[None, :] > t[:, None])).sum(axis=1)
+        return _atom_tail_sums(self.weights * v, v, thresholds)
+
+
+def _atom_tail_sums(w: np.ndarray, v: np.ndarray, thresholds) -> np.ndarray:
+    """sum_j w_j [v_j > t] at each threshold t, over blocks of at most
+    ``BLOCK`` (threshold, atom) cells.  Each sum reads its own row of cells
+    alone, so the blocks keep the bits of one whole (thresholds, atoms) pass."""
+    t = np.atleast_1d(np.asarray(thresholds, dtype=float))
+    out = np.empty(len(t))
+    step = max(1, BLOCK // max(1, len(v)))
+    for lo in range(0, len(t), step):
+        out[lo : lo + step] = (w[None, :] * (v[None, :] > t[lo : lo + step, None])).sum(axis=1)
+    return out
 
 
 class GeometricTailMember:

@@ -442,14 +442,20 @@ class PolynomialSpec:
         return PolynomialSpec(degree, {(i,): c for i, c in enumerate(coeffs) if c != 0})
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The polynomial at each row of ``x``, one row block at a time: each
+        value reads its own row alone, so the block-sized terms keep the bits
+        of whole-length ones."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.zeros(x.shape[0])
-        for exps, coef in sorted(self.terms.items()):
-            term = np.full(x.shape[0], coef)
-            for axis, e in enumerate(exps):
-                if e:
-                    term *= x[:, axis] ** e
-            out += term
+        terms = sorted(self.terms.items())
+        for rows in row_blocks(x.shape[0]):
+            xb, ob = x[rows], out[rows]
+            for exps, coef in terms:
+                term = np.full(len(ob), coef)
+                for axis, e in enumerate(exps):
+                    if e:
+                        term *= xb[:, axis] ** e
+                ob += term
         return out
 
 
@@ -524,7 +530,8 @@ def lp_equivalence_check(
     d = max(p.degree for p in polys)
     ratios: dict[float, list[float]] = {float(p): [] for p in ps}
     for poly in polys:
-        values = np.abs(poly(xs))
+        values = poly(xs)
+        np.abs(values, out=values)
         l1 = float(values.mean())
         if not l1 > 0:
             raise ValueError("a polynomial has vanishing first absolute moment")

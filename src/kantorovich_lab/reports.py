@@ -309,7 +309,13 @@ def bounded_sup(name: str, values: Sequence[float]) -> CheckRecord:
 
 def barycenter_gap(name: str, bary: np.ndarray, limit_bary: np.ndarray, bound: float) -> CheckRecord:
     """The final law's barycenter against the limit's: the largest coordinate
-    gap, which passes when it is at most ``bound``."""
+    gap, which passes when it is at most ``bound``.  Barycenters of two
+    shapes are refused: numpy would broadcast one against the other, and the
+    gap would compare coordinates of different dimensions."""
+    if np.shape(bary) != np.shape(limit_bary):
+        raise ValueError(
+            f"{name}: a barycenter of shape {np.shape(bary)} against a limit of shape {np.shape(limit_bary)}"
+        )
     return one_sided(name, float(np.abs(bary - limit_bary).max()), 0.0, bound)
 
 

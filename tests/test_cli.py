@@ -1011,6 +1011,43 @@ def declared_type(entry, name) -> str:
     return next(f.annotation for e, f in DECLARED if e in (entry, kind) and f.name == name)
 
 
+_GAUSS2 = {"family": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+class TestMismatchedDimensions:
+    """A sequence whose laws differ in dimension from the limit exits 3 before
+    any draw, instead of comparing barycenters coordinate by broadcast
+    coordinate (a dim-2 law against a dim-1 limit used to PASS)."""
+
+    @pytest.mark.parametrize(
+        "kind, params, cause",
+        [
+            ("stable", {"check": "mean_convergence", "specs": [{"p": 1.8, "dim": 2}], "limit": {"p": 1.8, "dim": 1},
+                        "n": 4096},
+             "law 0 has dim 2, but the limit has dim 1"),
+            ("logconcave", {"check": "mean_convergence", "specs": [_GAUSS, _GAUSS2], "limit": _GAUSS, "n": 4096},
+             "law 1 has dim 2, but the limit has dim 1"),
+            ("logconcave", {"check": "polynomial_density", "specs": [_GAUSS2], "densities": [{"coeffs_1d": [1.0]}],
+                            "limit_barycenter": [0.0], "n": 4096},
+             "law 0 has dim 2, but limit_barycenter has dim 1"),
+        ],
+    )
+    def test_exit_3_before_any_draw(self, tmp_path, capsys, monkeypatch, kind, params, cause):
+        from kantorovich_lab import logconcave, stable
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before checking the dimensions")
+
+        monkeypatch.setattr(stable, "sample_stable", no_draw)
+        monkeypatch.setattr(logconcave, "sample", no_draw)
+        config = {"kind": kind, "seed": 5, "out": str(tmp_path / "out"), "params": params}
+        assert cli.validate_config(config) == []
+        path = write(tmp_path / "c.json", config)
+        assert cli.main([kind, "--config", str(path)]) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"input error: {cause}\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestInputDocuments:
     """A fault inside an input document exits 3 with its cause, never with a
     traceback; the config's fields themselves are well-typed."""

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -18,6 +19,7 @@ from kantorovich_lab.counterexamples import (
     verify_schedule,
 )
 from kantorovich_lab.measures import barycenter
+from kantorovich_lab.reports import BLOCK
 
 
 class TestL1Counterexample:
@@ -246,3 +248,138 @@ class TestRescalingSchedule:
         t1 = rescaling_schedule(family_tail_functions([GeometricTailMember()], 7), 10**5)
         t2 = rescaling_schedule(family_tail_functions([GeometricTailMember()], 7), 10**5)
         assert t1 == t2
+
+
+# ---------------------------------------------------------------------------
+# The verifier walks the indices one row block at a time; the whole-array
+# computation it replaced is kept here as the reference
+# ---------------------------------------------------------------------------
+
+
+def _whole_tail(member, kind: str, n: int, t: np.ndarray) -> np.ndarray:
+    """A member's tail mass or integral over all thresholds at once, a
+    discrete member's as one (thresholds, atoms) pass."""
+    if not isinstance(member, DiscreteTailMember):
+        return getattr(member, f"tail_{kind}")(n, t)
+    v = member.values[n - 1]
+    w = member.weights if kind == "mass" else member.weights * v
+    return (w[None, :] * (v[None, :] > t[:, None])).sum(axis=1)
+
+
+def _whole_array_certificates(sched, family, horizon, n_max):
+    """(tail_mass_sum, scaled_integral_sup) of blocks 1 to ``n_max``, every
+    array as long as the horizon."""
+    N = sched.boundaries
+    ks = np.arange(1, horizon + 1)
+    blocks = sched.blocks(ks)
+    alphas = np.ldexp(1.0, -blocks.astype(np.intc))
+    qidx = np.maximum(blocks, 1)
+    thresholds = ks * alphas
+    tail_masses = []
+    cuts = [0, *((qidx[1:] != qidx[:-1]).nonzero()[0] + 1).tolist(), len(ks)]
+    for member in family:
+        per_k = np.zeros(len(ks))
+        for lo, hi in zip(cuts, cuts[1:]):
+            per_k[lo:hi] = _whole_tail(member, "mass", int(qidx[lo]), thresholds[lo:hi])
+        tail_masses.append(per_k)
+    certificates = []
+    for n in range(1, n_max + 1):
+        mass_sum = 0.0
+        for per_k in tail_masses:
+            mass_sum = max(mass_sum, float(per_k[N[n] :].sum()))
+        sup_scaled = 0.0
+        block_hi = min(N[n + 1] if n + 1 < len(N) else horizon, horizon)
+        bks = np.arange(N[n] + 1, block_hi + 1)
+        if len(bks):
+            alpha = 2.0 ** (-n)
+            for member in family:
+                vals = _whole_tail(member, "integral", n, bks * alpha) / alpha
+                sup_scaled = max(sup_scaled, float(np.max(vals)))
+        certificates.append((mass_sum.hex(), sup_scaled.hex()))
+    return certificates
+
+
+def _discrete(atoms: int) -> DiscreteTailMember:
+    rng = np.random.default_rng(atoms)
+    return DiscreteTailMember(rng.uniform(0.0, 1.0, atoms), rng.exponential(50.0, (8, atoms)))
+
+
+class PlantedNaN(GeometricTailMember):
+    """The geometric member with a NaN tail at the thresholds ``nan_at``.
+    Index k is evaluated at threshold k 2^-n in block n, both for its tail
+    mass and for its scaled tail integral."""
+
+    def __init__(self, nan_at):
+        self.nan_at = np.asarray(nan_at, dtype=float)
+
+    def tail_mass(self, n, thresholds):
+        out = super().tail_mass(n, thresholds)
+        out[np.isin(thresholds, self.nan_at)] = np.nan
+        return out
+
+    def tail_integral(self, n, thresholds):
+        out = super().tail_integral(n, thresholds)
+        out[np.isin(thresholds, self.nan_at)] = np.nan
+        return out
+
+
+FAMILIES = {
+    "geometric": lambda: [GeometricTailMember()],
+    **{f"{a} atoms": (lambda a=a: [_discrete(a)]) for a in (3, 9, 40)},
+}
+HORIZONS = (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1, 10**5)
+
+
+@functools.cache
+def _case(family_name: str, horizon: int):
+    family = FAMILIES[family_name]()
+    sched = rescaling_schedule(family_tail_functions(family, 8), 10**5)
+    return sched, family, _whole_array_certificates(sched, family, horizon, 6)
+
+
+class TestStreamedVerifier:
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    @pytest.mark.parametrize("family_name", sorted(FAMILIES))
+    def test_certificates_keep_their_bits(self, family_name, horizon, n_max):
+        sched, family, expected = _case(family_name, horizon)
+        report = verify_schedule(sched, family, horizon=horizon, n_max=n_max)
+        got = [(c.tail_mass_sum.hex(), c.scaled_integral_sup.hex()) for c in report.certificates]
+        assert got == expected[:n_max]
+
+    @pytest.mark.parametrize("ks", [(5778,), (BLOCK,), (BLOCK + 1,), (10**5,), (12, 46, 2 * BLOCK + 7)])
+    def test_a_nan_anywhere_gives_the_whole_array_certificate(self, ks):
+        """Index 5,778 opens block 4 of the geometric schedule, BLOCK and
+        BLOCK + 1 end and open a row block, and 10^5 is the last index."""
+        sched = rescaling_schedule(family_tail_functions([GeometricTailMember()], 8), 10**5)
+        nan_at = [k * 2.0 ** -sched.block_of(k) for k in ks]
+        nan_atom = DiscreteTailMember([0.5, 0.25, 0.25], np.tile([3.0, np.nan, 700.0], (8, 1)))
+        family = [PlantedNaN(nan_at), _discrete(9), nan_atom]
+        report = verify_schedule(sched, family, horizon=10**5, n_max=6)
+        got = [(c.tail_mass_sum.hex(), c.scaled_integral_sup.hex()) for c in report.certificates]
+        assert got == _whole_array_certificates(sched, family, 10**5, 6)
+
+    def test_zero_horizon_refused(self):
+        sched = rescaling_schedule(family_tail_functions([GeometricTailMember()], 4), 10**5)
+        with pytest.raises(ValueError, match="no index"):
+            verify_schedule(sched, [GeometricTailMember()], horizon=0)
+
+    @pytest.mark.parametrize("family_name", ["geometric", "40 atoms"])
+    def test_peak_memory_is_the_tail_masses_and_a_few_blocks(self, family_name):
+        """At horizon 10^6 the verifier holds one tail mass per index and
+        member, and block-sized work: the whole-array verifier held about a
+        dozen horizon-long arrays, and a (k, atoms) mask per seminorm index."""
+        import tracemalloc
+
+        horizon = 10**6
+        family = FAMILIES[family_name]()
+        sched = rescaling_schedule(family_tail_functions(family, 8), 10**5)
+        verify_schedule(sched, family, horizon=1000, n_max=6)  # first-call allocations
+        tracemalloc.start()
+        try:
+            verify_schedule(sched, family, horizon=horizon, n_max=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 8 * horizon * len(family) + 12 * 8 * BLOCK
+        assert peak <= bound, f"peaked at {peak / 1e6:.2f} MB (bound {bound / 1e6:.2f} MB)"

@@ -18,7 +18,7 @@ from kantorovich_lab.logconcave import (
     sample,
     small_value_check,
 )
-from kantorovich_lab.reports import column_mean_std, column_means, row_norms
+from kantorovich_lab.reports import BLOCK, column_mean_std, column_means, row_norms
 
 N = 10**5
 
@@ -403,3 +403,18 @@ class TestPolynomialSpec:
         poly = PolynomialSpec.from_1d_coeffs([1.0, 0.0, 3.0])
         assert poly.degree == 2
         assert poly(np.array([[2.0]]))[0] == 13.0
+
+    @pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1])
+    def test_row_blocks_keep_the_whole_length_bits(self, n):
+        """One row block at a time, the values are those of whole-length
+        terms, summed term by term in the same order."""
+        poly = PolynomialSpec(3, {(3, 0): 1.5, (1, 1): -0.5, (0, 2): 0.3, (0, 1): 1e-3, (0, 0): 2.0})
+        x = np.random.default_rng(n).standard_normal((n, 2)) * 10.0
+        expected = np.zeros(n)
+        for exps, coef in sorted(poly.terms.items()):
+            term = np.full(n, coef)
+            for axis, e in enumerate(exps):
+                if e:
+                    term *= x[:, axis] ** e
+            expected += term
+        assert poly(x).tobytes() == expected.tobytes()

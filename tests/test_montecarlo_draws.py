@@ -814,12 +814,14 @@ _QUAD = PolynomialSpec(2, {(2, 0): 1.0, (1, 1): -0.5, (0, 1): 0.3})
 
 #: name -> (run at n, bound).  Measured, in the order below: 2.31, 1.66, 2.34
 #: (the draws and the column pair's complex work block), 4.01, 3.00, 4.00,
-#: 5.00, 5.00 and 5.33 n.  Before the row blocks: 6.04, 5.00, 5.00, 7.00,
+#: 3.33, 4.00 and 5.33 n.  Before the row blocks: 6.04, 5.00, 5.00, 7.00,
 #: 5.00 and 12.0 n for the first six (the tail check 2.00 n before its
 #: in-place sort, the identity check 12.0 n before its in-place sums and
 #: reused work arrays); the mean-convergence experiment 3.17 n before its
-#: seminorm values and work array went over the draws, and the
-#: polynomial-density experiment 7.04 n before its one weighted buffer.
+#: seminorm values and work array went over the draws, the polynomial checks
+#: 5.00 n each before the polynomial went one row block at a time (and the
+#: Lp check took |f| in place), and the polynomial-density experiment 7.04 n
+#: before its one weighted buffer.
 PEAKS = {
     "check_borell": (lambda n: logconcave.check_borell(_G3, "l2", 3.0, (1.0, 1.5, 2.0), n=n, seed=3), 2.6),
     "stable_tail_check": (lambda n: stable.stable_tail_check(_STABLE, p1=1.3, n=n, seed=3), 1.9),
@@ -833,8 +835,8 @@ PEAKS = {
     ),
     "validate_sampler": (lambda n: stable.validate_sampler(_STABLE, n=n, seed=3), 3.3),
     "stability_identity_check": (lambda n: stable.stability_identity_check(StableSpec(p=1.7), n=n, seed=3), 4.3),
-    "small_value_check": (lambda n: logconcave.small_value_check(_gaussian(0.0), _QUAD, n=n, seed=3), 5.1),
-    "lp_equivalence_check": (lambda n: logconcave.lp_equivalence_check(_gaussian(0.0), [_QUAD], n=n, seed=3), 5.1),
+    "small_value_check": (lambda n: logconcave.small_value_check(_gaussian(0.0), _QUAD, n=n, seed=3), 3.4),
+    "lp_equivalence_check": (lambda n: logconcave.lp_equivalence_check(_gaussian(0.0), [_QUAD], n=n, seed=3), 4.1),
     "polynomial_density_experiment": (
         lambda n: logconcave.polynomial_density_experiment(
             [_gaussian(0.0)] * 2, [PolynomialSpec(2, {(2, 0): 1.0})] * 2, [0.0, 0.0], n=n, seed=3

@@ -260,3 +260,16 @@ def test_mean_std_has_numpy_bits(n):
         w = np.array(v, dtype=float)
         expected = [float(w.mean()), float(w.var())]
         assert np.array_equal(mean_var(w, out=w), expected)
+
+
+@pytest.mark.parametrize("bary, limit", [([0.0, 0.0], [0.0]), ([0.0], [0.0, 0.0]), ([[0.0, 0.0]], [0.0, 0.0])])
+def test_barycenter_gap_refuses_two_shapes(bary, limit):
+    """Unequal shapes would broadcast: a dim-2 barycenter minus a dim-1 limit
+    compares each coordinate with the limit's one, and could pass."""
+    with pytest.raises(ValueError, match="shape"):
+        reports.barycenter_gap("gap", np.array(bary), np.array(limit), 1.0)
+
+
+def test_barycenter_gap_of_one_shape():
+    check = reports.barycenter_gap("gap", np.array([0.5, -1.0]), np.array([0.0, 0.0]), 1.0)
+    assert (check.estimate, check.passed) == (1.0, True)
