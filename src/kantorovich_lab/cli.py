@@ -138,6 +138,7 @@ _TYPES = {
     "q": _Type(lambda v: _real(v) and v >= 1, "params.{} must be a real number >= 1", float),
     "count": _Type(lambda v: _real(v) and v >= 1 and v % 1 == 0, "params.{} must be a positive integer", int),
     "reals": _Type(_list_of(_real), "params.{} must be a list of real numbers"),
+    "exponents": _Type(_list_of(lambda v: _real(v) and v >= 1), "params.{} must be a list of real numbers >= 1"),
     "flag": _Type(_is(bool), "params.{} must be true or false"),
     "name": _Type(_is(str), "params.{} must be a name"),
     "metrics": _Type(_list_of(_is(str)), "params.{} must be a list of metric names"),
@@ -316,8 +317,7 @@ def _run_convergence(seed, base, *, sequence: "doc", q: "q" = 1.0, metrics: "met
                      weak_gap: "flag" = False, barycenters: "flag" = False):
     from . import convergence
     seq = _sequence_from(sequence, base)
-    names = tuple(metrics) if metrics else seq.space.metric_names()
-    report = convergence.check_tau_k_convergence(seq, metric_names=names, q=q)
+    report = convergence.check_tau_k_convergence(seq, metric_names=metrics, q=q)
     per_index = []
     for i in range(len(seq)):
         row = {"index": i}
@@ -375,7 +375,7 @@ def _run_counterexample(seed, base, *, matrix: "matrix", epsilon: "real" = 1e-6)
         inst = counterexamples.l1_counterexample(matrix, eps=epsilon)
     except (TypeError, ValueError) as exc:  # a matrix file's contents
         raise InputDataError(str(exc)) from exc
-    report = counterexamples.verify_counterexample(inst, epsilon)
+    report = counterexamples.verify_counterexample(inst)
     checks = [_check(k, ok) for k, ok in report["checks"].items()]
     payload = dict(report)
     payload["c"] = inst.c.tolist()
@@ -515,14 +515,22 @@ def _logconcave_spec(doc) -> "logconcave.LogConcaveSpec":
     raise InputDataError(f"unknown log-concave family {fam!r}")
 
 
-def _poly_from(doc) -> "logconcave.PolynomialSpec":
+def _poly_from(doc, dim: int, name: str) -> "logconcave.PolynomialSpec":
+    """The polynomial of ``doc``, checked before any draw to read only
+    coordinates below its law's dimension ``dim``: a term reads coordinate
+    i when its exponent i is nonzero, so trailing zero exponents read none."""
     from . import logconcave
     try:
         if "coeffs_1d" in doc:
-            return logconcave.PolynomialSpec.from_1d_coeffs(doc["coeffs_1d"])
-        return logconcave.PolynomialSpec(_integer(doc, "degree"), {tuple(k): v for k, v in doc["terms"]})
+            poly = logconcave.PolynomialSpec.from_1d_coeffs(doc["coeffs_1d"])
+        else:
+            poly = logconcave.PolynomialSpec(_integer(doc, "degree"), {tuple(k): v for k, v in doc["terms"]})
     except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"bad polynomial: {exc}") from exc
+    top = max((i for exps in poly.terms for i, e in enumerate(exps) if e), default=-1)
+    if top >= dim:
+        raise InputDataError(f"{name} reads coordinate {top}, but its law has dim {dim}")
+    return poly
 
 
 def _report_to_result(report):
@@ -541,13 +549,15 @@ def _borell(n, seed, *, spec: "object", c: "real", q: "seminorm" = "abs", ts: "r
 
 def _small_value(n, seed, *, spec: "object", poly: "object", rs: "reals" = None):
     from . import logconcave
-    return logconcave.small_value_check(_logconcave_spec(spec), _poly_from(poly), rs=rs, n=n, seed=seed)
+    law = _logconcave_spec(spec)
+    return logconcave.small_value_check(law, _poly_from(poly, law.dim, "poly"), rs=rs, n=n, seed=seed)
 
 
-def _lp_equivalence(n, seed, *, spec: "object", polys: "objects", ps: "reals" = (2.0, 4.0)):
+def _lp_equivalence(n, seed, *, spec: "object", polys: "objects", ps: "exponents" = (2.0, 4.0)):
     from . import logconcave
+    law = _logconcave_spec(spec)
     return logconcave.lp_equivalence_check(
-        _logconcave_spec(spec), [_poly_from(d) for d in polys], ps=ps, n=n, seed=seed
+        law, [_poly_from(d, law.dim, f"polynomial {i}") for i, d in enumerate(polys)], ps=ps, n=n, seed=seed
     )
 
 
@@ -572,9 +582,8 @@ def _logconcave_sequence(n, seed, *, specs: "objects", limit: "object", qs: "sem
 def _polynomial_density(n, seed, *, specs: "objects", densities: "objects", limit_barycenter: "reals"):
     from . import logconcave
     laws = _of_dim([_logconcave_spec(d) for d in specs], len(limit_barycenter), "limit_barycenter")
-    return logconcave.polynomial_density_experiment(
-        laws, [_poly_from(d) for d in densities], limit_barycenter, n=n, seed=seed
-    )
+    polys = [_poly_from(d, len(limit_barycenter), f"density {i}") for i, d in enumerate(densities)]
+    return logconcave.polynomial_density_experiment(laws, polys, limit_barycenter, n=n, seed=seed)
 
 
 _LOGCONCAVE_CHECKS = {

@@ -21,6 +21,8 @@ from .transport import LipschitzWitness, k_norm, kq_norm, kr_norm
 
 #: Convergence tolerance for verdicts on finite prefixes.
 GAP_TOL = 1e-7
+#: Bisection in ``extract_convergent_subsequence`` stops at intervals this wide.
+BISECTION_WIDTH = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,19 +87,15 @@ def weak_gap(
     return gaps
 
 
-def lipschitz_dictionary(
-    space: PseudometricSpace,
-    metric_name: str,
-    radii: Sequence[float] | None = None,
-) -> dict[str, np.ndarray]:
-    """Dictionary {min(p(., y)/r, 1)} over atoms y and dyadic r, plus constants.
+def lipschitz_dictionary(space: PseudometricSpace, metric_name: str) -> dict[str, np.ndarray]:
+    """Dictionary {min(p(., y)/r, 1)} over atoms y and dyadic r from 1/4 up
+    to the largest distance, plus constants.
 
     Separates finitely supported measures and stays uniformly bounded by 1.
     """
     d = space.metric(metric_name)
-    if radii is None:
-        dmax = float(d.max())
-        radii = [2.0**k for k in range(-2, max(1, int(np.ceil(np.log2(max(dmax, 1e-9))))) + 1)]
+    dmax = float(d.max())
+    radii = [2.0**k for k in range(-2, max(1, int(np.ceil(np.log2(max(dmax, 1e-9))))) + 1)]
     tests: dict[str, np.ndarray] = {"const": np.ones(space.n_points)}
     for y in range(space.n_points):
         for r in radii:
@@ -105,15 +103,10 @@ def lipschitz_dictionary(
     return tests
 
 
-def tail_profile(
-    seq: MeasureSequence,
-    metric_name: str,
-    radii: Sequence[float],
-    power: float = 1.0,
-) -> TailProfile:
-    """Exact sup over the family of the tail integral of p(., x0)^power."""
-    radii, tails = _tail_table(seq, metric_name, radii, power)
-    return TailProfile(metric_name, power, tuple(radii), tuple(_family_sup(tails, len(tails))))
+def tail_profile(seq: MeasureSequence, metric_name: str, radii: Sequence[float]) -> TailProfile:
+    """Exact sup over the family of the tail integral of p(., x0)."""
+    radii, tails = _tail_table(seq, metric_name, radii, 1.0)
+    return TailProfile(metric_name, 1.0, tuple(radii), tuple(_family_sup(tails, len(tails))))
 
 
 def _tail_table(seq: MeasureSequence, metric_name: str, radii: Sequence[float], power: float):
@@ -195,15 +188,15 @@ def check_tau_k_convergence(
     metric_names: Sequence[str] | None = None,
     q: float = 1.0,
     tol: float = GAP_TOL,
-    radii: Sequence[float] | None = None,
 ) -> TauKReport:
     """Seminorm-gap convergence report with the uniform-integrability criterion.
 
     For each metric: bounded-Lipschitz gaps, anchored gaps (q = 1) or
-    moment-weighted gaps (q > 1), and the tail profile of p(., x0)^q.  The
-    integrability verdict uses radius stabilization on the prefix: the
-    smallest grid radius clearing the profile must not grow from the half
-    prefix to the full prefix (escaping families keep pushing it outward).  A
+    moment-weighted gaps (q > 1), and the tail profile of p(., x0)^q on
+    ``default_radii``.  The integrability verdict uses radius stabilization
+    on the prefix: the smallest grid radius clearing the profile must not
+    grow from the half prefix to the full prefix (escaping families keep
+    pushing it outward).  A
     metric PASSES when the tail stabilizes and the gaps settle below
     tolerance; tail failure is recorded as UI_FAIL (no convergence claim);
     a stable tail with non-settling gaps contradicts the criterion and is
@@ -215,7 +208,7 @@ def check_tau_k_convergence(
     names = tuple(metric_names) if metric_names is not None else seq.space.metric_names()
     records = []
     for name in names:
-        grid, tails = _tail_table(seq, name, radii if radii is not None else default_radii(seq.space, name), q)
+        grid, tails = _tail_table(seq, name, default_radii(seq.space, name), q)
         values, r_half, r_full = _stabilized_radii(tails, grid, tol)
         profile = TailProfile(name, q, tuple(grid), tuple(values))
         ui = r_full <= r_half
@@ -262,7 +255,6 @@ def check_tau_k_convergence(
 def extract_convergent_subsequence(
     seq: MeasureSequence,
     metric_name: str,
-    width_tol: float = 1e-12,
     tv_bound: float | None = None,
 ) -> tuple[tuple[int, ...], SignedMeasure]:
     """Coordinate-wise nested bisection keeping the majority half.
@@ -280,7 +272,7 @@ def extract_convergent_subsequence(
     for c in range(W.shape[1]):
         lo = float(W[indices, c].min())
         hi = float(W[indices, c].max())
-        while hi - lo > width_tol and len(indices) > 1:
+        while hi - lo > BISECTION_WIDTH and len(indices) > 1:
             mid = 0.5 * (lo + hi)
             lower = [i for i in indices if W[i, c] <= mid]
             upper = [i for i in indices if W[i, c] > mid]
@@ -307,15 +299,15 @@ def check_ac_limit(
     mu_seq: MeasureSequence,
     densities: Sequence[np.ndarray],
     nu_limit: SignedMeasure,
-    tol: float = GAP_TOL,
 ) -> AbsoluteContinuityReport:
     """Density-limit absolute-continuity check.
 
     nu_n = f_n . mu_n atom-wise.  The hypothesis (the tail masses
     sup_n |nu_n|(|f_n| >= R) vanish for large R) is judged on the prefix by
-    radius stabilization: the smallest radius pushing the sup below tolerance
-    must not grow from the half prefix to the full prefix.  The conclusion is
-    checked on atoms: wherever the mu-limit vanishes the nu-limit must too.
+    radius stabilization: the smallest radius pushing the sup below
+    ``GAP_TOL`` must not grow from the half prefix to the full prefix.  The
+    conclusion is checked on atoms: wherever the mu-limit vanishes the
+    nu-limit must too.
     A violation is flagged only when the hypothesis holds and the conclusion
     fails.
     """
@@ -336,7 +328,7 @@ def check_ac_limit(
     for f, nu in zip(fs, nu_weights):
         level, mass = np.abs(f), np.abs(nu)
         tails.append([math.fsum(mass[level >= r].tolist()) for r in radii])
-    tail_values, r_half, r_full = _stabilized_radii(tails, radii, tol)
+    tail_values, r_half, r_full = _stabilized_radii(tails, radii, GAP_TOL)
     hypothesis = r_full <= r_half
 
     mu_zero = np.abs(mu_limit.weights) <= 1e-12

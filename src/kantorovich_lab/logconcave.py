@@ -41,6 +41,11 @@ from .reports import (
 
 DEFAULT_SAMPLES = 10**5
 SLOPE_SAMPLES = 10**6
+#: Mass of the limit law below the sublevel scale c that sets each exponent
+#: of the mean-convergence experiment (``_choose_kappa``).
+THETA_TARGET = 0.75
+#: Half-width of the small-value check's log-log slope around 1/d.
+SLOPE_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -280,36 +285,29 @@ def _power_moment(values: np.ndarray, r: float, work: np.ndarray | None = None) 
     return est, half_width(math.sqrt(var), len(values))
 
 
-@dataclass(frozen=True)
-class KappaPolicy:
-    """Exponent choice: half the divergence threshold over the sublevel scale.
+def _choose_kappa(limit_values: np.ndarray, work: np.ndarray | None = None) -> tuple[float, float, float]:
+    """Exponent choice, half the divergence threshold over the sublevel
+    scale: kappa, c and theta.
 
-    theta_target picks c as an empirical quantile of the limit law; kappa is
-    then -ln(tau)/(2 c) for tau = ((1-theta)/theta)^(1/2).
+    c is ``np.quantile(limit_values, THETA_TARGET)``, read off a sorted copy
+    (``sorted_quantiles``), made in ``work`` if it is given: a zero c may
+    carry the other sign, and is refused either way.  theta is the mass
+    below c, and kappa is -ln(tau)/(2 c) for tau = ((1-theta)/theta)^(1/2).
     """
-
-    theta_target: float = 0.75
-
-    def choose(self, limit_values: np.ndarray, work: np.ndarray | None = None) -> tuple[float, float, float]:
-        """kappa, c and theta.  c is ``np.quantile(limit_values, theta_target)``,
-        read off a sorted copy (``sorted_quantiles``), made in ``work`` if it is
-        given: a zero c may carry the other sign, and is refused either way."""
-        if not 0 <= self.theta_target <= 1:
-            raise ValueError("Quantiles must be in the range [0, 1]")
-        ordered = np.empty_like(limit_values) if work is None else work
-        ordered[...] = limit_values
-        ordered.sort()
-        c = float(sorted_quantiles(ordered, self.theta_target))
-        if c <= 0:
-            raise ValueError("sublevel scale must be positive")
-        theta, hw = fraction(limit_values < c)
-        if theta <= 0.5:
-            raise ValueError("kappa policy yields nonpositive kappa (theta <= 1/2)")
-        tau = math.sqrt((1.0 - theta) / theta)
-        kappa = -math.log(tau) / (2.0 * c)
-        if kappa <= 0:
-            raise ValueError("kappa policy yields nonpositive kappa")
-        return kappa, c, theta
+    ordered = np.empty_like(limit_values) if work is None else work
+    ordered[...] = limit_values
+    ordered.sort()
+    c = float(sorted_quantiles(ordered, THETA_TARGET))
+    if c <= 0:
+        raise ValueError("sublevel scale must be positive")
+    theta = fraction(limit_values < c)[0]
+    if theta <= 0.5:
+        raise ValueError("kappa policy yields nonpositive kappa (theta <= 1/2)")
+    tau = math.sqrt((1.0 - theta) / theta)
+    kappa = -math.log(tau) / (2.0 * c)
+    if kappa <= 0:
+        raise ValueError("kappa policy yields nonpositive kappa")
+    return kappa, c, theta
 
 
 def _values_over_draws(xs: np.ndarray, fns: Sequence[Callable]) -> tuple[list[np.ndarray], np.ndarray]:
@@ -341,7 +339,6 @@ def mean_convergence_experiment(
     qs: Mapping[str, object] | Sequence[str] = ("l2",),
     n: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    kappa_policy: KappaPolicy = KappaPolicy(),
     rs: Sequence[float] = (1.0, 2.0),
 ) -> ConcentrationReport:
     """Exponential moments, power moments and barycenters along a sequence.
@@ -372,7 +369,7 @@ def mean_convergence_experiment(
         stats: dict[str, tuple[float, float]] = {}
         for (name, _), values in zip(q_fns, q_values):
             if name not in kappas:
-                kappa, c, theta = kappa_policy.choose(values, work)
+                kappa, c, theta = _choose_kappa(values, work)
                 kappas[name] = {"kappa": kappa, "c": c, "theta": theta}
             stats[f"exp[{name}]"] = _exp_moment(values, kappas[name]["kappa"], work)
             for r in rs:
@@ -465,13 +462,13 @@ def small_value_check(
     rs: Sequence[float] | None = None,
     n: int = SLOPE_SAMPLES,
     seed: int = 0,
-    slope_tol: float = 0.1,
 ) -> ConcentrationReport:
     """Small-value scaling of a degree-d polynomial under a log-concave law.
 
     mu(|f| <= r) should scale like r^(1/d); the check fits the log-log slope
-    over the grid and fits the single constant making
-    mu(|f| <= r) ||f||_1^(1/d) <= c_hat d r^(1/d) tight.
+    over the grid, which must lie within ``SLOPE_TOL`` of 1/d, and fits the
+    single constant making mu(|f| <= r) ||f||_1^(1/d) <= c_hat d r^(1/d)
+    tight.
     """
     if poly.degree < 1:
         raise ValueError("degree must be at least 1")
@@ -499,7 +496,7 @@ def small_value_check(
     slope = float(np.polyfit(logs_r, logs_p, 1)[0])
     c_hat = max(p * l1 ** (1.0 / d) / (d * r ** (1.0 / d)) for r, p in usable)
     checks = [
-        two_sided("log-log slope", slope, slope_tol, 1.0 / d),
+        two_sided("log-log slope", slope, SLOPE_TOL, 1.0 / d),
     ]
     for r, p, hw in probs:
         checks.append(

@@ -149,9 +149,10 @@ class PseudometricSpace:
     def measure(self, weights: Sequence[float] | np.ndarray) -> "SignedMeasure":
         return SignedMeasure(self, np.asarray(weights, dtype=float))
 
-    def dirac(self, index: int, mass: float = 1.0) -> "SignedMeasure":
+    def dirac(self, index: int) -> "SignedMeasure":
+        """Unit mass at the point of ``index``."""
         w = np.zeros(self.n_points)
-        w[index] = mass
+        w[index] = 1.0
         return SignedMeasure(self, w)
 
 

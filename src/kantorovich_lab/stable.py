@@ -43,6 +43,14 @@ MEAN_BLOCKS = 16
 
 #: Fixed grid where stable characteristic functions differ most.
 CF_GRID = tuple(round(0.1 * k, 1) for k in range(1, 31))
+#: Levels t of the empirical tails in ``stable_tail_check``, those of
+#: ``np.geomspace(2.5, 25.0, 10)``.
+TAIL_GRID = tuple(np.geomspace(2.5, 25.0, 10).tolist())
+#: Slack of the tail-slope check: the fitted slope must be at most -p1 plus this.
+SLOPE_MARGIN = 0.15
+#: Quantile bins, so atoms, of each law's discretization in the
+#: mean-convergence experiment.
+QUANTILE_BINS = 64
 
 
 @dataclass(frozen=True)
@@ -158,12 +166,10 @@ def empirical_cf_gap(samples: np.ndarray, spec: StableSpec, ts: Sequence[float] 
     return rows, zmax
 
 
-def validate_sampler(
-    spec: StableSpec, n: int = DEFAULT_SAMPLES, seed: int = 0, ts: Sequence[float] = CF_GRID
-) -> ConcentrationReport:
-    """Empirical characteristic function match on the fixed grid, at 3 SE."""
+def validate_sampler(spec: StableSpec, n: int = DEFAULT_SAMPLES, seed: int = 0) -> ConcentrationReport:
+    """Empirical characteristic function match on ``CF_GRID``, at 3 SE."""
     samples = sample_stable(spec, n, seed)
-    rows, zmax = empirical_cf_gap(samples[:, 0], spec, ts)
+    rows, zmax = empirical_cf_gap(samples[:, 0], spec)
     checks = [max_z_check("cf match (max z-score over grid)", zmax)]
     return ConcentrationReport(
         name="stable_cf",
@@ -248,16 +254,14 @@ def stable_tail_check(
     n: int = DEFAULT_SAMPLES,
     seed: int = 0,
     delta: float = 0.8,
-    ts: Sequence[float] | None = None,
-    slope_margin: float = 0.15,
 ) -> ConcentrationReport:
     """Power tail bound and log-log tail slope for a stable law.
 
     The seminorm |x_1| is rescaled so that 80% of its mass sits below 1 (so
-    the sublevel fraction exceeds 3/4), then empirical tails on a grid in
-    (2, t_max] are compared against C t^-p1 and the fitted slope is checked
-    against -p1 (an order p below p1 violates the hypothesis; the slope check
-    is then recorded as an expected failure).
+    the sublevel fraction exceeds 3/4), then empirical tails on ``TAIL_GRID``
+    are compared against C t^-p1 and the fitted slope is checked against -p1,
+    within ``SLOPE_MARGIN`` (an order p below p1 violates the hypothesis; the
+    slope check is then recorded as an expected failure).
 
     The seminorm values are sorted once, in place: the quantile is read off
     them (``sorted_quantiles``) and every count below or above a level is a
@@ -277,12 +281,10 @@ def stable_tail_check(
         raise ValueError("rescaling failed to put 3/4 of the mass below 1")
 
     constants = tail_constants(delta, spec.p, p1)
-    if ts is None:
-        ts = list(np.geomspace(2.5, 25.0, 10))
     checks = []
     curve = []
     usable = []
-    for t in ts:
+    for t in TAIL_GRID:
         tail, hw = share(n - np.searchsorted(u, t, side="right"), n)
         bound = float(constants.bound(t))
         checks.append(one_sided(f"tail bound[t={t:.3g}]", tail, hw, bound))
@@ -301,9 +303,9 @@ def stable_tail_check(
         CheckRecord(
             name="tail slope",
             estimate=estimate,
-            half_width=slope_margin,
-            bound=-p1 + slope_margin,
-            passed=estimate <= -p1 + slope_margin,
+            half_width=SLOPE_MARGIN,
+            bound=-p1 + SLOPE_MARGIN,
+            passed=estimate <= -p1 + SLOPE_MARGIN,
             expected_failure=p1 > spec.p + 1e-12,
         )
     )
@@ -330,13 +332,12 @@ def stability_identity_check(
     n: int = DEFAULT_SAMPLES,
     seed: int = 0,
     coeffs: tuple[float, float] = (1.0, 1.0),
-    ts: Sequence[float] = CF_GRID,
 ) -> ConcentrationReport:
     """Two-sample test of the defining identity for a strictly stable law.
 
     For independent draws xi, eta, the law of alpha xi + beta eta must match
     the law of (alpha^p + beta^p)^(1/p) xi; compared through empirical
-    characteristic functions on the fixed grid at 3 SE.
+    characteristic functions on ``CF_GRID`` at 3 SE.
 
     ``z1 = alpha xi + beta eta`` and ``z2`` are formed in place over the
     draws of xi and fresh, and every grid point reuses two work arrays, as
@@ -360,7 +361,7 @@ def stability_identity_check(
     wave = np.empty(n)
     zmax = 0.0
     curve = []
-    for t in ts:
+    for t in CF_GRID:
         (re1, var_re1), (im1, var_im1) = _cos_sin_moments(t, z1, tz, wave)
         (re2, var_re2), (im2, var_im2) = _cos_sin_moments(t, z2, tz, wave)
         se_re = math.sqrt(var_re1 / n + var_re2 / n)
@@ -453,16 +454,15 @@ def stable_mean_convergence_experiment(
     seed: int = 0,
     p1: float | None = None,
     q: float | None = None,
-    bins: int = 64,
-    blocks: int = MEAN_BLOCKS,
 ) -> ConcentrationReport:
     """Moments, barycenters and discretized seminorm gaps along stable laws.
 
     Power moments use an exponent r strictly between 1 and p1 (uniform
     boundedness of these is what drives barycenter convergence); barycenter
-    noise scales are estimated from block means because the variance is
-    infinite below order 2.  Moment-weighted gaps with exponent q < p1 are
-    reported on 64-atom quantile discretizations for dim-1 specs.
+    noise scales are estimated from ``MEAN_BLOCKS`` block means because the
+    variance is infinite below order 2.  Moment-weighted gaps with exponent
+    q < p1 are reported on ``QUANTILE_BINS``-atom quantile discretizations
+    for dim-1 specs.
 
     Each distinct law is drawn and reduced once per call, the limit first:
     a spec equal to the limit, or to an earlier spec, has the same seed and
@@ -480,11 +480,11 @@ def stable_mean_convergence_experiment(
         q = (1.0 + p1) / 2.0
     if not 1.0 <= q < p1:
         raise ValueError("q must satisfy 1 <= q < p1")
-    if n < blocks:
-        raise ValueError(f"n = {n} draws cannot fill {blocks} block means: n must be at least {blocks}")
+    if n < MEAN_BLOCKS:
+        raise ValueError(f"n = {n} draws cannot fill {MEAN_BLOCKS} block means: n must be at least {MEAN_BLOCKS}")
 
     def block_hw(xs: np.ndarray) -> float:
-        k = blocks
+        k = MEAN_BLOCKS
         means = xs[: (len(xs) // k) * k].reshape(k, -1, xs.shape[1]).mean(axis=1)
         return half_width(float(column_mean_std(means)[1].max()), k)
 
@@ -496,7 +496,7 @@ def stable_mean_convergence_experiment(
         m_r = float(ax.mean())
         del ax
         bary = column_means(xs)
-        binned = _quantile_binned(xs[:, 0], bins) if s.dim == 1 and limit.dim == 1 else None
+        binned = _quantile_binned(xs[:, 0], QUANTILE_BINS) if s.dim == 1 and limit.dim == 1 else None
         bary.setflags(write=False)
         if binned is not None:
             binned[0].setflags(write=False)

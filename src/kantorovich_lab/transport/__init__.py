@@ -42,9 +42,9 @@ MASS_ULPS = 4
 ORACLE_SUPPORT_MAX = 8
 
 
-def _mass_tol(tol: float, scale: float, total: float) -> float:
-    """``tol * min(1, scale)``, floored at ``MASS_ULPS`` ulps of ``total``."""
-    return max(tol * min(1.0, scale), MASS_ULPS * math.ulp(total))
+def _mass_tol(scale: float, total: float) -> float:
+    """``WITNESS_TOL * min(1, scale)``, floored at ``MASS_ULPS`` ulps of ``total``."""
+    return max(WITNESS_TOL * min(1.0, scale), MASS_ULPS * math.ulp(total))
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class LipschitzWitness:
     achieved: float
     mode: str  # "bounded" | "anchored"
 
-    def validate(self, mu: SignedMeasure, tol: float = WITNESS_TOL) -> None:
+    def validate(self, mu: SignedMeasure) -> None:
         f = self.values
         # comparisons with NaN are false, so a NaN witness would pass below
         if not (np.isfinite(f).all() and math.isfinite(self.achieved)):
@@ -69,22 +69,22 @@ class LipschitzWitness:
         # relative to the metric below 1, so a small metric cannot hide a
         # steep potential; never below the space's own triangle tolerance
         dmax = float(np.abs(d).max(initial=0.0))
-        lip_tol = max(tol * min(1.0, dmax), TRIANGLE_TOL * max(1.0, dmax))
+        lip_tol = max(WITNESS_TOL * min(1.0, dmax), TRIANGLE_TOL * max(1.0, dmax))
         gap = np.abs(f[:, None] - f[None, :]) - d
         if gap.max(initial=0.0) > lip_tol:
             raise ValueError(f"potential is not 1-Lipschitz (violation {gap.max():.3g})")
         if self.mode == "bounded":
-            if np.abs(f).max(initial=0.0) > 1 + tol:
+            if np.abs(f).max(initial=0.0) > 1 + WITNESS_TOL:
                 raise ValueError("potential exceeds the unit bound")
         elif self.mode == "anchored":
-            if abs(f[mu.space.anchor]) > tol:
+            if abs(f[mu.space.anchor]) > WITNESS_TOL:
                 raise ValueError("potential does not vanish at the anchor")
         else:
             raise ValueError(f"unknown witness mode {self.mode!r}")
         terms = f * mu.weights
         integral = math.fsum(terms.tolist())
         scale = math.fsum(np.abs(terms).tolist())
-        if abs(integral - self.achieved) > tol * min(1.0, scale):
+        if abs(integral - self.achieved) > WITNESS_TOL * min(1.0, scale):
             raise ValueError("potential does not attain the reported value")
 
 
@@ -97,10 +97,10 @@ class Coupling:
     matrix: np.ndarray  # (n, n) on the full point set
     cost: float  # sum sigma_ij d_ij^q
 
-    def validate(self, mu: SignedMeasure, nu: SignedMeasure, tol: float = WITNESS_TOL) -> None:
+    def validate(self, mu: SignedMeasure, nu: SignedMeasure) -> None:
         sig = self.matrix
         scale = max(float(np.abs(mu.weights).max()), float(np.abs(nu.weights).max()))
-        mass_tol = _mass_tol(tol, scale, max(abs(mu.total_mass), abs(nu.total_mass)))
+        mass_tol = _mass_tol(scale, max(abs(mu.total_mass), abs(nu.total_mass)))
         # at most the mass tolerance, so negative entries cannot pass for
         # round-off at a small mass scale
         if sig.min(initial=0.0) < -min(1e-12, mass_tol):
@@ -116,7 +116,7 @@ class Coupling:
             raise ValueError("coupling cost is not finite")
         # relative to the recomputed cost below 1, so a small wrong cost fails
         size = abs(cost)
-        if abs(cost - self.cost) > max(tol * min(1.0, size), 1e-12 * size):
+        if abs(cost - self.cost) > max(WITNESS_TOL * min(1.0, size), 1e-12 * size):
             raise ValueError("coupling cost mismatch")
 
 
@@ -179,7 +179,7 @@ def wasserstein_q(
     mass_mu = mu.total_mass
     mass_nu = nu.total_mass
     scale = max(float(mu.weights.max()), float(nu.weights.max()))
-    if abs(mass_mu - mass_nu) > _mass_tol(WITNESS_TOL, scale, max(mass_mu, mass_nu)):
+    if abs(mass_mu - mass_nu) > _mass_tol(scale, max(mass_mu, mass_nu)):
         raise ValueError(f"total masses differ by {abs(mass_mu - mass_nu):.3g}")
     if mass_mu <= 0:
         raise ValueError("total mass must be positive")

@@ -929,15 +929,16 @@ def _base(entry):
 
 #: A value of a JSON type that each field type does not take.
 WRONG_TYPE = {
-    "real": "1", "q": "2", "count": "5", "reals": 1.0, "flag": 1, "name": 5, "metrics": "d", "ops": "kr",
-    "seminorm": 5, "seminorms": "l2", "doc": 5, "object": "x", "objects": {}, "matrix": 5, "family": 5,
-    "stable_law": "p", "stable_laws": {"p": 1.5},
+    "real": "1", "q": "2", "count": "5", "reals": 1.0, "exponents": 2.0, "flag": 1, "name": 5, "metrics": "d",
+    "ops": "kr", "seminorm": 5, "seminorms": "l2", "doc": 5, "object": "x", "objects": {}, "matrix": 5,
+    "family": 5, "stable_law": "p", "stable_laws": {"p": 1.5},
 }
 #: Values of the JSON type a field type takes, but outside it.
 OUT_OF_RANGE = {
-    "q": [0.5], "count": [1.7, 0, -3], "reals": [[1.0, "2"]], "metrics": [["d", 1]], "seminorm": ["nope"],
-    "seminorms": [["l2", "nope"]], "objects": [[{}, 5]], "matrix": [[[1.0], "x"], [[1.0, math.nan]]],
-    "family": ["nope"], "stable_law": [{"b": 0.0}], "stable_laws": [[{"p": 1.5}, {"b": 0.0}]],
+    "q": [0.5], "count": [1.7, 0, -3], "reals": [[1.0, "2"]], "exponents": [[0.0], [-1.0]],
+    "metrics": [["d", 1]], "seminorm": ["nope"], "seminorms": [["l2", "nope"]], "objects": [[{}, 5]],
+    "matrix": [[[1.0], "x"], [[1.0, math.nan]]], "family": ["nope"], "stable_law": [{"b": 0.0}],
+    "stable_laws": [[{"p": 1.5}, {"b": 0.0}]],
 }
 NESTED = [[[1]]]
 BAD_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "true": True, "empty list": [],
@@ -1014,10 +1015,16 @@ def declared_type(entry, name) -> str:
 _GAUSS2 = {"family": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
 
 
+#: x0 x1, a polynomial that reads coordinate 1.
+_X0X1 = {"degree": 2, "terms": [[[1, 1], 1.0]]}
+
+
 class TestMismatchedDimensions:
     """A sequence whose laws differ in dimension from the limit exits 3 before
     any draw, instead of comparing barycenters coordinate by broadcast
-    coordinate (a dim-2 law against a dim-1 limit used to PASS)."""
+    coordinate (a dim-2 law against a dim-1 limit used to PASS).  So does a
+    polynomial that reads a coordinate its law does not have, instead of
+    ending in an IndexError."""
 
     @pytest.mark.parametrize(
         "kind, params, cause",
@@ -1030,6 +1037,14 @@ class TestMismatchedDimensions:
             ("logconcave", {"check": "polynomial_density", "specs": [_GAUSS2], "densities": [{"coeffs_1d": [1.0]}],
                             "limit_barycenter": [0.0], "n": 4096},
              "law 0 has dim 2, but limit_barycenter has dim 1"),
+            ("logconcave", {"check": "small_value", "spec": _GAUSS, "poly": _X0X1, "n": 4096},
+             "poly reads coordinate 1, but its law has dim 1"),
+            ("logconcave", {"check": "lp_equivalence", "spec": _GAUSS, "polys": [_X, _X0X1], "n": 4096},
+             "polynomial 1 reads coordinate 1, but its law has dim 1"),
+            ("logconcave", {"check": "polynomial_density", "specs": [_GAUSS2, _GAUSS2],
+                            "densities": [_ONE, {"degree": 1, "terms": [[[0, 0, 1], 1.0]]}],
+                            "limit_barycenter": [0.0, 0.0], "n": 4096},
+             "density 1 reads coordinate 2, but its law has dim 2"),
         ],
     )
     def test_exit_3_before_any_draw(self, tmp_path, capsys, monkeypatch, kind, params, cause):
@@ -1046,6 +1061,18 @@ class TestMismatchedDimensions:
         assert cli.main([kind, "--config", str(path)]) == cli.EXIT_INPUT_ERROR
         assert capsys.readouterr().err == f"input error: {cause}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_trailing_zero_exponents_read_nothing(self, tmp_path):
+        """A term may list more exponents than its law has coordinates when
+        the extra ones are 0: x0 written as [1, 0] runs as [1] does."""
+        runs = []
+        for exps in ([1], [1, 0]):
+            poly = {"degree": 1, "terms": [[exps, 1.0]]}
+            params = {"check": "small_value", "spec": _GAUSS, "poly": poly, "n": 5000}
+            code, report, _ = cli.run({"kind": "logconcave", "seed": 5, "params": params}, base=tmp_path / str(exps))
+            assert code == cli.EXIT_OK
+            runs.append((report["checks"], report["payload"]))
+        assert runs[0] == runs[1]
 
 
 class TestInputDocuments:

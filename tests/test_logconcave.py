@@ -6,9 +6,9 @@ from scipy import integrate, stats
 
 from kantorovich_lab.logconcave import (
     SEMINORMS,
-    KappaPolicy,
     LogConcaveSpec,
     PolynomialSpec,
+    _choose_kappa,
     borell_bound,
     check_borell,
     exp_moment,
@@ -257,9 +257,8 @@ class TestMeanConvergence:
         assert est == pytest.approx((math.exp(kappa) - 1.0) / kappa, abs=3 * hw)
 
     def test_kappa_policy_rejects_flat_mass(self):
-        policy = KappaPolicy(theta_target=0.4)
         with pytest.raises(ValueError, match="kappa"):
-            policy.choose(np.ones(1000))
+            _choose_kappa(np.ones(1000))
 
 
 class TestSmallValue:

@@ -9,7 +9,7 @@ import pytest
 
 from kantorovich_lab import logconcave, reports, stable
 from kantorovich_lab.logconcave import (
-    KappaPolicy,
+    THETA_TARGET,
     LogConcaveSpec,
     PolynomialSpec,
     mean_convergence_experiment,
@@ -169,7 +169,7 @@ def _stable_experiment_reference(specs, limit, n, seed, bins=64, blocks=16):
 
 
 def _choose_reference(values, theta_target=0.75):
-    """``KappaPolicy.choose`` with ``np.quantile`` of the values themselves."""
+    """``logconcave._choose_kappa`` with ``np.quantile`` of the values themselves."""
     c = float(np.quantile(values, theta_target))
     if c <= 0:
         raise ValueError("sublevel scale must be positive")
@@ -666,16 +666,15 @@ def _raised(fn):
 
 
 @pytest.mark.parametrize("name", list(_kappa_samples()))
-@pytest.mark.parametrize("theta", [0.75, 0.4, 0.0, 1.0, 0.999, 1.5, math.nan])
+@pytest.mark.parametrize("theta", [THETA_TARGET])
 def test_kappa_from_a_sorted_copy_is_numpys(name, theta):
-    """``KappaPolicy.choose`` sorts a copy, in its work array if it is given,
-    and reads c off it: the kappa, c and theta of ``np.quantile``, or its error."""
+    """``_choose_kappa`` sorts a copy, in its work array if it is given, and
+    reads c off it: the kappa, c and theta of ``np.quantile``, or its error."""
     values = _kappa_samples()[name]
     original = values.copy()
-    policy = KappaPolicy(theta_target=theta)
     ref = _raised(lambda: _choose_reference(values, theta))
-    assert _raised(lambda: policy.choose(values)) == ref
-    assert _raised(lambda: policy.choose(values, np.empty_like(values))) == ref
+    assert _raised(lambda: logconcave._choose_kappa(values)) == ref
+    assert _raised(lambda: logconcave._choose_kappa(values, np.empty_like(values))) == ref
     assert _same_bits(values, original)
 
 
