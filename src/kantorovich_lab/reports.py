@@ -193,9 +193,12 @@ def sorted_quantiles(ordered: np.ndarray, q):
     ``a + (b - a) t`` or, for t >= 0.5, ``b - (b - a) (1 - t)``.  A sample
     that ends in NaN gives NaN throughout, as numpy does.  A partition may
     leave equal entries in another order, so a zero may carry the other sign
-    than numpy's.  ``q`` is a float or a float64 array, each in [0, 1].
+    than numpy's.  ``q`` is a float or a float64 array, each in [0, 1]; any
+    other level, NaN among them, is refused with numpy's ValueError.
     """
     q = np.asarray(q, dtype=float)
+    if not np.all((q >= 0) & (q <= 1)):
+        raise ValueError("Quantiles must be in the range [0, 1]")
     last = len(ordered) - 1
     virtual = last * q.reshape(-1)
     below = np.floor(virtual)

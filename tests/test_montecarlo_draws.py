@@ -608,6 +608,15 @@ class TestSortedQuantiles:
             for qq in (q, 0.8, 1.0):
                 assert _same_but_zero_sign(reports.sorted_quantiles(x, qq), np.quantile(x, qq))
 
+    @pytest.mark.parametrize("q", [1.5, -0.1, math.nan, np.array([0.0, 0.5, np.nextafter(1.0, 2.0)])])
+    def test_levels_outside_0_1_are_refused_as_numpy_refuses_them(self, q):
+        x = np.sort(np.random.default_rng(3).standard_normal(50))
+        with pytest.raises(ValueError) as ref:
+            np.quantile(x, q)
+        with pytest.raises(ValueError) as got:
+            reports.sorted_quantiles(x, q)
+        assert str(got.value) == str(ref.value)
+
     @pytest.mark.parametrize("bins", [1, 2, 3, 64, 80])
     def test_bins_follow_the_searchsorted_rule(self, bins):
         rng = np.random.default_rng(bins)
@@ -666,10 +675,13 @@ def _raised(fn):
 
 
 @pytest.mark.parametrize("name", list(_kappa_samples()))
-@pytest.mark.parametrize("theta", [THETA_TARGET])
-def test_kappa_from_a_sorted_copy_is_numpys(name, theta):
+@pytest.mark.parametrize("theta", [THETA_TARGET, 0.4, 0.0, 1.0, 0.999, 1.5, math.nan])
+def test_kappa_from_a_sorted_copy_is_numpys(name, theta, monkeypatch):
     """``_choose_kappa`` sorts a copy, in its work array if it is given, and
-    reads c off it: the kappa, c and theta of ``np.quantile``, or its error."""
+    reads c off it: the kappa, c and theta of ``np.quantile``, or its error.
+    It reads ``THETA_TARGET`` when called, so the rule is checked at other
+    levels too; one outside [0, 1] is refused as ``np.quantile`` refuses it."""
+    monkeypatch.setattr(logconcave, "THETA_TARGET", theta)
     values = _kappa_samples()[name]
     original = values.copy()
     ref = _raised(lambda: _choose_reference(values, theta))
