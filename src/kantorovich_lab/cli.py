@@ -136,6 +136,9 @@ _LAWS = "missing params.{} (a non-empty list of specs with p)"
 _TYPES = {
     "real": _Type(_real, "params.{} must be a real number", float),
     "q": _Type(lambda v: _real(v) and v >= 1, "params.{} must be a real number >= 1", float),
+    "above_one": _Type(lambda v: _real(v) and v > 1, "params.{} must be a real number > 1", float),
+    "order": _Type(lambda v: _real(v) and 1 < v <= 2, "params.{} must be a real number in (1, 2]", float),
+    "delta": _Type(lambda v: _real(v) and 2**-0.5 < v < 1, "params.{} must be a real number in (2^-1/2, 1)", float),
     "count": _Type(lambda v: _real(v) and v >= 1 and v % 1 == 0, "params.{} must be a positive integer", int),
     "reals": _Type(_list_of(_real), "params.{} must be a list of real numbers"),
     "exponents": _Type(_list_of(lambda v: _real(v) and v >= 1), "params.{} must be a list of real numbers >= 1"),
@@ -244,13 +247,12 @@ def _check(name, verdict, **fields) -> dict:
 
 
 def _witnessed(op, mu, metric, q, other):
-    value, witness = getattr(transport, f"{op}_norm")(mu, metric)
+    if op == "kq":
+        name, (value, witness) = f"{op}[q={q:g}]", transport.kq_norm(mu, metric, q)
+    else:
+        name, (value, witness) = op, getattr(transport, f"{op}_norm")(mu, metric)
     witness.validate(mu)
-    return _check(op, True, value=value), {f"{op}_witness": witness.values.tolist()}
-
-
-def _kq(op, mu, metric, q, other):
-    return _check(f"{op}[q={q:g}]", True, value=transport.kq_norm(mu, metric, q)), {}
+    return _check(name, True, value=value), {f"{op}_witness": witness.values.tolist()}
 
 
 def _wq(op, mu, metric, q, other):
@@ -265,7 +267,7 @@ def _oracle(op, mu, metric, q, other):
     return _check(f"{op}_bounded", True, value=value), {}
 
 
-_NORM_OPS = {"kr": _witnessed, "k": _witnessed, "kq": _kq, "wq": _wq, "oracle": _oracle}
+_NORM_OPS = {"kr": _witnessed, "k": _witnessed, "kq": _witnessed, "wq": _wq, "oracle": _oracle}
 
 
 def _run_norms(seed, base, *, measure: "doc", metric: "name", ops: "ops" = DEFAULT_OPS, q: "q" = None,
@@ -290,10 +292,9 @@ def _ops_need(fields) -> list[str]:
     """The rules tying ``norms`` ops to the other fields."""
     bad = [op for op in fields["ops"] if not _known(op, _NORM_OPS)]
     diags = [f"unknown ops {bad}"] if bad else []
-    runs = {_NORM_OPS.get(op) for op in fields["ops"] if isinstance(op, str)}
-    if runs & {_kq, _wq} and fields["q"] is None:
+    if any(op in ("kq", "wq") for op in fields["ops"]) and fields["q"] is None:
         diags.append("missing params.q for kq/wq")
-    if _wq in runs and fields["other_measure"] is None:
+    if "wq" in fields["ops"] and fields["other_measure"] is None:
         diags.append("missing params.other_measure for wq")
     return diags
 
@@ -326,11 +327,8 @@ def _run_convergence(seed, base, *, sequence: "doc", q: "q" = 1.0, metrics: "met
         per_index.append(row)
     witnesses = []
     for rec in report.per_metric:
-        witness = rec.last_k_witness  # None unless q = 1
-        if witness is None:
-            witness = transport.k_norm(seq.measures[-1] - seq.require_limit(), rec.metric_name)[1]
         witnesses.append(
-            {"metric": rec.metric_name, "index": len(seq) - 1, "potential": witness.values.tolist()}
+            {"metric": rec.metric_name, "index": len(seq) - 1, "potential": rec.last_k_witness.values.tolist()}
         )
     out = {
         "verdict": report.verdict,
@@ -614,12 +612,12 @@ def _cf(n, seed, *, spec: "stable_law"):
     return stable.validate_sampler(_stable_spec(spec), n=n, seed=seed)
 
 
-def _tail(n, seed, *, spec: "stable_law", p1: "real", delta: "real" = 0.8):
+def _tail(n, seed, *, spec: "stable_law", p1: "above_one", delta: "delta" = 0.8):
     from . import stable
     return stable.stable_tail_check(_stable_spec(spec), p1=p1, n=n, seed=seed, delta=delta)
 
 
-def _constants(n, seed, *, delta: "real", p: "real"):
+def _constants(n, seed, *, delta: "delta", p: "order"):
     """The closed-form constants: already checks, a payload and curves."""
     from . import stable
     tc = stable.tail_constants(delta, p)

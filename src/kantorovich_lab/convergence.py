@@ -160,8 +160,8 @@ class MetricConvergenceRecord:
     ui_holds: bool
     settled_from: int | None
     verdict: str  # PASS | UI_FAIL | VIOLATION
-    #: witness of the last anchored gap; None when q > 1 (the k gaps are kq)
-    last_k_witness: LipschitzWitness | None = None
+    #: witness of the last gap of ``k_gaps``: k's (q = 1) or kq's (q > 1)
+    last_k_witness: LipschitzWitness
 
 
 @dataclass(frozen=True)
@@ -214,15 +214,11 @@ def check_tau_k_convergence(
         ui = r_full <= r_half
         kr_gaps = []
         k_gaps = []
-        witness = None
         for m in seq.measures:
             delta = m - limit
             kr_gaps.append(kr_norm(delta, name)[0])
-            if q == 1:
-                gap, witness = k_norm(delta, name)
-                k_gaps.append(gap)
-            else:
-                k_gaps.append(kq_norm(delta, name, q))
+            gap, witness = k_norm(delta, name) if q == 1 else kq_norm(delta, name, q)
+            k_gaps.append(gap)
         settled = _settled_index(k_gaps, tol)
         kr_settled = _settled_index(kr_gaps, tol)
         converged = settled is not None and kr_settled is not None

@@ -423,7 +423,10 @@ class PolynomialSpec:
     terms: Mapping[tuple[int, ...], float]
 
     def __post_init__(self):
-        terms = {tuple(int(e) for e in k): float(v) for k, v in dict(self.terms).items()}
+        terms = {tuple(k): float(v) for k, v in dict(self.terms).items()}
+        for k in terms:
+            if not all(isinstance(e, (int, np.integer)) and not isinstance(e, bool) and e >= 0 for e in k):
+                raise ValueError(f"exponents must be nonnegative integers, got {list(k)}")
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
         if any(sum(k) > self.degree for k in terms):
@@ -435,6 +438,8 @@ class PolynomialSpec:
     @staticmethod
     def from_1d_coeffs(coeffs: Sequence[float]) -> "PolynomialSpec":
         coeffs = [float(c) for c in coeffs]
+        if not any(coeffs):
+            raise ValueError("coeffs_1d has no nonzero coefficient")
         degree = max(i for i, c in enumerate(coeffs) if c != 0)
         return PolynomialSpec(degree, {(i,): c for i, c in enumerate(coeffs) if c != 0})
 

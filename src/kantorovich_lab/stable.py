@@ -34,7 +34,7 @@ from .reports import (
     share,
     sorted_quantiles,
 )
-from .transport._transportation import moment_seminorm_value
+from .transport._transportation import absorbing_distances, moment_weights, seminorm_potential
 
 DEFAULT_SAMPLES = 10**5
 #: Block means behind a barycenter's half-width in the mean-convergence
@@ -444,7 +444,8 @@ def _binned_gap(
     # |x_i - x_j| is a metric by construction, so the space is not validated;
     # this is kq_norm with the anchor at the origin
     d = np.abs(pts[:, None] - pts[None, :])
-    return moment_seminorm_value(d, np.concatenate([[0.0], wx, -wy]), q, 0), ex + ey
+    moments = moment_weights(d[:, 0], np.concatenate([[0.0], wx, -wy]), q)
+    return seminorm_potential(d, moments, *absorbing_distances(d, "bounded", 0))[0], ex + ey
 
 
 def stable_mean_convergence_experiment(

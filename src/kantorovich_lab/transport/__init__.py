@@ -1,11 +1,12 @@
 """Exact Kantorovich-type seminorms and coupling metrics for signed measures.
 
 Every value is the optimum of a balanced transportation problem solved by one
-network simplex (``_transportation``): the coupling metric directly, the
-bounded and anchored seminorms on a node set augmented by a slack location or
-the anchor.  Seminorm witnesses are built from the optimal duals by one
-c-transform over the whole space.  An exhaustive vertex-enumeration oracle
-cross-checks the seminorms on small supports.
+network simplex (``_transportation``): the coupling metric directly, and each
+seminorm as the sup of the integral over 1-Lipschitz potentials vanishing at
+an absorbing node, the anchor (``k``) or a slack point at unit distance from
+every point (``kr``, and ``kq`` on the moment weights).  A seminorm's value is
+the integral of its witness, read off the duals by one c-transform.  An
+exhaustive vertex-enumeration oracle cross-checks seminorms on small supports.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from ..measures import TRIANGLE_TOL, SignedMeasure
 from ._simplex import kernel_backend
-from ._transportation import moment_seminorm_value, power_costs, seminorm_problem, solve_transportation
+from ._transportation import absorbing_distances, moment_weights, power_costs
+from ._transportation import seminorm_potential, seminorm_problem, solve_transportation
 from ._trees import min_cost_vertex
 
 __all__ = [
@@ -51,14 +53,17 @@ def _mass_tol(scale: float, total: float) -> float:
 class LipschitzWitness:
     """Dual certificate: potential values attaining a seminorm value.
 
-    ``achieved`` is the integral of the potential against the measure; for the
-    anchored mode the seminorm adds ``|mu(X)|`` on top of it.
+    ``achieved`` is the integral of the potential against the measure, or,
+    with a moment exponent ``q``, against the moment-weighted measure
+    (1 + d(., x0)^q) . mu; for the anchored mode the seminorm adds
+    ``|mu(X)|`` on top of it.
     """
 
     metric_name: str
     values: np.ndarray
     achieved: float
     mode: str  # "bounded" | "anchored"
+    q: float | None = None
 
     def validate(self, mu: SignedMeasure) -> None:
         f = self.values
@@ -81,7 +86,10 @@ class LipschitzWitness:
                 raise ValueError("potential does not vanish at the anchor")
         else:
             raise ValueError(f"unknown witness mode {self.mode!r}")
-        terms = f * mu.weights
+        weights = mu.weights
+        if self.q is not None:
+            weights = moment_weights(mu.space.anchor_distances(self.metric_name), weights, self.q)
+        terms = f * weights
         integral = math.fsum(terms.tolist())
         scale = math.fsum(np.abs(terms).tolist())
         if abs(integral - self.achieved) > WITNESS_TOL * min(1.0, scale):
@@ -120,40 +128,15 @@ class Coupling:
             raise ValueError("coupling cost mismatch")
 
 
-def _seminorm_potential(d: np.ndarray, w: np.ndarray, mode: str, anchor: int) -> np.ndarray:
-    """An optimal potential of the bounded or anchored Lipschitz LP on the
-    whole space: one c-transform of the optimal transportation duals.
-
-    Row duals minus the absorbing row's dual bound the potential on the
-    positive atoms; the largest 1-Lipschitz function below those bounds there
-    is no larger than the dual bound on any negative atom, so it attains the
-    transportation optimum.
-    """
-    prob = seminorm_problem(d, w, mode, anchor)
-    if prob is None:
-        return np.zeros(len(w))
-    u = solve_transportation(prob.a, prob.b, prob.C).u
-    if mode == "bounded":
-        if len(prob.pos) == 0:
-            return np.full(len(w), -1.0)
-        g = np.minimum(u[:-1] - u[-1], 1.0)
-        f = (g - d.take(prob.pos, 1)).max(axis=1)
-        np.maximum(f, -1.0, out=f)
-        return np.minimum(f, 1.0, out=f)
-    rows = np.array([*prob.pos.tolist(), anchor])
-    # capping by the row of d read below keeps f(anchor) <= 0 exactly
-    g = np.minimum(u - u[-1], d[anchor].take(rows))
-    g[-1] = 0.0
-    return np.maximum((g - d.take(rows, 1)).max(axis=1), -d[:, anchor])
-
-
-def _seminorm_witness(mu: SignedMeasure, metric_name: str, mode: str) -> tuple[float, LipschitzWitness]:
-    """The integral of an optimal ``mode`` potential against mu, an ``fsum``
-    over mu's support, and the potential as its witness."""
-    f = _seminorm_potential(mu.space.metric(metric_name), mu.weights, mode, mu.space.anchor)
-    supp = mu.support
-    achieved = math.fsum((f[supp] * mu.weights[supp]).tolist())
-    return achieved, LipschitzWitness(metric_name, f, achieved, mode)
+def _seminorm_witness(
+    mu: SignedMeasure, metric_name: str, mode: str, q: float | None = None
+) -> tuple[float, LipschitzWitness]:
+    """The integral of an optimal ``mode`` potential against mu, or against
+    its moment weights for an exponent ``q``, and the potential as witness."""
+    d = mu.space.metric(metric_name)
+    w = mu.weights if q is None else moment_weights(mu.space.anchor_distances(metric_name), mu.weights, q)
+    achieved, f = seminorm_potential(d, w, *absorbing_distances(d, mode, mu.space.anchor))
+    return achieved, LipschitzWitness(metric_name, f, achieved, mode, q)
 
 
 def kr_norm(mu: SignedMeasure, metric_name: str) -> tuple[float, LipschitzWitness]:
@@ -200,11 +183,11 @@ def wasserstein_q(
     return value, Coupling(metric_name, float(q), sigma, sol.cost)
 
 
-def kq_norm(mu: SignedMeasure, metric_name: str, q: float) -> float:
+def kq_norm(mu: SignedMeasure, metric_name: str, q: float) -> tuple[float, LipschitzWitness]:
     """Moment-weighted seminorm: bounded seminorm of (1 + d(., x0)^q) . mu."""
     if not q >= 1:
         raise ValueError("q must be >= 1")
-    return moment_seminorm_value(mu.space.metric(metric_name), mu.weights, q, mu.space.anchor)
+    return _seminorm_witness(mu, metric_name, "bounded", q)
 
 
 def brute_force_dual(mu: SignedMeasure, metric_name: str, mode: str) -> float:
@@ -219,7 +202,8 @@ def brute_force_dual(mu: SignedMeasure, metric_name: str, mode: str) -> float:
     supp = mu.support
     if len(supp) > ORACLE_SUPPORT_MAX:
         raise ValueError(f"oracle supports at most {ORACLE_SUPPORT_MAX} atoms, got {len(supp)}")
-    prob = seminorm_problem(mu.space.metric(metric_name), mu.weights, mode, mu.space.anchor)
+    d = mu.space.metric(metric_name)
+    prob = seminorm_problem(d, mu.weights, *absorbing_distances(d, mode, mu.space.anchor))
     if prob is None:
         return 0.0
     value = min_cost_vertex(prob.a, prob.b, prob.C)

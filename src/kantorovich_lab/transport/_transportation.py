@@ -1,8 +1,9 @@
 """Network simplex for balanced transportation problems.
 
 One engine computes every optimum of the package: the coupling metric
-directly, and the bounded and anchored Lipschitz seminorms through the
-augmented problem of ``seminorm_problem``.  It is the primal network simplex
+directly, and every Lipschitz seminorm through the augmented problem of
+``seminorm_problem``, whose optimal potential ``seminorm_potential`` reads
+off the duals.  It is the primal network simplex
 of Ahuja, Magnanti & Orlin, *Network Flows* (1993), ch. 11, on the bipartite
 graph of sources (rows) and sinks (columns), as in the EMD solver of Bonneel
 et al., "Displacement Interpolation Using Lagrangian Mass Transport"
@@ -465,11 +466,12 @@ def solve_transportation(a, b, C) -> TransportSolution:
 
 
 # ---------------------------------------------------------------------------
-# Seminorms as transportation problems.  The bounded-Lipschitz and
-# anchored-Lipschitz suprema equal balanced transportation optima on an
-# augmented node set: a slack location at unit distance from everything
-# (bounded mode) or the anchor itself (anchored mode) absorbs the surplus of
-# either sign.
+# Seminorms as transportation problems.  The sup of a measure's integral over
+# the 1-Lipschitz potentials that vanish at an absorbing node is a balanced
+# transportation optimum on the support augmented by that node, which absorbs
+# the surplus of either sign.  The anchored seminorm's absorbing node is the
+# anchor.  The bounded seminorm's is a slack point at unit distance from every
+# point: a 1-Lipschitz potential that vanishes there is one bounded by 1.
 # ---------------------------------------------------------------------------
 
 
@@ -483,40 +485,58 @@ class SeminormProblem(NamedTuple):
     C: np.ndarray
 
 
-def seminorm_problem(d: np.ndarray, weights: np.ndarray, mode: str, anchor: int = 0):
+def absorbing_distances(d: np.ndarray, mode: str, anchor: int):
+    """The absorbing node's distances from and to each point: the anchor's
+    row and column (``"anchored"``), or all 1 for the slack (``"bounded"``)."""
+    if mode == "anchored":
+        return d[anchor], d[:, anchor]
+    if mode == "bounded":
+        ones = np.ones(len(d))
+        return ones, ones
+    raise ValueError(f"unknown mode {mode!r}; expected 'bounded' or 'anchored'")
+
+
+def seminorm_problem(d: np.ndarray, weights: np.ndarray, end_row: np.ndarray, end_col: np.ndarray):
     """The transportation problem whose optimum is the sup of the weights'
-    integral over 1-Lipschitz potentials bounded by 1 (``"bounded"``) or
-    vanishing at ``anchor`` (``"anchored"``); None for the zero measure."""
-    if mode not in ("bounded", "anchored"):
-        raise ValueError(f"unknown mode {mode!r}; expected 'bounded' or 'anchored'")
+    integral over 1-Lipschitz potentials that vanish at an absorbing node at
+    distances ``end_row`` from and ``end_col`` to each point, and 0 from
+    itself; None for the zero measure."""
     w = np.asarray(weights, dtype=float)
     pos = (w > 0).nonzero()[0]
     neg = (w < 0).nonzero()[0]
     if not (len(pos) or len(neg)):
         return None
-    # the absorbing node's row and column read the anchor's entries; bounded
-    # mode reads point 0's and overwrites them with the slack's
-    end = anchor if mode == "anchored" else 0
-    rows = np.array([*pos.tolist(), end])
-    cols = np.array([*neg.tolist(), end])
-    a = w[rows]
-    b = -w[cols]
-    a[-1] = math.fsum(b[:-1].tolist())
-    b[-1] = math.fsum(a[:-1].tolist())
-    C = d.take(rows, 0).take(cols, 1)
-    if mode == "bounded":
-        C[-1] = 1.0
-        C[:, -1] = 1.0
-        C[-1, -1] = 0.0
+    a = np.append(w[pos], math.fsum((-w[neg]).tolist()))
+    b = np.append(-w[neg], math.fsum(w[pos].tolist()))
+    C = np.zeros((len(pos) + 1, len(neg) + 1))
+    C[:-1, :-1] = d.take(pos, 0).take(neg, 1)
+    C[:-1, -1] = end_col.take(pos)
+    C[-1, :-1] = end_row.take(neg)
     return SeminormProblem(pos, a, b, C)
 
 
-def flow_seminorm_value(d: np.ndarray, weights: np.ndarray, mode: str, anchor: int = 0) -> float:
-    """Optimum of ``seminorm_problem`` (0 for the zero measure)."""
-    prob = seminorm_problem(d, weights, mode, anchor)
+def seminorm_potential(d: np.ndarray, weights: np.ndarray, end_row: np.ndarray, end_col: np.ndarray):
+    """The optimum of ``seminorm_problem``, one ``math.fsum`` over the support
+    of the weights' integral of an optimal potential, and that potential on
+    the whole space (zero for the zero measure).
+
+    The potential is one c-transform of the optimal duals.  Row duals less
+    the absorbing row's, capped by the absorbing node's distance, bound it on
+    the positive atoms; the largest 1-Lipschitz function below those bounds
+    and the absorbing node's zero is no larger than the dual bound on any
+    negative atom, so it attains the optimum.  The cap keeps it at most 0 at
+    the anchor (read off the same row of ``d``) and at most 1 for the slack.
+    """
+    w = np.asarray(weights, dtype=float)
+    prob = seminorm_problem(d, w, end_row, end_col)
     if prob is None:
-        return 0.0
-    return solve_transportation(prob.a, prob.b, prob.C).cost
+        return 0.0, np.zeros(len(w))
+    u = solve_transportation(prob.a, prob.b, prob.C).u
+    g = np.minimum(u[:-1] - u[-1], end_row.take(prob.pos))
+    f = (g - d.take(prob.pos, 1)).max(axis=1, initial=-math.inf)
+    np.maximum(f, -end_col, out=f)
+    supp = w.nonzero()[0]
+    return math.fsum((f[supp] * w[supp]).tolist()), f
 
 
 def power_costs(d: np.ndarray, q: float) -> np.ndarray:
@@ -530,16 +550,16 @@ def power_costs(d: np.ndarray, q: float) -> np.ndarray:
     return d**q
 
 
-def moment_seminorm_value(d: np.ndarray, weights: np.ndarray, q: float, anchor: int) -> float:
-    """Moment-weighted seminorm: bounded seminorm of (1 + d(., x0)^q) . weights;
-    a ValueError naming ``q`` and the largest |mass| when a moment weight, or
-    a sum of them that the solve forms, overflows."""
+def moment_weights(anchor_distances: np.ndarray, weights: np.ndarray, q: float) -> np.ndarray:
+    """(1 + d(., x0)^q) . weights; a ValueError naming ``q`` and the largest
+    |mass| when a moment weight, or their total |mass|, overflows."""
     with np.errstate(over="ignore"):
-        moments = weights * (1.0 + power_costs(d[:, anchor], q))
+        moments = weights * (1.0 + power_costs(anchor_distances, q))
     try:
-        if np.isfinite(moments).all():
-            return flow_seminorm_value(d, moments, "bounded")
-    except OverflowError:  # math.fsum of the moment weights
-        pass
-    largest = float(np.abs(weights).max())
-    raise ValueError(f"q = {q:g} overflows the moment weights at the largest |mass| {largest:g}")
+        total = math.fsum(np.abs(moments).tolist())
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        largest = float(np.abs(weights).max())
+        raise ValueError(f"q = {q:g} overflows the moment weights at the largest |mass| {largest:g}")
+    return moments

@@ -7,11 +7,12 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kantorovich_lab import cli, transport
 from kantorovich_lab.convergence import MeasureSequence, check_tau_k_convergence
-from kantorovich_lab.measures import space_from_dict
+from kantorovich_lab.measures import measure_from_dict, space_from_dict
 
 
 def write(path: Path, doc) -> Path:
@@ -401,8 +402,8 @@ class TestDeterminism:
             assert got["verdict"] == rec.verdict
         assert payload["verdict"] == expected.verdict
 
-    @pytest.mark.parametrize("q,own_solves", [(1.0, 0), (2.0, 2)])
-    def test_convergence_witness_reuses_the_last_k_gap(self, tmp_path, monkeypatch, q, own_solves):
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_convergence_witness_reuses_the_last_k_gap(self, tmp_path, monkeypatch, q):
         seq_doc = {
             "points": ["x0", "x1", "x2"],
             "metrics": {
@@ -429,12 +430,18 @@ class TestDeterminism:
 
         monkeypatch.setattr(transport, "k_norm", spy)
         code, report, _ = cli.run(config, base=tmp_path)
-        assert code == cli.EXIT_OK and len(calls) == own_solves
+        assert code == cli.EXIT_OK and calls == []
         space = space_from_dict(seq_doc)
-        delta = space.measure([-0.1, 0.0, 0.1])
+        delta = space.measure([0.9, 0.0, 0.1]) - space.measure([1.0, 0.0, 0.0])
+        gaps = {rec["metric"]: rec["k_gaps"][-1] for rec in report["payload"]["per_metric"]}
         for got in report["payload"]["witnesses"]:
             assert got["index"] == 1
-            assert got["potential"] == k_norm(delta, got["metric"])[1].values.tolist()
+            gap, witness = k_norm(delta, got["metric"]) if q == 1 else transport.kq_norm(delta, got["metric"], q)
+            assert got["potential"] == witness.values.tolist()
+            assert gap == gaps[got["metric"]]
+            achieved = gap - abs(delta.total_mass) if q == 1 else gap
+            potential = np.array(got["potential"])
+            transport.LipschitzWitness(got["metric"], potential, achieved, witness.mode, witness.q).validate(delta)
 
     def test_seed_override_changes_hash(self, tmp_path):
         path = norms_config(tmp_path)
@@ -457,6 +464,9 @@ _SEQUENCE = {
     "weights_sequence": [["0.5", "0.5", "0", "0"], ["0.875", "0", "0.125", "0"], ["1", "0", "0", "0"]],
     "limit_weights": ["1", "0", "0", "0"],
 }
+#: ``_SEQUENCE`` ending off its limit, so the last gap's witness is not zero
+_SEQUENCE_OFF = {**_SEQUENCE,
+                 "weights_sequence": [*_SEQUENCE["weights_sequence"][:2], ["0.999999999", "0", "0", "1e-9"]]}
 _GAUSS = {"family": "gaussian", "mean": [0.0], "cov": [[1.0]]}
 _X = {"coeffs_1d": [0.0, 1.0]}
 _ONE = {"degree": 0, "terms": [[[0], 1.0]]}
@@ -483,7 +493,7 @@ PINNED = {
     "norms[kq]": (
         {"kind": "norms", "params": {"measure": _SIGNED, "metric": "d", "ops": ["kq"], "q": 2.5}},
         0,
-        {"report": "2665285ba735fa53"},
+        {"report": "d529b8d79167e2bb"},
     ),
     "norms[wq]": (
         {"kind": "norms", "params": {"measure": _MU, "metric": "d", "ops": ["wq"], "q": 2, "other_measure": _NU}},
@@ -501,9 +511,9 @@ PINNED = {
         {"report": "91a823349e73f284", "tail_d": "bcb5b86d4d56f5bc"},
     ),
     "convergence[q=2]": (
-        {"kind": "convergence", "params": {"sequence": _SEQUENCE, "q": 2.0, "metrics": ["d"]}},
+        {"kind": "convergence", "params": {"sequence": _SEQUENCE_OFF, "q": 2.0, "metrics": ["d"]}},
         0,
-        {"report": "54e1518dd6295da4", "tail_d": "ff34e3487b030aae"},
+        {"report": "6e5e9b7d656e833a", "tail_d": "385cf8e4761d67f4"},
     ),
     "counterexample": (
         {"kind": "counterexample", "params": {"matrix": [[2.0, 1.0]], "epsilon": 1e-6}},
@@ -580,7 +590,7 @@ PINNED = {
         {"kind": "stable", "params": {"check": "mean_convergence", "specs": [{"p": 1.6}, {"p": 1.8}],
                                       "limit": {"p": 2.0}, "n": 2000}},
         0,
-        {"report": "09c8b646a389d8ad"},
+        {"report": "09699ae2a243d0ae"},
     ),
 }
 
@@ -599,6 +609,71 @@ def run_digests(config, tmp_path):
     return code, _sha(strip_wall_clock(path.read_text())), curves
 
 
+def _certified(config) -> list[str]:
+    """The certificates a report of ``config`` writes."""
+    params = config["params"]
+    if config["kind"] == "convergence":
+        return [f"witnesses[{name}]" for name in params.get("metrics", params["sequence"]["metrics"])]
+    if config["kind"] != "norms":
+        return []
+    names = {"kr": "kr_witness", "k": "k_witness", "kq": "kq_witness", "wq": "coupling"}
+    return [names[op] for op in params.get("ops", cli.DEFAULT_OPS) if op in names]
+
+
+def _moment_weighted(mu, metric, q):
+    """mu weighted by (1 + d(., x0)^q), for a witness of kq to be validated
+    as a plain bounded witness."""
+    return mu.space.measure(mu.weights * (1.0 + mu.space.anchor_distances(metric) ** q))
+
+
+def validate_certificates(config, report) -> list[str]:
+    """Rebuild each certificate a written report holds and validate it
+    against the report's own inputs: its measures, sequence and values.
+    Returns the names of the certificates validated."""
+    params, payload = config["params"], report["payload"]
+    values = {check["name"]: check.get("value") for check in report["checks"]}
+    done = []
+    if config["kind"] == "convergence":
+        doc = params["sequence"]
+        space = space_from_dict(doc)
+        limit = space.measure([float(x) for x in doc["limit_weights"]])
+        q = payload["q"]
+        gaps = {rec["metric"]: rec["k_gaps"] for rec in payload["per_metric"]}
+        for wit in payload["witnesses"]:
+            name, i = wit["metric"], wit["index"]
+            delta = space.measure([float(x) for x in doc["weights_sequence"][i]]) - limit
+            potential = np.array(wit["potential"])
+            if q == 1:
+                witness = transport.LipschitzWitness(name, potential, gaps[name][i] - abs(delta.total_mass), "anchored")
+                witness.validate(delta)
+            else:
+                witness = transport.LipschitzWitness(name, potential, gaps[name][i], "bounded")
+                witness.validate(_moment_weighted(delta, name, q))
+            done.append(f"witnesses[{name}]")
+        return done
+    mu = measure_from_dict(params["measure"])
+    metric = params["metric"]
+    for key in payload:
+        if key == "coupling":
+            q = float(params["q"])
+            nu = measure_from_dict(params["other_measure"])
+            coupling = transport.Coupling(metric, q, np.array(payload[key]), values[f"wq[q={q:g}]"] ** q)
+            coupling.validate(mu, nu)
+        elif key == "kq_witness":
+            q = float(params["q"])
+            witness = transport.LipschitzWitness(metric, np.array(payload[key]), values[f"kq[q={q:g}]"], "bounded")
+            witness.validate(_moment_weighted(mu, metric, q))
+        elif key in ("kr_witness", "k_witness"):
+            op = key[: -len("_witness")]
+            achieved = values[op] - (abs(mu.total_mass) if op == "k" else 0.0)
+            mode = "anchored" if op == "k" else "bounded"
+            transport.LipschitzWitness(metric, np.array(payload[key]), achieved, mode).validate(mu)
+        else:
+            continue
+        done.append(key)
+    return done
+
+
 class TestPinnedReports:
     """Every report and curve file of every kind, op and check, byte for byte."""
 
@@ -608,6 +683,13 @@ class TestPinnedReports:
         got_code, report, curves = run_digests(config, tmp_path)
         assert got_code == code
         assert {"report": report, **curves} == digests
+
+    @pytest.mark.parametrize("case", [case for case, (config, _, _) in PINNED.items() if _certified(config)])
+    def test_every_certificate_validates(self, tmp_path, case):
+        config = {"seed": 11, **copy.deepcopy(PINNED[case][0])}
+        _, _, path = cli.run(config, base=tmp_path)
+        written = validate_certificates(config, json.loads(path.read_text()))
+        assert sorted(written) == sorted(_certified(config))
 
     def test_pins_cover_every_kind_op_and_check(self):
         assert {case.split("[")[0] for case in PINNED} == set(cli.KINDS)
@@ -788,7 +870,14 @@ class TestMalformedParams:
             (_borell(ts=[1.0, None]), ["logconcave: params.ts must be a list of real numbers"]),
             # a JSON integer with no finite float is not a real number
             ({"kind": "stable", "seed": 1, "params": {"check": "constants", "delta": 10**400, "p": 1.8}},
-             ["stable: params.delta must be a real number"]),
+             ["stable: params.delta must be a real number in (2^-1/2, 1)"]),
+            # the ranges of the stable tail constants, checked before any draw
+            ({"kind": "stable", "seed": 1, "params": {"check": "tail", "spec": {"p": 1.5}, "p1": 1.4, "delta": 0.5}},
+             ["stable: params.delta must be a real number in (2^-1/2, 1)"]),
+            ({"kind": "stable", "seed": 1, "params": {"check": "tail", "spec": {"p": 1.5}, "p1": 0.9}},
+             ["stable: params.p1 must be a real number > 1"]),
+            ({"kind": "stable", "seed": 1, "params": {"check": "constants", "delta": 0.8, "p": 2.5}},
+             ["stable: params.p must be a real number in (1, 2]"]),
             (_norms(ops=["kq"], q=10**400), ["norms: params.q must be a real number >= 1"]),
             (_borell(n=10**400), ["logconcave: params.n must be a positive integer"]),
             (_borell(ts=[1.0, 10**400]), ["logconcave: params.ts must be a list of real numbers"]),
@@ -931,14 +1020,15 @@ def _base(entry):
 WRONG_TYPE = {
     "real": "1", "q": "2", "count": "5", "reals": 1.0, "exponents": 2.0, "flag": 1, "name": 5, "metrics": "d",
     "ops": "kr", "seminorm": 5, "seminorms": "l2", "doc": 5, "object": "x", "objects": {}, "matrix": 5,
-    "family": 5, "stable_law": "p", "stable_laws": {"p": 1.5},
+    "family": 5, "stable_law": "p", "stable_laws": {"p": 1.5}, "delta": "0.8", "above_one": "2", "order": "1.5",
 }
 #: Values of the JSON type a field type takes, but outside it.
 OUT_OF_RANGE = {
     "q": [0.5], "count": [1.7, 0, -3], "reals": [[1.0, "2"]], "exponents": [[0.0], [-1.0]],
     "metrics": [["d", 1]], "seminorm": ["nope"], "seminorms": [["l2", "nope"]], "objects": [[{}, 5]],
     "matrix": [[[1.0], "x"], [[1.0, math.nan]]], "family": ["nope"], "stable_law": [{"b": 0.0}],
-    "stable_laws": [[{"p": 1.5}, {"b": 0.0}]],
+    "stable_laws": [[{"p": 1.5}, {"b": 0.0}]], "delta": [0.5, 0.7, 1.0], "above_one": [0.9, 1.0],
+    "order": [1.0, 2.5],
 }
 NESTED = [[[1]]]
 BAD_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "true": True, "empty list": [],
@@ -1115,6 +1205,20 @@ class TestInputDocuments:
              "bad polynomial: degree must be an integer, got 1.5\n"),
             ("logconcave", {"check": "small_value", "spec": _GAUSS, "poly": {"degree": False, "terms": []}},
              "bad polynomial: degree must be an integer, got False\n"),
+            # an exponent is a JSON integer >= 0: never negative, fractional or boolean
+            ("logconcave", {"check": "lp_equivalence", "spec": _GAUSS2,
+                            "polys": [{"degree": 1, "terms": [[[2, -1], 1.0]]}]},
+             "bad polynomial: exponents must be nonnegative integers, got [2, -1]\n"),
+            ("logconcave", {"check": "lp_equivalence", "spec": _GAUSS2,
+                            "polys": [{"degree": 1, "terms": [[[1.5, 0.5], 1.0]]}]},
+             "bad polynomial: exponents must be nonnegative integers, got [1.5, 0.5]\n"),
+            ("logconcave", {"check": "lp_equivalence", "spec": _GAUSS2,
+                            "polys": [{"degree": 1, "terms": [[[True], 1.0]]}]},
+             "bad polynomial: exponents must be nonnegative integers, got [True]\n"),
+            ("logconcave", {"check": "small_value", "spec": _GAUSS, "poly": {"degree": 2, "terms": [[[2.0], 1.0]]}},
+             "bad polynomial: exponents must be nonnegative integers, got [2.0]\n"),
+            ("logconcave", {"check": "small_value", "spec": _GAUSS, "poly": {"coeffs_1d": [0.0, 0.0]}},
+             "bad polynomial: coeffs_1d has no nonzero coefficient\n"),
             # a field that is not a list is named by its path in the measure file
             ("norms", {"measure": {**two_point_measure_doc(), "points": 5}, "metric": "d"},
              "malformed measure file: points must be a list, got int\n"),

@@ -13,7 +13,7 @@ from kantorovich_lab.convergence import (
 )
 from kantorovich_lab import measures
 from kantorovich_lab.measures import PseudometricSpace, barycenter
-from kantorovich_lab.transport import k_norm, kr_norm
+from kantorovich_lab.transport import k_norm, kq_norm, kr_norm
 
 from conftest import random_space
 
@@ -201,16 +201,18 @@ class TestTauK:
         assert rec.tail.power == 1.5
         assert len(rec.k_gaps) == 32
 
-    def test_last_k_witness_is_the_last_anchored_gaps(self):
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_last_k_witness_is_the_last_gaps(self, q):
+        # k's witness at q = 1, kq's above: the certificate of the gap reported
         seq = harmonic_pass_sequence(16)
         delta = seq.measures[-1] - seq.limit
-        (rec,) = check_tau_k_convergence(seq, q=1.0).per_metric
-        gap, witness = k_norm(delta, "d")
+        (rec,) = check_tau_k_convergence(seq, q=q).per_metric
+        gap, witness = k_norm(delta, "d") if q == 1 else kq_norm(delta, "d", q)
         assert rec.k_gaps[-1] == gap
         got = rec.last_k_witness
-        assert (got.metric_name, got.achieved, got.mode) == ("d", witness.achieved, "anchored")
+        assert (got.metric_name, got.achieved, got.mode, got.q) == ("d", witness.achieved, witness.mode, witness.q)
         assert got.values.tobytes() == witness.values.tobytes()
-        assert check_tau_k_convergence(seq, q=2.0).per_metric[0].last_k_witness is None
+        got.validate(delta)
 
     def test_q_below_one_rejected(self):
         seq = harmonic_pass_sequence(4)

@@ -156,8 +156,8 @@ def test_overflowing_moments_are_named(q, masses):
 
 
 def test_moments_near_overflow_keep_their_value():
-    assert kq_norm(star_measure([0.0, 1e6, -1e6]), "d", 1000) == 1.0715086071862673e307
-    assert kq_norm(star_measure([0.0] + [1e6] * 8 + [-1e6] * 8), "d", 1000) == 8.572068857490139e307
+    assert kq_norm(star_measure([0.0, 1e6, -1e6]), "d", 1000)[0] == 1.0715086071862673e307
+    assert kq_norm(star_measure([0.0] + [1e6] * 8 + [-1e6] * 8), "d", 1000)[0] == 8.572068857490139e307
 
 
 def test_cli_exits_3_on_overflowing_moments(tmp_path, capsys):

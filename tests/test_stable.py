@@ -278,7 +278,7 @@ class TestBinnedGap:
                 anchor=0,
             )
             mu = SignedMeasure(space, np.concatenate([[0.0], wx, -limit[1]]))
-            assert gap == kq_norm(mu, "line", q)
+            assert gap == kq_norm(mu, "line", q)[0]
             assert err == ex + limit[2]
 
 

@@ -18,7 +18,7 @@ from kantorovich_lab.transport import (
     wasserstein_q,
 )
 from kantorovich_lab.transport._simplex import simplex_max
-from kantorovich_lab.transport._transportation import flow_seminorm_value, solve_transportation
+from kantorovich_lab.transport._transportation import absorbing_distances, seminorm_potential, solve_transportation
 from kantorovich_lab.transport._trees import bipartite_tree_tensors
 
 from conftest import (
@@ -163,15 +163,15 @@ class TestKqNorm:
     def test_dirac_at_anchor(self, rng):
         space = random_space(rng, 4, anchor=1)
         for q in (1.0, 2.0, 3.0):
-            assert kq_norm(space.dirac(1), "d", q) == pytest.approx(1.0, abs=1e-12)
+            assert kq_norm(space.dirac(1), "d", q)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_reweighted_dirac(self):
         space = two_point_space(2.0, anchor=0)
-        assert kq_norm(space.dirac(1), "d", 2.0) == pytest.approx(5.0, abs=1e-12)
+        assert kq_norm(space.dirac(1), "d", 2.0)[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_zero_measure(self):
         space = two_point_space(2.0)
-        assert kq_norm(space.measure([0.0, 0.0]), "d", 1.5) == 0.0
+        assert kq_norm(space.measure([0.0, 0.0]), "d", 1.5)[0] == 0.0
 
     def test_matches_reweighted_kr(self, rng):
         for _ in range(20):
@@ -180,17 +180,36 @@ class TestKqNorm:
             q = float(rng.uniform(1.0, 3.0))
             dens = 1.0 + space.anchor_distances("d") ** q
             reweighted = space.measure(mu.weights * dens)
-            assert kq_norm(mu, "d", q) == pytest.approx(kr_norm(reweighted, "d")[0], abs=1e-9)
+            assert kq_norm(mu, "d", q)[0] == pytest.approx(kr_norm(reweighted, "d")[0], abs=1e-9)
 
-    def test_flow_route_agrees_with_dense(self, rng):
-        # the transport optimum (kq) equals the integral of the witness that kr
-        # builds from the optimal duals
+    def test_route_agrees_with_highs(self, rng):
+        # kq is kr's route on the moment weights: its value agrees with an
+        # independent LP, and its witness attains it on mu itself
         space = random_space(rng, 40)
         mu = space.measure(rng.uniform(-1, 1, size=40))
-        via_flow = kq_norm(mu, "d", 1.0)
-        dens = 1.0 + space.anchor_distances("d")
-        via_dense = kr_norm(space.measure(mu.weights * dens), "d")[0]
-        assert via_flow == pytest.approx(via_dense, abs=1e-9)
+        for q in (1.0, 2.0):
+            value, witness = kq_norm(mu, "d", q)
+            dens = 1.0 + space.anchor_distances("d") ** q
+            ref = highs_seminorm(space.metric("d"), mu.weights * dens, "bounded")
+            assert value == pytest.approx(ref, abs=1e-9 * max(1.0, abs(ref)))
+            assert (witness.mode, witness.q, witness.achieved) == ("bounded", q, value)
+            witness.validate(mu)
+
+    def test_witness_rejected_when_scaled_or_nan(self, rng):
+        space = random_space(rng, 12)
+        mu = random_signed(rng, space)
+        _, witness = kq_norm(mu, "d", 2.0)
+        witness.validate(mu)
+        scaled = dataclasses.replace(witness, values=witness.values * 1.01)
+        with pytest.raises(ValueError):
+            scaled.validate(mu)
+        values = witness.values.copy()
+        values[0] = math.nan
+        with pytest.raises(ValueError, match="^witness is not finite$"):
+            dataclasses.replace(witness, values=values).validate(mu)
+        # the same potential attains another value against the unweighted mu
+        with pytest.raises(ValueError, match="does not attain"):
+            dataclasses.replace(witness, q=None).validate(mu)
 
     def test_q_below_one_rejected(self):
         space = two_point_space(1.0)
@@ -351,19 +370,16 @@ class TestSolvers:
             eu, _, _ = bipartite_tree_tensors(r, s)
             assert eu.shape[0] == r ** (s - 1) * s ** (r - 1)
 
-    def test_flow_seminorm_matches_dense(self, rng):
+    def test_seminorm_route_matches_highs(self, rng):
+        # one route for both modes: only the absorbing node's distances differ
         for _ in range(30):
             n = int(rng.integers(2, 9))
             space = random_space(rng, n)
             mu = random_signed(rng, space)
             d = space.metric("d")
-            assert flow_seminorm_value(d, mu.weights, "bounded") == pytest.approx(
-                highs_seminorm(d, mu.weights, "bounded"), abs=1e-9
-            )
-            anchored = flow_seminorm_value(d, mu.weights, "anchored", anchor=space.anchor)
-            assert anchored == pytest.approx(
-                highs_seminorm(d, mu.weights, "anchored", space.anchor), abs=1e-9
-            )
+            for mode in ("bounded", "anchored"):
+                value, _ = seminorm_potential(d, mu.weights, *absorbing_distances(d, mode, space.anchor))
+                assert value == pytest.approx(highs_seminorm(d, mu.weights, mode, space.anchor), abs=1e-9)
 
 
 class TestScaleRobustness:

@@ -24,6 +24,7 @@ from kantorovich_lab.measures import PseudometricSpace
 from kantorovich_lab.transport import _transportation, k_norm, kr_norm
 from kantorovich_lab.transport._transportation import (
     PRICING_BLOCK_CELLS,
+    absorbing_distances,
     seminorm_problem,
     solve_transportation,
 )
@@ -55,7 +56,8 @@ def _integer_line(seed, mode):
     n = 80
     x = rng.integers(0, 12, size=n).astype(float)
     w = rng.standard_normal(n) * (rng.random(n) > 0.2)
-    prob = seminorm_problem(np.abs(x[:, None] - x[None, :]), w, mode, anchor=int(rng.integers(n)))
+    d = np.abs(x[:, None] - x[None, :])
+    prob = seminorm_problem(d, w, *absorbing_distances(d, mode, int(rng.integers(n))))
     return prob.a, prob.b, prob.C
 
 
@@ -68,7 +70,7 @@ def _planar(seed, n):
 def _augmented(seed, mode, scale):
     rng, d = _planar(seed, 24)
     w = rng.standard_normal(24) * (rng.random(24) > 0.25) * scale
-    prob = seminorm_problem(d, w, mode, anchor=int(rng.integers(24)))
+    prob = seminorm_problem(d, w, *absorbing_distances(d, mode, int(rng.integers(24))))
     return prob.a, prob.b, prob.C
 
 

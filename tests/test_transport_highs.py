@@ -78,7 +78,9 @@ def test_matches_highs(scale, n, seed):
     for q in (1.0, 2.0):
         dens = 1.0 + d[:, space.anchor] ** q
         ref = highs_seminorm(d, w * dens, "bounded")
-        assert_agrees(kq_norm(mu, "d", q), ref, wmax * float(dens.max()) * max(1.0, dmax))
+        value, witness = kq_norm(mu, "d", q)
+        witness.validate(mu)
+        assert_agrees(value, ref, wmax * float(dens.max()) * max(1.0, dmax))
 
     a, b = _coupled_marginals(rng, n, scale)
     p, nu = space.measure(a), space.measure(b)
@@ -100,7 +102,9 @@ def test_kq_nonnegative_measure_at_mass_scale_1e6():
     d = space.metric("d")
     dens = 1.0 + d[:, space.anchor] ** 2
     ref = highs_seminorm(d, w * dens, "bounded")
-    assert_agrees(kq_norm(space.measure(w), "d", 2.0), ref, float((w * dens).max()) * float(d.max()))
+    value, witness = kq_norm(space.measure(w), "d", 2.0)
+    witness.validate(space.measure(w))
+    assert_agrees(value, ref, float((w * dens).max()) * float(d.max()))
 
 
 def test_wq_at_mass_scale_1e_12():

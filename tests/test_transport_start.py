@@ -122,7 +122,9 @@ def test_tie_heavy_line_matches_highs(scale):
         assert_agrees(value, ref, scale * 3 * dmax)
         dens = 1.0 + d[:, space.anchor]
         ref = highs_seminorm(d, w * dens, "bounded")
-        assert_agrees(kq_norm(mu, "d", 1.0), ref, scale * 3 * float(dens.max()) * dmax)
+        value, witness = kq_norm(mu, "d", 1.0)
+        witness.validate(mu)
+        assert_agrees(value, ref, scale * 3 * float(dens.max()) * dmax)
 
         a = rng.integers(1, 4, size=n).astype(float) * scale
         p, nu = space.measure(a), space.measure(rng.permutation(a))
