@@ -141,7 +141,8 @@ _TYPES = {
     "delta": _Type(lambda v: _real(v) and 2**-0.5 < v < 1, "params.{} must be a real number in (2^-1/2, 1)", float),
     "count": _Type(lambda v: _real(v) and v >= 1 and v % 1 == 0, "params.{} must be a positive integer", int),
     "reals": _Type(_list_of(_real), "params.{} must be a list of real numbers"),
-    "exponents": _Type(_list_of(lambda v: _real(v) and v >= 1), "params.{} must be a list of real numbers >= 1"),
+    "positive_reals": _Type(_list_of(lambda v: _real(v) and v > 0), "params.{} must be a list of real numbers > 0"),
+    "reals_from_one": _Type(_list_of(lambda v: _real(v) and v >= 1), "params.{} must be a list of real numbers >= 1"),
     "flag": _Type(_is(bool), "params.{} must be true or false"),
     "name": _Type(_is(str), "params.{} must be a name"),
     "metrics": _Type(_list_of(_is(str)), "params.{} must be a list of metric names"),
@@ -346,7 +347,7 @@ def _run_convergence(seed, base, *, sequence: "doc", q: "q" = 1.0, metrics: "met
             }
             for rec in report.per_metric
         ],
-        "tolerances": {"gap": report.tol},
+        "tolerances": {"gap": convergence.GAP_TOL},
         "witnesses": witnesses,
     }
     curves = {
@@ -540,18 +541,18 @@ def _report_to_result(report):
     return checks, {"extras": report.extras, "name": report.name}, curves
 
 
-def _borell(n, seed, *, spec: "object", c: "real", q: "seminorm" = "abs", ts: "reals" = (1.0, 2.0, 4.0)):
+def _borell(n, seed, *, spec: "object", c: "real", q: "seminorm" = "abs", ts: "reals_from_one" = (1.0, 2.0, 4.0)):
     from . import logconcave
     return logconcave.check_borell(_logconcave_spec(spec), q, c, ts, n=n, seed=seed)
 
 
-def _small_value(n, seed, *, spec: "object", poly: "object", rs: "reals" = None):
+def _small_value(n, seed, *, spec: "object", poly: "object", rs: "positive_reals" = None):
     from . import logconcave
     law = _logconcave_spec(spec)
     return logconcave.small_value_check(law, _poly_from(poly, law.dim, "poly"), rs=rs, n=n, seed=seed)
 
 
-def _lp_equivalence(n, seed, *, spec: "object", polys: "objects", ps: "exponents" = (2.0, 4.0)):
+def _lp_equivalence(n, seed, *, spec: "object", polys: "objects", ps: "reals_from_one" = (2.0, 4.0)):
     from . import logconcave
     law = _logconcave_spec(spec)
     return logconcave.lp_equivalence_check(
@@ -764,8 +765,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (InputDataError, ValueError, KeyError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    except (InputDataError, ValueError, KeyError, MemoryError) as exc:  # MemoryError: n too large to hold
+        print(f"input error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
     for check in report["checks"]:

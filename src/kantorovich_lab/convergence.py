@@ -130,13 +130,13 @@ def _family_sup(tails: list[list[float]], upto: int) -> list[float]:
     return [max([0.0, *column[:upto]]) for column in zip(*tails)]
 
 
-def _stabilized_radii(tails: list[list[float]], radii: Sequence[float], tol: float):
+def _stabilized_radii(tails: list[list[float]], radii: Sequence[float]):
     """Radius stabilization on a tail table: the full prefix's sup at each
-    radius, and the first radius where the sup is at most ``tol`` over the
-    half prefix and over the full prefix."""
+    radius, and the first radius where the sup is at most ``GAP_TOL`` over
+    the half prefix and over the full prefix."""
 
     def clearing(values):
-        return next((r for r, v in zip(radii, values) if v <= tol), math.inf)
+        return next((r for r, v in zip(radii, values) if v <= GAP_TOL), math.inf)
 
     full = _family_sup(tails, len(tails))
     return full, clearing(_family_sup(tails, max(1, len(tails) // 2))), clearing(full)
@@ -167,16 +167,15 @@ class MetricConvergenceRecord:
 @dataclass(frozen=True)
 class TauKReport:
     q: float
-    tol: float
     per_metric: tuple[MetricConvergenceRecord, ...]
     verdict: str
 
 
-def _settled_index(gaps: Sequence[float], tol: float) -> int | None:
-    """First index from which all later gaps stay below tolerance."""
+def _settled_index(gaps: Sequence[float]) -> int | None:
+    """First index from which all later gaps stay below ``GAP_TOL``."""
     settled = None
     for i in range(len(gaps) - 1, -1, -1):
-        if gaps[i] <= tol:
+        if gaps[i] <= GAP_TOL:
             settled = i
         else:
             break
@@ -187,7 +186,6 @@ def check_tau_k_convergence(
     seq: MeasureSequence,
     metric_names: Sequence[str] | None = None,
     q: float = 1.0,
-    tol: float = GAP_TOL,
 ) -> TauKReport:
     """Seminorm-gap convergence report with the uniform-integrability criterion.
 
@@ -198,7 +196,7 @@ def check_tau_k_convergence(
     grow from the half prefix to the full prefix (escaping families keep
     pushing it outward).  A
     metric PASSES when the tail stabilizes and the gaps settle below
-    tolerance; tail failure is recorded as UI_FAIL (no convergence claim);
+    ``GAP_TOL``; tail failure is recorded as UI_FAIL (no convergence claim);
     a stable tail with non-settling gaps contradicts the criterion and is
     flagged VIOLATION.
     """
@@ -209,7 +207,7 @@ def check_tau_k_convergence(
     records = []
     for name in names:
         grid, tails = _tail_table(seq, name, default_radii(seq.space, name), q)
-        values, r_half, r_full = _stabilized_radii(tails, grid, tol)
+        values, r_half, r_full = _stabilized_radii(tails, grid)
         profile = TailProfile(name, q, tuple(grid), tuple(values))
         ui = r_full <= r_half
         kr_gaps = []
@@ -219,8 +217,8 @@ def check_tau_k_convergence(
             kr_gaps.append(kr_norm(delta, name)[0])
             gap, witness = k_norm(delta, name) if q == 1 else kq_norm(delta, name, q)
             k_gaps.append(gap)
-        settled = _settled_index(k_gaps, tol)
-        kr_settled = _settled_index(kr_gaps, tol)
+        settled = _settled_index(k_gaps)
+        kr_settled = _settled_index(kr_gaps)
         converged = settled is not None and kr_settled is not None
         if ui and converged:
             verdict = "PASS"
@@ -245,7 +243,7 @@ def check_tau_k_convergence(
         overall = "VIOLATION"
     elif any(r.verdict == "UI_FAIL" for r in records):
         overall = "UI_FAIL"
-    return TauKReport(q=q, tol=tol, per_metric=tuple(records), verdict=overall)
+    return TauKReport(q=q, per_metric=tuple(records), verdict=overall)
 
 
 def extract_convergent_subsequence(
@@ -324,7 +322,7 @@ def check_ac_limit(
     for f, nu in zip(fs, nu_weights):
         level, mass = np.abs(f), np.abs(nu)
         tails.append([math.fsum(mass[level >= r].tolist()) for r in radii])
-    tail_values, r_half, r_full = _stabilized_radii(tails, radii, GAP_TOL)
+    tail_values, r_half, r_full = _stabilized_radii(tails, radii)
     hypothesis = r_full <= r_half
 
     mu_zero = np.abs(mu_limit.weights) <= 1e-12

@@ -97,16 +97,17 @@ def l1_counterexample(F, eps: float = 1e-6) -> L1CounterexampleInstance:
     return L1CounterexampleInstance(F=F, c=c, eps=eps)
 
 
-def verify_counterexample(inst: L1CounterexampleInstance, eps: float | None = None) -> dict:
+def verify_counterexample(inst: L1CounterexampleInstance) -> dict:
     """Check neighborhood membership, normalization and barycenter norm.
 
-    ``eps`` is absolute, because the weak neighbourhood it tests is: the
-    measure is in it when ``max |F c| < eps`` for the instance's test-value
-    matrix ``F``.  A matrix of scale 1e10 leaves a residual of about 1e-6
-    with a correct null vector, and the FAIL at ``eps = 1e-6`` is then right:
-    the computed measure lies outside that neighbourhood.
+    The instance's ``eps`` is absolute, because the weak neighbourhood it
+    tests is: the measure is in it when ``max |F c| < eps`` for the
+    instance's test-value matrix ``F``.  A matrix of scale 1e10 leaves a
+    residual of about 1e-6 with a correct null vector, and the FAIL at
+    ``eps = 1e-6`` is then right: the computed measure lies outside that
+    neighbourhood.
     """
-    eps = inst.eps if eps is None else float(eps)
+    eps = inst.eps
     residuals = inst.residuals()
     max_residual = float(np.abs(residuals).max()) if residuals.size else 0.0
     l1 = math.fsum(np.abs(inst.c).tolist())
@@ -165,20 +166,9 @@ class RescalingSchedule:
                 )
         return problems
 
-    def block_of(self, k: int) -> int:
-        """Block number n >= 0; block 0 is k <= N_2, block n is (N_{n+1}, N_{n+2}]."""
-        return int(self.blocks(k))
-
-    def alpha_at(self, k: int) -> float:
-        n = self.block_of(k)
-        return 2.0 ** (-n)
-
-    def seminorm_index_at(self, k: int) -> int:
-        """1-based index of the seminorm used at position k."""
-        return max(1, self.block_of(k))
-
     def blocks(self, ks: np.ndarray) -> np.ndarray:
-        """Vectorized ``block_of`` over an index array."""
+        """Block number n >= 0 of each index of an array: block 0 is
+        k <= N_2, block n is (N_{n+1}, N_{n+2}]."""
         if np.any(ks < 1) or np.any(ks > self.max_index):
             raise ValueError("index out of schedule coverage")
         # N[n] = N_{n+1}; block n covers N[n] < k <= N[n+1], and k <= N[1] is block 0

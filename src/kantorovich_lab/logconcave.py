@@ -6,10 +6,10 @@ the family tag, not verified from samples.  Checks are one-sided at three
 standard errors, with theorem-true inequalities expected to pass essentially
 always; estimates are deterministic per seed with fixed reduction order.
 
-A seminorm (an entry of ``SEMINORMS``, or a callable passed in its place)
-maps draws of shape (n, dim) to n values, each a function of its own row
-only, so that applying it to blocks of rows (as ``check_borell`` does) gives
-the values of applying it to all the draws.
+A seminorm, named by its key in ``SEMINORMS``, maps draws of shape
+(n, dim) to n new values, each a function of its own row only, so that
+applying it to blocks of rows (as ``check_borell`` does) gives the values of
+applying it to all the draws.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ SLOPE_SAMPLES = 10**6
 THETA_TARGET = 0.75
 #: Half-width of the small-value check's log-log slope around 1/d.
 SLOPE_TOL = 0.1
+#: Orders r of the power moments in the mean-convergence experiment.
+MOMENT_ORDERS = (1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -187,13 +189,11 @@ SEMINORMS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-def seminorm(name_or_fn) -> Callable[[np.ndarray], np.ndarray]:
-    if callable(name_or_fn):
-        return name_or_fn
+def seminorm(name: str) -> Callable[[np.ndarray], np.ndarray]:
     try:
-        return SEMINORMS[name_or_fn]
+        return SEMINORMS[name]
     except KeyError:
-        raise KeyError(f"unknown seminorm {name_or_fn!r}; have {sorted(SEMINORMS)}") from None
+        raise KeyError(f"unknown seminorm {name!r}; have {sorted(SEMINORMS)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +253,10 @@ def check_borell(
     )
 
 
-def exp_moment(samples: np.ndarray, q, kappa: float) -> tuple[float, float]:
-    """Empirical mean of exp(kappa * q) with its half-width."""
-    return _exp_moment(seminorm(q)(np.atleast_2d(samples)), kappa)
-
-
 def _exp_moment(values: np.ndarray, kappa: float, work: np.ndarray | None = None) -> tuple[float, float]:
-    """``exp_moment`` from the seminorm values themselves; the exponents go
-    to ``work``, an array of len(values) entries, if one is given."""
+    """Empirical mean of exp(kappa * v) over the seminorm values v, with its
+    half-width; the exponents go to ``work``, an array of len(values)
+    entries, if one is given."""
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     exponents = np.multiply(kappa, values, out=work)
@@ -274,13 +270,13 @@ def _exp_moment(values: np.ndarray, kappa: float, work: np.ndarray | None = None
 
 
 def _power_moment(values: np.ndarray, r: float, work: np.ndarray | None = None) -> tuple[float, float]:
-    """Mean of values**r with its half-width; the powers, or for r = 1 the
-    deviations, go to ``work`` if it is given.  ``np.power`` has the bits of
-    ``values**r``, and ``np.square`` those of r = 2."""
+    """Mean of values**r for r = 1 or 2 (``MOMENT_ORDERS``) with its
+    half-width; the squares, or for r = 1 the deviations, go to ``work`` if
+    it is given.  ``np.square`` has the bits of ``values**2``."""
     if r == 1:
         est, var = mean_var(values, out=work)
     else:
-        powers = np.square(values, out=work) if r == 2 else np.power(values, r, out=work)
+        powers = np.square(values, out=work)
         est, var = mean_var(powers, out=powers)
     return est, half_width(math.sqrt(var), len(values))
 
@@ -317,9 +313,9 @@ def _values_over_draws(xs: np.ndarray, fns: Sequence[Callable]) -> tuple[list[np
     The values of ``fns[0]`` go to the first n entries of the draws' flat
     buffer, block by block: entry i belongs to row i // dim, a row already
     read.  In each block the other seminorms, each with its own array, read
-    the rows first, so a seminorm that returns a view of its block still
-    reads intact draws.  The work array is the next n entries when dim >= 2,
-    and a new array when dim = 1.
+    the rows before the values of ``fns[0]``, which may fall on the block's
+    own rows, are written.  The work array is the next n entries when
+    dim >= 2, and a new array when dim = 1.
     """
     n, dim = xs.shape
     flat = xs.reshape(-1)
@@ -336,12 +332,12 @@ def _values_over_draws(xs: np.ndarray, fns: Sequence[Callable]) -> tuple[list[np
 def mean_convergence_experiment(
     specs: Sequence[LogConcaveSpec],
     limit: LogConcaveSpec,
-    qs: Mapping[str, object] | Sequence[str] = ("l2",),
+    qs: Sequence[str] = ("l2",),
     n: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    rs: Sequence[float] = (1.0, 2.0),
 ) -> ConcentrationReport:
-    """Exponential moments, power moments and barycenters along a sequence.
+    """Exponential moments, power moments of ``MOMENT_ORDERS`` and
+    barycenters along a sequence, for each seminorm named in ``qs``.
 
     Verifies that the final-index estimates agree with the limit law's within
     combined half-widths; reports the full per-index curves.  Each distinct
@@ -349,11 +345,7 @@ def mean_convergence_experiment(
     the limit, or to an earlier spec, has the same seed and so the same
     draws, and reuses their moments, barycenter and half-width.
     """
-    if isinstance(qs, Mapping):
-        q_items = list(qs.items())
-    else:
-        q_items = [(str(name), name) for name in qs]
-    q_fns = [(name, seminorm(fn)) for name, fn in q_items]
+    q_fns = [(name, seminorm(name)) for name in qs]
     kappas = {}
 
     def reduce(s: LogConcaveSpec, law_seed):
@@ -372,7 +364,7 @@ def mean_convergence_experiment(
                 kappa, c, theta = _choose_kappa(values, work)
                 kappas[name] = {"kappa": kappa, "c": c, "theta": theta}
             stats[f"exp[{name}]"] = _exp_moment(values, kappas[name]["kappa"], work)
-            for r in rs:
+            for r in MOMENT_ORDERS:
                 stats[f"moment[{name},r={r:g}]"] = _power_moment(values, r, work)
         bary.setflags(write=False)
         return stats, bary, half_width(float(std.max()), n)

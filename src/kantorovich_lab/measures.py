@@ -218,10 +218,6 @@ class QuotientMap:
     def n_classes(self) -> int:
         return self.quotient_space.n_points
 
-    @property
-    def induced_metric(self) -> np.ndarray:
-        return self.quotient_space.metric(self.metric_name)
-
 
 def jordan_decompose(mu: SignedMeasure) -> tuple[SignedMeasure, SignedMeasure]:
     """Split into nonnegative parts with disjoint supports, mu = plus - minus."""

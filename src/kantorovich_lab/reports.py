@@ -274,14 +274,13 @@ class CheckRecord:
         return "EXPECTED_FAIL" if self.expected_failure else "FAIL"
 
 
-def one_sided(name: str, estimate: float, hw: float, bound: float, **kw) -> CheckRecord:
+def one_sided(name: str, estimate: float, hw: float, bound: float) -> CheckRecord:
     return CheckRecord(
         name=name,
         estimate=estimate,
         half_width=hw,
         bound=bound,
         passed=estimate <= bound + hw,
-        **kw,
     )
 
 
@@ -322,14 +321,13 @@ def barycenter_gap(name: str, bary: np.ndarray, limit_bary: np.ndarray, bound: f
     return one_sided(name, float(np.abs(bary - limit_bary).max()), 0.0, bound)
 
 
-def two_sided(name: str, estimate: float, hw: float, target: float, **kw) -> CheckRecord:
+def two_sided(name: str, estimate: float, hw: float, target: float) -> CheckRecord:
     return CheckRecord(
         name=name,
         estimate=estimate,
         half_width=hw,
         bound=target,
         passed=abs(estimate - target) <= hw,
-        **kw,
     )
 
 

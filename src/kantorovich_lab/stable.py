@@ -143,8 +143,9 @@ def _cos_sin_moments(t: float, z: np.ndarray, tz: np.ndarray, wave: np.ndarray):
     return mean_var(np.cos(tz, out=wave), out=wave), mean_var(np.sin(tz, out=tz), out=tz)
 
 
-def empirical_cf_gap(samples: np.ndarray, spec: StableSpec, ts: Sequence[float] = CF_GRID):
-    """Per-grid-point z-scores of the empirical vs exact characteristic function.
+def empirical_cf_gap(samples: np.ndarray, spec: StableSpec):
+    """Per-point z-scores of the empirical vs exact characteristic function
+    on ``CF_GRID``.
 
     Every grid point reuses two work arrays: ``t x``, overwritten by its
     sine, and its cosine; each moment's deviations overwrite its array.
@@ -154,7 +155,7 @@ def empirical_cf_gap(samples: np.ndarray, spec: StableSpec, ts: Sequence[float] 
     tx = np.empty(n)
     wave = np.empty(n)
     rows = []
-    for t in ts:
+    for t in CF_GRID:
         cf = stable_cf(t, spec)
         (mean_re, var_re), (mean_im, var_im) = _cos_sin_moments(t, x, tx, wave)
         hw_re = half_width(math.sqrt(var_re), n)
@@ -192,7 +193,8 @@ class TailConstants:
 
     delta in (2^-1/2, 1); k is minimal with (2^(1/2) delta)^k > 3; rho is the
     convergent product prod (1 + delta^n) truncated at relative error ~1e-13;
-    beta = 2^(1/p) delta; the assembled coefficient is 8 rho^p exp(8k).
+    beta = 2^(1/p) delta; the assembled coefficient 8 rho^p exp(8k) is held
+    as its logarithm, which stays finite where the coefficient overflows.
     """
 
     delta: float
@@ -202,13 +204,6 @@ class TailConstants:
     rho: float
     beta: float
     log_coefficient: float
-
-    @property
-    def coefficient(self) -> float:
-        try:
-            return math.exp(self.log_coefficient)
-        except OverflowError:
-            return math.inf
 
     def bound(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -331,32 +326,27 @@ def stability_identity_check(
     spec: StableSpec,
     n: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    coeffs: tuple[float, float] = (1.0, 1.0),
 ) -> ConcentrationReport:
     """Two-sample test of the defining identity for a strictly stable law.
 
-    For independent draws xi, eta, the law of alpha xi + beta eta must match
-    the law of (alpha^p + beta^p)^(1/p) xi; compared through empirical
+    For independent draws xi, eta, zeta, the law of alpha xi + beta eta must
+    match the law of (alpha^p + beta^p)^(1/p) zeta; at alpha = beta = 1 that
+    is xi + eta against 2^(1/p) zeta, compared through empirical
     characteristic functions on ``CF_GRID`` at 3 SE.
 
-    ``z1 = alpha xi + beta eta`` and ``z2`` are formed in place over the
-    draws of xi and fresh, and every grid point reuses two work arrays, as
+    ``z1 = xi + eta`` and ``z2 = 2^(1/p) zeta`` are formed in place over the
+    draws of xi and zeta, and every grid point reuses two work arrays, as
     ``empirical_cf_gap`` does; each mean and variance has the bits of
     numpy's ``mean`` and ``var``.
     """
     if spec.a != 0.0 or spec.b != 0.0:
         raise ValueError("the two-sample identity check requires a = 0 and b = 0")
-    alpha, beta = coeffs
     ss = np.random.SeedSequence(seed)
     s1, s2, s3 = ss.spawn(3)
     z1 = np.ascontiguousarray(sample_stable(spec, n, s1)[:, 0])
-    z1 *= alpha
-    eta = sample_stable(spec, n, s2)[:, 0]
-    eta *= beta
-    z1 += eta
-    del eta
+    z1 += sample_stable(spec, n, s2)[:, 0]
     z2 = np.ascontiguousarray(sample_stable(spec, n, s3)[:, 0])
-    z2 *= (alpha**spec.p + beta**spec.p) ** (1.0 / spec.p)
+    z2 *= 2.0 ** (1.0 / spec.p)
     tz = np.empty(n)
     wave = np.empty(n)
     zmax = 0.0
@@ -374,7 +364,7 @@ def stability_identity_check(
     return ConcentrationReport(
         name="stability_identity",
         checks=tuple(checks),
-        extras={"coeffs": list(coeffs), "p": spec.p},
+        extras={"coeffs": [1.0, 1.0], "p": spec.p},
         curves={"cf_pair": curve},
     )
 
@@ -453,34 +443,23 @@ def stable_mean_convergence_experiment(
     limit: StableSpec,
     n: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    p1: float | None = None,
-    q: float | None = None,
 ) -> ConcentrationReport:
     """Moments, barycenters and discretized seminorm gaps along stable laws.
 
-    Power moments use an exponent r strictly between 1 and p1 (uniform
+    p1 is the smallest order of the laws and the limit.  Power moments use
+    the exponent r = (1 + p1) / 2, strictly between 1 and p1 (uniform
     boundedness of these is what drives barycenter convergence); barycenter
     noise scales are estimated from ``MEAN_BLOCKS`` block means because the
-    variance is infinite below order 2.  Moment-weighted gaps with exponent
-    q < p1 are reported on ``QUANTILE_BINS``-atom quantile discretizations
-    for dim-1 specs.
+    variance is infinite below order 2.  Moment-weighted gaps with the same
+    exponent q = r are reported on ``QUANTILE_BINS``-atom quantile
+    discretizations for dim-1 specs.
 
     Each distinct law is drawn and reduced once per call, the limit first:
     a spec equal to the limit, or to an earlier spec, has the same seed and
     so the same draws, and reuses their moment, barycenter and binning.
     """
-    orders = [s.p for s in specs] + [limit.p]
-    if p1 is None:
-        p1 = min(orders)
-    if min(orders) <= 1.0 + 1e-9:
-        raise ValueError("all orders must exceed 1")
-    if p1 > min(orders):
-        raise ValueError("p1 must not exceed the smallest order")
-    r = (1.0 + p1) / 2.0
-    if q is None:
-        q = (1.0 + p1) / 2.0
-    if not 1.0 <= q < p1:
-        raise ValueError("q must satisfy 1 <= q < p1")
+    p1 = min([s.p for s in specs] + [limit.p])
+    r = q = (1.0 + p1) / 2.0
     if n < MEAN_BLOCKS:
         raise ValueError(f"n = {n} draws cannot fill {MEAN_BLOCKS} block means: n must be at least {MEAN_BLOCKS}")
 

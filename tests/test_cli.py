@@ -848,6 +848,11 @@ def _borell(**params):
             "params": {"check": "borell", "spec": _GAUSS, "c": 1.0, "n": 1000, **params}}
 
 
+def _small_value(**params):
+    return {"kind": "logconcave", "seed": 1,
+            "params": {"check": "small_value", "spec": _GAUSS, "poly": _X, "n": 1000, **params}}
+
+
 class TestMalformedParams:
     """Parameters that used to pass silently or end in a traceback: each is
     diagnosed and exits 2, before anything is read or run."""
@@ -865,9 +870,17 @@ class TestMalformedParams:
              ["convergence: params.metrics must be a list of metric names"]),
             ({"kind": "convergence", "seed": 1, "params": {"sequence": "s.json", "metrics": ["d", 1]}},
              ["convergence: params.metrics must be a list of metric names"]),
-            (_borell(ts=3), ["logconcave: params.ts must be a list of real numbers"]),
-            (_borell(ts=[1.0, "2"]), ["logconcave: params.ts must be a list of real numbers"]),
-            (_borell(ts=[1.0, None]), ["logconcave: params.ts must be a list of real numbers"]),
+            (_borell(ts=3), ["logconcave: params.ts must be a list of real numbers >= 1"]),
+            (_borell(ts=[1.0, "2"]), ["logconcave: params.ts must be a list of real numbers >= 1"]),
+            (_borell(ts=[1.0, None]), ["logconcave: params.ts must be a list of real numbers >= 1"]),
+            # the bound is stated for t >= 1: refused before the draws, not after them
+            (_borell(ts=[0.5, 2.0]), ["logconcave: params.ts must be a list of real numbers >= 1"]),
+            # a radius <= 0 ended in a TypeError from the complex bound r ** 0.5 (degree 2),
+            # FAILed the bound (degree 1, r < 0) or PASSed comparing 0 with 0 (r = 0)
+            (_small_value(rs=[-1.0, 0.1, 0.2], poly={"coeffs_1d": [0.0, 0.0, 1.0]}),
+             ["logconcave: params.rs must be a list of real numbers > 0"]),
+            (_small_value(rs=[-1.0, 0.1, 0.2]), ["logconcave: params.rs must be a list of real numbers > 0"]),
+            (_small_value(rs=[0.0, 0.1, 0.2]), ["logconcave: params.rs must be a list of real numbers > 0"]),
             # a JSON integer with no finite float is not a real number
             ({"kind": "stable", "seed": 1, "params": {"check": "constants", "delta": 10**400, "p": 1.8}},
              ["stable: params.delta must be a real number in (2^-1/2, 1)"]),
@@ -880,7 +893,7 @@ class TestMalformedParams:
              ["stable: params.p must be a real number in (1, 2]"]),
             (_norms(ops=["kq"], q=10**400), ["norms: params.q must be a real number >= 1"]),
             (_borell(n=10**400), ["logconcave: params.n must be a positive integer"]),
-            (_borell(ts=[1.0, 10**400]), ["logconcave: params.ts must be a list of real numbers"]),
+            (_borell(ts=[1.0, 10**400]), ["logconcave: params.ts must be a list of real numbers >= 1"]),
             ({"kind": "counterexample", "seed": 1, "params": {"matrix": [[2**1024, 1.0]]}},
              ["counterexample: params.matrix must be a path or a list of rows of real numbers"]),
         ],
@@ -969,6 +982,25 @@ class TestNonFiniteSpecs:
         assert not (tmp_path / "out").exists()
 
 
+def test_a_draw_too_large_to_hold_is_an_input_error(tmp_path, capsys, monkeypatch):
+    """numpy's MemoryError for n = 10^13 draws exits 3 with its message on one
+    line; the sampler is stubbed, so no test tries the allocation."""
+    from kantorovich_lab import stable
+
+    message = "Unable to allocate 72.8 TiB for an array with shape (10000000000000, 1) and data type float64"
+
+    def refuse(spec, n, seed):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(stable, "sample_stable", refuse)
+    config = {"kind": "stable", "seed": 1, "out": str(tmp_path / "out"),
+              "params": {"check": "cf", "spec": {"p": 1.5}, "n": 10**13}}
+    path = write(tmp_path / "c.json", config)
+    assert cli.main(["stable", "--config", str(path)]) == cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_lists_the_dispatch_tables():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = " ".join(text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0].split())
@@ -986,6 +1018,22 @@ def test_readme_lists_the_dispatch_tables():
     assert rows == [(entry, f.name, f.annotation, _shown(f.default)) for entry, f in DECLARED]
     types = re.search(r" Types: (.*?) Exit code 2 ", section).group(1)
     assert set(re.findall(r"`(\w+)`: ", types)) == set(cli._TYPES)
+
+
+def test_readme_lists_the_fixed_constants():
+    """Each row of README's "Fixed constants of the checks" names an attribute
+    that exists, and a value written as numbers is that attribute's value."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n### Fixed constants of the checks\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| (.+?) \| .+ \|$", section, flags=re.M)
+    assert ("logconcave", "MOMENT_ORDERS", "1.0, 2.0") in rows
+    for module, name, shown in rows:
+        value = getattr(importlib.import_module(f"kantorovich_lab.{module}"), name)
+        try:
+            numbers = tuple(float(number) for number in shown.split(", "))
+        except ValueError:  # a grid or a rule, written in words
+            continue
+        assert (numbers if len(numbers) > 1 else numbers[0]) == value, f"{module}.{name}"
 
 
 def _shown(default) -> str:
@@ -1018,14 +1066,16 @@ def _base(entry):
 
 #: A value of a JSON type that each field type does not take.
 WRONG_TYPE = {
-    "real": "1", "q": "2", "count": "5", "reals": 1.0, "exponents": 2.0, "flag": 1, "name": 5, "metrics": "d",
-    "ops": "kr", "seminorm": 5, "seminorms": "l2", "doc": 5, "object": "x", "objects": {}, "matrix": 5,
-    "family": 5, "stable_law": "p", "stable_laws": {"p": 1.5}, "delta": "0.8", "above_one": "2", "order": "1.5",
+    "real": "1", "q": "2", "count": "5", "reals": 1.0, "positive_reals": 0.5, "reals_from_one": 2.0, "flag": 1,
+    "name": 5, "metrics": "d", "ops": "kr", "seminorm": 5, "seminorms": "l2", "doc": 5, "object": "x",
+    "objects": {}, "matrix": 5, "family": 5, "stable_law": "p", "stable_laws": {"p": 1.5}, "delta": "0.8",
+    "above_one": "2", "order": "1.5",
 }
 #: Values of the JSON type a field type takes, but outside it.
 OUT_OF_RANGE = {
-    "q": [0.5], "count": [1.7, 0, -3], "reals": [[1.0, "2"]], "exponents": [[0.0], [-1.0]],
-    "metrics": [["d", 1]], "seminorm": ["nope"], "seminorms": [["l2", "nope"]], "objects": [[{}, 5]],
+    "q": [0.5], "count": [1.7, 0, -3], "reals": [[1.0, "2"]], "positive_reals": [[0.5, 0.0], [-1.0, 0.5]],
+    "reals_from_one": [[0.0], [-1.0], [0.5, 2.0]], "metrics": [["d", 1]], "seminorm": ["nope"],
+    "seminorms": [["l2", "nope"]], "objects": [[{}, 5]],
     "matrix": [[[1.0], "x"], [[1.0, math.nan]]], "family": ["nope"], "stable_law": [{"b": 0.0}],
     "stable_laws": [[{"p": 1.5}, {"b": 0.0}]], "delta": [0.5, 0.7, 1.0], "above_one": [0.9, 1.0],
     "order": [1.0, 2.5],

@@ -184,11 +184,11 @@ class TestTauK:
         assert rec.verdict == "UI_FAIL"
 
     def test_geometric_sequences_match_criterion(self):
-        fast = check_tau_k_convergence(geometric_sequence(64, "fast"), tol=1e-6)
+        fast = check_tau_k_convergence(geometric_sequence(64, "fast"))
         rec = fast.per_metric[0]
         assert rec.verdict == "PASS"
         assert rec.k_gaps[-1] < 1e-6
-        slow = check_tau_k_convergence(geometric_sequence(64, "slow"), tol=1e-6)
+        slow = check_tau_k_convergence(geometric_sequence(64, "slow"))
         rec = slow.per_metric[0]
         assert rec.verdict == "UI_FAIL"
         assert rec.kr_gaps[-1] < 1e-6

@@ -28,7 +28,7 @@ class TestL1Counterexample:
         assert np.allclose(np.abs(inst.c), [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
         assert inst.c[0] > 0  # canonical sign
         assert abs(inst.residuals()[0]) <= 1e-12
-        report = verify_counterexample(inst, 1e-6)
+        report = verify_counterexample(inst)
         assert report["passed"]
         assert report["barycenter_l1_norm"] == pytest.approx(1.0, abs=1e-12)
 
@@ -49,7 +49,7 @@ class TestL1Counterexample:
         broken = L1CounterexampleInstance(
             F=inst.F, c=inst.c + np.array([1e-3, 0.0]), eps=inst.eps
         )
-        report = verify_counterexample(broken, 1e-6)
+        report = verify_counterexample(broken)
         assert not report["checks"]["normalization"]
         assert not report["passed"]
 
@@ -57,8 +57,8 @@ class TestL1Counterexample:
         for _ in range(100):
             n = int(rng.integers(1, 11))
             F = rng.standard_normal((n, n + 1)) * rng.uniform(0.5, 3.0)
-            inst = l1_counterexample(F)
-            report = verify_counterexample(inst, eps=float(rng.uniform(1e-6, 1.0)))
+            inst = l1_counterexample(F, eps=float(rng.uniform(1e-6, 1.0)))
+            report = verify_counterexample(inst)
             assert report["max_residual"] <= 1e-9
             assert abs(report["weight_l1_norm"] - 1.0) <= 1e-12
             assert abs(report["barycenter_l1_norm"] - 1.0) <= 1e-12
@@ -90,7 +90,7 @@ class TestIllConditioned:
     # 3e-6 to 2.8e-5 on these matrices, above the default epsilon
     @pytest.mark.parametrize("seed", range(5))
     def test_null_vector_is_accurate(self, seed):
-        report = verify_counterexample(l1_counterexample(_ill_conditioned(seed)), 1e-6)
+        report = verify_counterexample(l1_counterexample(_ill_conditioned(seed)))
         assert report["passed"]
         assert report["max_residual"] <= 1e-12
 
@@ -133,13 +133,8 @@ class TestRescalingSchedule:
 
     def test_block_assignment(self):
         sched = rescaling_schedule(family_tail_functions([GeometricTailMember()], 6), 10**5)
-        assert sched.alpha_at(1) == 1.0
-        assert sched.seminorm_index_at(1) == 1
-        assert sched.alpha_at(11) == 1.0  # k <= N_2
-        assert sched.alpha_at(12) == 0.5  # (N_2, N_3]
-        assert sched.seminorm_index_at(12) == 1
-        assert sched.alpha_at(46) == 0.25  # (N_3, N_4]
-        assert sched.seminorm_index_at(46) == 2
+        # k <= N_2 is block 0, (N_2, N_3] block 1, (N_3, N_4] block 2
+        assert sched.blocks(np.array([1, 11, 12, 46])).tolist() == [0, 0, 1, 2]
 
     def test_verify_certificates(self):
         family = [GeometricTailMember()]
@@ -352,7 +347,7 @@ class TestStreamedVerifier:
         """Index 5,778 opens block 4 of the geometric schedule, BLOCK and
         BLOCK + 1 end and open a row block, and 10^5 is the last index."""
         sched = rescaling_schedule(family_tail_functions([GeometricTailMember()], 8), 10**5)
-        nan_at = [k * 2.0 ** -sched.block_of(k) for k in ks]
+        nan_at = [k * 2.0 ** -int(n) for k, n in zip(ks, sched.blocks(np.array(ks)))]
         nan_atom = DiscreteTailMember([0.5, 0.25, 0.25], np.tile([3.0, np.nan, 700.0], (8, 1)))
         family = [PlantedNaN(nan_at), _discrete(9), nan_atom]
         report = verify_schedule(sched, family, horizon=10**5, n_max=6)

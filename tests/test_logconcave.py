@@ -9,9 +9,9 @@ from kantorovich_lab.logconcave import (
     LogConcaveSpec,
     PolynomialSpec,
     _choose_kappa,
+    _exp_moment,
     borell_bound,
     check_borell,
-    exp_moment,
     lp_equivalence_check,
     mean_convergence_experiment,
     polynomial_density_experiment,
@@ -195,14 +195,14 @@ class TestBorell:
 class TestExpMoment:
     def test_kappa_zero_exact(self):
         xs = sample(LogConcaveSpec.gaussian([0.0], [[1.0]]), 1000, seed=7)
-        est, hw = exp_moment(xs, "abs", 0.0)
+        est, hw = _exp_moment(SEMINORMS["abs"](xs), 0.0)
         assert est == 1.0
         assert hw == 0.0
 
     def test_gaussian_quadrature_oracle(self):
         kappa = 0.5
         xs = sample(LogConcaveSpec.gaussian([0.0], [[1.0]]), N, seed=8)
-        est, hw = exp_moment(xs, "abs", kappa)
+        est, hw = _exp_moment(SEMINORMS["abs"](xs), kappa)
         oracle, _ = integrate.quad(
             lambda x: math.exp(kappa * abs(x)) * math.exp(-x * x / 2) / math.sqrt(2 * math.pi),
             -12,
@@ -213,22 +213,22 @@ class TestExpMoment:
     def test_overflow_diagnostic(self):
         xs = sample(LogConcaveSpec.gaussian([0.0], [[1.0]]), 1000, seed=9)
         with pytest.raises(ValueError, match="overflow"):
-            exp_moment(xs, "abs", 1e4)
+            _exp_moment(SEMINORMS["abs"](xs), 1e4)
 
     def test_blow_up_near_divergence_threshold(self):
         # E exp(kappa x) = 1/(1 - kappa) for the unit exponential; the report
         # documents the blow-up as kappa approaches 1
         xs = sample(LogConcaveSpec.product_exponential([1.0]), 10**6, seed=10)
-        est_half, hw_half = exp_moment(xs, "abs", 0.5)
+        est_half, hw_half = _exp_moment(SEMINORMS["abs"](xs), 0.5)
         assert est_half == pytest.approx(2.0, abs=3 * hw_half)
-        est_sub, _ = exp_moment(xs, "abs", 0.9)
+        est_sub, _ = _exp_moment(SEMINORMS["abs"](xs), 0.9)
         assert est_sub > 3.0 * est_half  # oracle: 10 vs 2
 
     def test_half_width_scales_as_root_n(self):
         # doubling n must shrink the half-width by ~sqrt(2)
         spec = LogConcaveSpec.gaussian([0.0], [[1.0]])
-        _, hw_n = exp_moment(sample(spec, 2 * 10**5, seed=12), "abs", 0.3)
-        _, hw_2n = exp_moment(sample(spec, 4 * 10**5, seed=12), "abs", 0.3)
+        _, hw_n = _exp_moment(SEMINORMS["abs"](sample(spec, 2 * 10**5, seed=12)), 0.3)
+        _, hw_2n = _exp_moment(SEMINORMS["abs"](sample(spec, 4 * 10**5, seed=12)), 0.3)
         assert hw_2n == pytest.approx(hw_n / math.sqrt(2.0), rel=0.05)
 
 

@@ -216,14 +216,14 @@ class TestQuotient:
         qm = quotient(space, "x")
         assert qm.n_classes == 2
         assert qm.classes == (0, 0, 1, 1)
-        assert qm.induced_metric[0, 1] == 1.0
+        assert qm.quotient_space.metric("x")[0, 1] == 1.0
 
     def test_genuine_metric_identity(self, rng):
         space = random_space(rng, 5)
         qm = quotient(space, "d")
         assert qm.n_classes == 5
         assert qm.classes == tuple(range(5))
-        assert np.array_equal(qm.induced_metric, space.metric("d"))
+        assert np.array_equal(qm.quotient_space.metric("d"), space.metric("d"))
 
     def test_totally_degenerate(self):
         p = np.zeros((3, 3))

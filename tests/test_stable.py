@@ -85,8 +85,10 @@ class TestSampler:
         # |cf(1)| = exp(-c) for the empirical cf within 3 SE
         spec = StableSpec(p=1.5, b=0.0, c=0.7, a=0.0)
         xs = sample_stable(spec, N, seed=13)[:, 0]
-        rows, zmax = empirical_cf_gap(xs, spec, ts=[1.0])
-        assert zmax <= 3.0
+        rows, _ = empirical_cf_gap(xs, spec)
+        (row,) = [r for r in rows if r[0] == 1.0]
+        assert math.hypot(row[3], row[4]) == pytest.approx(math.exp(-0.7), rel=1e-12)
+        assert max(row[5], row[6]) <= 3.0
 
     def test_skewed_and_shifted(self):
         report = validate_sampler(StableSpec(p=1.6, b=0.8, c=1.3, a=-0.4), n=N, seed=77)
@@ -132,7 +134,6 @@ class TestTailConstants:
         assert tc.log_coefficient == pytest.approx(
             math.log(8.0) + 1.5 * math.log(tc.rho) + 8.0 * tc.k, abs=1e-9
         )
-        assert tc.coefficient == pytest.approx(8.0 * tc.rho**1.5 * math.exp(72.0), rel=1e-9)
 
     def test_boundary_growth_reported_up_to_cap(self):
         tc = tail_constants(0.709, 2.0)  # close to 2^-1/2 ~ 0.70711
@@ -176,12 +177,6 @@ class TestStabilityIdentity:
         for p, seed in ((1.5, 11), (1.7, 12), (2.0, 13)):
             report = stability_identity_check(StableSpec(p=p), n=N, seed=seed)
             assert report.passed, f"identity mismatch at p={p}"
-
-    def test_asymmetric_coefficients(self):
-        report = stability_identity_check(
-            StableSpec(p=1.6), n=N, seed=14, coeffs=(0.7, 1.2)
-        )
-        assert report.passed
 
     def test_requires_strict_stability(self):
         with pytest.raises(ValueError, match="a = 0 and b = 0"):
@@ -310,18 +305,6 @@ class TestMeanConvergence:
         assert max(report.extras["k_gaps"]) == 0.0
         gap_check = report.check("final barycenter gap vs limit")
         assert gap_check.estimate == 0.0
-
-    def test_low_order_rejected(self):
-        with pytest.raises(ValueError):
-            stable_mean_convergence_experiment(
-                [StableSpec(p=1.5)], StableSpec(p=1.5), p1=1.7, n=100, seed=1
-            )
-
-    def test_q_range_enforced(self):
-        with pytest.raises(ValueError, match="q must"):
-            stable_mean_convergence_experiment(
-                [StableSpec(p=1.5)], StableSpec(p=1.5), q=1.6, n=100, seed=1
-            )
 
     @pytest.mark.parametrize("n", [1, 8, MEAN_BLOCKS - 1])
     def test_fewer_draws_than_block_means_rejected(self, n):
