@@ -1,7 +1,7 @@
 """Kantorovich-type seminorms and convergence experiments for signed measures.
 
-``import kantorovich_lab`` loads ``measures``, ``reports`` and ``transport``;
-the experiment modules load on first access.
+``import kantorovich_lab`` loads ``measures`` and ``transport``; the
+experiment modules load on first access.
 """
 
 import importlib
@@ -10,12 +10,8 @@ from .measures import (
     PseudometricSpace,
     QuotientMap,
     SignedMeasure,
-    barycenter,
-    jordan_decompose,
-    load_measure,
     pushforward,
     quotient,
-    save_measure,
     total_variation,
 )
 from .transport import (
@@ -37,19 +33,15 @@ __all__ = [
     "QuotientMap",
     "Coupling",
     "LipschitzWitness",
-    "jordan_decompose",
     "total_variation",
     "quotient",
     "pushforward",
-    "barycenter",
     "kr_norm",
     "k_norm",
     "kq_norm",
     "wasserstein_q",
     "brute_force_dual",
     "kernel_backend",
-    "load_measure",
-    "save_measure",
     "__version__",
 ]
 

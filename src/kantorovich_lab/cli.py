@@ -749,8 +749,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG_ERROR
 
     if args.command == "validate":
-        print(json.dumps(validate_config(config), indent=2))
-        return EXIT_OK
+        diags = validate_config(config)
+        print(json.dumps(diags, indent=2))
+        return EXIT_CONFIG_ERROR if diags else EXIT_OK
 
     try:
         if isinstance(config, dict):  # run diagnoses anything else

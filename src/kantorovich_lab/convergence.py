@@ -3,9 +3,8 @@
 Sequences stand in for nets as finite prefixes with a declared limit;
 convergence verdicts mean "eventually below tolerance on the prefix".  The
 harnesses cover weak gaps against a test-function dictionary, seminorm gaps
-with the uniform-integrability tail criterion, sequential compactness by
-nested bisection, the density/absolute-continuity lemma, and the barycenter
-bound against anchored seminorm gaps.
+with the uniform-integrability tail criterion, and the barycenter bound
+against anchored seminorm gaps.
 """
 
 from __future__ import annotations
@@ -16,13 +15,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .measures import PseudometricSpace, SignedMeasure, total_variation
+from .measures import PseudometricSpace, SignedMeasure
 from .transport import LipschitzWitness, k_norm, kq_norm, kr_norm
 
 #: Convergence tolerance for verdicts on finite prefixes.
 GAP_TOL = 1e-7
-#: Bisection in ``extract_convergent_subsequence`` stops at intervals this wide.
-BISECTION_WIDTH = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,6 @@ class TailProfile:
     """sup over the family of the anchored tail integrals, on a radius grid."""
 
     metric_name: str
-    power: float
     radii: tuple[float, ...]
     values: tuple[float, ...]
 
@@ -103,18 +99,9 @@ def lipschitz_dictionary(space: PseudometricSpace, metric_name: str) -> dict[str
     return tests
 
 
-def tail_profile(seq: MeasureSequence, metric_name: str, radii: Sequence[float]) -> TailProfile:
-    """Exact sup over the family of the tail integral of p(., x0)."""
-    radii, tails = _tail_table(seq, metric_name, radii, 1.0)
-    return TailProfile(metric_name, 1.0, tuple(radii), tuple(_family_sup(tails, len(tails))))
-
-
 def _tail_table(seq: MeasureSequence, metric_name: str, radii: Sequence[float], power: float):
-    """The grid as floats, and the tail integral of p(., x0)^power over
-    {p(., x0) >= r}: one row per measure, one column per radius r."""
-    radii = [float(r) for r in radii]
-    if not radii:
-        raise ValueError("radius grid must be non-empty")
+    """The tail integral of p(., x0)^power over {p(., x0) >= r}: one row
+    per measure, one column per radius r."""
     dist = seq.space.anchor_distances(metric_name)
     weighted = dist**power
     masks = [dist >= r for r in radii]
@@ -122,7 +109,7 @@ def _tail_table(seq: MeasureSequence, metric_name: str, radii: Sequence[float], 
     for m in seq.measures:
         mass = np.abs(m.weights)
         tails.append([math.fsum((weighted[mask] * mass[mask]).tolist()) for mask in masks])
-    return radii, tails
+    return tails
 
 
 def _family_sup(tails: list[list[float]], upto: int) -> list[float]:
@@ -206,9 +193,10 @@ def check_tau_k_convergence(
     names = tuple(metric_names) if metric_names is not None else seq.space.metric_names()
     records = []
     for name in names:
-        grid, tails = _tail_table(seq, name, default_radii(seq.space, name), q)
+        grid = default_radii(seq.space, name)
+        tails = _tail_table(seq, name, grid, q)
         values, r_half, r_full = _stabilized_radii(tails, grid)
-        profile = TailProfile(name, q, tuple(grid), tuple(values))
+        profile = TailProfile(name, tuple(grid), tuple(values))
         ui = r_full <= r_half
         kr_gaps = []
         k_gaps = []
@@ -244,99 +232,6 @@ def check_tau_k_convergence(
     elif any(r.verdict == "UI_FAIL" for r in records):
         overall = "UI_FAIL"
     return TauKReport(q=q, per_metric=tuple(records), verdict=overall)
-
-
-def extract_convergent_subsequence(
-    seq: MeasureSequence,
-    metric_name: str,
-    tv_bound: float | None = None,
-) -> tuple[tuple[int, ...], SignedMeasure]:
-    """Coordinate-wise nested bisection keeping the majority half.
-
-    Returns indices of a convergent subsequence (at prefix resolution) and the
-    limit measure realized at its last index; the bounded-Lipschitz gap at
-    that index is therefore exactly zero.
-    """
-    if tv_bound is not None:
-        worst = max(total_variation(m) for m in seq.measures)
-        if worst > tv_bound:
-            raise ValueError(f"total variation {worst:.3g} exceeds the declared bound")
-    indices = list(range(len(seq)))
-    W = np.stack([m.weights for m in seq.measures])
-    for c in range(W.shape[1]):
-        lo = float(W[indices, c].min())
-        hi = float(W[indices, c].max())
-        while hi - lo > BISECTION_WIDTH and len(indices) > 1:
-            mid = 0.5 * (lo + hi)
-            lower = [i for i in indices if W[i, c] <= mid]
-            upper = [i for i in indices if W[i, c] > mid]
-            if len(lower) >= len(upper):
-                indices, hi = lower, mid
-            else:
-                indices, lo = upper, mid
-    limit = seq.measures[indices[-1]]
-    return tuple(indices), limit
-
-
-@dataclass(frozen=True)
-class AbsoluteContinuityReport:
-    hypothesis_holds: bool
-    conclusion_holds: bool
-    violation: bool
-    radius_full: float
-    radius_half: float
-    tail_radii: tuple[float, ...]
-    tail_values: tuple[float, ...]
-
-
-def check_ac_limit(
-    mu_seq: MeasureSequence,
-    densities: Sequence[np.ndarray],
-    nu_limit: SignedMeasure,
-) -> AbsoluteContinuityReport:
-    """Density-limit absolute-continuity check.
-
-    nu_n = f_n . mu_n atom-wise.  The hypothesis (the tail masses
-    sup_n |nu_n|(|f_n| >= R) vanish for large R) is judged on the prefix by
-    radius stabilization: the smallest radius pushing the sup below
-    ``GAP_TOL`` must not grow from the half prefix to the full prefix.  The
-    conclusion is checked on atoms: wherever the mu-limit vanishes the
-    nu-limit must too.
-    A violation is flagged only when the hypothesis holds and the conclusion
-    fails.
-    """
-    mu_limit = mu_seq.require_limit()
-    if len(densities) != len(mu_seq):
-        raise ValueError("one density vector per measure is required")
-    fs = [np.asarray(f, dtype=float) for f in densities]
-    n = mu_seq.space.n_points
-    for f in fs:
-        if f.shape != (n,):
-            raise ValueError("density support does not match the space")
-    nu_weights = [f * m.weights for f, m in zip(fs, mu_seq.measures)]
-
-    levels = np.unique(np.concatenate([np.abs(f) for f in fs]))
-    radii = [float(r) for r in levels] + [float(levels[-1]) + 1.0]
-
-    tails = []
-    for f, nu in zip(fs, nu_weights):
-        level, mass = np.abs(f), np.abs(nu)
-        tails.append([math.fsum(mass[level >= r].tolist()) for r in radii])
-    tail_values, r_half, r_full = _stabilized_radii(tails, radii)
-    hypothesis = r_full <= r_half
-
-    mu_zero = np.abs(mu_limit.weights) <= 1e-12
-    conclusion = bool(np.all(np.abs(nu_limit.weights)[mu_zero] <= 1e-12))
-
-    return AbsoluteContinuityReport(
-        hypothesis_holds=hypothesis,
-        conclusion_holds=conclusion,
-        violation=hypothesis and not conclusion,
-        radius_full=r_full,
-        radius_half=r_half,
-        tail_radii=tuple(radii),
-        tail_values=tuple(tail_values),
-    )
 
 
 @dataclass(frozen=True)

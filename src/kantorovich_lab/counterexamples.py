@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import PseudometricSpace, SignedMeasure
 from .reports import BLOCK, row_blocks
 
 
@@ -60,17 +59,6 @@ class L1CounterexampleInstance:
 
     def barycenter_coordinates(self) -> np.ndarray:
         return self.c.copy()
-
-    def signed_measure(self) -> SignedMeasure:
-        k = len(self.c)
-        metric = 2.0 * (1.0 - np.eye(k))
-        space = PseudometricSpace(
-            points=tuple(f"e{j + 1}" for j in range(k)),
-            metrics={"l1": metric},
-            anchor=0,
-            coords=np.eye(k),
-        )
-        return space.measure(self.c)
 
 
 def l1_counterexample(F, eps: float = 1e-6) -> L1CounterexampleInstance:

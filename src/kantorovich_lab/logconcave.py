@@ -205,8 +205,6 @@ def borell_bound(theta: float, t: float) -> float:
     """Tail bound ((1 - theta)/theta)^(t/2) for an absolutely convex set of mass theta."""
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
-    if t < 1:
-        raise ValueError("the bound is stated for t >= 1")
     return ((1.0 - theta) / theta) ** (t / 2.0)
 
 
@@ -226,6 +224,8 @@ def check_borell(
     their seminorm taken one block of rows at a time, so only the seminorm
     values, those of ``q(sample(spec, n, seed))``, are held whole.
     """
+    if not all(t >= 1 for t in ts):
+        raise ValueError("the bound is stated for t >= 1")
     qfn = seminorm(q)
     draw = _block_drawer(spec, n, seed)
     block = np.empty((min(n, BLOCK), spec.dim))

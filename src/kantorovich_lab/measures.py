@@ -10,17 +10,14 @@ freely across threads.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .reports import dump_json
-
 #: Validation tolerance for the pseudometric axioms (user-supplied matrices),
-#: relative to the matrix's scale ``max(1, max |p|)``.
+#: relative to the matrix's largest entry ``max |p|``.
 TRIANGLE_TOL = 1e-12
 #: Rows and relay points per tile of the triangle-inequality check.  A tile
 #: holds rows * relays * n doubles (4 MB at n = 1024), so it stays in cache
@@ -41,7 +38,7 @@ def _validate_pseudometric(name: str, p: np.ndarray, n: int) -> None:
     if not np.all(np.isfinite(p)):
         raise ValueError(f"metric {name!r}: non-finite entries")
     # a distance of size s carries round-off of size s * eps
-    tol = TRIANGLE_TOL * max(1.0, float(np.abs(p).max(initial=0.0)))
+    tol = TRIANGLE_TOL * float(np.abs(p).max(initial=0.0))
     if np.any(np.abs(np.diagonal(p)) > tol):
         raise ValueError(f"metric {name!r}: nonzero diagonal")
     if np.any(np.abs(p - p.T) > tol):
@@ -219,14 +216,6 @@ class QuotientMap:
         return self.quotient_space.n_points
 
 
-def jordan_decompose(mu: SignedMeasure) -> tuple[SignedMeasure, SignedMeasure]:
-    """Split into nonnegative parts with disjoint supports, mu = plus - minus."""
-    w = mu.weights
-    plus = np.where(w > 0, w, 0.0)
-    minus = np.where(w < 0, -w, 0.0)
-    return SignedMeasure(mu.space, plus), SignedMeasure(mu.space, minus)
-
-
 def total_variation(mu: SignedMeasure) -> float:
     return math.fsum(np.abs(mu.weights).tolist())
 
@@ -285,13 +274,6 @@ def pushforward(mu: SignedMeasure, qmap: QuotientMap) -> SignedMeasure:
     cls = np.asarray(qmap.classes)
     out = np.array([math.fsum(mu.weights[cls == c].tolist()) for c in range(k)])
     return SignedMeasure(qmap.quotient_space, out)
-
-
-def barycenter(mu: SignedMeasure) -> np.ndarray:
-    """Weight-weighted sum of atom coordinates (finite-support vector integral)."""
-    if mu.space.coords is None:
-        raise ValueError("points carry no coordinates; barycenter undefined")
-    return mu.weights @ mu.space.coords
 
 
 # ---------------------------------------------------------------------------
@@ -388,28 +370,3 @@ def _weights_on(space: PseudometricSpace, doc: Mapping) -> SignedMeasure:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed measure file: {exc}") from exc
     return space.measure(weights)
-
-
-def measure_to_dict(mu: SignedMeasure) -> dict:
-    space = mu.space
-    doc = {
-        "points": list(space.points),
-        "metrics": {
-            name: [[repr(float(x)) for x in row] for row in mat]
-            for name, mat in space.metrics.items()
-        },
-        "anchor": space.anchor,
-        "weights": [repr(float(w)) for w in mu.weights],
-    }
-    if space.coords is not None:
-        doc["coords"] = [[repr(float(x)) for x in row] for row in space.coords]
-    return doc
-
-
-def load_measure(path) -> SignedMeasure:
-    with open(path, "r", encoding="utf-8") as fh:
-        return measure_from_dict(json.load(fh))
-
-
-def save_measure(mu: SignedMeasure, path) -> None:
-    dump_json(measure_to_dict(mu), path)

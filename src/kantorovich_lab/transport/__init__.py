@@ -74,7 +74,7 @@ class LipschitzWitness:
         # relative to the metric below 1, so a small metric cannot hide a
         # steep potential; never below the space's own triangle tolerance
         dmax = float(np.abs(d).max(initial=0.0))
-        lip_tol = max(WITNESS_TOL * min(1.0, dmax), TRIANGLE_TOL * max(1.0, dmax))
+        lip_tol = max(WITNESS_TOL * min(1.0, dmax), TRIANGLE_TOL * dmax)
         gap = np.abs(f[:, None] - f[None, :]) - d
         if gap.max(initial=0.0) > lip_tol:
             raise ValueError(f"potential is not 1-Lipschitz (violation {gap.max():.3g})")

@@ -347,7 +347,7 @@ def solve_transportation(a, b, C) -> TransportSolution:
     duals = np.frombuffer(pot)
     u, v = duals[:r, None], duals[None, r:]
 
-    stop = -FLOW_TOL * max(1.0, cmax)
+    stop = -FLOW_TOL * cmax
     block_rows = max(1, PRICING_BLOCK_CELLS // s)
     rc_block = np.empty((min(block_rows, r), s))
     blocks = [

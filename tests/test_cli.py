@@ -131,11 +131,17 @@ class TestValidate:
         assert len(list((tmp_path / "out").glob("stable-*.json"))) == 1
 
     def test_validate_subcommand_prints_diagnostics(self, tmp_path, capsys):
+        # a config with diagnostics exits as a run of it would
         path = write(tmp_path / "c.json", {"kind": "norms", "seed": 1, "params": {}})
         code = cli.main(["validate", "--config", str(path)])
-        assert code == 0
+        assert code == cli.EXIT_CONFIG_ERROR
         out = json.loads(capsys.readouterr().out)
         assert any("measure" in d for d in out)
+
+    def test_validate_subcommand_passes_a_runnable_config(self, tmp_path, capsys):
+        code = cli.main(["validate", "--config", str(norms_config(tmp_path))])
+        assert code == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out) == []
 
 
 class TestRun:

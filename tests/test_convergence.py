@@ -3,16 +3,16 @@ import pytest
 
 from kantorovich_lab.convergence import (
     MeasureSequence,
+    _family_sup,
+    _tail_table,
     barycenter_convergence,
-    check_ac_limit,
     check_tau_k_convergence,
-    extract_convergent_subsequence,
+    default_radii,
     lipschitz_dictionary,
-    tail_profile,
     weak_gap,
 )
 from kantorovich_lab import measures
-from kantorovich_lab.measures import PseudometricSpace, barycenter
+from kantorovich_lab.measures import PseudometricSpace
 from kantorovich_lab.transport import k_norm, kq_norm, kr_norm
 
 from conftest import random_space
@@ -108,17 +108,21 @@ class TestWeakGap:
             weak_gap(seq, {"bad": np.array([0.0, 5.0, 0.0])}, bound=1.0)
 
 
+def tail_sup(seq, radii, power=1.0):
+    """Per radius, the sup over the family of the tail integral of p(., x0)^power."""
+    tails = _tail_table(seq, "d", radii, power)
+    return _family_sup(tails, len(tails))
+
+
 class TestTailProfile:
     def test_anchor_family_vanishes(self):
         space = line_space(4)
         seq = MeasureSequence(space, (space.dirac(0),), space.dirac(0))
-        profile = tail_profile(seq, "d", radii=[0.5, 1.0, 2.0])
-        assert profile.values == (0.0, 0.0, 0.0)
+        assert tail_sup(seq, [0.5, 1.0, 2.0]) == [0.0, 0.0, 0.0]
 
     def test_escaping_unit_mass(self):
         seq = harmonic_fail_sequence(32)
-        profile = tail_profile(seq, "d", radii=[1, 2, 4, 8, 16, 32])
-        assert all(v == pytest.approx(1.0, abs=1e-12) for v in profile.values)
+        assert all(v == pytest.approx(1.0, abs=1e-12) for v in tail_sup(seq, [1, 2, 4, 8, 16, 32]))
 
     def test_integrable_escape(self):
         N = 64
@@ -129,25 +133,26 @@ class TestTailProfile:
             w[n] = n**-2.0
             measures.append(space.measure(w))
         seq = MeasureSequence(space, tuple(measures), space.dirac(0))
-        profile = tail_profile(seq, "d", radii=[1, 2, 4, 8])
         # sup over n >= R of n * n^-2 = 1/ceil(R)
-        assert profile.values == pytest.approx((1.0, 0.5, 0.25, 0.125), abs=1e-12)
+        assert tail_sup(seq, [1, 2, 4, 8]) == pytest.approx([1.0, 0.5, 0.25, 0.125], abs=1e-12)
 
     def test_monotone_and_scaling(self, rng):
         space = random_space(rng, 6)
         measures = tuple(space.measure(rng.uniform(-1, 1, size=6)) for _ in range(5))
         seq = MeasureSequence(space, measures, measures[0])
         radii = [0.5, 1.0, 2.0, 4.0]
-        prof = tail_profile(seq, "d", radii)
-        assert all(prof.values[i] >= prof.values[i + 1] for i in range(len(radii) - 1))
+        prof = tail_sup(seq, radii)
+        assert all(prof[i] >= prof[i + 1] for i in range(len(radii) - 1))
         doubled = MeasureSequence(space, tuple(2.0 * m for m in measures), measures[0])
-        prof2 = tail_profile(doubled, "d", radii)
-        assert np.allclose(prof2.values, 2.0 * np.array(prof.values), atol=1e-12)
+        assert np.allclose(tail_sup(doubled, radii), 2.0 * np.array(prof), atol=1e-12)
 
-    def test_empty_grid_rejected(self):
-        seq = harmonic_pass_sequence(4)
-        with pytest.raises(ValueError, match="non-empty"):
-            tail_profile(seq, "d", radii=[])
+    def test_report_carries_the_profile_on_the_default_grid(self):
+        # the q-th power of the anchor distance weighs the tails
+        seq = geometric_sequence(32, "fast")
+        for q in (1.0, 1.5):
+            (rec,) = check_tau_k_convergence(seq, q=q).per_metric
+            assert rec.tail.radii == tuple(default_radii(seq.space, "d"))
+            assert list(rec.tail.values) == tail_sup(seq, rec.tail.radii, q)
 
 
 class TestTauK:
@@ -198,7 +203,6 @@ class TestTauK:
         seq = geometric_sequence(32, "fast")
         report = check_tau_k_convergence(seq, q=1.5)
         rec = report.per_metric[0]
-        assert rec.tail.power == 1.5
         assert len(rec.k_gaps) == 32
 
     @pytest.mark.parametrize("q", [1.0, 2.0])
@@ -249,94 +253,6 @@ class TestTauK:
             assert (krgap < 1e-6) == expect_small
 
 
-class TestSubsequenceExtraction:
-    def test_alternating_weights(self):
-        space = line_space(2)
-        measures = []
-        for n in range(12):
-            w = [1.0, 0.0] if n % 2 == 0 else [0.0, 1.0]
-            measures.append(space.measure(w))
-        seq = MeasureSequence(space, tuple(measures))
-        indices, limit = extract_convergent_subsequence(seq, "d")
-        values = {tuple(seq.measures[i].weights) for i in indices}
-        assert len(values) == 1  # constant subsequence
-        assert len(indices) == 6
-
-    def test_convergent_sequence(self):
-        space = line_space(2)
-        measures = [space.measure([1.0 / n, 1.0 - 1.0 / n]) for n in range(1, 65)]
-        seq = MeasureSequence(space, tuple(measures))
-        indices, limit = extract_convergent_subsequence(seq, "d")
-        assert indices[-1] == 63
-        gap = kr_norm(seq.measures[indices[-1]] - limit, "d")[0]
-        assert gap <= 1e-9
-
-    def test_random_weights_subsequence_is_cauchy(self, rng):
-        space = random_space(rng, 2)
-        measures = tuple(space.measure(rng.uniform(-1, 1, size=2)) for _ in range(80))
-        seq = MeasureSequence(space, measures)
-        indices, limit = extract_convergent_subsequence(seq, "d")
-        W = np.stack([seq.measures[i].weights for i in indices])
-        spread = W.max(axis=0) - W.min(axis=0)
-        assert spread.max() <= 1e-12 + 1e-9
-        assert kr_norm(seq.measures[indices[-1]] - limit, "d")[0] <= 1e-9
-
-    def test_tv_bound_enforced(self):
-        space = line_space(2)
-        seq = MeasureSequence(space, (space.measure([5.0, 0.0]),))
-        with pytest.raises(ValueError, match="total variation"):
-            extract_convergent_subsequence(seq, "d", tv_bound=1.0)
-
-
-class TestAbsoluteContinuityLemma:
-    def test_escaping_density_counterexample(self):
-        # nu_n = delta_1 realized as f_n . mu_n with f_n(1) = n
-        N = 64
-        space = line_space(2)
-        measures, densities = [], []
-        for n in range(1, N + 1):
-            measures.append(space.measure([1.0 - 1.0 / n, 1.0 / n]))
-            densities.append(np.array([0.0, float(n)]))
-        seq = MeasureSequence(space, tuple(measures), space.dirac(0))
-        nu_limit = space.dirac(1)
-        report = check_ac_limit(seq, densities, nu_limit)
-        assert not report.hypothesis_holds
-        assert not report.conclusion_holds
-        assert not report.violation
-
-    def test_unit_densities(self, rng):
-        space = random_space(rng, 4)
-        measures = tuple(space.measure(rng.random(4)) for _ in range(8))
-        seq = MeasureSequence(space, measures, measures[-1])
-        densities = [np.ones(4)] * 8
-        report = check_ac_limit(seq, densities, measures[-1])
-        assert report.hypothesis_holds
-        assert report.conclusion_holds
-        assert not report.violation
-
-    def test_uniformly_bounded_densities(self, rng):
-        space = random_space(rng, 5)
-        N = 32
-        measures, densities = [], []
-        for k in range(N):
-            w = rng.random(5)
-            w /= w.sum()
-            measures.append(space.measure(w))
-            densities.append(rng.uniform(0, 5, size=5))
-        nu = measures[-1].space.measure(densities[-1] * measures[-1].weights)
-        seq = MeasureSequence(space, tuple(measures), measures[-1])
-        report = check_ac_limit(seq, densities, nu)
-        assert report.hypothesis_holds
-        # conclusion must hold whenever the hypothesis does
-        assert not report.violation
-
-    def test_mismatched_densities_rejected(self, rng):
-        space = random_space(rng, 3)
-        seq = MeasureSequence(space, (space.dirac(0),), space.dirac(0))
-        with pytest.raises(ValueError, match="density"):
-            check_ac_limit(seq, [], space.dirac(0))
-
-
 class TestBarycenterConvergence:
     def test_constant_sequence(self, rng):
         space = random_space(rng, 4, with_coords=True)
@@ -355,7 +271,7 @@ class TestBarycenterConvergence:
         m2 = space.measure([0.0, 0.0, 0.0, 0.5, 0.5])
         seq = MeasureSequence(space, (m1, m2), m2)
         for m in seq.measures:
-            assert barycenter(m).tolist() == [0.0]
+            assert (m.weights @ space.coords).tolist() == [0.0]
         report = barycenter_convergence(seq)
         assert report.bound_holds
 

@@ -18,7 +18,6 @@ from kantorovich_lab.counterexamples import (
     verify_counterexample,
     verify_schedule,
 )
-from kantorovich_lab.measures import barycenter
 from kantorovich_lab.reports import BLOCK
 
 
@@ -63,12 +62,6 @@ class TestL1Counterexample:
             assert abs(report["weight_l1_norm"] - 1.0) <= 1e-12
             assert abs(report["barycenter_l1_norm"] - 1.0) <= 1e-12
             assert report["passed"]
-
-    def test_measure_on_basis_atoms(self):
-        inst = l1_counterexample([[2.0, 1.0]])
-        mu = inst.signed_measure()
-        assert np.abs(barycenter(mu)).sum() == pytest.approx(1.0, abs=1e-12)
-        assert mu.space.metric("l1")[0, 1] == 2.0
 
     def test_determinism(self, rng):
         F = rng.standard_normal((4, 5))

@@ -1,8 +1,9 @@
 """The package and the CLI load an experiment module only when it is used.
 
-``import kantorovich_lab`` loads ``measures``, ``reports`` and ``transport``;
-``cli`` loads ``convergence``, ``counterexamples``, ``logconcave`` or
-``stable`` when a runner of a kind that calls it first reads it.  Each test of
+``import kantorovich_lab`` loads ``measures`` and ``transport``, and ``cli``
+adds ``reports``; ``cli`` loads ``convergence``, ``counterexamples``,
+``logconcave`` or ``stable`` when a runner of a kind that calls it first
+reads it.  Each test of
 what is loaded runs in a fresh interpreter with ``PYTHONPATH=src``, since this
 process has imported everything already.
 """

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from kantorovich_lab import logconcave
 from kantorovich_lab.logconcave import (
     SEMINORMS,
     LogConcaveSpec,
@@ -144,8 +145,6 @@ class TestBorell:
         assert borell_bound(0.6827, 2.0) == pytest.approx(0.46477, abs=1e-4)
         assert borell_bound(0.5, 7.3) == 1.0
         assert borell_bound(0.999, 40.0) < 1e-1
-        with pytest.raises(ValueError, match="t >= 1"):
-            borell_bound(0.7, 0.5)
         with pytest.raises(ValueError, match="theta"):
             borell_bound(1.0, 2.0)
 
@@ -184,6 +183,14 @@ class TestBorell:
             LogConcaveSpec.uniform_simplex(2), "l2", 0.65, [1.0, 1.5, 2.0], n=N, seed=46
         )
         assert report.passed
+
+    def test_t_below_one_refused_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(logconcave, "_block_drawer", no_draws)
+        with pytest.raises(ValueError, match="t >= 1"):
+            check_borell(LogConcaveSpec.gaussian([0.0], [[1.0]]), "abs", 1.0, [0.5], n=N, seed=42)
 
     def test_rejects_insignificant_mass(self):
         with pytest.raises(ValueError, match="above 1/2"):

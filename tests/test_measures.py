@@ -8,14 +8,9 @@ from kantorovich_lab import measures
 from kantorovich_lab.measures import (
     PseudometricSpace,
     _matrix,
-    barycenter,
-    jordan_decompose,
-    load_measure,
     measure_from_dict,
-    measure_to_dict,
     pushforward,
     quotient,
-    save_measure,
     total_variation,
 )
 
@@ -23,8 +18,11 @@ from conftest import random_space, two_point_space
 
 
 class TestValidation:
-    def test_triangle_violation_rejected(self):
-        bad = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+    @pytest.mark.parametrize("scale", [1.0, 1e-13])
+    def test_triangle_violation_rejected(self, scale):
+        # the tolerance scales with the matrix, so a small metric's violation
+        # is refused as a unit one's is
+        bad = scale * np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="triangle"):
             PseudometricSpace(points=("a", "b", "c"), metrics={"d": bad})
 
@@ -160,49 +158,25 @@ class TestTiledTriangleCheck:
         assert peak < 2.5
 
 
-class TestJordan:
-    def test_sign_split(self):
-        mu = two_point_space(1.0).measure([2.0, -3.0])
-        plus, minus = jordan_decompose(mu)
-        assert plus.weights.tolist() == [2.0, 0.0]
-        assert minus.weights.tolist() == [0.0, 3.0]
-
-    def test_zero_measure(self):
-        mu = two_point_space(1.0).measure([0.0, 0.0])
-        plus, minus = jordan_decompose(mu)
-        assert plus.weights.tolist() == [0.0, 0.0]
-        assert minus.weights.tolist() == [0.0, 0.0]
-
-    def test_masses_and_tv(self):
-        space = PseudometricSpace(
-            points=("a", "b", "c"),
-            metrics={"d": np.abs(np.subtract.outer([0.0, 1, 2], [0.0, 1, 2]))},
-        )
-        mu = space.measure([1.0, -1.0, 0.5])
-        plus, minus = jordan_decompose(mu)
-        assert plus.total_mass == 1.5
-        assert minus.total_mass == 1.0
-        assert total_variation(mu) == 2.5
-
-    def test_round_trip_and_disjoint(self, rng):
-        space = random_space(rng, 7)
-        for _ in range(50):
-            mu = space.measure(rng.uniform(-2, 2, size=7))
-            plus, minus = jordan_decompose(mu)
-            assert np.array_equal(plus.weights - minus.weights, mu.weights)
-            assert np.all(plus.weights >= 0) and np.all(minus.weights >= 0)
-            assert not np.any((plus.weights > 0) & (minus.weights > 0))
-            assert total_variation(mu) == pytest.approx(
-                plus.total_mass + minus.total_mass, rel=1e-14
-            )
-
-
 class TestTotalVariation:
     def test_examples(self):
         space = two_point_space(3.0)
         assert total_variation(space.dirac(0)) == 1.0
         assert total_variation(space.measure([1.0, -1.0])) == 2.0
         assert total_variation(space.measure([2.0, -3.0])) == 5.0
+        line = PseudometricSpace(
+            points=("a", "b", "c"),
+            metrics={"d": np.abs(np.subtract.outer([0.0, 1, 2], [0.0, 1, 2]))},
+        )
+        assert total_variation(line.measure([1.0, -1.0, 0.5])) == 2.5
+
+    def test_positive_plus_negative_mass(self, rng):
+        space = random_space(rng, 7)
+        for _ in range(50):
+            w = rng.uniform(-2, 2, size=7)
+            assert total_variation(space.measure(w)) == pytest.approx(
+                w[w > 0].sum() - w[w < 0].sum(), rel=1e-14
+            )
 
 
 class TestQuotient:
@@ -287,58 +261,27 @@ class TestPushforward:
             assert pushforward(mu, qm).total_mass == mu.total_mass
 
 
-class TestBarycenter:
-    def test_dirac(self):
-        space = PseudometricSpace(
-            points=("a", "b"),
-            metrics={"d": np.array([[0.0, 1.0], [1.0, 0.0]])},
-            coords=np.array([[2.0, -1.0], [0.0, 0.0]]),
-        )
-        assert barycenter(space.dirac(0)).tolist() == [2.0, -1.0]
-
-    def test_midpoint(self):
-        space = PseudometricSpace(
-            points=("a", "b"),
-            metrics={"d": np.array([[0.0, 1.0], [1.0, 0.0]])},
-            coords=np.array([[0.0, 0.0], [2.0, 4.0]]),
-        )
-        assert barycenter(space.measure([0.5, 0.5])).tolist() == [1.0, 2.0]
-
-    def test_signed(self):
-        space = PseudometricSpace(
-            points=("zero", "one"),
-            metrics={"d": np.array([[0.0, 1.0], [1.0, 0.0]])},
-            coords=np.array([[0.0], [1.0]]),
-        )
-        assert barycenter(space.measure([-1.0, 2.0])).tolist() == [2.0]
-
-    def test_missing_coords(self):
-        with pytest.raises(ValueError, match="coordinates"):
-            barycenter(two_point_space(1.0).dirac(0))
-
-    def test_linearity(self, rng):
-        space = random_space(rng, 6, with_coords=True)
-        for _ in range(25):
-            mu = space.measure(rng.uniform(-1, 1, size=6))
-            nu = space.measure(rng.uniform(-1, 1, size=6))
-            a, b = rng.uniform(-2, 2, size=2)
-            lhs = barycenter(a * mu + b * nu)
-            rhs = a * barycenter(mu) + b * barycenter(nu)
-            assert np.allclose(lhs, rhs, atol=1e-12)
-
-
 class TestFileFormat:
-    def test_round_trip(self, tmp_path, rng):
+    def test_round_trip(self, rng):
         space = random_space(rng, 5, with_coords=True)
-        mu = space.measure(rng.uniform(-1, 1, size=5))
-        path = tmp_path / "measure.json"
-        save_measure(mu, path)
-        back = load_measure(path)
-        assert back.space.same_as(mu.space)
-        assert np.array_equal(back.weights, mu.weights)
-        assert np.array_equal(back.space.coords, mu.space.coords)
+        w = rng.uniform(-1, 1, size=5)
 
-    def test_decimal_strings(self, tmp_path):
+        def strings(values):
+            return [repr(float(x)) for x in values]
+
+        doc = {
+            "points": list(space.points),
+            "metrics": {"d": [strings(row) for row in space.metric("d")]},
+            "anchor": space.anchor,
+            "coords": [strings(row) for row in space.coords],
+            "weights": strings(w),
+        }
+        back = measure_from_dict(json.loads(json.dumps(doc)))
+        assert back.space.same_as(space)
+        assert np.array_equal(back.weights, w)
+        assert np.array_equal(back.space.coords, space.coords)
+
+    def test_decimal_strings(self):
         doc = {
             "points": ["a", "b"],
             "metrics": {"d": [["0", "0.1"], ["0.1", "0"]]},
@@ -348,19 +291,10 @@ class TestFileFormat:
         mu = measure_from_dict(doc)
         assert mu.weights.tolist() == [0.25, -0.001]
         assert mu.space.metric("d")[0, 1] == 0.1
-        out = measure_to_dict(mu)
-        assert all(isinstance(w, str) for w in out["weights"])
 
     def test_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
             measure_from_dict({"points": ["a"]})
-
-    def test_save_writes_stdlib_bytes(self, tmp_path, rng):
-        mu = random_space(rng, 4, with_coords=True).measure(rng.uniform(-1, 1, size=4))
-        path = tmp_path / "measure.json"
-        save_measure(mu, path)
-        expected = json.dumps(measure_to_dict(mu), indent=2, sort_keys=True) + "\n"
-        assert path.read_text(encoding="utf-8") == expected
 
 
 def _file_doc():
@@ -477,11 +411,10 @@ class TestParsing:
         n = len(reprs)
         doc = {
             "points": [f"p{i}" for i in range(n)],
-            "metrics": {"d": [["0"] * n for _ in range(n)]},
+            "metrics": {"d": [["0" if i == j else "5e-324" for j in range(n)] for i in range(n)]},
             "coords": [[r, "0"] for r in reprs],
             "weights": reprs,
         }
-        doc["metrics"]["d"][0][1] = doc["metrics"]["d"][1][0] = "5e-324"
         mu = measure_from_dict(doc)
         expected = np.array([float(r) for r in reprs])
         assert mu.weights.tobytes() == expected.tobytes()

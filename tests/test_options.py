@@ -1,22 +1,26 @@
-"""Every option of the library has a caller outside the tests.
+"""Every option and every public definition of the library has a caller
+outside the tests.
 
 A defaulted parameter of a function or method, or a defaulted field of a
 dataclass, that no program call ever passes runs at its default everywhere
 but in the tests: it is a constant written as an option, and each such
 option doubles the configurations the tests would have to cover.  A test
-that sets it checks a behaviour no program reaches.  This test parses the
-modules of ``src/kantorovich_lab`` and every call in ``src`` and
+that sets it checks a behaviour no program reaches.  The options check
+parses the modules of ``src/kantorovich_lab`` and every call in ``src`` and
 ``perfbench``, matching calls to definitions by the callee's name, and lists
 each defaulted parameter that no call passes, by keyword or by position.
+``cli.py`` is left out of it: its runners' keyword parameters are the config
+schema, which configs set.
 
-One option is exempt: ``extract_convergent_subsequence(tv_bound)`` checks a
-hypothesis about the caller's own sequence, its declared bound on the total
-variation, and no constant can stand in for a bound that only the caller
-knows.
+A public function, method or class that no program reaches is code that
+only its own tests run.  The surface check walks the names that reachable
+code reads, from ``perfbench``, ``tests/test_acceptance.py`` and the
+module-level statements of ``src`` through the bodies of the definitions
+they reach, and lists each public definition never reached.  Imports,
+re-exports, ``__all__`` and annotations read nothing.
 
-``cli.py`` is left out: its runners' keyword parameters are the config
-schema, which configs set.  So is ``transport/_simplex.py``, which the
-benchmark still imports by name.
+Both checks leave out ``transport/_simplex.py``, which the benchmark still
+binds by name.
 """
 
 import ast
@@ -24,10 +28,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "kantorovich_lab"
-EXEMPT = {PACKAGE / "cli.py", PACKAGE / "transport" / "_simplex.py"}
+SIMPLEX = PACKAGE / "transport" / "_simplex.py"
+EXEMPT = {PACKAGE / "cli.py", SIMPLEX}
 CALLERS = ("src", "perfbench")
-#: The one option that no program call passes and that stays an option.
-EXEMPT_OPTION = "convergence: extract_convergent_subsequence(tv_bound)"
+#: Code that counts as a caller whole: the benchmark and the acceptance suite.
+ROOTS = (*sorted((ROOT / "perfbench").rglob("*.py")), ROOT / "tests" / "test_acceptance.py")
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -122,6 +127,77 @@ def unset_options() -> list[str]:
 
 def test_every_option_has_a_caller():
     unset = unset_options()
-    others = [option for option in unset if option != EXEMPT_OPTION]
-    assert not others, "options that no program call passes (make each a constant):\n" + "\n".join(others)
-    assert unset == [EXEMPT_OPTION], f"{EXEMPT_OPTION} now has a program caller: drop its exemption"
+    assert not unset, "options that no program call passes (make each a constant):\n" + "\n".join(unset)
+
+
+def _reads(node: ast.AST):
+    """The names ``node`` reads, as a variable or as an attribute, leaving
+    out annotations."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        for field, child in ast.iter_fields(node):
+            if field in ("annotation", "returns"):
+                continue
+            if isinstance(child, ast.AST):
+                stack.append(child)
+            elif isinstance(child, list):
+                stack.extend(c for c in child if isinstance(c, ast.AST))
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(body, prefix=""):
+    """(name, qualified name, the nodes it reads once reached) of each
+    function, class and method in ``body``.  A class reads its decorators,
+    bases and the statements of its body other than definitions, which run
+    when it is defined, and its dunder methods, which run when it is used."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            dunders = [n for n in node.body if isinstance(n, ast.FunctionDef)
+                       and n.name.startswith("__") and n.name.endswith("__")]
+            statements = [n for n in node.body if not isinstance(n, DEFINITIONS)]
+            held = [*node.decorator_list, *node.bases, *node.keywords, *statements, *dunders]
+            yield node.name, f"{prefix}{node.name}", held
+            yield from _definitions([n for n in node.body if n not in dunders], f"{prefix}{node.name}.")
+        elif isinstance(node, DEFINITIONS):
+            yield node.name, f"{prefix}{node.name}", [node]
+
+
+def unreached() -> list[str]:
+    """Each public function, method or class of the package that no
+    reachable code reads, as ``module: qualified name``.
+
+    Reads match definitions by name alone, so a read of ``validate`` reaches
+    every method of that name.  A function's decorators and defaults count
+    as its own, read once it is reached."""
+    held_by: dict[str, list[ast.AST]] = {}
+    frontier: list[ast.AST] = [ast.parse(path.read_text(encoding="utf-8")) for path in ROOTS]
+    public = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == SIMPLEX:
+            continue
+        module = path.relative_to(PACKAGE).with_suffix("").as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, qualified, held in _definitions(tree.body):
+            held_by.setdefault(name, []).extend(held)
+            if not name.startswith("_"):
+                public.append((name, f"{module}: {qualified}"))
+        frontier += [node for node in tree.body if not isinstance(node, DEFINITIONS)]
+    read: set[str] = set()
+    while frontier:
+        for name in _reads(frontier.pop()):
+            if name not in read:
+                read.add(name)
+                frontier += held_by.get(name, ())
+    return [label for name, label in public if name not in read]
+
+
+def test_every_public_definition_has_a_caller():
+    dead = unreached()
+    assert not dead, "definitions that no program reaches (delete each with its tests):\n" + "\n".join(dead)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kantorovich_lab import cli, reports
-from kantorovich_lab.measures import PseudometricSpace, SignedMeasure, measure_to_dict
+from kantorovich_lab.measures import PseudometricSpace
 from kantorovich_lab.reports import _plain, dump_json, mean_var
 
 
@@ -230,8 +230,13 @@ def test_norms_report_at_256_points(tmp_path):
     a = rng.dirichlet(np.ones(256))
     b = rng.dirichlet(np.ones(256))
     b[-1] = math.fsum(a.tolist()) - math.fsum(b[:-1].tolist())
+    def strings(values):
+        return [repr(float(x)) for x in values]
+
     for name, w in (("mu.json", a), ("nu.json", b)):
-        (tmp_path / name).write_text(json.dumps(measure_to_dict(SignedMeasure(space, w))))
+        doc = {"points": list(space.points), "metrics": {"d": [strings(row) for row in d]}, "anchor": 3,
+               "coords": [strings(row) for row in coords], "weights": strings(w)}
+        (tmp_path / name).write_text(json.dumps(doc))
     config = {
         "kind": "norms",
         "seed": 1,

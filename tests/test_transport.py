@@ -320,15 +320,17 @@ class TestWitnesses:
         with pytest.raises(ValueError, match="negative entry"):
             Coupling("d", 1.0, bad, -2.0 * off).validate(mu, nu)
 
-    def test_steep_witness_rejected_on_a_small_metric(self):
-        # kr is 1e-12 here; this potential claims 980 times as much
-        mu = two_point_space(1e-12).measure([1.0, -1.0])
-        witness = LipschitzWitness("d", np.array([4.9e-10, -4.9e-10]), 9.8e-10, "bounded")
+    @pytest.mark.parametrize("dist, steep", [(1e-12, 980.0), (1e-13, 5.0)])
+    def test_steep_witness_rejected_on_a_small_metric(self, dist, steep):
+        # kr is dist here; this potential claims `steep` times as much
+        mu = two_point_space(dist).measure([1.0, -1.0])
+        half = steep * dist / 2.0
+        witness = LipschitzWitness("d", np.array([half, -half]), steep * dist, "bounded")
         with pytest.raises(ValueError, match="1-Lipschitz"):
             witness.validate(mu)
 
     @pytest.mark.parametrize(
-        "dist, lip_tol", [(1e-12, TRIANGLE_TOL), (1.0, WITNESS_TOL), (1e6, TRIANGLE_TOL * 1e6)]
+        "dist, lip_tol", [(1e-12, WITNESS_TOL * 1e-12), (1.0, WITNESS_TOL), (1e6, TRIANGLE_TOL * 1e6)]
     )
     def test_lipschitz_tolerance_follows_the_metric_scale(self, dist, lip_tol):
         # an anchored potential steeper than d by `excess` on the one pair

@@ -7,6 +7,12 @@ overflow and underflow), so 2^k mu poses the same unit-scale problem as mu:
 ``kr``, ``k`` and ``kq`` scale by 2^k bit for bit, and so do ``wq``'s
 coupling matrix and cost.
 
+Exact equivariance under scaling the metric by 2^j: every tolerance of the
+solver and of the certificates is relative to the largest cost, so 2^j d
+takes the pivots of d, and W1, W2 (its cost times 4^j) and the witness of
+``k`` scale bit for bit, from j = -60 to 40.  ``kr`` and the |mu(X)| term
+of ``k`` do not scale with the metric.
+
 Relations that hold to rounding, each within 1e-12 of the bound on the value
 that the data give (total variation times diameter, and so on): relabelling
 the points leaves every value unchanged, ``wq(mu, mu) = 0``, and
@@ -136,3 +142,29 @@ def test_scaling_the_metric_scales_wq_and_the_anchored_part_of_k(n):
         assert abs(got - lam * anchored) <= REL * lam * mass * diameter, lam
         got = wasserstein_q(other.measure(mu), other.measure(nu), "d", 2.0)[0]
         assert abs(got - lam * wq) <= REL * lam * diameter, lam
+
+
+#: Powers of two the metric is scaled by; every cost d^q at q <= 2 stays a
+#: normal double.
+METRIC_POWERS = range(-60, 41)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_scaling_the_metric_by_a_power_of_two_scales_w1_w2_and_k_exactly(n):
+    space, signed, mu, nu = problem(n)
+
+    def solve(j):
+        other = PseudometricSpace(points=space.points, metrics={"d": 2.0**j * space.metric("d")},
+                                  anchor=space.anchor)
+        couplings = [wasserstein_q(other.measure(mu), other.measure(nu), "d", q) for q in (1.0, 2.0)]
+        return k_norm(other.measure(signed), "d")[1], couplings
+
+    witness, couplings = solve(0)
+    for j in METRIC_POWERS:
+        scaled_witness, scaled_couplings = solve(j)
+        assert scaled_witness.values.tobytes() == (2.0**j * witness.values).tobytes(), j
+        assert scaled_witness.achieved == 2.0**j * witness.achieved, j
+        for q, (value, coupling), (scaled_value, scaled) in zip((1, 2), couplings, scaled_couplings):
+            assert np.array_equal(scaled.matrix, coupling.matrix), (j, q)
+            assert scaled.cost == 2.0 ** (j * q) * coupling.cost, (j, q)
+            assert scaled_value == 2.0**j * value, (j, q)
