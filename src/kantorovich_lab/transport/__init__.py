@@ -37,16 +37,17 @@ __all__ = [
 #: integrals compare against ``WITNESS_TOL * min(1, scale)`` for the scale of
 #: the data, so that a wrong answer cannot pass for being small.
 WITNESS_TOL = 1e-9
-#: Mass checks never ask for less than this many units in the last place of
-#: the total mass: the inputs' own rounding reaches about one.
-MASS_ULPS = 4
+#: Mass and Lipschitz checks never ask for less than this many units in the
+#: last place of the total mass or of the largest |potential|: the inputs'
+#: own rounding reaches about one.
+ROUNDING_ULPS = 4
 
 ORACLE_SUPPORT_MAX = 8
 
 
 def _mass_tol(scale: float, total: float) -> float:
-    """``WITNESS_TOL * min(1, scale)``, floored at ``MASS_ULPS`` ulps of ``total``."""
-    return max(WITNESS_TOL * min(1.0, scale), MASS_ULPS * math.ulp(total))
+    """``WITNESS_TOL * min(1, scale)``, floored at ``ROUNDING_ULPS`` ulps of ``total``."""
+    return max(WITNESS_TOL * min(1.0, scale), ROUNDING_ULPS * math.ulp(total))
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,12 @@ class LipschitzWitness:
             raise ValueError("witness is not finite")
         d = mu.space.metric(self.metric_name)
         # relative to the metric below 1, so a small metric cannot hide a
-        # steep potential; never below the space's own triangle tolerance
+        # steep potential; never below the space's own triangle tolerance,
+        # nor below the rounding of a bounded potential, which sits near 1
+        # whatever the metric's scale
         dmax = float(np.abs(d).max(initial=0.0))
-        lip_tol = max(WITNESS_TOL * min(1.0, dmax), TRIANGLE_TOL * dmax)
+        fmax = float(np.abs(f).max(initial=0.0))
+        lip_tol = max(WITNESS_TOL * min(1.0, dmax), TRIANGLE_TOL * dmax, ROUNDING_ULPS * math.ulp(fmax))
         gap = np.abs(f[:, None] - f[None, :]) - d
         if gap.max(initial=0.0) > lip_tol:
             raise ValueError(f"potential is not 1-Lipschitz (violation {gap.max():.3g})")

@@ -51,6 +51,24 @@ def two_point_space(dist, anchor=0):
     )
 
 
+def measure_doc(space, weights) -> dict:
+    """The measure file document of ``weights`` on ``space``, every number
+    written as the decimal string that parses back to the same double."""
+
+    def strings(values):
+        return [repr(float(x)) for x in values]
+
+    doc = {
+        "points": list(space.points),
+        "metrics": {name: [strings(row) for row in mat] for name, mat in space.metrics.items()},
+        "anchor": space.anchor,
+        "weights": strings(weights),
+    }
+    if space.coords is not None:
+        doc["coords"] = [strings(row) for row in space.coords]
+    return doc
+
+
 # Independent references from scipy's HiGHS LP solver.  HiGHS works with
 # absolute tolerances, so each problem is solved on data divided by its
 # largest weight and the optimum is multiplied back.

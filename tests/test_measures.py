@@ -14,7 +14,7 @@ from kantorovich_lab.measures import (
     total_variation,
 )
 
-from conftest import random_space, two_point_space
+from conftest import measure_doc, random_space, two_point_space
 
 
 class TestValidation:
@@ -265,18 +265,7 @@ class TestFileFormat:
     def test_round_trip(self, rng):
         space = random_space(rng, 5, with_coords=True)
         w = rng.uniform(-1, 1, size=5)
-
-        def strings(values):
-            return [repr(float(x)) for x in values]
-
-        doc = {
-            "points": list(space.points),
-            "metrics": {"d": [strings(row) for row in space.metric("d")]},
-            "anchor": space.anchor,
-            "coords": [strings(row) for row in space.coords],
-            "weights": strings(w),
-        }
-        back = measure_from_dict(json.loads(json.dumps(doc)))
+        back = measure_from_dict(json.loads(json.dumps(measure_doc(space, w))))
         assert back.space.same_as(space)
         assert np.array_equal(back.weights, w)
         assert np.array_equal(back.space.coords, space.coords)

@@ -203,52 +203,14 @@ def test_every_public_definition_has_a_caller():
     assert not dead, "definitions that no program reaches (delete each with its tests):\n" + "\n".join(dead)
 
 
-def _toy_package(tmp_path, monkeypatch, bench: str) -> None:
-    """Point both checks at a two-module package under ``tmp_path`` whose
-    only program is ``bench/run.py`` with source ``bench``."""
-    package = tmp_path / "src" / "toy"
-    package.mkdir(parents=True)
+def test_a_re_export_is_no_read(tmp_path, monkeypatch):
+    # a definition that only an __init__ import and __all__ name is listed
+    package = tmp_path / "toy"
+    package.mkdir()
     (package / "__init__.py").write_text('from .a import used, unused\n__all__ = ["used", "unused"]\n')
-    (package / "a.py").write_text(
-        "def used(x, scale=1.0):\n"
-        "    return _helper(x) * scale\n"
-        "\n"
-        "def _helper(x):\n"
-        "    return x\n"
-        "\n"
-        "def unused(x):\n"
-        "    return x\n"
-        "\n"
-        "class Box:\n"
-        "    def __init__(self):\n"
-        "        self.v = 0\n"
-        "\n"
-        "    def read(self):\n"
-        "        return self.v\n"
-        "\n"
-        "    def never(self):\n"
-        "        return 1\n"
-    )
-    (tmp_path / "bench").mkdir()
-    (tmp_path / "bench" / "run.py").write_text(bench)
-    for name, value in {
-        "ROOT": tmp_path,
-        "PACKAGE": package,
-        "SIMPLEX": package / "_simplex.py",
-        "EXEMPT": set(),
-        "CALLERS": ("src", "bench"),
-        "ROOTS": (tmp_path / "bench" / "run.py",),
-    }.items():
+    (package / "a.py").write_text("def used():\n    pass\n\n\ndef unused():\n    pass\n")
+    (tmp_path / "run.py").write_text("from toy import used\nused()\n")
+    for name, value in {"PACKAGE": package, "SIMPLEX": package / "_simplex.py",
+                        "ROOTS": (tmp_path / "run.py",)}.items():
         monkeypatch.setitem(globals(), name, value)
-
-
-def test_surface_check_names_what_only_a_re_export_reads(tmp_path, monkeypatch):
-    _toy_package(tmp_path, monkeypatch, "from toy.a import used, Box\nused(2)\nBox().read()\n")
-    assert unreached() == ["a: unused", "a: Box.never"]
-
-
-def test_options_check_names_a_default_no_call_passes(tmp_path, monkeypatch):
-    _toy_package(tmp_path, monkeypatch, "from toy.a import used\nused(2)\n")
-    assert unset_options() == ["a: used(scale)"]
-    (tmp_path / "bench" / "run.py").write_text("from toy.a import used\nused(2, scale=3.0)\n")
-    assert unset_options() == []
+    assert unreached() == ["a: unused"]

@@ -15,6 +15,8 @@ from kantorovich_lab import cli, reports
 from kantorovich_lab.measures import PseudometricSpace
 from kantorovich_lab.reports import _plain, dump_json, mean_var
 
+from conftest import measure_doc
+
 
 def reference(doc) -> bytes:
     text = json.dumps(_plain(doc), indent=2, sort_keys=True, allow_nan=False)
@@ -230,13 +232,8 @@ def test_norms_report_at_256_points(tmp_path):
     a = rng.dirichlet(np.ones(256))
     b = rng.dirichlet(np.ones(256))
     b[-1] = math.fsum(a.tolist()) - math.fsum(b[:-1].tolist())
-    def strings(values):
-        return [repr(float(x)) for x in values]
-
     for name, w in (("mu.json", a), ("nu.json", b)):
-        doc = {"points": list(space.points), "metrics": {"d": [strings(row) for row in d]}, "anchor": 3,
-               "coords": [strings(row) for row in coords], "weights": strings(w)}
-        (tmp_path / name).write_text(json.dumps(doc))
+        (tmp_path / name).write_text(json.dumps(measure_doc(space, w)))
     config = {
         "kind": "norms",
         "seed": 1,

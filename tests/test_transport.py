@@ -287,6 +287,18 @@ class TestWitnesses:
             wk.validate(mu)
             assert wk.values[space.anchor] == 0.0
 
+    @pytest.mark.parametrize("scale", [2.0**-30, 1e-12])
+    def test_bounded_witnesses_validate_on_a_small_metric(self, rng, scale):
+        # a bounded potential sits near 1 whatever the metric's scale, so it
+        # carries rounding of about ulp(1), far above the metric's own
+        for _ in range(20):
+            space = random_space(rng, 7)
+            small = PseudometricSpace(points=space.points, metrics={"d": scale * space.metric("d")},
+                                      anchor=space.anchor)
+            mu = random_signed(rng, small)
+            kr_norm(mu, "d")[1].validate(mu)
+            kq_norm(mu, "d", 2.0)[1].validate(mu)
+
     def test_coupling_invariants(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 7))

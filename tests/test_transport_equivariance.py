@@ -144,9 +144,11 @@ def test_scaling_the_metric_scales_wq_and_the_anchored_part_of_k(n):
         assert abs(got - lam * wq) <= REL * lam * diameter, lam
 
 
-#: Powers of two the metric is scaled by; every cost d^q at q <= 2 stays a
-#: normal double.
-METRIC_POWERS = range(-60, 41)
+#: Powers of two the metric is scaled by: both ends of the range that keeps
+#: every cost d^q at q <= 2 a normal double, powers just below 1, where an
+#: absolute floor at 1 would first bite, and 2^-40, where a bounded witness's
+#: rounding near 1 dwarfs the metric.
+METRIC_POWERS = (-60, -40, -13, -1, 40)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -156,8 +158,17 @@ def test_scaling_the_metric_by_a_power_of_two_scales_w1_w2_and_k_exactly(n):
     def solve(j):
         other = PseudometricSpace(points=space.points, metrics={"d": 2.0**j * space.metric("d")},
                                   anchor=space.anchor)
-        couplings = [wasserstein_q(other.measure(mu), other.measure(nu), "d", q) for q in (1.0, 2.0)]
-        return k_norm(other.measure(signed), "d")[1], couplings
+        measure = other.measure(signed)
+        witness = k_norm(measure, "d")[1]
+        witness.validate(measure)
+        # kr is not homogeneous in the metric; its witness must still validate
+        kr_norm(measure, "d")[1].validate(measure)
+        couplings = []
+        for q in (1.0, 2.0):
+            value, coupling = wasserstein_q(other.measure(mu), other.measure(nu), "d", q)
+            coupling.validate(other.measure(mu), other.measure(nu))
+            couplings.append((value, coupling))
+        return witness, couplings
 
     witness, couplings = solve(0)
     for j in METRIC_POWERS:
