@@ -19,11 +19,11 @@ from .transport import (
     LipschitzWitness,
     brute_force_dual,
     k_norm,
-    kernel_backend,
     kq_norm,
     kr_norm,
     wasserstein_q,
 )
+from .transport._simplex import kernel_backend
 
 __version__ = "0.1.0"
 

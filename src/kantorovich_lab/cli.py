@@ -36,8 +36,9 @@ class InputDataError(Exception):
 
 def thread_limit() -> int:
     """Always 1: every run is serial.  Kept only because the benchmark's
-    metadata records it; it goes with ``kernel_backend()`` and
-    ``transport/_simplex.py`` in the next change to the benchmark."""
+    metadata records it, like the two stubs of ``transport/_simplex.py``,
+    ``kernel_backend()`` and ``simplex_max``; all three go when ROADMAP item
+    1a retargets the benchmark."""
     return 1
 
 

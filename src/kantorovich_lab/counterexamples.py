@@ -267,26 +267,22 @@ def verify_schedule(
             for lo, hi in zip(cuts, cuts[1:]):
                 per_k[rows.start + lo : rows.start + hi] = member.tail_mass(int(qidx[lo]), thresholds[lo:hi])
 
+    # the sums and sups are folded with np.max, which keeps a NaN, so a
+    # member whose tails are NaN fails its certificate instead of dropping out
     certificates = []
     for n in range(1, n_max + 1):
-        mass_sum = 0.0
-        for per_k in tail_masses:
-            mass_sum = max(mass_sum, float(per_k[N[n] :].sum()))
+        mass_sum = float(np.max([per_k[N[n] :].sum() for per_k in tail_masses], initial=0.0))
 
-        # a member's sup over block n is the np.max of its row blocks' maxima:
-        # a NaN in any row block makes it NaN, which max() below skips, as it
-        # skipped the NaN of one whole-block np.max
-        sup_scaled = 0.0
+        # the sup over block n is the np.max of every member's row-block maxima
         block_lo = N[n]
         block_hi = min(N[n + 1] if n + 1 < len(N) else horizon, horizon)
         alpha = 2.0 ** (-n)
+        tops = []
         for member in family:
-            tops = []
             for rows in row_blocks(block_hi - block_lo):
                 bks = np.arange(block_lo + rows.start + 1, block_lo + rows.stop + 1)
                 tops.append(np.max(member.tail_integral(n, bks * alpha) / alpha))
-            if tops:
-                sup_scaled = max(sup_scaled, float(np.max(tops)))
+        sup_scaled = float(np.max(tops, initial=0.0))
         certificates.append(
             ScheduleCertificate(
                 n=n,

@@ -202,9 +202,10 @@ def seminorm(name: str) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def borell_bound(theta: float, t: float) -> float:
-    """Tail bound ((1 - theta)/theta)^(t/2) for an absolutely convex set of mass theta."""
-    if not 0 < theta < 1:
-        raise ValueError("theta must lie in (0, 1)")
+    """Tail bound ((1 - theta)/theta)^(t/2) for an absolutely convex set of
+    mass theta; a set of full mass bounds the tail by 0."""
+    if not 0 < theta <= 1:
+        raise ValueError("theta must lie in (0, 1]")
     return ((1.0 - theta) / theta) ** (t / 2.0)
 
 

@@ -225,10 +225,13 @@ def quotient(space: PseudometricSpace, metric_name: str) -> QuotientMap:
 
     Classes are labelled in order of first occurrence, so the result is
     deterministic.  The induced matrix is well defined because vanishing
-    distance is transitive under the triangle inequality.
+    distance is transitive under the triangle inequality.  A distance
+    vanishes within the triangle check's tolerance, relative to the largest
+    distance, so a metric's scale does not decide which points merge.
     """
     p = space.metric(metric_name)
     n = space.n_points
+    tol = TRIANGLE_TOL * float(np.abs(p).max(initial=0.0))
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -239,7 +242,7 @@ def quotient(space: PseudometricSpace, metric_name: str) -> QuotientMap:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if p[i, j] <= TRIANGLE_TOL:
+            if p[i, j] <= tol:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[max(ri, rj)] = min(ri, rj)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..measures import TRIANGLE_TOL, SignedMeasure
-from ._simplex import kernel_backend
 from ._transportation import absorbing_distances, moment_weights, power_costs
 from ._transportation import seminorm_potential, seminorm_problem, solve_transportation
 from ._trees import min_cost_vertex
@@ -30,7 +29,6 @@ __all__ = [
     "wasserstein_q",
     "kq_norm",
     "brute_force_dual",
-    "kernel_backend",
 ]
 
 #: Feasibility tolerance for returned certificates.  Checks of masses and

@@ -988,6 +988,16 @@ class TestNonFiniteSpecs:
         assert not (tmp_path / "out").exists()
 
 
+def test_a_borell_set_holding_every_draw_passes(tmp_path):
+    """On [-1, 1] the set {|x| < 1.5} holds every draw: theta is 1, its
+    bound on each tail 0, and each tail is 0."""
+    config = _borell(spec={"family": "uniform_box", "lo": [-1.0], "hi": [1.0]}, c=1.5, ts=[2.0])
+    path = write(tmp_path / "c.json", {**config, "out": str(tmp_path / "out")})
+    assert cli.main(["logconcave", "--config", str(path)]) == cli.EXIT_OK
+    (report,) = [json.loads(f.read_text()) for f in (tmp_path / "out").glob("logconcave-*.json")]
+    assert [(c["name"], c["verdict"]) for c in report["checks"]] == [("tail[t=2]", "PASS")]
+
+
 def test_a_draw_too_large_to_hold_is_an_input_error(tmp_path, capsys, monkeypatch):
     """numpy's MemoryError for n = 10^13 draws exits 3 with its message on one
     line; the sampler is stubbed, so no test tries the allocation."""

@@ -256,7 +256,7 @@ def _whole_tail(member, kind: str, n: int, t: np.ndarray) -> np.ndarray:
 
 def _whole_array_certificates(sched, family, horizon, n_max):
     """(tail_mass_sum, scaled_integral_sup) of blocks 1 to ``n_max``, every
-    array as long as the horizon."""
+    array as long as the horizon; a NaN sum or sup is kept."""
     N = sched.boundaries
     ks = np.arange(1, horizon + 1)
     blocks = sched.blocks(ks)
@@ -272,17 +272,14 @@ def _whole_array_certificates(sched, family, horizon, n_max):
         tail_masses.append(per_k)
     certificates = []
     for n in range(1, n_max + 1):
-        mass_sum = 0.0
-        for per_k in tail_masses:
-            mass_sum = max(mass_sum, float(per_k[N[n] :].sum()))
+        mass_sum = float(np.max([per_k[N[n] :].sum() for per_k in tail_masses], initial=0.0))
         sup_scaled = 0.0
         block_hi = min(N[n + 1] if n + 1 < len(N) else horizon, horizon)
         bks = np.arange(N[n] + 1, block_hi + 1)
         if len(bks):
             alpha = 2.0 ** (-n)
-            for member in family:
-                vals = _whole_tail(member, "integral", n, bks * alpha) / alpha
-                sup_scaled = max(sup_scaled, float(np.max(vals)))
+            sups = [np.max(_whole_tail(member, "integral", n, bks * alpha) / alpha) for member in family]
+            sup_scaled = float(np.max(sups, initial=0.0))
         certificates.append((mass_sum.hex(), sup_scaled.hex()))
     return certificates
 
@@ -309,6 +306,16 @@ class PlantedNaN(GeometricTailMember):
         out = super().tail_integral(n, thresholds)
         out[np.isin(thresholds, self.nan_at)] = np.nan
         return out
+
+
+class AllNaN:
+    """A member whose tail masses and integrals are NaN at every threshold."""
+
+    def tail_mass(self, n, thresholds):
+        return np.full(len(thresholds), np.nan)
+
+    def tail_integral(self, n, thresholds):
+        return np.full(len(thresholds), np.nan)
 
 
 FAMILIES = {
@@ -346,6 +353,20 @@ class TestStreamedVerifier:
         report = verify_schedule(sched, family, horizon=10**5, n_max=6)
         got = [(c.tail_mass_sum.hex(), c.scaled_integral_sup.hex()) for c in report.certificates]
         assert got == _whole_array_certificates(sched, family, 10**5, 6)
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_a_member_with_nan_tails_fails_every_certificate(self, first):
+        """A NaN sum or sup reaches its certificate, which fails, whether the
+        member comes before or after a finite one.  Blocks 1 to 4 of the
+        geometric schedule start below its horizon 10^5."""
+        sched = rescaling_schedule(family_tail_functions([GeometricTailMember()], 8), 10**5)
+        family = [GeometricTailMember(), AllNaN()]
+        report = verify_schedule(sched, family[::-1] if first else family, n_max=4)
+        assert len(report.certificates) == 4
+        for c in report.certificates:
+            assert math.isnan(c.tail_mass_sum) and math.isnan(c.scaled_integral_sup)
+            assert not c.passed
+        assert not report.passed
 
     def test_zero_horizon_refused(self):
         sched = rescaling_schedule(family_tail_functions([GeometricTailMember()], 4), 10**5)

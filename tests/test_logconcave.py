@@ -145,8 +145,10 @@ class TestBorell:
         assert borell_bound(0.6827, 2.0) == pytest.approx(0.46477, abs=1e-4)
         assert borell_bound(0.5, 7.3) == 1.0
         assert borell_bound(0.999, 40.0) < 1e-1
-        with pytest.raises(ValueError, match="theta"):
-            borell_bound(1.0, 2.0)
+        assert borell_bound(1.0, 2.0) == 0.0
+        for theta in (0.0, 1.0 + 1e-12, 2.0):
+            with pytest.raises(ValueError, match="theta"):
+                borell_bound(theta, 2.0)
 
     def test_gaussian_abs(self):
         report = check_borell(

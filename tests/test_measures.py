@@ -205,6 +205,15 @@ class TestQuotient:
         qm = quotient(space, "p")
         assert qm.n_classes == 1
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0])
+    def test_classes_do_not_depend_on_the_metric_scale(self, scale):
+        # four points on a line: a genuine metric at any scale
+        x = np.arange(4.0)
+        space = PseudometricSpace(points=tuple("abcd"), metrics={"p": scale * np.abs(x[:, None] - x[None, :])})
+        qm = quotient(space, "p")
+        assert qm.n_classes == 4
+        assert qm.classes == (0, 1, 2, 3)
+
     def test_idempotent(self, rng):
         coords = rng.integers(0, 3, size=8).astype(float)
         p = np.abs(coords[:, None] - coords[None, :])

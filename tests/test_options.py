@@ -19,17 +19,22 @@ module-level statements of ``src`` through the bodies of the definitions
 they reach, and lists each public definition never reached.  Imports,
 re-exports, ``__all__`` and annotations read nothing.
 
-Both checks leave out ``transport/_simplex.py``, which the benchmark still
-binds by name.
+The surface check leaves out ``transport/_simplex.py``: the benchmark's
+tracer binds its ``simplex_max`` by a string, which reads no name.  The
+module holds only the two stubs the benchmark binds, ``kernel_backend`` and
+a ``simplex_max`` that raises, and a test below keeps it so, so that the
+benchmark's retarget can delete it knowing nothing else depends on it.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "kantorovich_lab"
 SIMPLEX = PACKAGE / "transport" / "_simplex.py"
-EXEMPT = {PACKAGE / "cli.py", SIMPLEX}
+EXEMPT = {PACKAGE / "cli.py"}
 CALLERS = ("src", "perfbench")
 #: Code that counts as a caller whole: the benchmark and the acceptance suite.
 ROOTS = (*sorted((ROOT / "perfbench").rglob("*.py")), ROOT / "tests" / "test_acceptance.py")
@@ -214,3 +219,34 @@ def test_a_re_export_is_no_read(tmp_path, monkeypatch):
                         "ROOTS": (tmp_path / "run.py",)}.items():
         monkeypatch.setitem(globals(), name, value)
     assert unreached() == ["a: unused"]
+
+
+def test_the_simplex_module_holds_only_the_benchmark_stubs():
+    from kantorovich_lab.transport._simplex import simplex_max
+
+    tree = ast.parse(SIMPLEX.read_text(encoding="utf-8"))
+    body = [node for node in tree.body if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))]
+    assert all(isinstance(node, ast.FunctionDef) for node in body)
+    assert [node.name for node in body] == ["kernel_backend", "simplex_max"]
+    with pytest.raises(RuntimeError, match="dense simplex"):
+        simplex_max([[1.0]], [1.0], [1.0])
+
+
+def test_no_module_of_the_package_reads_simplex_max():
+    # by name, by attribute, by import, or by a string as the tracer does
+    readers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.alias):
+                names = {node.name, node.asname}
+            elif isinstance(node, ast.Constant):
+                names = {node.value}
+            else:
+                continue
+            if "simplex_max" in names:
+                readers.append(path.relative_to(PACKAGE).as_posix())
+    assert not readers, f"modules that read simplex_max: {readers}"

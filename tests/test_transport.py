@@ -17,7 +17,6 @@ from kantorovich_lab.transport import (
     kr_norm,
     wasserstein_q,
 )
-from kantorovich_lab.transport._simplex import simplex_max
 from kantorovich_lab.transport._transportation import absorbing_distances, seminorm_potential, solve_transportation
 from kantorovich_lab.transport._trees import bipartite_tree_tensors
 
@@ -361,12 +360,6 @@ class TestWitnesses:
 
 
 class TestSolvers:
-    def test_simplex_known_lp(self):
-        # max x + y st x + 2y <= 4, 3x + y <= 6 -> (8/5, 6/5), value 14/5
-        res = simplex_max(np.array([[1.0, 2.0], [3.0, 1.0]]), [4.0, 6.0], [1.0, 1.0])
-        assert res.value == pytest.approx(2.8, abs=1e-12)
-        assert np.allclose(res.x, [1.6, 1.2], atol=1e-12)
-
     def test_transportation_balanced(self, rng):
         for _ in range(20):
             r, s = int(rng.integers(1, 6)), int(rng.integers(1, 6))

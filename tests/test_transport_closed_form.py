@@ -30,7 +30,7 @@ from kantorovich_lab.transport._transportation import power_costs
 
 #: Relative distance allowed between a value and its exact reference.
 REL = 1e-12
-SIZES = (64, 128, 256, 512)
+SIZES = (64, 128, 256, 512, 1024)
 
 
 def random_tree(n: int, seed: int):
@@ -137,7 +137,7 @@ def monotone_cost(x: np.ndarray, mu: np.ndarray, nu: np.ndarray, cost: np.ndarra
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0])
-@pytest.mark.parametrize("n", (64, 256, 512))
+@pytest.mark.parametrize("n", (64, 256, 512, 1024))
 def test_wq_on_a_line(n, q):
     rng = np.random.default_rng(10 * n + int(q))
     x = rng.choice(np.arange(-4096, 4096), size=n, replace=False) / 64.0
