@@ -290,22 +290,24 @@ def _discrete(atoms: int) -> DiscreteTailMember:
 
 
 class PlantedNaN(GeometricTailMember):
-    """The geometric member with a NaN tail at the thresholds ``nan_at``.
-    Index k is evaluated at threshold k 2^-n in block n, both for its tail
-    mass and for its scaled tail integral."""
+    """The geometric member with a NaN tail mass, or a NaN scaled tail
+    integral, at the indices ``ks`` alone.  Index k of block n is evaluated
+    at seminorm index n and threshold k 2^-n."""
 
-    def __init__(self, nan_at):
-        self.nan_at = np.asarray(nan_at, dtype=float)
+    def __init__(self, sched, ks, kind):
+        self.kind = kind
+        self.planted = [(int(n), k * 2.0 ** -int(n)) for k, n in zip(ks, sched.blocks(np.array(ks)))]
+
+    def _plant(self, kind, n, thresholds, out):
+        if kind == self.kind:
+            out[np.isin(thresholds, [t for m, t in self.planted if m == n])] = np.nan
+        return out
 
     def tail_mass(self, n, thresholds):
-        out = super().tail_mass(n, thresholds)
-        out[np.isin(thresholds, self.nan_at)] = np.nan
-        return out
+        return self._plant("mass", n, thresholds, super().tail_mass(n, thresholds))
 
     def tail_integral(self, n, thresholds):
-        out = super().tail_integral(n, thresholds)
-        out[np.isin(thresholds, self.nan_at)] = np.nan
-        return out
+        return self._plant("integral", n, thresholds, super().tail_integral(n, thresholds))
 
 
 class AllNaN:
@@ -342,15 +344,22 @@ class TestStreamedVerifier:
         got = [(c.tail_mass_sum.hex(), c.scaled_integral_sup.hex()) for c in report.certificates]
         assert got == expected[:n_max]
 
-    @pytest.mark.parametrize("ks", [(5778,), (BLOCK,), (BLOCK + 1,), (10**5,), (12, 46, 2 * BLOCK + 7)])
-    def test_a_nan_anywhere_gives_the_whole_array_certificate(self, ks):
-        """Index 5,778 opens block 4 of the geometric schedule, BLOCK and
-        BLOCK + 1 end and open a row block, and 10^5 is the last index."""
+    @pytest.mark.parametrize("kind", ["mass", "integral"])
+    @pytest.mark.parametrize("ks", [(5778,), (BLOCK,), (BLOCK + 1,), (5777 + BLOCK,), (5778 + BLOCK,), (10**5,),
+                                    (12, 46, 2 * BLOCK + 7)])
+    def test_a_nan_anywhere_gives_the_whole_array_certificate(self, ks, kind):
+        """A NaN tail mass at index k spoils the sum of each block n with
+        N_n < k, and a NaN scaled tail integral only the sup of k's block;
+        every other sum and sup keeps the whole-array reference's bits.
+        Index 5,778 opens block 4 of the geometric schedule, BLOCK and
+        BLOCK + 1 end and open a row block of the tail masses, 5,777 + BLOCK
+        and 5,778 + BLOCK one of block 4's sup, and 10^5 is the last index."""
         sched = rescaling_schedule(family_tail_functions([GeometricTailMember()], 8), 10**5)
-        nan_at = [k * 2.0 ** -int(n) for k, n in zip(ks, sched.blocks(np.array(ks)))]
-        nan_atom = DiscreteTailMember([0.5, 0.25, 0.25], np.tile([3.0, np.nan, 700.0], (8, 1)))
-        family = [PlantedNaN(nan_at), _discrete(9), nan_atom]
+        family = [PlantedNaN(sched, ks, kind), _discrete(9)]
         report = verify_schedule(sched, family, horizon=10**5, n_max=6)
+        N, blocks = sched.boundaries, set(sched.blocks(np.array(ks)).tolist())
+        spoiled = [(kind == "mass" and max(ks) > N[n], kind == "integral" and n in blocks) for n in range(1, 7)]
+        assert [(math.isnan(c.tail_mass_sum), math.isnan(c.scaled_integral_sup)) for c in report.certificates] == spoiled
         got = [(c.tail_mass_sum.hex(), c.scaled_integral_sup.hex()) for c in report.certificates]
         assert got == _whole_array_certificates(sched, family, 10**5, 6)
 
